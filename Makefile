@@ -63,14 +63,17 @@ wallsmoke:
 	$(GO) test -run 'Wall|Backends|StragglerDropped' ./internal/machine/... ./internal/crosscheck ./internal/ftparallel
 	$(GO) run ./cmd/ftmul -bits 16384 -algo ft -k 2 -P 9 -f 1 -fault 4:mul -backend wall -q
 
-# Every runnable example, in dependency order: the integer tier's three, then
-# matstorm's fault-tolerant Strassen matmul under random fail-stop plans
-# (verified element-wise against the naive O(n^3) product). CI's Examples
-# step runs exactly this target.
+# Every runnable example, in dependency order: the integer tier's five
+# (including the RSA round trip and the Kronecker-substitution polynomial
+# product), then matstorm's fault-tolerant Strassen matmul under random
+# fail-stop plans (verified element-wise against the naive O(n^3) product).
+# CI's Examples step runs exactly this target.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/faultstorm
 	$(GO) run ./examples/stragglers
+	$(GO) run ./examples/rsacrypto
+	$(GO) run ./examples/polymul
 	$(GO) run ./examples/matstorm
 
 # Matrix-tier smoke: the exhaustive single-fail-stop crosscheck over both

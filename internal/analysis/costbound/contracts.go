@@ -303,8 +303,8 @@ func (d *deriver) funcContract(pkgName, name string, args []val, call *ast.CallE
 		}
 	case "toom":
 		if name == "Recompose" {
-			// The recomposed scalar carries the share's word measure so the
-			// leaf's MulWithStats charge is len(a)·len(b).
+			// The recomposed scalar carries the share's word measure, as
+			// MulSharesWithStats's operands do below.
 			if args[0].k == kVec && args[0].numOK {
 				return bigVal(args[0].w), true
 			}
@@ -474,18 +474,19 @@ func (d *deriver) algContract(name string, rv val, args []val, pos token.Pos) (v
 		return opaqueVal(), true
 	case "WScaled":
 		return tupleVal(opaqueVal(), unknownNum()), true
-	case "MulWithStats":
-		if len(args) == 3 && args[2].k == kStruct && args[2].st != nil {
-			wa, wb := framework.SymExpr{}, framework.SymExpr{}
-			ok := false
-			if args[0].k == kBig && args[0].numOK && args[1].k == kBig && args[1].numOK {
-				wa, wb = args[0].w, args[1].w
-				ok = true
+	case "MulWithStats", "MulSharesWithStats":
+		// MulSharesWithStats(sharesA, sharesB, shift, stats) multiplies the
+		// recomposed share vectors: the operands carry the vectors' measures,
+		// exactly as toom.Recompose's results do.
+		want, stats := kBig, 2
+		if name == "MulSharesWithStats" {
+			want, stats = kVec, 3
+		}
+		if len(args) == stats+1 && args[stats].k == kStruct && args[stats].st != nil {
+			if args[0].k != want || !args[0].numOK || args[1].k != want || !args[1].numOK {
+				d.fail(pos, "costbound: "+name+" with unknown operand measures")
 			}
-			if !ok {
-				d.fail(pos, "costbound: MulWithStats with unknown operand measures")
-			}
-			args[2].st.fields["WordOps"] = numVal(wa.Mul(wb))
+			args[stats].st.fields["WordOps"] = numVal(args[0].w.Mul(args[1].w))
 		}
 		return val{k: kBig}, true
 	case "Mul":

@@ -21,12 +21,14 @@
 //
 // "Limb arithmetic" means calling a mutating/combining method on bigint.Int
 // or bigint.Acc (Add, Sub, Mul, MulInt64, Shl, Shr, DivExactInt64,
-// QuoRemWord, AddMul, DivExact). Cheap structural accessors (Sign, Abs, Neg,
-// IsZero, BitLen, WordLen, Extract, Cmp) are deliberately excluded — the
-// model charges word-touching arithmetic, not bookkeeping.
+// QuoRemWord, AddMul, DivExact, and the Acc-to-Acc AddMulAcc, AddShl,
+// SetMul, SetSum, SetDiff). Cheap structural accessors (Sign, Abs, Neg,
+// IsZero, BitLen, WordLen, Extract, Cmp, and the Acc loads SetInt,
+// SetBits) are deliberately excluded — the model charges word-touching
+// arithmetic, not bookkeeping.
 //
-// Primitives whose cost is charged by their callers (toom.ApplyRows via
-// RowsWork, toom.Recompose via the recursion's recomposition charge) and
+// Primitives whose cost is charged by their callers (toom.ApplyRows via the
+// recursion's rowsWork, toom.Recompose via its recomposition charge) and
 // host-side code outside the machine model carry explicit
 // `//ftlint:allow costcharge <rationale>` comments.
 package costcharge
@@ -56,6 +58,8 @@ var arithMethods = map[string]map[string]bool{
 	"Acc": {
 		"Add": true, "Sub": true, "AddMul": true,
 		"Shl": true, "DivExact": true,
+		"AddMulAcc": true, "AddShl": true, "SetMul": true,
+		"SetSum": true, "SetDiff": true,
 	},
 }
 

@@ -9,7 +9,11 @@ import (
 // Toom-Cook stack (evaluation, interpolation, recomposition). Where the
 // immutable Int API allocates a fresh value per operation, an Acc mutates a
 // private limb buffer in place and hands the finished value off with Take,
-// so an entire scalar-by-big matrix row costs O(1) heap allocations.
+// so an entire scalar-by-big matrix row costs O(1) heap allocations. The
+// Toom-Cook workspace keeps Accs as long-lived frame slots instead: the
+// Acc-to-Acc operations (SetBits, SetSum, AddMulAcc, SetMul, AddShl, ...)
+// combine them in place, and Value copies a result out without giving up
+// the buffer.
 //
 // The zero value is ready to use; NewAcc/Release additionally recycle the
 // internal buffers through a sync.Pool. An Acc is not safe for concurrent
@@ -48,27 +52,8 @@ func (a *Acc) WordLen() int { return len(a.abs) }
 
 // add combines a signed magnitude into the accumulator in place.
 func (a *Acc) add(x nat, xneg bool) {
-	if len(x) == 0 {
-		return
-	}
-	if len(a.abs) == 0 {
-		a.abs = natSet(a.abs, x)
-		a.neg = xneg
-		return
-	}
-	if a.neg == xneg {
-		a.abs = natAddTo(a.abs, a.abs, x)
-		return
-	}
-	switch natCmp(a.abs, x) {
-	case 0:
-		a.neg = false
-		a.abs = a.abs[:0]
-	case 1:
-		a.abs = natSubTo(a.abs, a.abs, x)
-	default:
-		a.abs = natSubTo(a.abs, x, a.abs)
-		a.neg = xneg
+	if len(x) != 0 {
+		a.setAdd(a.abs, a.neg, x, xneg)
 	}
 }
 
@@ -81,11 +66,17 @@ func (a *Acc) Sub(x Int) { a.add(x.abs, !x.neg) }
 // AddMul accumulates a += x·c for a small signed scalar c — the single
 // operation evaluation and interpolation matrices are made of. The word
 // product lands in internal scratch; no Int is materialized.
-func (a *Acc) AddMul(x Int, c int64) {
-	if c == 0 || len(x.abs) == 0 {
+func (a *Acc) AddMul(x Int, c int64) { a.addMul(x.abs, x.neg, c) }
+
+// AddMulAcc accumulates a += x·c for a small signed scalar c; x may be a
+// itself.
+func (a *Acc) AddMulAcc(x *Acc, c int64) { a.addMul(x.abs, x.neg, c) }
+
+func (a *Acc) addMul(x nat, xneg bool, c int64) {
+	if c == 0 || len(x) == 0 {
 		return
 	}
-	neg := x.neg
+	neg := xneg
 	var u uint64
 	if c < 0 {
 		neg = !neg
@@ -93,13 +84,107 @@ func (a *Acc) AddMul(x Int, c int64) {
 	} else {
 		u = uint64(c)
 	}
-	if u == 1 {
-		a.add(x.abs, neg)
+	switch {
+	case u == 1:
+		a.add(x, neg)
+	case len(a.abs) == 0:
+		a.abs = natMulWordTo(a.abs, x, u)
+		a.neg = neg
+	default:
+		a.tmp = natMulWordTo(a.tmp, x, u)
+		a.add(a.tmp, neg)
+	}
+}
+
+// AddShl accumulates a += x·2^s; x must not be a. When the signs agree
+// (always, when recomposing the nonnegative coefficients of a product of
+// nonnegative digit vectors) the shifted limbs are added in place without
+// materializing x·2^s.
+func (a *Acc) AddShl(x *Acc, s uint) {
+	switch {
+	case len(x.abs) == 0:
+	case len(a.abs) == 0:
+		a.abs = natShlTo(a.abs, x.abs, s)
+		a.neg = x.neg
+	case a.neg == x.neg:
+		a.abs = natAddShlTo(a.abs, x.abs, s)
+	default:
+		a.tmp = natShlTo(a.tmp, x.abs, s)
+		a.add(a.tmp, x.neg)
+	}
+}
+
+// SetSum sets a = x + y in one pass; x or y may be a.
+func (a *Acc) SetSum(x, y *Acc) { a.setAdd(x.abs, x.neg, y.abs, y.neg) }
+
+// SetDiff sets a = x − y in one pass; x or y may be a.
+func (a *Acc) SetDiff(x, y *Acc) { a.setAdd(x.abs, x.neg, y.abs, !y.neg) }
+
+// setAdd sets a to the sum of two signed magnitudes, writing a's buffer
+// directly instead of copying one operand first.
+func (a *Acc) setAdd(x nat, xneg bool, y nat, yneg bool) {
+	if xneg == yneg {
+		a.abs = natAddTo(a.abs, x, y)
+		a.neg = xneg && len(a.abs) != 0
 		return
 	}
-	a.tmp = natMulWordTo(a.tmp, x.abs, u)
-	a.add(a.tmp, neg)
+	switch natCmp(x, y) {
+	case 0:
+		a.abs = a.abs[:0]
+		a.neg = false
+	case 1:
+		a.abs = natSubTo(a.abs, x, y)
+		a.neg = xneg
+	default:
+		a.abs = natSubTo(a.abs, y, x)
+		a.neg = yneg
+	}
 }
+
+// SetInt loads x into a, reusing a's buffer.
+func (a *Acc) SetInt(x Int) {
+	a.abs = natSet(a.abs, x.abs)
+	a.neg = x.neg
+}
+
+// SetBits sets a to bits [lo, lo+width) of |x| (a non-negative value) — the
+// in-place counterpart of Int.Extract, used to split Toom-Cook digits. x
+// must not be a.
+func (a *Acc) SetBits(x *Acc, lo, width int) {
+	a.abs = natExtractTo(a.abs, x.abs, lo, width)
+	a.neg = false
+}
+
+// SetMul sets a = x·y through the kernel ladder (schoolbook, Karatsuba or
+// NTT, scratch from the pooled arena), writing into a's buffer. a may be x
+// or y.
+func (a *Acc) SetMul(x, y *Acc) {
+	neg := x.neg != y.neg
+	if a == x || a == y {
+		a.tmp = natMulTo(a.tmp, x.abs, y.abs)
+		a.abs, a.tmp = a.tmp, a.abs
+	} else {
+		a.abs = natMulTo(a.abs, x.abs, y.abs)
+	}
+	a.neg = neg && len(a.abs) != 0
+}
+
+// Neg negates the accumulator in place.
+func (a *Acc) Neg() { a.neg = !a.neg && len(a.abs) != 0 }
+
+// Sign returns -1, 0, or +1 according to the sign of the accumulated value.
+func (a *Acc) Sign() int {
+	switch {
+	case len(a.abs) == 0:
+		return 0
+	case a.neg:
+		return -1
+	}
+	return 1
+}
+
+// BitLen returns the length of |a| in bits (0 for zero).
+func (a *Acc) BitLen() int { return natBitLen(a.abs) }
 
 // Shl shifts the accumulator left by s bits in place.
 func (a *Acc) Shl(s uint) {
@@ -122,6 +207,9 @@ func (a *Acc) DivExact(v int64) {
 		u = uint64(-(v + 1)) + 1
 	} else {
 		u = uint64(v)
+	}
+	if u == 1 {
+		return // ±1: the sign flip above is the whole division
 	}
 	q, r := natDivWordTo(a.abs, a.abs, u)
 	if r != 0 {

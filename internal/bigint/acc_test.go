@@ -219,3 +219,105 @@ func TestNatExtractCrossCheck(t *testing.T) {
 		}
 	}
 }
+
+// TestAccToAccOps drives the Acc-to-Acc operations the Toom-Cook workspace
+// uses (loads, bit-range extraction, sums, scaled and shifted adds,
+// products, negation) through random sequences, cross-checking every state
+// against math/big. Operands include zero, limb-boundary and aliased cases.
+func TestAccToAccOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(1207))
+	randInt := func() Int {
+		switch rng.Intn(6) {
+		case 0:
+			return Int{}
+		case 1:
+			return FromInt64(int64(rng.Intn(3)) - 1)
+		}
+		x := Random(rng, 64*(1+rng.Intn(8))+rng.Intn(3)-1)
+		if rng.Intn(2) == 0 {
+			x = x.Neg()
+		}
+		return x
+	}
+	var a, x, y Acc
+	oa := new(big.Int)
+	for step := 0; step < 5000; step++ {
+		xv, yv := randInt(), randInt()
+		x.SetInt(xv)
+		y.SetInt(yv)
+		bx, by := xv.ToBig(), yv.ToBig()
+		switch rng.Intn(12) {
+		case 0:
+			a.SetInt(xv)
+			oa.Set(bx)
+		case 1:
+			a.AddMulAcc(&x, 1)
+			oa.Add(oa, bx)
+		case 2:
+			a.AddMulAcc(&x, -1)
+			oa.Sub(oa, bx)
+		case 3:
+			c := rng.Int63n(41) - 20
+			a.AddMulAcc(&x, c)
+			oa.Add(oa, new(big.Int).Mul(bx, big.NewInt(c)))
+		case 4:
+			s := uint(rng.Intn(300))
+			a.AddShl(&x, s)
+			oa.Add(oa, new(big.Int).Lsh(bx, s))
+		case 5:
+			a.SetMul(&x, &y)
+			oa.Mul(bx, by)
+		case 6:
+			a.SetSum(&x, &y)
+			oa.Add(bx, by)
+		case 7:
+			a.SetDiff(&x, &y)
+			oa.Sub(bx, by)
+		case 8:
+			lo, w := rng.Intn(600), rng.Intn(300)
+			a.SetBits(&x, lo, w)
+			oa.Rsh(new(big.Int).Abs(bx), uint(lo))
+			oa.And(oa, new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(w)), big.NewInt(1)))
+		case 9:
+			a.Neg()
+			oa.Neg(oa)
+		case 10:
+			// Aliased operands: a on both sides.
+			a.AddMulAcc(&a, 3)
+			oa.Mul(oa, big.NewInt(4))
+		case 11:
+			a.SetMul(&a, &x)
+			oa.Mul(oa, bx)
+		}
+		if got := a.Value().ToBig(); got.Cmp(oa) != 0 {
+			t.Fatalf("step %d: acc=%v oracle=%v", step, got, oa)
+		}
+		if a.Sign() != oa.Sign() || a.BitLen() != oa.BitLen() {
+			t.Fatalf("step %d: sign/bitlen %d/%d, oracle %d/%d", step, a.Sign(), a.BitLen(), oa.Sign(), oa.BitLen())
+		}
+		if a.BitLen() > 4000 {
+			a.Reset()
+			oa.SetInt64(0)
+		}
+	}
+}
+
+// TestDivideByUnit pins the |v| = 1 fast paths of Acc.DivExact and
+// Int.DivExactInt64: no division runs, and only v = −1 flips the sign.
+func TestDivideByUnit(t *testing.T) {
+	rng := rand.New(rand.NewSource(1208))
+	for _, x := range []Int{{}, FromInt64(-1), Random(rng, 700), Random(rng, 64).Neg()} {
+		for _, v := range []int64{1, -1} {
+			want := new(big.Int).Quo(x.ToBig(), big.NewInt(v))
+			if got := x.DivExactInt64(v).ToBig(); got.Cmp(want) != 0 {
+				t.Fatalf("DivExactInt64(%v, %d) = %v, want %v", x, v, got, want)
+			}
+			var a Acc
+			a.SetInt(x)
+			a.DivExact(v)
+			if got := a.Value().ToBig(); got.Cmp(want) != 0 || a.Sign() != want.Sign() {
+				t.Fatalf("Acc.DivExact(%v, %d) = %v, want %v", x, v, got, want)
+			}
+		}
+	}
+}

@@ -199,6 +199,9 @@ func (x Int) DivExactInt64(v int64) Int {
 	} else {
 		u = uint64(v)
 	}
+	if u == 1 {
+		return Int{neg: neg && len(x.abs) != 0, abs: x.abs} // Ints are immutable: sharing the limbs is safe
+	}
 	q, r := natDivWord(x.abs, u)
 	if r != 0 {
 		panic(fmt.Sprintf("bigint: DivExactInt64: %v not divisible by %d", x, v))

@@ -107,16 +107,7 @@ func natMul(x, y nat) nat {
 	if len(x) < len(y) {
 		x, y = y, x
 	}
-	z := make(nat, len(x)+len(y))
-	if len(y) < karatsubaThresholdLimbs() {
-		basicMulTo(z, x, y)
-		return z.norm()
-	}
-	ar := getArena()
-	ar.ensure(mulScratchFor(len(x), len(y)))
-	mulTo(z, x, y, ar)
-	putArena(ar)
-	return z.norm()
+	return mulLadder(make(nat, len(x)+len(y)), x, y)
 }
 
 // natMulWord returns x * w.
@@ -228,22 +219,5 @@ func natExtract(x nat, lo, width int) nat {
 	if width <= 0 || lo >= natBitLen(x) {
 		return nil
 	}
-	// Gather the covering limbs directly into one fresh allocation (this is
-	// the digit-splitting hot path: one natExtract per digit per recursion
-	// node, so the shift-then-copy double allocation was measurable).
-	start := lo / 64
-	off := uint(lo % 64)
-	limbs := (width + 63) / 64
-	z := make(nat, limbs)
-	for i := 0; i < limbs && start+i < len(x); i++ {
-		v := x[start+i] >> off
-		if off != 0 && start+i+1 < len(x) {
-			v |= x[start+i+1] << (64 - off)
-		}
-		z[i] = v
-	}
-	if rem := width % 64; rem != 0 {
-		z[limbs-1] &= (1 << uint(rem)) - 1
-	}
-	return z.norm()
+	return natExtractTo(make(nat, (width+63)/64), x, lo, width)
 }

@@ -214,6 +214,10 @@ func (ep *endpoint) Recv(from int, tag string) (transport.Payload, error) {
 	if from < 0 || from >= ep.n.cfg.P {
 		return nil, fmt.Errorf("simnet: proc %d receiving from nonexistent proc %d", ep.rank, from)
 	}
+	// A stopped timer is released at once; time.After's would stay live
+	// for the whole RecvTimeout after every completed receive.
+	timer := time.NewTimer(ep.n.cfg.RecvTimeout)
+	defer timer.Stop()
 	select {
 	case msg := <-ep.n.chanFor(from, ep.rank):
 		if msg.tag != tag {
@@ -225,7 +229,7 @@ func (ep *endpoint) Recv(from int, tag string) (transport.Payload, error) {
 		return msg.payload, nil
 	case <-ep.ctx.Done():
 		return nil, fmt.Errorf("simnet: proc %d recv from %d canceled: %w", ep.rank, from, ep.ctx.Err())
-	case <-time.After(ep.n.cfg.RecvTimeout):
+	case <-timer.C:
 		return nil, fmt.Errorf("simnet: proc %d timed out waiting for tag %q from %d", ep.rank, tag, from)
 	}
 }
@@ -240,6 +244,10 @@ func (ep *endpoint) RecvDeadline(from int, tag string, deadline float64) (transp
 	if from < 0 || from >= ep.n.cfg.P {
 		return nil, false, fmt.Errorf("simnet: proc %d receiving from nonexistent proc %d", ep.rank, from)
 	}
+	// A stopped timer is released at once; time.After's would stay live
+	// for the whole RecvTimeout after every completed receive.
+	timer := time.NewTimer(ep.n.cfg.RecvTimeout)
+	defer timer.Stop()
 	select {
 	case msg := <-ep.n.chanFor(from, ep.rank):
 		if msg.tag != tag {
@@ -257,7 +265,7 @@ func (ep *endpoint) RecvDeadline(from int, tag string, deadline float64) (transp
 		return msg.payload, true, nil
 	case <-ep.ctx.Done():
 		return nil, false, fmt.Errorf("simnet: proc %d recv from %d canceled: %w", ep.rank, from, ep.ctx.Err())
-	case <-time.After(ep.n.cfg.RecvTimeout):
+	case <-timer.C:
 		return nil, false, fmt.Errorf("simnet: proc %d timed out waiting for tag %q from %d", ep.rank, tag, from)
 	}
 }

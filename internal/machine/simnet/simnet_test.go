@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -175,5 +176,35 @@ func TestLazyChannels(t *testing.T) {
 	}
 	if n.AllocatedChannels() != 1 {
 		t.Fatalf("allocated %d channels after one pair used", n.AllocatedChannels())
+	}
+}
+
+// TestCompletedRecvsReleaseTimers: a completed receive must not leave its
+// timeout armed. Under go 1.22 timer semantics a time.After per Recv stays
+// live for the whole RecvTimeout, so 10k receives would pin megabytes.
+func TestCompletedRecvsReleaseTimers(t *testing.T) {
+	_, e0, e1 := open2(t, Config{P: 2})
+	const n = 10000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if err := e0.Send(1, "t", words(1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e1.Recv(0, "t"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e1.Send(0, "d", words(1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := e0.RecvDeadline(1, "d", 1e18); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 256<<10 {
+		t.Errorf("live heap grew by %d bytes over %d completed receives, want <= 256 KiB", grown, 2*n)
 	}
 }

@@ -493,14 +493,13 @@ func (pl *Plan) bfsStep(p *machine.Proc, group collective.Group, shareA, shareB 
 }
 
 // leaf multiplies a fully-local sub-problem: recompose the digit vectors
-// into integers, multiply with the sequential algorithm (charging its exact
-// word-operation count), and re-split the product into a digit vector of
-// length 2R (the last entry absorbing the unbounded top bits).
+// into integers (straight into the sequential algorithm's workspace),
+// multiply with the sequential algorithm (charging its exact word-operation
+// count), and re-split the product into a digit vector of length 2R (the
+// last entry absorbing the unbounded top bits).
 func (pl *Plan) leaf(p *machine.Proc, shareA, shareB []bigint.Int) ([]bigint.Int, error) {
-	a := toom.Recompose(shareA, pl.shift)
-	b := toom.Recompose(shareB, pl.shift)
 	var stats toom.Stats
-	z := pl.alg.MulWithStats(a, b, &stats)
+	z := pl.alg.MulSharesWithStats(shareA, shareB, pl.shift, &stats)
 	var rw int64
 	for _, d := range shareA {
 		rw += wordsOf(d)

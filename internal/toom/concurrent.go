@@ -35,7 +35,7 @@ func (alg *Algorithm) mulAbsConcurrent(a, b bigint.Int, depth int) bigint.Int {
 		maxBits = b.BitLen()
 	}
 	if depth <= 0 || maxBits <= alg.thresholdBits {
-		return alg.mulAbs(a, b, nil)
+		return alg.Mul(a, b)
 	}
 	k := alg.k
 	shift := (maxBits + k - 1) / k

@@ -13,41 +13,45 @@ func (alg *Algorithm) Square(a bigint.Int) bigint.Int {
 
 // SquareWithStats is Square with operation counting; stats may be nil.
 func (alg *Algorithm) SquareWithStats(a bigint.Int, stats *Stats) bigint.Int {
-	return alg.squareAbs(a.Abs(), stats)
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	x := &ws.in[0]
+	x.SetInt(a)
+	alg.square(ws, 0, &ws.out, x, stats)
+	return ws.out.Value()
 }
 
-func (alg *Algorithm) squareAbs(a bigint.Int, stats *Stats) bigint.Int {
-	if a.IsZero() {
-		return bigint.Zero()
+// square writes x² into dst (dst must not be x), sharing MulWithStats's
+// frames and steps.
+func (alg *Algorithm) square(ws *workspace, depth int, dst, x *bigint.Acc, stats *Stats) {
+	if x.IsZero() {
+		dst.Reset()
+		return
 	}
-	maxBits := a.BitLen()
+	maxBits := x.BitLen()
 	if maxBits <= alg.thresholdBits {
 		if stats != nil {
 			stats.BaseMuls++
-			stats.chargeWords(wordsOf(a) * wordsOf(a))
+			stats.chargeWords(accWords(x) * accWords(x))
 		}
-		return a.Mul(a)
+		dst.SetMul(x, x)
+		return
 	}
 	if stats != nil {
 		stats.RecursiveCalls++
 	}
 	k := alg.k
 	shift := (maxBits + k - 1) / k
-	da := splitDigits(a, k, shift)
+	f := ws.frame(depth, k)
+	for i := 0; i < k; i++ {
+		f.da[i].SetBits(x, i*shift, shift)
+	}
 
 	// One evaluation instead of two.
-	ea := alg.EvalDigits(da, stats)
+	alg.evalStep(f, f.da, f.ea, f.opA, stats)
 
-	prods := make([]bigint.Int, 2*k-1)
-	for i := range prods {
-		prods[i] = alg.squareAbs(ea[i].Abs(), stats)
+	for i := range f.prods {
+		alg.square(ws, depth+1, &f.prods[i], f.opA[i], stats)
 	}
-
-	coeffs := alg.Interpolate(prods, stats)
-	if stats != nil {
-		for _, c := range coeffs {
-			stats.chargeWords(wordsOf(c))
-		}
-	}
-	return Recompose(coeffs, shift)
+	alg.interpRecompose(f, dst, shift, stats)
 }

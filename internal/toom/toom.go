@@ -66,6 +66,8 @@ type Algorithm struct {
 	interpSeq     InterpolationSequence // optional Toom-Graph schedule
 	evalPairs     []evalPair            // Zanoni evaluation-reuse pairs (±v)
 	evalSingles   []int                 // rows not covered by a pair
+	evalUnit      []int                 // per U row: m if the row is e_m (evaluation = digit m), else -1
+	interpUnit    []int                 // per W^T row: j if the scaled row is e_j and wDen = 1, else -1
 }
 
 // evalPair marks two evaluation rows at opposite finite points (+v, −v):
@@ -147,6 +149,14 @@ func NewWithPoints(k int, pts []points.Point) (*Algorithm, error) {
 		thresholdBits: DefaultThresholdBits,
 	}
 	alg.evalPairs, alg.evalSingles = detectPairs(pts)
+	alg.evalUnit = unitRows(u)
+	alg.interpUnit = unitRows(wNum)
+	if wDen != 1 {
+		// A row e_j would then yield p_j/wDen, not p_j: none is read in place.
+		for i := range alg.interpUnit {
+			alg.interpUnit[i] = -1
+		}
+	}
 	return alg, nil
 }
 
@@ -176,6 +186,30 @@ func detectPairs(pts []points.Point) ([]evalPair, []int) {
 		}
 	}
 	return pairs, singles
+}
+
+// unitRows returns, per row, the column j when the row is the unit vector
+// e_j, and -1 otherwise. Such a row's output is input j itself: the
+// recursion reads it in place instead of copying it (evaluation at 0 and ∞,
+// and the matching interpolation rows when the denominator is 1).
+func unitRows(rows [][]int64) []int {
+	out := make([]int, len(rows))
+	for i, row := range rows {
+		out[i] = -1
+		nonzero := 0
+		for j, v := range row {
+			if v != 0 {
+				nonzero++
+				if v == 1 {
+					out[i] = j
+				}
+			}
+		}
+		if nonzero != 1 {
+			out[i] = -1
+		}
+	}
+	return out
 }
 
 // WithoutEvalReuse returns a copy that evaluates every row independently
@@ -221,30 +255,60 @@ func (alg *Algorithm) Mul(a, b bigint.Int) bigint.Int {
 }
 
 // MulWithStats is Mul with operation counting; stats may be nil.
+//
+// The recursion runs depth-first over a pooled workspace of bigint.Acc
+// frames (workspace.go), so in steady state the returned product is its
+// only heap allocation. The counts are value-dependent — digits, E±O sums
+// and interpolation accumulators are charged at their actual word lengths —
+// and are taken at exactly the points the Int-based formulation charged
+// them.
 func (alg *Algorithm) MulWithStats(a, b bigint.Int, stats *Stats) bigint.Int {
-	neg := a.Sign()*b.Sign() < 0
-	z := alg.mulAbs(a.Abs(), b.Abs(), stats)
-	if neg {
-		z = z.Neg()
-	}
-	return z
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	x, y := &ws.in[0], &ws.in[1]
+	x.SetInt(a)
+	y.SetInt(b)
+	alg.mul(ws, 0, &ws.out, x, y, stats)
+	return ws.out.Value()
 }
 
-func (alg *Algorithm) mulAbs(a, b bigint.Int, stats *Stats) bigint.Int {
-	if a.IsZero() || b.IsZero() {
-		return bigint.Zero()
+// MulSharesWithStats returns Recompose(sharesA, shift)·Recompose(sharesB,
+// shift), recomposing both digit vectors straight into the workspace. It is
+// the parallel algorithm's leaf multiply; the stats are those of
+// MulWithStats on the recomposed operands (the recomposition itself is the
+// caller's to charge).
+func (alg *Algorithm) MulSharesWithStats(sharesA, sharesB []bigint.Int, shift int, stats *Stats) bigint.Int {
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	for i, shares := range [2][]bigint.Int{sharesA, sharesB} {
+		in := &ws.in[i]
+		in.Reset()
+		for j := len(shares) - 1; j >= 0; j-- {
+			in.Shl(uint(shift))
+			in.Add(shares[j])
+		}
 	}
-	maxBits := a.BitLen()
-	if b.BitLen() > maxBits {
-		maxBits = b.BitLen()
+	alg.mul(ws, 0, &ws.out, &ws.in[0], &ws.in[1], stats)
+	return ws.out.Value()
+}
+
+// mul writes x·y into dst (Algorithm 1), using ws.frames[depth] for this
+// node's digits, evaluations, products and coefficients. dst must be
+// neither x nor y.
+func (alg *Algorithm) mul(ws *workspace, depth int, dst, x, y *bigint.Acc, stats *Stats) {
+	if x.IsZero() || y.IsZero() {
+		dst.Reset()
+		return
 	}
+	maxBits := max(x.BitLen(), y.BitLen())
 	if maxBits <= alg.thresholdBits {
 		if stats != nil {
 			stats.BaseMuls++
 			// Schoolbook word cost of the base case.
-			stats.chargeWords(wordsOf(a) * wordsOf(b))
+			stats.chargeWords(accWords(x) * accWords(y))
 		}
-		return a.Mul(b)
+		dst.SetMul(x, y)
+		return
 	}
 	if stats != nil {
 		stats.RecursiveCalls++
@@ -252,111 +316,138 @@ func (alg *Algorithm) mulAbs(a, b bigint.Int, stats *Stats) bigint.Int {
 	k := alg.k
 	// Shared base B = 2^shift, k digits each of shift bits (Algorithm 1,
 	// line 4; the +1 rounding of the paper's base definition is the
-	// ceiling here).
+	// ceiling here). Digits are taken from |x| and |y|.
 	shift := (maxBits + k - 1) / k
-
-	da := splitDigits(a, k, shift)
-	db := splitDigits(b, k, shift)
+	f := ws.frame(depth, k)
+	for i := 0; i < k; i++ {
+		f.da[i].SetBits(x, i*shift, shift)
+		f.db[i].SetBits(y, i*shift, shift)
+	}
 
 	// Evaluation: a' = U·ā, b' = V·b̄ (lines 6-7).
-	ea := alg.EvalDigits(da, stats)
-	eb := alg.EvalDigits(db, stats)
+	alg.evalStep(f, f.da, f.ea, f.opA, stats)
+	alg.evalStep(f, f.db, f.eb, f.opB, stats)
 
-	// Pointwise products, recursing on large operands (lines 8-14).
-	prods := make([]bigint.Int, 2*k-1)
-	for i := range prods {
-		prods[i] = alg.mulSigned(ea[i], eb[i], stats)
+	// Pointwise products, recursing on large operands (lines 8-14); the
+	// children share the frame one level down.
+	for i := range f.prods {
+		alg.mul(ws, depth+1, &f.prods[i], f.opA[i], f.opB[i], stats)
 	}
 
-	// Interpolation: c̄ = W^T·c' (line 15).
-	coeffs := alg.Interpolate(prods, stats)
-
-	// Recomposition with carries: c = Σ c̄_i·B^i (line 16).
-	if stats != nil {
-		for _, c := range coeffs {
-			stats.chargeWords(wordsOf(c))
-		}
+	// Interpolation and recomposition (lines 15-16) of |x|·|y|.
+	alg.interpRecompose(f, dst, shift, stats)
+	if x.Sign()*y.Sign() < 0 {
+		dst.Neg()
 	}
-	return Recompose(coeffs, shift)
 }
 
-// mulSigned multiplies possibly-negative evaluations via the same recursion.
-func (alg *Algorithm) mulSigned(a, b bigint.Int, stats *Stats) bigint.Int {
-	neg := a.Sign()*b.Sign() < 0
-	z := alg.mulAbs(a.Abs(), b.Abs(), stats)
-	if neg {
-		z = z.Neg()
+// interpRecompose applies W^T to the frame's products (line 15) and writes
+// c = Σ c̄_i·B^i into dst with carries (line 16), charging each coefficient
+// once for the recomposition.
+func (alg *Algorithm) interpRecompose(f *frame, dst *bigint.Acc, shift int, stats *Stats) {
+	alg.interpStep(f.prods, f.coeffs, f.coef, stats)
+	dst.Reset()
+	for i, c := range f.coef {
+		stats.chargeWords(accWords(c))
+		dst.AddShl(c, uint(i*shift))
 	}
-	return z
 }
 
 // EvalDigits applies the evaluation matrix U to a digit vector of length k,
 // returning the 2k-1 evaluations. Exported for reuse by the parallel
-// algorithm, whose BFS evaluation step performs exactly this per block.
+// algorithm, whose BFS evaluation step performs exactly this per block. It
+// runs the recursion's own evaluation step on a pooled frame.
 func (alg *Algorithm) EvalDigits(digits []bigint.Int, stats *Stats) []bigint.Int {
 	if len(digits) != alg.k {
 		panic(fmt.Sprintf("toom: EvalDigits needs %d digits, got %d", alg.k, len(digits)))
 	}
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	f := ws.frame(0, alg.k)
+	load(f.da, digits)
+	alg.evalStep(f, f.da, f.ea, f.opA, stats)
+	return values(f.opA)
+}
+
+// evalStep computes the 2k-1 evaluations U·digits and points ops[i] at
+// evaluation i: a unit row (evaluation at 0 or ∞) is the digit itself and is
+// read in place, every other row is accumulated into out[i]. The frame's
+// even/odd accumulators serve the paired rows.
+func (alg *Algorithm) evalStep(f *frame, digits, out []bigint.Acc, ops []*bigint.Acc, stats *Stats) {
 	if stats != nil {
 		stats.Evaluations++
 	}
-	out := make([]bigint.Int, len(alg.u))
-	// The digit sums accumulate in place (bigint.Acc): each row costs O(1)
-	// heap allocations instead of one per nonzero matrix entry.
-	evenAcc, oddAcc := bigint.NewAcc(), bigint.NewAcc()
-	defer evenAcc.Release()
-	defer oddAcc.Release()
 	// Paired rows (±v): one pass computes the even and odd digit sums E and
 	// O; the two evaluations are E+O and E−O (Zanoni's reuse).
+	even, odd := &f.even, &f.odd
 	for _, pr := range alg.evalPairs {
-		row := alg.u[pr.pos]
+		even.Reset()
+		odd.Reset()
 		var work int64
-		for m, c := range row {
-			if c == 0 || digits[m].IsZero() {
+		for m, c := range alg.u[pr.pos] {
+			d := &digits[m]
+			if c == 0 || d.IsZero() {
 				continue
 			}
-			work += 2 * wordsOf(digits[m])
+			work += 2 * accWords(d)
 			if m%2 == 0 {
-				evenAcc.AddMul(digits[m], c)
+				even.AddMulAcc(d, c)
 			} else {
-				oddAcc.AddMul(digits[m], c)
+				odd.AddMulAcc(d, c)
 			}
 		}
-		even, odd := evenAcc.Take(), oddAcc.Take()
-		out[pr.pos] = even.Add(odd)
-		out[pr.neg] = even.Sub(odd)
-		work += 2 * wordsOf(even)
-		if stats != nil {
-			stats.chargeWords(work)
-		}
+		pos, neg := &out[pr.pos], &out[pr.neg]
+		ops[pr.pos], ops[pr.neg] = pos, neg
+		pos.SetSum(even, odd)
+		neg.SetDiff(even, odd)
+		work += 2 * accWords(even)
+		stats.chargeWords(work)
 	}
 	for _, i := range alg.evalSingles {
-		row := alg.u[i]
-		var work int64
-		for m, c := range row {
-			if c == 0 || digits[m].IsZero() {
-				continue
+		if m := alg.evalUnit[i]; m >= 0 {
+			d := &digits[m]
+			if !d.IsZero() {
+				stats.chargeWords(2 * accWords(d))
 			}
-			evenAcc.AddMul(digits[m], c)
-			work += 2 * wordsOf(digits[m])
+			ops[i] = d
+			continue
 		}
-		out[i] = evenAcc.Take()
-		if stats != nil {
-			stats.chargeWords(work)
+		var work int64
+		for m, c := range alg.u[i] {
+			if c != 0 && !digits[m].IsZero() {
+				work += 2 * accWords(&digits[m])
+			}
 		}
+		stats.chargeWords(work)
+		ops[i] = &out[i]
+		combine(&out[i], alg.u[i], digits)
 	}
-	return out
 }
 
 // Interpolate applies W^T to the 2k-1 pointwise products, returning the
 // 2k-1 coefficients of the product polynomial. All divisions are exact; a
-// failure indicates corrupted inputs and panics.
+// failure indicates corrupted inputs and panics. It runs the recursion's own
+// interpolation step on a pooled frame.
 func (alg *Algorithm) Interpolate(prods []bigint.Int, stats *Stats) []bigint.Int {
 	if len(prods) != 2*alg.k-1 {
 		panic(fmt.Sprintf("toom: Interpolate needs %d products, got %d", 2*alg.k-1, len(prods)))
 	}
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	f := ws.frame(0, alg.k)
+	load(f.prods, prods)
+	alg.interpStep(f.prods, f.coeffs, f.coef, stats)
+	return values(f.coef)
+}
+
+// interpStep computes the coefficients W^T·prods and points cs[i] at
+// coefficient i, through the Toom-Graph schedule when one is set and
+// succeeds, the scaled matrix otherwise. A unit row of the scaled matrix
+// (denominator 1) is product j itself and is read in place; every other row
+// is accumulated into coeffs[i].
+func (alg *Algorithm) interpStep(prods, coeffs []bigint.Acc, cs []*bigint.Acc, stats *Stats) {
 	if alg.interpSeq != nil {
-		if out, err := alg.interpSeq.Apply(prods); err == nil {
+		if out, err := alg.interpSeq.Apply(accValues(prods)); err == nil {
 			if stats != nil {
 				stats.Interpolations++
 				// A schedule touches each value a handful of times; charge
@@ -368,59 +459,92 @@ func (alg *Algorithm) Interpolate(prods []bigint.Int, stats *Stats) []bigint.Int
 				}
 				stats.chargeWords(w)
 			}
-			return out
+			load(coeffs, out)
+			for i := range cs {
+				cs[i] = &coeffs[i]
+			}
+			return
 		}
 	}
 	if stats != nil {
 		stats.Interpolations++
-		stats.chargeWords(RowsWork(alg.wNum, prods))
+		stats.chargeWords(rowsWork(alg.wNum, prods))
 	}
-	return applyRowsScaled(alg.wNum, prods, alg.wDen, stats)
+	for i, row := range alg.wNum {
+		if j := alg.interpUnit[i]; j >= 0 {
+			// The pre-division accumulator would be 1·prods[j].
+			stats.chargeWords(accWords(&prods[j]))
+			cs[i] = &prods[j]
+			continue
+		}
+		applyRowScaled(row, prods, alg.wDen, &coeffs[i], stats)
+		cs[i] = &coeffs[i]
+	}
 }
 
-// applyRowsScaled computes (rows·x)/den row by row in one reusable
-// accumulator: the scalar combination and the exact division both run in
-// place, so each output costs a single allocation (the Take). The F charge
-// per row uses the pre-division word length, matching the historical
-// ApplyRows-then-DivExactInt64 accounting.
-func applyRowsScaled(rows [][]int64, x []bigint.Int, den int64, stats *Stats) []bigint.Int {
-	out := make([]bigint.Int, len(rows))
-	acc := bigint.NewAcc()
-	defer acc.Release()
-	for i, row := range rows {
-		if len(row) != len(x) {
-			panic("toom: applyRowsScaled width mismatch")
-		}
-		for j, c := range row {
-			if c == 0 || x[j].IsZero() {
-				continue
-			}
-			acc.AddMul(x[j], c)
-		}
-		if stats != nil {
-			w := int64(acc.WordLen())
-			if w == 0 {
-				w = 1
-			}
-			stats.chargeWords(w)
-		}
-		acc.DivExact(den)
-		out[i] = acc.Take()
+// applyRowScaled writes (row·x)/den into out; the scalar combination and
+// the exact division run in place. The F charge uses the pre-division word
+// length.
+func applyRowScaled(row []int64, x []bigint.Acc, den int64, out *bigint.Acc, stats *Stats) {
+	if len(row) != len(x) {
+		panic("toom: applyRowScaled width mismatch")
 	}
-	return out
+	combine(out, row, x)
+	stats.chargeWords(accWords(out))
+	out.DivExact(den)
 }
 
-// RowsWork returns the word-operation count of ApplyRows(rows, x): each
+// combine sets o = Σ_j row[j]·x[j]. When the first two nonzero terms both
+// have coefficient ±1 they are formed in one pass (SetSum/SetDiff) instead
+// of a copy followed by an add.
+func combine(o *bigint.Acc, row []int64, x []bigint.Acc) {
+	o.Reset()
+	var first *bigint.Acc // a held-back leading ±1 term
+	var firstC int64
+	for j, c := range row {
+		xj := &x[j]
+		if c == 0 || xj.IsZero() {
+			continue
+		}
+		unit := c == 1 || c == -1
+		switch {
+		case first == nil && unit && o.IsZero():
+			first, firstC = xj, c
+			continue
+		case first != nil && unit:
+			// firstC·first + c·xj = firstC·(first ± xj).
+			if c == firstC {
+				o.SetSum(first, xj)
+			} else {
+				o.SetDiff(first, xj)
+			}
+			if firstC < 0 {
+				o.Neg()
+			}
+			first = nil
+			continue
+		case first != nil:
+			o.AddMulAcc(first, firstC)
+			first = nil
+		}
+		o.AddMulAcc(xj, c)
+	}
+	if first != nil {
+		o.AddMulAcc(first, firstC)
+	}
+}
+
+// rowsWork returns the word-operation count of applying rows to x: each
 // nonzero coefficient costs one scalar-by-big multiply plus accumulate,
 // charged as the operand's word length.
-func RowsWork(rows [][]int64, x []bigint.Int) int64 {
+func rowsWork(rows [][]int64, x []bigint.Acc) int64 {
 	var work int64
 	for _, row := range rows {
 		for j, c := range row {
 			if c == 0 {
 				continue
 			}
-			work += 2 * wordsOf(x[j])
+			work += 2 * accWords(&x[j])
 		}
 	}
 	return work
@@ -439,7 +563,7 @@ func splitDigits(a bigint.Int, k, shift int) []bigint.Int {
 // Σ coeffs[i]·2^{i·shift}. The signed adds perform the carry propagation
 // that Algorithm 1 calls "compute the carry".
 //
-//ftlint:allow costcharge recomposition is charged by the callers: mulAbs charges wordsOf(c) per coefficient before calling, and AssembleFrom runs host-side outside the model
+//ftlint:allow costcharge recomposition is charged by the callers: the recursion charges wordsOf(c) per coefficient as it recomposes, and AssembleFrom runs host-side outside the model
 func Recompose(coeffs []bigint.Int, shift int) bigint.Int {
 	acc := bigint.NewAcc()
 	defer acc.Release()
@@ -454,7 +578,7 @@ func Recompose(coeffs []bigint.Int, shift int) bigint.Int {
 // the workhorse of both evaluation and (scaled) interpolation: each output
 // is a small-scalar combination of big integers.
 //
-//ftlint:allow costcharge a context-free primitive: callers charge its exact word cost via the companion RowsWork(rows, x)
+//ftlint:allow costcharge a context-free primitive: the recursion charges the same row work via rowsWork, and its other callers (softfault, multistep) run outside the cost model
 func ApplyRows(rows [][]int64, x []bigint.Int) []bigint.Int {
 	out := make([]bigint.Int, len(rows))
 	acc := bigint.NewAcc()

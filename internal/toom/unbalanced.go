@@ -77,10 +77,10 @@ func (alg *UnbalancedAlgorithm) NumProducts() int { return alg.k1 + alg.k2 - 1 }
 
 // Mul returns a·b via one unbalanced split followed by balanced recursion
 // on the pointwise products. The split base is chosen so that |a| needs k1
-// digits and |b| needs k2 — most effective when |a|/|b| ≈ k1/k2.
+// digits and |b| needs k2 — most effective when |a|/|b| ≈ k1/k2. The top
+// level runs on frame 0 of a pooled workspace and the inner recursion on
+// the frames below it.
 func (alg *UnbalancedAlgorithm) Mul(a, b bigint.Int) bigint.Int {
-	neg := a.Sign()*b.Sign() < 0
-	a, b = a.Abs(), b.Abs()
 	if a.IsZero() || b.IsZero() {
 		return bigint.Zero()
 	}
@@ -91,19 +91,42 @@ func (alg *UnbalancedAlgorithm) Mul(a, b bigint.Int) bigint.Int {
 	if shift < 1 {
 		shift = 1
 	}
-	da := splitDigits(a, alg.k1, shift)
-	db := splitDigits(b, alg.k2, shift)
-	ea := ApplyRows(alg.u, da)
-	eb := ApplyRows(alg.v, db)
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	x, y := &ws.in[0], &ws.in[1]
+	x.SetInt(a)
+	y.SetInt(b)
 	n := alg.NumProducts()
-	prods := make([]bigint.Int, n)
-	for i := 0; i < n; i++ {
-		prods[i] = alg.inner.Mul(ea[i], eb[i])
+	f := ws.frame(0, alg.k1)
+	da, db := f.da[:alg.k1], f.db[:alg.k2]
+	ea, eb, prods, coeffs := f.ea[:n], f.eb[:n], f.prods[:n], f.coeffs[:n]
+	for i := range da {
+		da[i].SetBits(x, i*shift, shift)
 	}
-	coeffs := applyRowsScaled(alg.wNum, prods, alg.wDen, nil)
-	z := Recompose(coeffs, shift)
-	if neg {
-		z = z.Neg()
+	for i := range db {
+		db[i].SetBits(y, i*shift, shift)
 	}
-	return z
+	applyRows(alg.u, da, ea)
+	applyRows(alg.v, db, eb)
+	for i := range prods {
+		alg.inner.mul(ws, 1, &prods[i], &ea[i], &eb[i], nil)
+	}
+	for i, row := range alg.wNum {
+		applyRowScaled(row, prods, alg.wDen, &coeffs[i], nil)
+	}
+	ws.out.Reset()
+	for i := range coeffs {
+		ws.out.AddShl(&coeffs[i], uint(i*shift))
+	}
+	if a.Sign()*b.Sign() < 0 {
+		ws.out.Neg()
+	}
+	return ws.out.Value()
+}
+
+// applyRows writes rows·x into out.
+func applyRows(rows [][]int64, x, out []bigint.Acc) {
+	for i, row := range rows {
+		combine(&out[i], row, x)
+	}
 }
