@@ -77,20 +77,26 @@ examples:
 	$(GO) run ./examples/matstorm
 
 # Matrix-tier smoke: the exhaustive single-fail-stop crosscheck over both
-# backends, then the Table-1-style matrix cost table on each backend.
+# backends, the golden F/BW/BW-in/L/barrier/Flops counts of every scheme
+# under fault-free, eval-phase and mul-phase plans, then the Table-1-style
+# matrix cost table on each backend.
 matsmoke:
 	$(GO) test ./internal/mat ./internal/ftmatmul
+	$(GO) test -run 'TestMatrixSchemesPinnedCounts' ./internal/crosscheck
 	$(GO) run ./cmd/experiments -algo matmul -backend sim
 	$(GO) run ./cmd/experiments -algo matmul -backend wall
 
-# Short fuzz pass over the bigint kernels (seed corpus always runs in `make test`).
+# Short fuzz pass over the bigint kernels and the matrix tile kernels' count
+# identity (seed corpus always runs in `make test`).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzNatMul -fuzztime 10s ./internal/bigint
 	$(GO) test -run '^$$' -fuzz FuzzIntArith -fuzztime 10s ./internal/bigint
+	$(GO) test -run '^$$' -fuzz FuzzTileMulWork -fuzztime 10s ./internal/ftmatmul
 
-# The 10-second smoke slice of `fuzz` that CI runs on every push.
+# The 10-second-per-target smoke slice of `fuzz` that CI runs on every push.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNatMul -fuzztime 10s ./internal/bigint
+	$(GO) test -run '^$$' -fuzz FuzzTileMulWork -fuzztime 10s ./internal/ftmatmul
 
 # ci mirrors .github/workflows/ci.yml locally: everything a PR must pass.
 ci: build test vet race fuzz-smoke wallsmoke matsmoke examples lint

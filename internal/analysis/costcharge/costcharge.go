@@ -21,11 +21,11 @@
 //
 // "Limb arithmetic" means calling a mutating/combining method on bigint.Int
 // or bigint.Acc (Add, Sub, Mul, MulInt64, Shl, Shr, DivExactInt64,
-// QuoRemWord, AddMul, DivExact, and the Acc-to-Acc AddMulAcc, AddShl,
-// SetMul, SetSum, SetDiff). Cheap structural accessors (Sign, Abs, Neg,
-// IsZero, BitLen, WordLen, Extract, Cmp, and the Acc loads SetInt,
-// SetBits) are deliberately excluded — the model charges word-touching
-// arithmetic, not bookkeeping.
+// QuoRemWord, AddMul, DivExact, the dot-product step AddProd, and the
+// Acc-to-Acc AddMulAcc, AddShl, SetMul, SetSum, SetDiff). Cheap structural
+// accessors (Sign, Abs, Neg, IsZero, BitLen, WordLen, Extract, Cmp, the Acc
+// loads SetInt, SetBits and the copy-out AppendValue) are deliberately
+// excluded — the model charges word-touching arithmetic, not bookkeeping.
 //
 // Primitives whose cost is charged by their callers (toom.ApplyRows via the
 // recursion's rowsWork, toom.Recompose via its recomposition charge) and
@@ -56,7 +56,7 @@ var arithMethods = map[string]map[string]bool{
 		"Shl": true, "Shr": true, "DivExactInt64": true, "QuoRemWord": true,
 	},
 	"Acc": {
-		"Add": true, "Sub": true, "AddMul": true,
+		"Add": true, "Sub": true, "AddMul": true, "AddProd": true,
 		"Shl": true, "DivExact": true,
 		"AddMulAcc": true, "AddShl": true, "SetMul": true,
 		"SetSum": true, "SetDiff": true,

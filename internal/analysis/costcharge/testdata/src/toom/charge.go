@@ -17,6 +17,8 @@ func (x Int) WordLen() int         { return x.v }
 type Acc struct{ v int }
 
 func (a *Acc) AddMul(x Int, c int64) {}
+func (a *Acc) AddProd(x, y Int)      {}
+func (a *Acc) WordLen() int          { return a.v }
 func (a *Acc) Take() Int             { return Int{} }
 
 type Stats struct{ WordOps int64 }
@@ -41,6 +43,26 @@ func UnchargedAcc(xs []Int) Int { // want "no channel to the F/BW/L cost model"
 	var a Acc
 	for _, x := range xs {
 		a.AddMul(x, 3)
+	}
+	return a.Take()
+}
+
+// UnchargedDot is a dot product on the accumulator's multiply-accumulate
+// step with no channel to the cost model.
+func UnchargedDot(xs, ys []Int) Int { // want "no channel to the F/BW/L cost model"
+	var a Acc
+	for i := range xs {
+		a.AddProd(xs[i], ys[i])
+	}
+	return a.Take()
+}
+
+// ChargedDot charges each product and partial sum to the processor.
+func ChargedDot(p *Proc, xs, ys []Int) Int {
+	var a Acc
+	for i := range xs {
+		a.AddProd(xs[i], ys[i])
+		p.Work(int64(xs[i].WordLen()*ys[i].WordLen() + a.WordLen()))
 	}
 	return a.Take()
 }

@@ -6,14 +6,17 @@ import (
 )
 
 // Acc is a reusable signed accumulator for the hot combination loops of the
-// Toom-Cook stack (evaluation, interpolation, recomposition). Where the
+// Toom-Cook stack (evaluation, interpolation, recomposition) and of the
+// matrix tier's tile kernels (dot products and signed tile sums). Where the
 // immutable Int API allocates a fresh value per operation, an Acc mutates a
 // private limb buffer in place and hands the finished value off with Take,
 // so an entire scalar-by-big matrix row costs O(1) heap allocations. The
 // Toom-Cook workspace keeps Accs as long-lived frame slots instead: the
 // Acc-to-Acc operations (SetBits, SetSum, AddMulAcc, SetMul, AddShl, ...)
 // combine them in place, and Value copies a result out without giving up
-// the buffer.
+// the buffer. A matrix tile runs every entry's dot product through one Acc
+// (AddProd) and copies each finished entry out with AppendValue, so a whole
+// tile of values shares one limb slab.
 //
 // The zero value is ready to use; NewAcc/Release additionally recycle the
 // internal buffers through a sync.Pool. An Acc is not safe for concurrent
@@ -94,6 +97,14 @@ func (a *Acc) addMul(x nat, xneg bool, c int64) {
 		a.tmp = natMulWordTo(a.tmp, x, u)
 		a.add(a.tmp, neg)
 	}
+}
+
+// AddProd accumulates a += x·y — one step of a dot product. The product is
+// formed by the kernel ladder in internal scratch and added in place; no
+// Int is materialized.
+func (a *Acc) AddProd(x, y Int) {
+	a.tmp = natMulTo(a.tmp, x.abs, y.abs)
+	a.add(a.tmp, x.neg != y.neg)
 }
 
 // AddShl accumulates a += x·2^s; x must not be a. When the signs agree
@@ -234,6 +245,21 @@ func (a *Acc) Take() Int {
 	out := Int{neg: a.neg, abs: z}
 	a.neg = false
 	return out
+}
+
+// AppendValue copies the accumulated value onto the end of slab and returns
+// it as an Int over the copied limbs, with the extended slab; the
+// accumulator is not disturbed. The Int's limbs are capped, so later
+// appends never write into them: a caller that reserves the slab's
+// capacity for a batch of values (a matrix tile) pays one allocation for
+// all of them instead of one per value.
+func (a *Acc) AppendValue(slab []uint64) (Int, []uint64) {
+	if len(a.abs) == 0 {
+		return Int{}, slab
+	}
+	off := len(slab)
+	slab = append(slab, a.abs...)
+	return Int{neg: a.neg, abs: nat(slab[off:len(slab):len(slab)])}, slab
 }
 
 // Value returns the accumulated value as an Int without disturbing the

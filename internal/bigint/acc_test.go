@@ -321,3 +321,87 @@ func TestDivideByUnit(t *testing.T) {
 		}
 	}
 }
+
+// TestAccAddProd drives AddProd through random dot products — mixed signs,
+// zero operands, exact cancellation back to zero, and operands on both
+// sides of the Karatsuba rung — cross-checking every partial sum and its
+// WordLen against math/big.
+func TestAccAddProd(t *testing.T) {
+	rng := rand.New(rand.NewSource(1301))
+	kara := karatsubaThresholdLimbs()
+	randInt := func() Int {
+		var x Int
+		switch rng.Intn(8) {
+		case 0:
+			return Int{}
+		case 1:
+			x = Random(rng, 64*(kara+rng.Intn(kara))+rng.Intn(64))
+		default:
+			x = Random(rng, 64*(1+rng.Intn(8))+rng.Intn(3)-1)
+		}
+		if rng.Intn(2) == 0 {
+			x = x.Neg()
+		}
+		return x
+	}
+	acc := NewAcc()
+	defer acc.Release()
+	for iter := 0; iter < 200; iter++ {
+		acc.Reset()
+		oracle := new(big.Int)
+		for step := 0; step < 1+rng.Intn(20); step++ {
+			x, y := randInt(), randInt()
+			if step > 0 && rng.Intn(6) == 0 {
+				// Cancel the running sum exactly: add −sum as (−sum)·1.
+				x, y = acc.Value().Neg(), FromInt64(1)
+			}
+			acc.AddProd(x, y)
+			oracle.Add(oracle, new(big.Int).Mul(x.ToBig(), y.ToBig()))
+			got := acc.Value()
+			if got.ToBig().Cmp(oracle) != 0 {
+				t.Fatalf("iter %d step %d: acc=%v oracle=%v", iter, step, got, oracle)
+			}
+			if want := (oracle.BitLen() + 63) / 64; acc.WordLen() != want {
+				t.Fatalf("iter %d step %d: WordLen %d, want %d", iter, step, acc.WordLen(), want)
+			}
+		}
+	}
+}
+
+// TestAccAppendValue checks that values copied into a shared slab keep
+// their value while the slab grows and the accumulator moves on, and that
+// a slab reserved up front is never reallocated.
+func TestAccAppendValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(1302))
+	var acc Acc
+	slab := make([]uint64, 0, 64)
+	base := &slab[:1][0]
+	var vals []Int
+	var want []*big.Int
+	for i := 0; i < 40; i++ {
+		acc.Reset()
+		if i%5 != 0 { // every fifth value stays zero and takes no limbs
+			x := Random(rng, 1+rng.Intn(600))
+			if rng.Intn(2) == 0 {
+				x = x.Neg()
+			}
+			acc.Add(x)
+		}
+		var v Int
+		v, slab = acc.AppendValue(slab)
+		if got := acc.Value(); v.Cmp(got) != 0 {
+			t.Fatalf("value %d: appended %v, accumulator holds %v", i, v, got)
+		}
+		acc.AddMul(Random(rng, 300), 7) // must not reach the appended copy
+		vals = append(vals, v)
+		want = append(want, v.ToBig())
+		if len(slab) <= 64 && &slab[:1][0] != base {
+			t.Fatalf("value %d: slab reallocated within its reserved capacity", i)
+		}
+	}
+	for i, v := range vals {
+		if v.ToBig().Cmp(want[i]) != 0 {
+			t.Fatalf("value %d changed after later appends: %v, want %v", i, v, want[i])
+		}
+	}
+}

@@ -119,8 +119,8 @@ func tileGroups() [numTiles]collective.Group {
 // workload implements ftengine.Workload for the 15-rank two-algorithm
 // product of two even n×n matrices (n = 2m).
 type workload struct {
-	m      int                     // tile dimension
-	tiles  [numTiles][]bigint.Int  // host-side flattened tiles, for Shard
+	m      int                    // tile dimension
+	tiles  [numTiles][]bigint.Int // host-side flattened tiles, for Shard
 	groups [numTiles]collective.Group
 }
 
@@ -183,14 +183,18 @@ func (w *workload) Step(p *machine.Proc, rk *ftengine.Rank) (ftengine.Slots, err
 	// Compute this rank's product: a plain block product on the standard
 	// ranks, a Strassen product on signed tile combinations above.
 	var prod []bigint.Int
+	var work int64
 	if r < numStandard {
-		prod = tileMul(p, w.m, myA, myB)
+		prod, work = tileMul(w.m, myA, myB)
 	} else {
 		op := strassenOps[r-numStandard]
-		left := comboEval(p, m2, op.a, &have)
-		right := comboEval(p, m2, op.b, &have)
-		prod = tileMul(p, w.m, left, right)
+		left, lw := comboEval(m2, op.a, &have)
+		p.Work(lw)
+		right, rw := comboEval(m2, op.b, &have)
+		p.Work(rw)
+		prod, work = tileMul(w.m, left, right)
 	}
+	p.Work(work)
 
 	ev, err := p.Barrier(ftengine.PhaseMul)
 	if err != nil {
@@ -252,61 +256,92 @@ func (w *workload) refetch(p *machine.Proc, ev []machine.FaultEvent, myA, myB *[
 	return nil
 }
 
-// tileMul is the classical m×m block product over flattened tiles, charging
-// the cost model word-for-word like the schoolbook tier: each scalar product
-// costs the product of the operands' word lengths, each accumulation the
-// words of the sum it touches.
-func tileMul(p *machine.Proc, m int, a, b []bigint.Int) []bigint.Int {
+// tileMul is the classical m×m block product over flattened tiles. Each
+// output entry is one dot product on a single pooled accumulator, and the
+// finished entries are copied into one limb slab for the tile. It returns
+// the product and the word-ops the cost model charges for it, word for word
+// like the schoolbook tier: each scalar product costs the product of the
+// operands' word lengths, each accumulation the words of the partial sum it
+// leaves. Adding a_ik·b_kj for k ascending gives every entry the same
+// partial sums, zero skips and charges as a row-by-row (i, k, j) loop.
+func tileMul(m int, a, b []bigint.Int) ([]bigint.Int, int64) {
 	out := make([]bigint.Int, m*m)
-	for i := range out {
-		out[i] = bigint.Zero()
-	}
+	// An entry is a sum of m products, so it fits in one limb more than
+	// the widest product.
+	slab := make([]uint64, 0, m*m*(maxWords(a)+maxWords(b)+1))
+	acc := bigint.NewAcc()
+	defer acc.Release()
 	var work int64
 	for i := 0; i < m; i++ {
-		for k := 0; k < m; k++ {
-			aik := a[i*m+k]
-			if aik.IsZero() {
-				continue
-			}
-			for j := 0; j < m; j++ {
+		row := a[i*m : i*m+m]
+		for j := 0; j < m; j++ {
+			acc.Reset()
+			for k, aik := range row {
 				bkj := b[k*m+j]
-				if bkj.IsZero() {
+				if aik.IsZero() || bkj.IsZero() {
 					continue
 				}
 				work += wordsOf(aik) * wordsOf(bkj)
-				out[i*m+j] = out[i*m+j].Add(aik.Mul(bkj))
-				work += wordsOf(out[i*m+j])
+				acc.AddProd(aik, bkj)
+				work += max(1, int64(acc.WordLen()))
 			}
+			out[i*m+j], slab = acc.AppendValue(slab)
 		}
 	}
-	p.Work(work)
-	return out
+	return out, work
 }
 
-// comboEval forms a signed sum of tiles (a Strassen operand), charging one
-// word-op per word touched. A single positive term aliases the tile.
-func comboEval(p *machine.Proc, n int, terms []term, have *[numTiles][]bigint.Int) []bigint.Int {
+// comboEval forms a signed sum of tiles (a Strassen operand) and returns it
+// with its word-op charge. A single positive term aliases the tile and
+// costs nothing.
+func comboEval(n int, terms []term, have *[numTiles][]bigint.Int) ([]bigint.Int, int64) {
 	if len(terms) == 1 && terms[0].sign == 1 {
-		return have[terms[0].tile]
+		return have[terms[0].tile], 0
+	}
+	var buf [2]signedTile
+	ops := buf[:0]
+	for _, tm := range terms {
+		ops = append(ops, signedTile{vals: have[tm.tile], neg: tm.sign < 0})
+	}
+	return sumTiles(n, ops...)
+}
+
+// signedTile is one term of an entrywise signed tile sum.
+type signedTile struct {
+	vals []bigint.Int
+	neg  bool
+}
+
+func plus(vals []bigint.Int) signedTile  { return signedTile{vals: vals} }
+func minus(vals []bigint.Int) signedTile { return signedTile{vals: vals, neg: true} }
+
+// sumTiles forms the entrywise signed sum of n-entry tiles on one pooled
+// accumulator, copying the results into one limb slab. It returns the sum
+// and the word-ops of forming it: the words of each partial sum, at least
+// one per term and entry.
+func sumTiles(n int, terms ...signedTile) ([]bigint.Int, int64) {
+	words := 0
+	for _, t := range terms {
+		words = max(words, maxWords(t.vals))
 	}
 	out := make([]bigint.Int, n)
-	for i := range out {
-		out[i] = bigint.Zero()
-	}
+	slab := make([]uint64, 0, n*(words+1))
+	acc := bigint.NewAcc()
+	defer acc.Release()
 	var work int64
-	for _, tm := range terms {
-		tile := have[tm.tile]
-		for i := 0; i < n; i++ {
-			v := tile[i]
-			if tm.sign < 0 {
-				v = v.Neg()
+	for i := range out {
+		acc.Reset()
+		for _, t := range terms {
+			if t.neg {
+				acc.Sub(t.vals[i])
+			} else {
+				acc.Add(t.vals[i])
 			}
-			out[i] = out[i].Add(v)
-			work += wordsOf(out[i])
+			work += max(1, int64(acc.WordLen()))
 		}
+		out[i], slab = acc.AppendValue(slab)
 	}
-	p.Work(work)
-	return out
+	return out, work
 }
 
 func wordsOf(x bigint.Int) int64 {
@@ -314,6 +349,15 @@ func wordsOf(x bigint.Int) int64 {
 		return l
 	}
 	return 1
+}
+
+// maxWords is the widest entry's word length (0 for an all-zero tile).
+func maxWords(vals []bigint.Int) int {
+	w := 0
+	for _, v := range vals {
+		w = max(w, v.WordLen())
+	}
+	return w
 }
 
 // Decode assembles the product from whichever algorithm family survived:
@@ -331,7 +375,7 @@ func (w *workload) Decode(dead []int, slots map[int][]bigint.Int) (map[int][]big
 		}
 	}
 	if standard {
-		return assembleStandard(func(idx int) []bigint.Int { return slots[idx] }), nil
+		return assembleStandard(m2, func(idx int) []bigint.Int { return slots[idx] }), nil
 	}
 	for t := 0; t < numStrassen; t++ {
 		if len(slots[numStandard+t]) != m2 {
@@ -340,27 +384,11 @@ func (w *workload) Decode(dead []int, slots map[int][]bigint.Int) (map[int][]big
 	}
 	mProd := func(t int) []bigint.Int { return slots[numStandard+t-1] } // M1..M7
 	out := map[int][]bigint.Int{}
-	out[0] = addFlat(subFlat(addFlat(mProd(1), mProd(4)), mProd(5)), mProd(7))
-	out[1] = addFlat(mProd(3), mProd(5))
-	out[2] = addFlat(mProd(2), mProd(4))
-	out[3] = addFlat(subFlat(addFlat(mProd(1), mProd(3)), mProd(2)), mProd(6))
+	out[0], _ = sumTiles(m2, plus(mProd(1)), plus(mProd(4)), minus(mProd(5)), plus(mProd(7)))
+	out[1], _ = sumTiles(m2, plus(mProd(3)), plus(mProd(5)))
+	out[2], _ = sumTiles(m2, plus(mProd(2)), plus(mProd(4)))
+	out[3], _ = sumTiles(m2, plus(mProd(1)), plus(mProd(3)), minus(mProd(2)), plus(mProd(6)))
 	return out, nil
-}
-
-func addFlat(a, b []bigint.Int) []bigint.Int {
-	out := make([]bigint.Int, len(a))
-	for i := range a {
-		out[i] = a[i].Add(b[i])
-	}
-	return out
-}
-
-func subFlat(a, b []bigint.Int) []bigint.Int {
-	out := make([]bigint.Int, len(a))
-	for i := range a {
-		out[i] = a[i].Sub(b[i])
-	}
-	return out
 }
 
 // Recombine stitches the four decoded C tiles into the flat n×n product

@@ -34,14 +34,14 @@ func stitch(m int, slots map[int][]bigint.Int) ([]bigint.Int, error) {
 	return out, nil
 }
 
-// assembleStandard folds the 8 standard block products into the four C
-// tiles: C[i][j] = P_{ij0} + P_{ij1}, with get mapping a product index to
-// its surviving share.
-func assembleStandard(get func(int) []bigint.Int) map[int][]bigint.Int {
+// assembleStandard folds the 8 standard block products (n entries each)
+// into the four C tiles: C[i][j] = P_{ij0} + P_{ij1}, with get mapping a
+// product index to its surviving share.
+func assembleStandard(n int, get func(int) []bigint.Int) map[int][]bigint.Int {
 	out := map[int][]bigint.Int{}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			out[2*i+j] = addFlat(get(4*i+2*j), get(4*i+2*j+1))
+			out[2*i+j], _ = sumTiles(n, plus(get(4*i+2*j)), plus(get(4*i+2*j+1)))
 		}
 	}
 	return out
@@ -88,7 +88,9 @@ func (w *plainWorkload) Step(p *machine.Proc, rk *ftengine.Rank) (ftengine.Slots
 		if len(data) != 2*m2 {
 			return nil, fmt.Errorf("ftmatmul: rank %d shard has %d entries, want %d", r, len(data), 2*m2)
 		}
-		prod = tileMul(p, w.m, data[:m2], data[m2:])
+		var work int64
+		prod, work = tileMul(w.m, data[:m2], data[m2:])
+		p.Work(work)
 	}
 	ev, err := p.Barrier(ftengine.PhaseMul)
 	if err != nil {
@@ -114,7 +116,7 @@ func (w *plainWorkload) Decode(dead []int, slots map[int][]bigint.Int) (map[int]
 			return nil, fmt.Errorf("ftmatmul: plain scheme cannot recover dead ranks %v", dead)
 		}
 	}
-	return assembleStandard(func(idx int) []bigint.Int { return slots[idx] }), nil
+	return assembleStandard(m2, func(idx int) []bigint.Int { return slots[idx] }), nil
 }
 
 // Recombine stitches the C tiles (host-side read-out).
@@ -169,7 +171,8 @@ func (w *replWorkload) Step(p *machine.Proc, rk *ftengine.Rank) (ftengine.Slots,
 	if len(data) != 2*m2 {
 		return nil, fmt.Errorf("ftmatmul: rank %d shard has %d entries, want %d", r, len(data), 2*m2)
 	}
-	prod := tileMul(p, w.m, data[:m2], data[m2:])
+	prod, work := tileMul(w.m, data[:m2], data[m2:])
+	p.Work(work)
 	ev, err := p.Barrier(ftengine.PhaseMul)
 	if err != nil {
 		return nil, err
@@ -201,7 +204,7 @@ func (w *replWorkload) Decode(dead []int, slots map[int][]bigint.Int) (map[int][
 			return nil, fmt.Errorf("ftmatmul: both copies of product %d dead (ranks %v)", idx, dead)
 		}
 	}
-	return assembleStandard(pick), nil
+	return assembleStandard(m2, pick), nil
 }
 
 // Recombine stitches the C tiles (host-side read-out).

@@ -27,12 +27,15 @@ type MatReport struct {
 	Recovered int
 }
 
-// MulMatrixFaultTolerant multiplies two integer matrices on the simulated
-// machine with the fault-tolerant two-distinct-algorithms scheme, tolerating
-// any single fail-stop fault injected per `faults`. Inputs of any
-// conformable shape are accepted (rows of a must be non-ragged, likewise b;
-// a's column count must equal b's row count). The product is exact, or the
-// run fails with an error — never a silently wrong matrix.
+// MulMatrixFaultTolerant multiplies two integer matrices with the
+// fault-tolerant two-distinct-algorithms scheme on the backend cfg.Backend
+// selects (the simulator by default), tolerating any single fail-stop fault
+// injected per `faults`. The scheme always runs on 15 processors, so
+// cfg.P is ignored, as are the integer tier's DFS settings (MemoryWords,
+// DFSSteps); α/β/γ, SpeedFactors and WallTimeDilation apply. Inputs of any
+// conformable shape are accepted (rows of a must be non-ragged, likewise
+// b; a's column count must equal b's row count). The product is exact, or
+// the run fails with an error — never a silently wrong matrix.
 func MulMatrixFaultTolerant(a, b [][]*big.Int, cfg ClusterConfig, faults []Fault) ([][]*big.Int, *MatReport, error) {
 	ma, err := toIntMat(a)
 	if err != nil {
