@@ -57,10 +57,14 @@ caltune:
 	$(GO) run ./cmd/caltune -v
 
 # Wall-clock backend smoke: the machine/crosscheck suites that exercise the
-# wallnet transport, then one real end-to-end FT multiplication on -backend
-# wall with an injected fault, verified against math/big by ftmul itself.
+# wallnet transport (including the deadline test that receives a queued,
+# on-time message after its deadline has passed), the real-time straggler
+# test 20 times over, then one real end-to-end FT multiplication on
+# -backend wall with an injected fault, verified against math/big by ftmul
+# itself.
 wallsmoke:
-	$(GO) test -run 'Wall|Backends|StragglerDropped' ./internal/machine/... ./internal/crosscheck ./internal/ftparallel
+	$(GO) test -run 'Wall|Backends|RecvDeadline' ./internal/machine/... ./internal/crosscheck ./internal/ftparallel
+	$(GO) test -run 'StragglerDroppedInRealTime' -count=20 ./internal/ftparallel
 	$(GO) run ./cmd/ftmul -bits 16384 -algo ft -k 2 -P 9 -f 1 -fault 4:mul -backend wall -q
 
 # Every runnable example, in dependency order: the integer tier's five
@@ -86,17 +90,20 @@ matsmoke:
 	$(GO) run ./cmd/experiments -algo matmul -backend sim
 	$(GO) run ./cmd/experiments -algo matmul -backend wall
 
-# Short fuzz pass over the bigint kernels and the matrix tile kernels' count
-# identity (seed corpus always runs in `make test`).
+# Short fuzz pass over the bigint kernels, the matrix tile kernels' count
+# identity and the Toom leaf's count identity (seed corpus always runs in
+# `make test`).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzNatMul -fuzztime 10s ./internal/bigint
 	$(GO) test -run '^$$' -fuzz FuzzIntArith -fuzztime 10s ./internal/bigint
 	$(GO) test -run '^$$' -fuzz FuzzTileMulWork -fuzztime 10s ./internal/ftmatmul
+	$(GO) test -run '^$$' -fuzz FuzzToomMulStats -fuzztime 10s ./internal/toom
 
 # The 10-second-per-target smoke slice of `fuzz` that CI runs on every push.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNatMul -fuzztime 10s ./internal/bigint
 	$(GO) test -run '^$$' -fuzz FuzzTileMulWork -fuzztime 10s ./internal/ftmatmul
+	$(GO) test -run '^$$' -fuzz FuzzToomMulStats -fuzztime 10s ./internal/toom
 
 # ci mirrors .github/workflows/ci.yml locally: everything a PR must pass.
 ci: build test vet race fuzz-smoke wallsmoke matsmoke examples lint

@@ -21,8 +21,9 @@
 //
 // "Limb arithmetic" means calling a mutating/combining method on bigint.Int
 // or bigint.Acc (Add, Sub, Mul, MulInt64, Shl, Shr, DivExactInt64,
-// QuoRemWord, AddMul, DivExact, the dot-product step AddProd, and the
-// Acc-to-Acc AddMulAcc, AddShl, SetMul, SetSum, SetDiff). Cheap structural
+// QuoRemWord, RemWord, AddMul, DivExact, the dot-product step AddProd, the
+// Acc-to-Acc AddMulAcc, AddShl, SetMul, SetSum, SetDiff, and the counted
+// Toom-2 kernel SetToom2Mul). Cheap structural
 // accessors (Sign, Abs, Neg, IsZero, BitLen, WordLen, Extract, Cmp, the Acc
 // loads SetInt, SetBits and the copy-out AppendValue) are deliberately
 // excluded — the model charges word-touching arithmetic, not bookkeeping.
@@ -54,12 +55,13 @@ var arithMethods = map[string]map[string]bool{
 	"Int": {
 		"Add": true, "Sub": true, "Mul": true, "MulInt64": true,
 		"Shl": true, "Shr": true, "DivExactInt64": true, "QuoRemWord": true,
+		"RemWord": true,
 	},
 	"Acc": {
 		"Add": true, "Sub": true, "AddMul": true, "AddProd": true,
 		"Shl": true, "DivExact": true,
 		"AddMulAcc": true, "AddShl": true, "SetMul": true,
-		"SetSum": true, "SetDiff": true,
+		"SetSum": true, "SetDiff": true, "SetToom2Mul": true,
 	},
 }
 

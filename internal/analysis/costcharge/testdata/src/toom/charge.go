@@ -21,6 +21,11 @@ func (a *Acc) AddProd(x, y Int)      {}
 func (a *Acc) WordLen() int          { return a.v }
 func (a *Acc) Take() Int             { return Int{} }
 
+// Toom2Counts stands in for the counted Toom-2 kernel's returned counts.
+type Toom2Counts struct{ WordOps int64 }
+
+func (a *Acc) SetToom2Mul(x, y *Acc, thresholdBits int) Toom2Counts { return Toom2Counts{} }
+
 type Stats struct{ WordOps int64 }
 
 func (s *Stats) chargeWords(n int64) {
@@ -64,6 +69,21 @@ func ChargedDot(p *Proc, xs, ys []Int) Int {
 		a.AddProd(xs[i], ys[i])
 		p.Work(int64(xs[i].WordLen()*ys[i].WordLen() + a.WordLen()))
 	}
+	return a.Take()
+}
+
+// UnchargedKernel runs the counted Toom-2 kernel and drops its counts: the
+// kernel returns them, but nothing reaches the cost model.
+func UnchargedKernel(x, y *Acc) Int { // want "no channel to the F/BW/L cost model"
+	var a Acc
+	a.SetToom2Mul(x, y, 256)
+	return a.Take()
+}
+
+// ChargedKernel charges the kernel's counts to Stats.
+func ChargedKernel(x, y *Acc, stats *Stats) Int {
+	var a Acc
+	stats.chargeWords(a.SetToom2Mul(x, y, 256).WordOps)
 	return a.Take()
 }
 

@@ -3,6 +3,7 @@ package bigint
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"strings"
 )
@@ -181,6 +182,18 @@ func (x Int) QuoRemWord(w uint64) (Int, uint64) {
 		return Int{}, r
 	}
 	return Int{neg: x.neg, abs: q}, r
+}
+
+// RemWord returns |x| mod w without allocating. It panics if w == 0.
+func (x Int) RemWord(w uint64) uint64 {
+	if w == 0 {
+		panic("bigint: division by zero word")
+	}
+	var r uint64
+	for i := len(x.abs) - 1; i >= 0; i-- {
+		_, r = bits.Div64(r, x.abs[i], w)
+	}
+	return r
 }
 
 // DivExactInt64 returns x / v, panicking unless the division is exact.

@@ -123,6 +123,30 @@ func TestQuoRemWord(t *testing.T) {
 	}
 }
 
+// TestRemWord checks |x| mod w against math/big, signs included, and pins
+// that it does not allocate.
+func TestRemWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 200; i++ {
+		var x Int
+		if i%10 != 0 {
+			x = Random(rng, 1+rng.Intn(400))
+		}
+		if rng.Intn(2) == 0 {
+			x = x.Neg()
+		}
+		w := []uint64{1, 2, 6, 1<<63 - 1, ^uint64(0), rng.Uint64() | 1}[i%6]
+		want := new(big.Int).Mod(new(big.Int).Abs(x.ToBig()), new(big.Int).SetUint64(w))
+		if got := x.RemWord(w); got != want.Uint64() {
+			t.Fatalf("RemWord(%v, %d) = %d, want %v", x, w, got, want)
+		}
+	}
+	x := Random(rng, 4096)
+	if got := testing.AllocsPerRun(10, func() { x.RemWord(1<<63 - 1) }); got != 0 {
+		t.Errorf("RemWord allocates %.1f times per call, want 0", got)
+	}
+}
+
 func TestShifts(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 300; i++ {

@@ -12,7 +12,8 @@
 // model in which the "hardware" provides multiplication of bounded-size
 // integers and everything above it is the algorithm under study. The Acc
 // accumulator (acc.go) gives those layers allocation-free in-place
-// evaluation/interpolation arithmetic.
+// evaluation/interpolation arithmetic, and toom2.go runs their counted
+// Toom-2 (Karatsuba) recursion itself on raw limbs, returning its counts.
 //
 // The package is self-contained (stdlib only) and is cross-checked against
 // math/big in its tests.

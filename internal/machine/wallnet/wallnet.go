@@ -13,7 +13,9 @@
 // every model unit charged via Elapse/ElapseWork is slept off at that real
 // duration and Now() converts elapsed real time back into model units, so
 // virtual-machine experiments (straggler slack in cost units, speed-factor
-// delays) transfer to the wall clock with their ratios intact.
+// delays) transfer to the wall clock with their ratios intact. A sleep
+// that overruns (timers can fire a millisecond late) is made up on the
+// rank's next charge, so the lateness does not accumulate over charges.
 //
 // Unlike simnet, Send applies real backpressure: a full per-pair buffer
 // blocks the sender (under context cancellation) instead of failing, which
@@ -172,6 +174,10 @@ type endpoint struct {
 	n    *Net
 	rank int
 	ctx  context.Context
+	// over is how far this rank's dilated sleeps have run past their
+	// charges; the next Elapse sleeps that much less. Only the rank's own
+	// goroutine charges time.
+	over time.Duration
 }
 
 func (ep *endpoint) Rank() int { return ep.rank }
@@ -183,19 +189,26 @@ func (ep *endpoint) Now() float64 {
 	return float64(time.Since(ep.n.start)) / float64(ep.n.unit())
 }
 
-// Elapse sleeps off the charge when dilation is configured; free-running
-// time only advances by actually doing things.
+// Elapse sleeps off the charge when dilation is configured, less what
+// earlier sleeps overran, so the rank's real time stays at or just past its
+// total charge; free-running time only advances by actually doing things.
 func (ep *endpoint) Elapse(units float64) {
 	if ep.n.cfg.TimeDilation <= 0 || units <= 0 {
 		return
 	}
-	d := time.Duration(units * float64(ep.n.cfg.TimeDilation))
+	d := time.Duration(units*float64(ep.n.cfg.TimeDilation)) - ep.over
+	if d <= 0 {
+		ep.over = -d
+		return
+	}
+	start := time.Now()
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 	case <-ep.ctx.Done():
 	}
+	ep.over = max(time.Since(start)-d, 0)
 }
 
 func (ep *endpoint) ElapseWork(units float64) { ep.Elapse(units) }
@@ -238,27 +251,42 @@ func (ep *endpoint) Recv(from int, tag string) (transport.Payload, error) {
 // A message stamped after the deadline is consumed and discarded, like
 // simnet; if the deadline fires with nothing queued, ok=false is returned
 // and the late message (if any ever comes) stays queued for the run's end.
+// A message already queued is taken before the timer is armed: once the
+// deadline has passed the timer fires at once, and select would otherwise
+// pick it over an on-time message half the time.
 func (ep *endpoint) RecvDeadline(from int, tag string, deadline float64) (transport.Payload, bool, error) {
 	if from < 0 || from >= ep.n.cfg.P {
 		return nil, false, fmt.Errorf("wallnet: proc %d receiving from nonexistent proc %d", ep.rank, from)
 	}
 	target := ep.n.start.Add(time.Duration(deadline * float64(ep.n.unit())))
+	ch := ep.n.chanFor(from, ep.rank)
+	select {
+	case msg := <-ch:
+		return ep.judge(msg, from, tag, target)
+	default:
+	}
 	timer := time.NewTimer(time.Until(target))
 	defer timer.Stop()
 	select {
-	case msg := <-ep.n.chanFor(from, ep.rank):
-		if msg.tag != tag {
-			return nil, false, fmt.Errorf("wallnet: proc %d expected tag %q from %d, got %q", ep.rank, tag, from, msg.tag)
-		}
-		if msg.at.After(target) {
-			return nil, false, nil
-		}
-		return msg.payload, true, nil
+	case msg := <-ch:
+		return ep.judge(msg, from, tag, target)
 	case <-timer.C:
 		return nil, false, nil
 	case <-ep.ctx.Done():
 		return nil, false, fmt.Errorf("wallnet: proc %d recv from %d canceled: %w", ep.rank, from, ep.ctx.Err())
 	}
+}
+
+// judge checks a RecvDeadline message's tag and reports it on time unless
+// it was stamped after the deadline.
+func (ep *endpoint) judge(msg message, from int, tag string, target time.Time) (transport.Payload, bool, error) {
+	if msg.tag != tag {
+		return nil, false, fmt.Errorf("wallnet: proc %d expected tag %q from %d, got %q", ep.rank, tag, from, msg.tag)
+	}
+	if msg.at.After(target) {
+		return nil, false, nil
+	}
+	return msg.payload, true, nil
 }
 
 // Barrier joins the current generation and blocks until every active

@@ -107,6 +107,33 @@ func TestRecvDeadline(t *testing.T) {
 	}
 }
 
+// TestRecvDeadlineQueuedBeforePassedDeadline sends each message well before
+// its deadline but receives it only after the deadline has passed: the
+// message was on time, so it must be reported ok every time, however the
+// expired timer and the queued message race.
+func TestRecvDeadlineQueuedBeforePassedDeadline(t *testing.T) {
+	n, e0, e1 := open2(t, context.Background(), Config{P: 2, TimeDilation: time.Millisecond})
+	for i := 0; i < 32; i++ {
+		if err := e0.Send(1, "d", words(i)); err != nil {
+			t.Fatal(err)
+		}
+		deadline := e1.Now() + 1 // 1 ms of real time from now, after the send
+		for time.Since(n.start) <= time.Duration(deadline*float64(time.Millisecond)) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		got, ok, err := e1.RecvDeadline(0, "d", deadline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			t.Fatalf("iteration %d: message sent before the deadline reported late", i)
+		}
+		if got.(words) != words(i) {
+			t.Fatalf("iteration %d: payload %v", i, got)
+		}
+	}
+}
+
 func TestBarrierMergesAndSorts(t *testing.T) {
 	_, e0, e1 := open2(t, context.Background(), Config{P: 2})
 	type out struct {
@@ -164,6 +191,29 @@ func TestDilationSleepsWorkAndConvertsNow(t *testing.T) {
 	ep.ElapseWork(50) // 50 model units = 50ms of real time
 	if now := ep.Now(); now < 50 {
 		t.Errorf("Now() = %v model units after charging 50", now)
+	}
+}
+
+// TestDilationDoesNotAccumulateLateness charges 400 model units of 100µs
+// one at a time. Each sleep may fire late (about a millisecond on some
+// hosts, which made 400 of them take over 400ms); the overrun is made up
+// on later charges, so the whole run stays near its 40ms of charges,
+// and never below them.
+func TestDilationDoesNotAccumulateLateness(t *testing.T) {
+	n, err := New(Config{P: 1, TimeDilation: 100 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := n.Open(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := ep.Now()
+	for i := 0; i < 400; i++ {
+		ep.ElapseWork(1)
+	}
+	if got := ep.Now() - start; got < 400 || got > 1400 {
+		t.Errorf("400 one-unit charges took %.0f units (of 100µs), want [400, 1400]", got)
 	}
 }
 

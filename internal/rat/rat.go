@@ -45,6 +45,15 @@ func New(p, q bigint.Int) Rat {
 	if q.Sign() < 0 {
 		p, q = p.Neg(), q.Neg()
 	}
+	if w, ok := q.Int64(); ok {
+		// One-word denominator: gcd(p, q) = gcd(p mod q, q) on words, so an
+		// already reduced fraction costs one pass over p and no allocation.
+		if g := gcdWord(p.RemWord(uint64(w)), uint64(w)); g != 1 {
+			p = p.DivExactInt64(int64(g))
+			q = bigint.FromInt64(w / int64(g))
+		}
+		return Rat{p: p, q: q}
+	}
 	g := gcd(p.Abs(), q)
 	if !g.Equal(bigint.One()) {
 		p = divExact(p, g)
@@ -160,6 +169,14 @@ func gcd(a, b bigint.Int) bigint.Int {
 		a, b = b, mod(a, b)
 	}
 	return a
+}
+
+// gcdWord returns gcd(a, b) with gcd(0, b) = b.
+func gcdWord(a, b uint64) uint64 {
+	for a != 0 {
+		a, b = b%a, a
+	}
+	return b
 }
 
 // mod returns a mod b for positive b via repeated shift-subtract

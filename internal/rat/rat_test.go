@@ -196,3 +196,62 @@ func TestLargeGCDReduction(t *testing.T) {
 		t.Fatal("reduced denominator does not divide original")
 	}
 }
+
+// TestNewAgainstBigRat covers both reduction paths of New: numerators up
+// to 4096 bits, either sign, over the one-word denominators 1, 2, 6 and
+// 2^63−1 (the word gcd) and over 2^64−1 (multi-word as an int64, so the
+// general gcd), each scaled by a random common factor or not. Every result
+// must equal math/big's and be canonical: positive denominator, gcd 1.
+func TestNewAgainstBigRat(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	dens := []bigint.Int{
+		bigint.FromInt64(1), bigint.FromInt64(2), bigint.FromInt64(6),
+		bigint.FromInt64(1<<63 - 1), bigint.FromUint64(^uint64(0)),
+	}
+	for _, bits := range []int{0, 1, 63, 64, 65, 1000, 4096} {
+		for _, q := range dens {
+			for _, scale := range []int64{1, 3, 12} {
+				p := bigint.Zero()
+				if bits > 0 {
+					p = bigint.Random(rng, bits)
+				}
+				if rng.Intn(2) == 0 {
+					p = p.Neg()
+				}
+				p, q := p.MulInt64(scale), q.MulInt64(scale)
+				if rng.Intn(2) == 0 {
+					p, q = p.Neg(), q.Neg()
+				}
+				x := New(p, q)
+				want := new(big.Rat).SetFrac(p.ToBig(), q.ToBig())
+				if toBigRat(x).Cmp(want) != 0 {
+					t.Fatalf("New(%v, %v) = %v, want %v", p, q, x, want)
+				}
+				// gcd(0, den) = den, so this also requires 0 to be 0/1.
+				num, den := x.Num().ToBig(), x.Den().ToBig()
+				g := new(big.Int).GCD(nil, nil, new(big.Int).Abs(num), den)
+				if den.Sign() <= 0 || g.Cmp(big.NewInt(1)) != 0 {
+					t.Fatalf("New(%v, %v) = %v is not canonical", p, q, x)
+				}
+			}
+		}
+	}
+}
+
+// TestNewReducedDoesNotAllocate pins the word path's contract: a fraction
+// already in lowest terms over a one-word denominator (the interpolation
+// matrices' entries, rebuilt on every fault-tolerant op) costs no
+// allocation.
+func TestNewReducedDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	p := bigint.Random(rng, 4096)
+	if p.RemWord(3) == 0 {
+		p = p.Add(bigint.One())
+	}
+	q := bigint.FromInt64(3)
+	for _, v := range []bigint.Int{p, p.Neg()} {
+		if got := testing.AllocsPerRun(10, func() { _ = New(v, q) }); got != 0 {
+			t.Errorf("New on a reduced fraction allocates %.1f times per call, want 0", got)
+		}
+	}
+}

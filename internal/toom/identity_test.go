@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/bigint"
+	"repro/internal/points"
 	"repro/internal/toom"
 	"repro/internal/toomgraph"
 )
@@ -63,15 +64,19 @@ func checkIdentity(t *testing.T, alg *toom.Algorithm, a, b bigint.Int) {
 	}
 }
 
+// identitySizes are the operand bit lengths of the count-identity tables:
+// zero, one limb, and 64·j ± 1 bits around every recursion boundary up to
+// the parallel leaf's size.
+var identitySizes = []int{0, 1, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 513, 1023, 1025, 4095, 4097, 16383, 16385}
+
 // TestMulStatsMatchReference is the count-identity table: the workspace
 // recursion must charge exactly what the Int-based recursion charged, on
 // signed, zero, unbalanced and limb-boundary (64·j ± 1 bit) operands.
 func TestMulStatsMatchReference(t *testing.T) {
-	sizes := []int{0, 1, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 513, 1023, 1025, 4095, 4097, 16383, 16385}
 	for name, alg := range identityVariants() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1201))
-			for _, n := range sizes {
+			for _, n := range identitySizes {
 				// Balanced, then unbalanced against a short and a long partner.
 				checkIdentity(t, alg, signedRandom(rng, n), signedRandom(rng, n))
 				checkIdentity(t, alg, signedRandom(rng, n), signedRandom(rng, 1+n/7))
@@ -102,37 +107,185 @@ func FuzzToomMulStats(f *testing.F) {
 	})
 }
 
-// TestLeafMulAllocs pins the workspace recursion's allocation discipline at
-// the parallel algorithm's leaf shape (k = 2, 256-bit threshold, ~16.4 kbit
-// operands): in steady state the returned product is the only heap
-// allocation, at GOMAXPROCS 1 and 2.
+// TestToom2KernelDispatch pins which algorithms run the Toom-2 kernel:
+// Karatsuba on the points 0, 1, ∞ at any threshold and without evaluation
+// reuse, and nothing with an interpolation sequence, k ≥ 3 or other points.
+func TestToom2KernelDispatch(t *testing.T) {
+	k2 := toom.MustNew(2)
+	minusOne, err := toom.NewWithPoints(2, []points.Point{points.FiniteInt64(0), points.FiniteInt64(-1), points.Infinity()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reordered, err := toom.NewWithPoints(2, []points.Point{points.FiniteInt64(1), points.FiniteInt64(0), points.Infinity()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		alg  *toom.Algorithm
+		want bool
+	}{
+		{"k2", k2, true},
+		{"k2/t64", k2.WithThreshold(64), true},
+		{"k2/noreuse", k2.WithoutEvalReuse(), true},
+		{"k2/toomgraph", k2.WithInterpolationSequence(toomgraph.ForK(2)), false},
+		{"k2/toomgraph/t64", k2.WithInterpolationSequence(toomgraph.ForK(2)).WithThreshold(64), false},
+		{"k2/points(0,-1,inf)", minusOne, false},
+		{"k2/points(1,0,inf)", reordered, false},
+		{"k3", toom.MustNew(3), false},
+		{"k4", toom.MustNew(4), false},
+	} {
+		if got := c.alg.UsesToom2Kernel(); got != c.want {
+			t.Errorf("%s: kernel %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestToom2KernelMatchesGeneric requires the Toom-2 kernel to reproduce the
+// generic frame recursion exactly, products and all five Stats fields,
+// through every entry point that reaches it: MulWithStats,
+// MulSharesWithStats and the unbalanced algorithm's inner recursion, on
+// zero, signed, unbalanced and 64·j ± 1-bit operands.
+func TestToom2KernelMatchesGeneric(t *testing.T) {
+	for _, th := range []int{64, 256} {
+		kern := toom.MustNew(2).WithThreshold(th)
+		gen := kern.Generic()
+		if !kern.UsesToom2Kernel() || gen.UsesToom2Kernel() {
+			t.Fatal("Generic does not switch the kernel off")
+		}
+		t.Run(fmt.Sprintf("t%d", th), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(1400 + th)))
+			same := func(what string, run func(*toom.Algorithm, *toom.Stats) bigint.Int, want *big.Int) {
+				t.Helper()
+				var got, ref toom.Stats
+				z, zr := run(kern, &got), run(gen, &ref)
+				if !z.Equal(zr) || z.ToBig().Cmp(want) != 0 {
+					t.Fatalf("%s: product differs from the generic recursion or math/big", what)
+				}
+				if got != ref {
+					t.Fatalf("%s: stats %+v, generic %+v", what, got, ref)
+				}
+			}
+			for _, n := range identitySizes {
+				for _, m := range []int{n, 1 + n/7, n + 191} {
+					a, b := signedRandom(rng, n), signedRandom(rng, m)
+					same(fmt.Sprintf("MulWithStats %d×%d bits", n, m), func(alg *toom.Algorithm, st *toom.Stats) bigint.Int {
+						return alg.MulWithStats(a, b, st)
+					}, new(big.Int).Mul(a.ToBig(), b.ToBig()))
+				}
+				// Nine signed shares per operand, some zero, some wider
+				// than the shift, as the parallel leaf recomposes them.
+				shift := 1 + n/9
+				sa, sb := make([]bigint.Int, 9), make([]bigint.Int, 9)
+				for i := range sa {
+					sa[i], sb[i] = signedRandom(rng, rng.Intn(shift+4)), signedRandom(rng, rng.Intn(shift+4))
+				}
+				want := new(big.Int).Mul(bigRecompose(sa, shift), bigRecompose(sb, shift))
+				same(fmt.Sprintf("MulSharesWithStats 9×%d bits", shift), func(alg *toom.Algorithm, st *toom.Stats) bigint.Int {
+					return alg.MulSharesWithStats(sa, sb, shift, st)
+				}, want)
+			}
+			for _, k := range [][2]int{{2, 1}, {3, 2}, {4, 2}} {
+				uk, err := toom.NewUnbalanced(k[0], k[1], kern)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ug, err := toom.NewUnbalanced(k[0], k[1], gen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range identitySizes {
+					a, b := signedRandom(rng, n), signedRandom(rng, n*k[1]/k[0])
+					z := uk.Mul(a, b)
+					if !z.Equal(ug.Mul(a, b)) || z.ToBig().Cmp(new(big.Int).Mul(a.ToBig(), b.ToBig())) != 0 {
+						t.Fatalf("Unbalanced(%d,%d) %d-bit: product differs from the generic inner recursion or math/big", k[0], k[1], n)
+					}
+				}
+			}
+		})
+	}
+}
+
+// bigRecompose is Σ coeffs[i]·2^{i·shift} in math/big.
+func bigRecompose(coeffs []bigint.Int, shift int) *big.Int {
+	z := new(big.Int)
+	for i, c := range coeffs {
+		z.Add(z, new(big.Int).Lsh(c.ToBig(), uint(i*shift)))
+	}
+	return z
+}
+
+// TestRecomposeAgainstBig checks Recompose against math/big on signed,
+// zero and all-negative coefficient vectors, with coefficients narrower and
+// wider than the shift (so neighbours overlap and carries cross them),
+// including the epilogue's shape of 72 coefficients of about 1,820 bits.
+func TestRecomposeAgainstBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(1404))
+	for _, shift := range []int{1, 25, 64, 127, 1820} {
+		for _, n := range []int{0, 1, 2, 9, 72} {
+			for _, mode := range []string{"mixed", "nonnegative", "negative", "zeros"} {
+				coeffs := make([]bigint.Int, n)
+				for i := range coeffs {
+					bits := rng.Intn(shift + 70) // some wider than the shift
+					switch mode {
+					case "mixed":
+						coeffs[i] = signedRandom(rng, bits)
+					case "nonnegative":
+						coeffs[i] = signedRandom(rng, bits).Abs()
+					case "negative":
+						coeffs[i] = signedRandom(rng, bits).Abs().Neg()
+					case "zeros":
+						if i%2 == 1 {
+							coeffs[i] = signedRandom(rng, bits)
+						}
+					}
+				}
+				if got, want := toom.Recompose(coeffs, shift).ToBig(), bigRecompose(coeffs, shift); got.Cmp(want) != 0 {
+					t.Fatalf("shift %d, %d %s coefficients: Recompose differs from math/big", shift, n, mode)
+				}
+			}
+		}
+	}
+}
+
+// TestLeafMulAllocs pins the allocation discipline of MulWithStats at the
+// parallel algorithm's leaf shape (k = 2, 256-bit threshold, ~16.4 kbit
+// operands, the Toom-2 kernel) and over operand shapes from 15k to 18k
+// bits: in steady state the returned product is the only heap allocation,
+// at GOMAXPROCS 1 and 2.
 func TestLeafMulAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled workspaces at random")
 	}
 	rng := rand.New(rand.NewSource(1202))
-	a, b := bigint.Random(rng, 16400), bigint.Random(rng, 16390).Neg()
+	type shape struct{ a, b bigint.Int }
+	shapes := []shape{{bigint.Random(rng, 16400), bigint.Random(rng, 16390).Neg()}}
+	for bits := 15000; bits <= 18000; bits += 500 {
+		shapes = append(shapes, shape{bigint.Random(rng, bits), bigint.Random(rng, bits-1-rng.Intn(200))})
+	}
 	alg := toom.MustNew(2)
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			// Steady state is the best of several batches: the first batch
-			// builds the pooled workspace, and a later one may rebuild it
-			// once after a GC or a move to another P.
-			var st toom.Stats
-			best := math.Inf(1)
-			for batch := 0; batch < 5; batch++ {
-				const runs = 40
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				for i := 0; i < runs; i++ {
-					alg.MulWithStats(a, b, &st)
+			for _, sh := range shapes {
+				// Steady state is the best of several batches: the first
+				// batch builds the pooled workspace, and a later one may
+				// rebuild it once after a GC or a move to another P.
+				var st toom.Stats
+				best := math.Inf(1)
+				for batch := 0; batch < 5; batch++ {
+					const runs = 40
+					var m0, m1 runtime.MemStats
+					runtime.ReadMemStats(&m0)
+					for i := 0; i < runs; i++ {
+						alg.MulWithStats(sh.a, sh.b, &st)
+					}
+					runtime.ReadMemStats(&m1)
+					best = min(best, float64(m1.Mallocs-m0.Mallocs)/runs)
 				}
-				runtime.ReadMemStats(&m1)
-				best = min(best, float64(m1.Mallocs-m0.Mallocs)/runs)
-			}
-			if best > 2 {
-				t.Errorf("MulWithStats allocates %.2f times per op in steady state, want <= 2", best)
+				if best > 2 {
+					t.Errorf("%d×%d bits: MulWithStats allocates %.2f times per op in steady state, want <= 2", sh.a.BitLen(), sh.b.BitLen(), best)
+				}
 			}
 		})
 	}
@@ -176,6 +329,20 @@ func BenchmarkLeafMulWithStats(b *testing.B) {
 	}
 }
 
+// BenchmarkLeafMulGeneric times the generic frame recursion on the same
+// operands and algorithm: BenchmarkLeafMulWithStats runs the Toom-2 kernel,
+// so the pair is the kernel's per-layer before and after in one binary.
+func BenchmarkLeafMulGeneric(b *testing.B) {
+	rng := rand.New(rand.NewSource(1203))
+	x, y := bigint.Random(rng, 16400), bigint.Random(rng, 16390)
+	alg := toom.MustNew(2).Generic()
+	var st toom.Stats
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink = alg.MulWithStats(x, y, &st)
+	}
+}
+
 // BenchmarkLeafMulLadder is the kernel ladder's Int.Mul on the same
 // operands: the machine-independent yardstick for BenchmarkLeafMulWithStats.
 func BenchmarkLeafMulLadder(b *testing.B) {
@@ -184,6 +351,20 @@ func BenchmarkLeafMulLadder(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchSink = x.Mul(y)
+	}
+}
+
+// BenchmarkRecompose times Recompose at the fault-tolerant epilogue's shape:
+// 72 coefficients of about 1,820 bits at a 1,820-bit shift.
+func BenchmarkRecompose(b *testing.B) {
+	rng := rand.New(rand.NewSource(1405))
+	coeffs := make([]bigint.Int, 72)
+	for i := range coeffs {
+		coeffs[i] = bigint.Random(rng, 1800+rng.Intn(40))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink = toom.Recompose(coeffs, 1820)
 	}
 }
 

@@ -17,6 +17,7 @@ package toom
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bigint"
 	"repro/internal/mat"
@@ -46,6 +47,20 @@ func (s *Stats) chargeWords(n int64) {
 	}
 }
 
+// addToom2 adds the counts of one bigint.Acc.SetToom2Mul: each of its
+// internal nodes is one recursive call with two evaluations and one
+// interpolation.
+func (s *Stats) addToom2(c bigint.Toom2Counts) {
+	if s == nil {
+		return
+	}
+	s.BaseMuls += c.BaseMuls
+	s.RecursiveCalls += c.Nodes
+	s.Evaluations += 2 * c.Nodes
+	s.Interpolations += c.Nodes
+	s.chargeWords(c.WordOps)
+}
+
 // wordsOf returns the F-charge for touching x once (at least one word).
 func wordsOf(x bigint.Int) int64 {
 	if l := int64(x.WordLen()); l > 0 {
@@ -68,6 +83,7 @@ type Algorithm struct {
 	evalSingles   []int                 // rows not covered by a pair
 	evalUnit      []int                 // per U row: m if the row is e_m (evaluation = digit m), else -1
 	interpUnit    []int                 // per W^T row: j if the scaled row is e_j and wDen = 1, else -1
+	toom2         bool                  // Karatsuba on 0, 1, ∞ with no sequence: mul runs bigint's counted Toom-2 kernel
 }
 
 // evalPair marks two evaluation rows at opposite finite points (+v, −v):
@@ -87,12 +103,14 @@ type InterpolationSequence interface {
 
 // WithInterpolationSequence returns a copy of alg whose Interpolate uses the
 // given inversion sequence (falling back to the scaled-matrix path if the
-// sequence reports an error). The caller is responsible for supplying a
+// sequence reports an error); its multiplication runs the generic recursion,
+// since the Toom-2 kernel's interpolation is built in. The caller is responsible for supplying a
 // sequence that matches alg's evaluation points; the toom tests and the
 // ablation benchmarks verify the catalogued ones.
 func (alg *Algorithm) WithInterpolationSequence(seq InterpolationSequence) *Algorithm {
 	cp := *alg
 	cp.interpSeq = seq
+	cp.toom2 = false
 	return &cp
 }
 
@@ -149,6 +167,7 @@ func NewWithPoints(k int, pts []points.Point) (*Algorithm, error) {
 		thresholdBits: DefaultThresholdBits,
 	}
 	alg.evalPairs, alg.evalSingles = detectPairs(pts)
+	alg.toom2 = isToom2(u, wNum, wDen)
 	alg.evalUnit = unitRows(u)
 	alg.interpUnit = unitRows(wNum)
 	if wDen != 1 {
@@ -158,6 +177,15 @@ func NewWithPoints(k int, pts []points.Point) (*Algorithm, error) {
 		}
 	}
 	return alg, nil
+}
+
+// isToom2 reports whether ⟨U, W⟩ is Karatsuba's on the points 0, 1, ∞, the
+// bilinear form bigint.Acc.SetToom2Mul hard-codes.
+func isToom2(u, wNum [][]int64, wDen int64) bool {
+	rowsEqual := func(a, b [][]int64) bool { return slices.EqualFunc(a, b, slices.Equal[[]int64]) }
+	return wDen == 1 &&
+		rowsEqual(u, [][]int64{{1, 0}, {1, 1}, {0, 1}}) &&
+		rowsEqual(wNum, [][]int64{{1, 0, 0}, {-1, 1, -1}, {0, 0, 1}})
 }
 
 // detectPairs finds (+v, −v) finite point pairs for evaluation reuse.
@@ -261,7 +289,8 @@ func (alg *Algorithm) Mul(a, b bigint.Int) bigint.Int {
 // only heap allocation. The counts are value-dependent — digits, E±O sums
 // and interpolation accumulators are charged at their actual word lengths —
 // and are taken at exactly the points the Int-based formulation charged
-// them.
+// them. Karatsuba on the points 0, 1, ∞ runs bigint's dedicated counted
+// Toom-2 kernel instead of the frames, with the same counts.
 func (alg *Algorithm) MulWithStats(a, b bigint.Int, stats *Stats) bigint.Int {
 	ws := getWorkspace()
 	defer putWorkspace(ws)
@@ -293,9 +322,13 @@ func (alg *Algorithm) MulSharesWithStats(sharesA, sharesB []bigint.Int, shift in
 }
 
 // mul writes x·y into dst (Algorithm 1), using ws.frames[depth] for this
-// node's digits, evaluations, products and coefficients. dst must be
-// neither x nor y.
+// node's digits, evaluations, products and coefficients, or the Toom-2
+// kernel for the whole subtree when it applies. dst must be neither x nor y.
 func (alg *Algorithm) mul(ws *workspace, depth int, dst, x, y *bigint.Acc, stats *Stats) {
+	if alg.toom2 {
+		stats.addToom2(dst.SetToom2Mul(x, y, alg.thresholdBits))
+		return
+	}
 	if x.IsZero() || y.IsZero() {
 		dst.Reset()
 		return
@@ -561,17 +594,30 @@ func splitDigits(a bigint.Int, k, shift int) []bigint.Int {
 
 // Recompose evaluates a signed coefficient vector at B = 2^shift:
 // Σ coeffs[i]·2^{i·shift}. The signed adds perform the carry propagation
-// that Algorithm 1 calls "compute the carry".
+// that Algorithm 1 calls "compute the carry". Each coefficient is added in
+// place at its offset, highest first so the accumulator is sized once: the
+// nonnegative ones into one accumulator and the negative ones into another,
+// whose sum is taken at the end, so the cost is linear in the coefficients'
+// total size.
 //
 //ftlint:allow costcharge recomposition is charged by the callers: the recursion charges wordsOf(c) per coefficient as it recomposes, and AssembleFrom runs host-side outside the model
 func Recompose(coeffs []bigint.Int, shift int) bigint.Int {
-	acc := bigint.NewAcc()
-	defer acc.Release()
+	pos, neg, c := bigint.NewAcc(), bigint.NewAcc(), bigint.NewAcc()
+	defer pos.Release()
+	defer neg.Release()
+	defer c.Release()
 	for i := len(coeffs) - 1; i >= 0; i-- {
-		acc.Shl(uint(shift))
-		acc.Add(coeffs[i])
+		c.SetInt(coeffs[i])
+		if c.Sign() < 0 {
+			neg.AddShl(c, uint(i*shift))
+		} else {
+			pos.AddShl(c, uint(i*shift))
+		}
 	}
-	return acc.Take()
+	if !neg.IsZero() {
+		pos.SetSum(pos, neg)
+	}
+	return pos.Take()
 }
 
 // ApplyRows computes M·x for an integer matrix given as int64 rows. It is
