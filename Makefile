@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench benchjson benchgate caltune fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke ci
+.PHONY: build test race vet allocs bench benchjson benchgate caltune fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke ci
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,14 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Allocation contracts at one and two cores: every test whose name contains
+# "Alloc" (the NTT kernel and its pool fan-out, the Toom leaf, the matrix
+# tile, rat.New's word path, lazy channel allocation, the limb-sharing unit
+# scalings, queued receives). A contract that only holds when the worker
+# pool never forks shows up at -cpu 2.
+allocs:
+	$(GO) test -count=1 -cpu 1,2 -run 'Alloc' ./...
 
 bench:
 	$(GO) test -run '^$$' -bench 'Benchmark(Table1|Alloc)' -benchmem -benchtime 1x .
@@ -106,4 +114,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzToomMulStats -fuzztime 10s ./internal/toom
 
 # ci mirrors .github/workflows/ci.yml locally: everything a PR must pass.
-ci: build test vet race fuzz-smoke wallsmoke matsmoke examples lint
+ci: build test vet allocs race fuzz-smoke wallsmoke matsmoke examples lint

@@ -9,8 +9,10 @@ import (
 )
 
 // Int is an arbitrary-precision signed integer. The zero value is 0 and is
-// ready to use. Int values are immutable: all operations return fresh values
-// and never alias or modify their operands' limbs, so Ints may be shared
+// ready to use. Int values are immutable: no operation writes into an Int's
+// limbs (only an Acc's private buffer is ever reused), so a result may share
+// its operand's limbs where the value is unchanged up to sign — Neg, Abs,
+// MulInt64 and DivExactInt64 by ±1, Add of a zero — and Ints may be shared
 // freely across goroutines (this matters for the machine simulator, where
 // messages carry Ints between processors).
 type Int struct {
@@ -123,8 +125,14 @@ func (x Int) Cmp(y Int) int {
 // Equal reports whether x == y.
 func (x Int) Equal(y Int) bool { return x.Cmp(y) == 0 }
 
-// Add returns x + y.
+// Add returns x + y. A zero operand returns the other one, limbs shared.
 func (x Int) Add(y Int) Int {
+	switch {
+	case len(y.abs) == 0:
+		return x
+	case len(x.abs) == 0:
+		return y
+	}
 	if x.neg == y.neg {
 		z := natAdd(x.abs, y.abs)
 		if len(z) == 0 {
@@ -157,10 +165,16 @@ func (x Int) Mul(y Int) Int {
 }
 
 // MulInt64 returns x * v for a small signed scalar v. This is the primitive
-// used when applying integer evaluation/coding matrices to digit vectors.
+// used when applying integer evaluation/coding matrices to digit vectors,
+// whose entries are mostly 0 and ±1: v = ±1 returns x or -x over x's limbs.
 func (x Int) MulInt64(v int64) Int {
-	if v == 0 || len(x.abs) == 0 {
+	switch {
+	case v == 0 || len(x.abs) == 0:
 		return Int{}
+	case v == 1:
+		return x
+	case v == -1:
+		return x.Neg()
 	}
 	neg := x.neg
 	var u uint64

@@ -82,6 +82,80 @@ func TestMulInt64(t *testing.T) {
 	}
 }
 
+var sinkInt Int
+
+// TestUnitScalingAllocs pins the limb-sharing fast paths of MulInt64
+// by ±1 and of Add with a zero operand: the values match math/big and the
+// result reuses the operand's limbs instead of allocating.
+func TestUnitScalingAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1501))
+	for _, x := range []Int{Random(rng, 1000), Random(rng, 64).Neg(), Zero()} {
+		xb := x.ToBig()
+		cases := []struct {
+			name string
+			op   func() Int
+			want *big.Int
+		}{
+			{"MulInt64(1)", func() Int { return x.MulInt64(1) }, xb},
+			{"MulInt64(-1)", func() Int { return x.MulInt64(-1) }, new(big.Int).Neg(xb)},
+			{"Zero().Add(x)", func() Int { return Zero().Add(x) }, xb},
+			{"x.Add(Zero())", func() Int { return x.Add(Zero()) }, xb},
+		}
+		for _, c := range cases {
+			if got := c.op().ToBig(); got.Cmp(c.want) != 0 {
+				t.Errorf("%s with x = %v: got %v, want %v", c.name, x, got, c.want)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { sinkInt = c.op() }); allocs != 0 {
+				t.Errorf("%s with %d-bit x allocates %.1f times per op, want 0", c.name, x.BitLen(), allocs)
+			}
+		}
+	}
+}
+
+// TestSharedLimbsSurviveAccReuse runs Ints that share a source's limbs
+// through every Acc operation that reuses a buffer — SetInt, AddMul,
+// SetToom2Mul, AppendValue, then further in-place updates — and checks the
+// source's limbs are unchanged: only Acc buffers are ever written. The
+// source comes from Take, so its slice has spare capacity an aliasing
+// write could grow into.
+func TestSharedLimbsSurviveAccReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(1502))
+	var src Acc
+	src.AddMul(Random(rng, 3000), -3)
+	x := src.Take()
+	if cap(x.abs) == len(x.abs) {
+		t.Fatal("source has no spare capacity; the check would be vacuous")
+	}
+	snapshot := x.Limbs()
+	shared := []Int{x.MulInt64(1), x.MulInt64(-1), Zero().Add(x), x.Add(Zero()), x.Neg(), x.Abs()}
+	var a, b, prod Acc
+	slab := make([]uint64, 0, 4*len(snapshot))
+	for _, s := range shared {
+		a.SetInt(s)
+		a.AddMul(s, 3)
+		a.AddMul(s, -1)
+		b.SetInt(s)
+		b.AddMul(s, 1)
+		prod.SetToom2Mul(&a, &b, 256)
+		var v Int
+		v, slab = a.AppendValue(slab)
+		prod.Add(v)
+		a.Shl(7)
+		a.DivExact(2)
+		b.Neg()
+		b.SetSum(&b, &a)
+	}
+	if got := x.Limbs(); len(got) != len(snapshot) {
+		t.Fatalf("source length changed: %d limbs, want %d", len(got), len(snapshot))
+	} else {
+		for i := range got {
+			if got[i] != snapshot[i] {
+				t.Fatalf("limb %d of the shared source was overwritten", i)
+			}
+		}
+	}
+}
+
 func TestDivExactInt64(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	divisors := []int64{1, 2, 3, 6, 24, -2, -3, 120, 720}

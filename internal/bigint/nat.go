@@ -116,11 +116,6 @@ func natMulWord(x nat, w uint64) nat {
 	if len(x) == 0 || w == 0 {
 		return nil
 	}
-	if w == 1 {
-		z := make(nat, len(x))
-		copy(z, x)
-		return z
-	}
 	z := make(nat, len(x)+1)
 	var carry uint64
 	for i, xi := range x {

@@ -100,12 +100,14 @@ func nttMulTo(z, x, y nat, ar *arena) {
 
 	pool := nttPool
 	if pool.Capacity() > 1 {
-		var wg sync.WaitGroup
-		for i := range nttPrimes {
-			i := i
-			pool.Fork(&wg, func() { nttWorkProduct(res[i], x, y, &nttPrimes[i]) })
+		f := getNTTFanout()
+		for i := range f.tasks {
+			t := &f.tasks[i]
+			t.dst, t.x, t.y, t.pr = res[i], x, y, &nttPrimes[i]
+			pool.Fork(&f.wg, t.run)
 		}
-		wg.Wait()
+		f.wg.Wait()
+		putNTTFanout(f)
 	} else {
 		work := ar.alloc(n)
 		for i := range nttPrimes {
@@ -118,6 +120,54 @@ func nttMulTo(z, x, y nat, ar *arena) {
 	// back-to-back calls (the chunked mulTo loop) reuse the same slab space.
 	ar.release(mark)
 }
+
+// nttFanout is one nttMulTo call's per-prime fan-out: the join and a task
+// record per prime. Each task's run is its bound work method, made once
+// with the record, so forking the three transforms allocates nothing.
+type nttFanout struct {
+	wg    sync.WaitGroup
+	tasks [len(nttPrimes)]nttTask
+}
+
+type nttTask struct {
+	dst, x, y nat
+	pr        *nttPrime
+	run       func()
+}
+
+// nttFanouts holds idle fan-out records. A buffered channel, unlike a
+// sync.Pool, keeps them under the race detector too. Eight covers the NTT
+// products that overlap in practice (one per concurrent multiply); a record
+// returned to a full list is left to the garbage collector.
+var nttFanouts = make(chan *nttFanout, 8)
+
+func getNTTFanout() *nttFanout {
+	select {
+	case f := <-nttFanouts:
+		return f
+	default:
+	}
+	f := new(nttFanout)
+	for i := range f.tasks {
+		f.tasks[i].run = f.tasks[i].work
+	}
+	return f
+}
+
+// putNTTFanout drops the record's operand references and keeps it for the
+// next call, unless enough records are idle already.
+func putNTTFanout(f *nttFanout) {
+	for i := range f.tasks {
+		t := &f.tasks[i]
+		t.dst, t.x, t.y = nil, nil, nil
+	}
+	select {
+	case nttFanouts <- f:
+	default:
+	}
+}
+
+func (t *nttTask) work() { nttWorkProduct(t.dst, t.x, t.y, t.pr) }
 
 // nttWorkProduct is one prime's transform task on the worker pool. It rents
 // its own arena for the second transform buffer — the pooled slabs make the

@@ -95,6 +95,52 @@ func TestBackendsAgreeOnFaultMatrix(t *testing.T) {
 	}
 }
 
+// TestBackToBackRunsAgree runs the same two-fault plan twice in a row on
+// each backend. The second run draws the per-pair channels the first one
+// returned at Close, and every rank must count exactly what it counted the
+// first time (and, on the simulator, end at the same virtual time).
+func TestBackToBackRunsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	a := bigint.Random(rng, 1<<13)
+	b := bigint.Random(rng, 1<<13)
+	want := new(big.Int).Mul(a.ToBig(), b.ToBig())
+	faults := []machine.Fault{
+		{Proc: 1, Phase: ftparallel.PhaseEval},
+		{Proc: 3, Phase: ftparallel.PhaseMul, Hit: 1},
+	}
+	type rankCounts struct {
+		flops, sent, recv, msgs, barriers int64
+		clock                             float64
+	}
+	for _, backend := range []machine.Backend{machine.BackendSim, machine.BackendWall} {
+		var runs [2][]rankCounts
+		for i := range runs {
+			res, err := ftparallel.Multiply(a, b, ftparallel.Options{
+				Alg: toom.MustNew(2), P: 9, F: 2, DFSSteps: 1, Faults: faults,
+				Machine: machine.Config{Backend: backend},
+			})
+			if err != nil {
+				t.Fatalf("%s run %d: %v", backend, i, err)
+			}
+			if res.Product.ToBig().Cmp(want) != 0 {
+				t.Fatalf("%s run %d: product differs from math/big", backend, i)
+			}
+			for _, st := range res.Report.PerProc {
+				c := rankCounts{st.Flops, st.SentWords, st.RecvWords, st.Messages, st.Barriers, 0}
+				if backend == machine.BackendSim {
+					c.clock = st.Clock
+				}
+				runs[i] = append(runs[i], c)
+			}
+		}
+		for r := range runs[0] {
+			if runs[0][r] != runs[1][r] {
+				t.Errorf("%s rank %d: first run %+v, second run %+v", backend, r, runs[0][r], runs[1][r])
+			}
+		}
+	}
+}
+
 // TestBackendsAgreeOnPlainParallel pins the fault-free parallel engine the
 // same way: identical product on both backends, seed counts on the simulator.
 func TestBackendsAgreeOnPlainParallel(t *testing.T) {

@@ -6,8 +6,9 @@
 // send time and the receiver's clock advances to at least that stamp on
 // receive, so the maximum clock at the end of a run is the critical-path
 // runtime under the cost model, independent of real scheduling. Messages
-// travel over per-pair FIFO channels allocated lazily on first use of a
-// (sender, receiver) pair.
+// travel over per-pair FIFO channels made lazily on first use of a (sender,
+// receiver) pair and recycled across nets once a run is over
+// (transport.Pairs).
 //
 // The barrier is a global generation rendezvous: phase names only matter to
 // the fault-injection decorator, not to the release logic. An endpoint that
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/machine/transport"
@@ -61,15 +61,13 @@ type message struct {
 	arrive  float64 // sender clock after the transfer completed
 }
 
+// spare recycles the per-pair channels of closed nets.
+var spare transport.FreeChans[message]
+
 // Net is the virtual-clock transport. Create with New; a Net is single-use.
 type Net struct {
-	cfg Config
-
-	// chanSlots[from*P+to] holds the per-pair FIFO, created lazily on first
-	// use: the slot is an atomic pointer for the contended fast path, with
-	// chanMu serializing only the one-time creation of each channel.
-	chanSlots []atomic.Pointer[chan message]
-	chanMu    sync.Mutex
+	cfg   Config
+	pairs *transport.Pairs[message]
 
 	mu      sync.Mutex
 	active  int
@@ -97,10 +95,10 @@ func New(cfg Config) (*Net, error) {
 		return nil, fmt.Errorf("simnet: need P >= 1, got %d", cfg.P)
 	}
 	n := &Net{
-		cfg:       cfg,
-		chanSlots: make([]atomic.Pointer[chan message], cfg.P*cfg.P),
-		active:    cfg.P,
-		done:      map[int]*barState{},
+		cfg:    cfg,
+		pairs:  transport.NewPairs(cfg.P, cfg.ChannelCap, &spare),
+		active: cfg.P,
+		done:   map[int]*barState{},
 	}
 	n.barCond = sync.NewCond(&n.mu)
 	return n, nil
@@ -122,38 +120,16 @@ func (n *Net) Open(ctx context.Context, rank int) (transport.Endpoint, error) {
 	return &endpoint{n: n, rank: rank, ctx: ctx}, nil
 }
 
-// Close implements transport.Transport.
-func (n *Net) Close() error { return nil }
-
-// AllocatedChannels counts the per-pair channels created so far (test hook
-// for the lazy-allocation contract; call only while the net is quiescent).
-func (n *Net) AllocatedChannels() int {
-	c := 0
-	for i := range n.chanSlots {
-		if n.chanSlots[i].Load() != nil {
-			c++
-		}
-	}
-	return c
+// Close implements transport.Transport: it hands the run's empty per-pair
+// channels to later nets. Call it only after every endpoint is done.
+func (n *Net) Close() error {
+	n.pairs.Release()
+	return nil
 }
 
-// chanFor returns the FIFO from rank `from` to rank `to`, creating it on
-// first use. Both endpoints may race to create the same pair's channel; the
-// mutex-guarded double-check makes the winner's channel the one both see.
-func (n *Net) chanFor(from, to int) chan message {
-	slot := &n.chanSlots[from*n.cfg.P+to]
-	if c := slot.Load(); c != nil {
-		return *c
-	}
-	n.chanMu.Lock()
-	defer n.chanMu.Unlock()
-	if c := slot.Load(); c != nil {
-		return *c
-	}
-	ch := make(chan message, n.cfg.ChannelCap)
-	slot.Store(&ch)
-	return ch
-}
+// AllocatedChannels counts the per-pair channels this net has used (test
+// hook for the lazy-allocation contract).
+func (n *Net) AllocatedChannels() int { return n.pairs.Used() }
 
 // maybeRelease completes the current barrier generation once every active
 // endpoint has arrived. Called with n.mu held, from Barrier and from the
@@ -201,7 +177,7 @@ func (ep *endpoint) Send(to int, tag string, payload transport.Payload) error {
 	}
 	msg := message{from: ep.rank, tag: tag, payload: payload, arrive: ep.clock}
 	select {
-	case ep.n.chanFor(ep.rank, to) <- msg:
+	case ep.n.pairs.For(ep.rank, to) <- msg:
 		return nil
 	default:
 		return fmt.Errorf("simnet: channel %d->%d full (protocol error)", ep.rank, to)
@@ -211,27 +187,14 @@ func (ep *endpoint) Send(to int, tag string, payload transport.Payload) error {
 // Recv blocks until the next message from `from` arrives, asserts the tag,
 // and advances the clock to at least the message's virtual arrival time.
 func (ep *endpoint) Recv(from int, tag string) (transport.Payload, error) {
-	if from < 0 || from >= ep.n.cfg.P {
-		return nil, fmt.Errorf("simnet: proc %d receiving from nonexistent proc %d", ep.rank, from)
+	msg, err := ep.next(from, tag)
+	if err != nil {
+		return nil, err
 	}
-	// A stopped timer is released at once; time.After's would stay live
-	// for the whole RecvTimeout after every completed receive.
-	timer := time.NewTimer(ep.n.cfg.RecvTimeout)
-	defer timer.Stop()
-	select {
-	case msg := <-ep.n.chanFor(from, ep.rank):
-		if msg.tag != tag {
-			return nil, fmt.Errorf("simnet: proc %d expected tag %q from %d, got %q", ep.rank, tag, from, msg.tag)
-		}
-		if msg.arrive > ep.clock {
-			ep.clock = msg.arrive
-		}
-		return msg.payload, nil
-	case <-ep.ctx.Done():
-		return nil, fmt.Errorf("simnet: proc %d recv from %d canceled: %w", ep.rank, from, ep.ctx.Err())
-	case <-timer.C:
-		return nil, fmt.Errorf("simnet: proc %d timed out waiting for tag %q from %d", ep.rank, tag, from)
+	if msg.arrive > ep.clock {
+		ep.clock = msg.arrive
 	}
+	return msg.payload, nil
 }
 
 // RecvDeadline receives the next message from `from` but accepts it only if
@@ -241,33 +204,48 @@ func (ep *endpoint) Recv(from int, tag string) (transport.Payload, error) {
 // timeout primitive behind straggler (delay-fault) mitigation: proceed at
 // the deadline with whoever reported in time.
 func (ep *endpoint) RecvDeadline(from int, tag string, deadline float64) (transport.Payload, bool, error) {
+	msg, err := ep.next(from, tag)
+	if err != nil {
+		return nil, false, err
+	}
+	if msg.arrive > deadline {
+		if deadline > ep.clock {
+			ep.clock = deadline
+		}
+		return nil, false, nil
+	}
+	if msg.arrive > ep.clock {
+		ep.clock = msg.arrive
+	}
+	return msg.payload, true, nil
+}
+
+// next takes the next message from `from` and checks its tag. A message
+// already queued is taken at once; only an empty queue arms the
+// RecvTimeout guard, whose timer a completed receive stops at once.
+func (ep *endpoint) next(from int, tag string) (message, error) {
 	if from < 0 || from >= ep.n.cfg.P {
-		return nil, false, fmt.Errorf("simnet: proc %d receiving from nonexistent proc %d", ep.rank, from)
+		return message{}, fmt.Errorf("simnet: proc %d receiving from nonexistent proc %d", ep.rank, from)
 	}
-	// A stopped timer is released at once; time.After's would stay live
-	// for the whole RecvTimeout after every completed receive.
-	timer := time.NewTimer(ep.n.cfg.RecvTimeout)
-	defer timer.Stop()
+	ch := ep.n.pairs.For(from, ep.rank)
+	var msg message
 	select {
-	case msg := <-ep.n.chanFor(from, ep.rank):
-		if msg.tag != tag {
-			return nil, false, fmt.Errorf("simnet: proc %d expected tag %q from %d, got %q", ep.rank, tag, from, msg.tag)
+	case msg = <-ch:
+	default:
+		timer := time.NewTimer(ep.n.cfg.RecvTimeout)
+		defer timer.Stop()
+		select {
+		case msg = <-ch:
+		case <-ep.ctx.Done():
+			return message{}, fmt.Errorf("simnet: proc %d recv from %d canceled: %w", ep.rank, from, ep.ctx.Err())
+		case <-timer.C:
+			return message{}, fmt.Errorf("simnet: proc %d timed out waiting for tag %q from %d", ep.rank, tag, from)
 		}
-		if msg.arrive > deadline {
-			if deadline > ep.clock {
-				ep.clock = deadline
-			}
-			return nil, false, nil
-		}
-		if msg.arrive > ep.clock {
-			ep.clock = msg.arrive
-		}
-		return msg.payload, true, nil
-	case <-ep.ctx.Done():
-		return nil, false, fmt.Errorf("simnet: proc %d recv from %d canceled: %w", ep.rank, from, ep.ctx.Err())
-	case <-timer.C:
-		return nil, false, fmt.Errorf("simnet: proc %d timed out waiting for tag %q from %d", ep.rank, tag, from)
 	}
+	if msg.tag != tag {
+		return message{}, fmt.Errorf("simnet: proc %d expected tag %q from %d, got %q", ep.rank, tag, from, msg.tag)
+	}
+	return msg, nil
 }
 
 // Barrier publishes the endpoint's clock and local fault events into the

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/machine/transport"
@@ -68,13 +67,14 @@ type message struct {
 	at      time.Time // real arrival stamp, for deadline accept/reject
 }
 
+// spare recycles the per-pair channels of closed nets.
+var spare transport.FreeChans[message]
+
 // Net is the wall-clock transport. Create with New; a Net is single-use.
 type Net struct {
 	cfg   Config
 	start time.Time
-
-	chanSlots []atomic.Pointer[chan message]
-	chanMu    sync.Mutex
+	pairs *transport.Pairs[message]
 
 	mu     sync.Mutex
 	active int
@@ -98,10 +98,10 @@ func New(cfg Config) (*Net, error) {
 		return nil, fmt.Errorf("wallnet: need P >= 1, got %d", cfg.P)
 	}
 	return &Net{
-		cfg:       cfg,
-		start:     time.Now(),
-		chanSlots: make([]atomic.Pointer[chan message], cfg.P*cfg.P),
-		active:    cfg.P,
+		cfg:    cfg,
+		start:  time.Now(),
+		pairs:  transport.NewPairs(cfg.P, cfg.ChannelCap, &spare),
+		active: cfg.P,
 	}, nil
 }
 
@@ -120,35 +120,17 @@ func (n *Net) Open(ctx context.Context, rank int) (transport.Endpoint, error) {
 	return &endpoint{n: n, rank: rank, ctx: ctx}, nil
 }
 
-// Close implements transport.Transport.
-func (n *Net) Close() error { return nil }
-
-// AllocatedChannels counts the per-pair channels created so far (test hook;
-// call only while the net is quiescent).
-func (n *Net) AllocatedChannels() int {
-	c := 0
-	for i := range n.chanSlots {
-		if n.chanSlots[i].Load() != nil {
-			c++
-		}
-	}
-	return c
+// Close implements transport.Transport: it hands the run's empty per-pair
+// channels to later nets; a channel still holding a late message is
+// dropped. Call it only after every endpoint is done.
+func (n *Net) Close() error {
+	n.pairs.Release()
+	return nil
 }
 
-func (n *Net) chanFor(from, to int) chan message {
-	slot := &n.chanSlots[from*n.cfg.P+to]
-	if c := slot.Load(); c != nil {
-		return *c
-	}
-	n.chanMu.Lock()
-	defer n.chanMu.Unlock()
-	if c := slot.Load(); c != nil {
-		return *c
-	}
-	ch := make(chan message, n.cfg.ChannelCap)
-	slot.Store(&ch)
-	return ch
-}
+// AllocatedChannels counts the per-pair channels this net has used (test
+// hook for the lazy-allocation contract).
+func (n *Net) AllocatedChannels() int { return n.pairs.Used() }
 
 // unit returns the real duration of one model unit.
 func (n *Net) unit() time.Duration {
@@ -221,30 +203,39 @@ func (ep *endpoint) Send(to int, tag string, payload transport.Payload) error {
 	}
 	msg := message{from: ep.rank, tag: tag, payload: payload, at: time.Now()}
 	select {
-	case ep.n.chanFor(ep.rank, to) <- msg:
+	case ep.n.pairs.For(ep.rank, to) <- msg:
 		return nil
 	case <-ep.ctx.Done():
 		return fmt.Errorf("wallnet: proc %d send to %d canceled: %w", ep.rank, to, ep.ctx.Err())
 	}
 }
 
+// Recv takes the next message from `from` and asserts its tag. A message
+// already queued is taken at once; only an empty queue arms the
+// RecvTimeout timer.
 func (ep *endpoint) Recv(from int, tag string) (transport.Payload, error) {
 	if from < 0 || from >= ep.n.cfg.P {
 		return nil, fmt.Errorf("wallnet: proc %d receiving from nonexistent proc %d", ep.rank, from)
 	}
-	timer := time.NewTimer(ep.n.cfg.RecvTimeout)
-	defer timer.Stop()
+	ch := ep.n.pairs.For(from, ep.rank)
+	var msg message
 	select {
-	case msg := <-ep.n.chanFor(from, ep.rank):
-		if msg.tag != tag {
-			return nil, fmt.Errorf("wallnet: proc %d expected tag %q from %d, got %q", ep.rank, tag, from, msg.tag)
+	case msg = <-ch:
+	default:
+		timer := time.NewTimer(ep.n.cfg.RecvTimeout)
+		defer timer.Stop()
+		select {
+		case msg = <-ch:
+		case <-ep.ctx.Done():
+			return nil, fmt.Errorf("wallnet: proc %d recv from %d canceled: %w", ep.rank, from, ep.ctx.Err())
+		case <-timer.C:
+			return nil, fmt.Errorf("wallnet: proc %d timed out waiting for tag %q from %d", ep.rank, tag, from)
 		}
-		return msg.payload, nil
-	case <-ep.ctx.Done():
-		return nil, fmt.Errorf("wallnet: proc %d recv from %d canceled: %w", ep.rank, from, ep.ctx.Err())
-	case <-timer.C:
-		return nil, fmt.Errorf("wallnet: proc %d timed out waiting for tag %q from %d", ep.rank, tag, from)
 	}
+	if msg.tag != tag {
+		return nil, fmt.Errorf("wallnet: proc %d expected tag %q from %d, got %q", ep.rank, tag, from, msg.tag)
+	}
+	return msg.payload, nil
 }
 
 // RecvDeadline waits until a message arrives or the real deadline passes.
@@ -259,7 +250,7 @@ func (ep *endpoint) RecvDeadline(from int, tag string, deadline float64) (transp
 		return nil, false, fmt.Errorf("wallnet: proc %d receiving from nonexistent proc %d", ep.rank, from)
 	}
 	target := ep.n.start.Add(time.Duration(deadline * float64(ep.n.unit())))
-	ch := ep.n.chanFor(from, ep.rank)
+	ch := ep.n.pairs.For(from, ep.rank)
 	select {
 	case msg := <-ch:
 		return ep.judge(msg, from, tag, target)

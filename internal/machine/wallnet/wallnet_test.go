@@ -252,3 +252,68 @@ func TestSendBackpressureUnblocksOnRecv(t *testing.T) {
 		t.Fatal("full-buffer send did not unblock after a receive")
 	}
 }
+
+// TestQueuedRecvAllocs: a receive that finds its message queued takes
+// it without arming the RecvTimeout timer, so it allocates nothing.
+// (TestSendRecvAndTagAssert covers the tag check on a queued message.)
+func TestQueuedRecvAllocs(t *testing.T) {
+	_, e0, e1 := open2(t, context.Background(), Config{P: 2})
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := e0.Send(1, "q", words(1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e1.Recv(0, "q"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("queued send/receive round allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestCloseRecyclesOnlyEmptyChannels: Close hands a drained pair channel to
+// the next net and drops one still holding an unreceived message (a late
+// straggler report, say); the closed net still reports the pairs it used.
+func TestCloseRecyclesOnlyEmptyChannels(t *testing.T) {
+	const capacity = 3 // no other test uses it, so its free list is this test's own
+	a, a0, a1 := open2(t, context.Background(), Config{P: 2, ChannelCap: capacity})
+	if err := a0.Send(1, "late", words(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a1.Send(0, "x", words(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a0.Recv(1, "x"); err != nil {
+		t.Fatal(err)
+	}
+	late, drained := a.pairs.For(0, 1), a.pairs.For(1, 0)
+	for i := 0; i < 2; i++ { // a second Close must not hand the channel out twice
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := a.AllocatedChannels(); got != 2 {
+		t.Errorf("closed net reports %d channels, want 2", got)
+	}
+	b, err := New(Config{P: 4, ChannelCap: capacity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused := 0
+	for from := 0; from < 4; from++ {
+		for to := 0; to < 4; to++ {
+			switch b.pairs.For(from, to) {
+			case late:
+				t.Fatalf("pair %d->%d got the channel closed with a message in it", from, to)
+			case drained:
+				reused++
+			}
+		}
+	}
+	if reused != 1 {
+		t.Errorf("the drained channel went to %d pairs of the next net, want 1", reused)
+	}
+	if len(late) != 1 {
+		t.Errorf("dropped channel holds %d messages, want its 1", len(late))
+	}
+}

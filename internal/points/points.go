@@ -17,6 +17,8 @@ package points
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
 
 	"repro/internal/mat"
 	"repro/internal/rat"
@@ -164,12 +166,69 @@ func EvalMatrix(pts []Point, width int) *mat.Matrix {
 	return m
 }
 
+// memo caches Valid and Interpolation per exact point set and width: every
+// fault-tolerant multiplication re-checks the same redundant set and
+// re-inverts the same surviving subsets, and both are pure functions of
+// their arguments. It holds at most memoMax entries per map, so a search
+// over many candidate sets stops caching rather than growing without
+// bound.
+var memo = struct {
+	sync.Mutex
+	valid  map[string]error
+	interp map[string]interpEntry
+}{valid: map[string]error{}, interp: map[string]interpEntry{}}
+
+type interpEntry struct {
+	m   *mat.Matrix // never handed out: callers get a clone
+	err error
+}
+
+const memoMax = 1 << 10
+
+// appendKey appends the memo key of a point set and width to b: every
+// coordinate as a reduced fraction, not the projective point, because
+// proportional representatives have different evaluation rows.
+func appendKey(b []byte, pts []Point, width int) []byte {
+	b = strconv.AppendInt(b, int64(width), 10)
+	for _, p := range pts {
+		b = appendRat(append(b, ' '), p.X)
+		b = appendRat(append(b, ':'), p.H)
+	}
+	return b
+}
+
+// appendRat writes r as "p/q", without allocating when both fit an int64.
+func appendRat(b []byte, r rat.Rat) []byte {
+	n, nok := r.Num().Int64()
+	d, dok := r.Den().Int64()
+	if !nok || !dok {
+		return append(b, r.String()...)
+	}
+	return strconv.AppendInt(append(strconv.AppendInt(b, n, 10), '/'), d, 10)
+}
+
 // Valid reports whether pts is a valid evaluation-point set for polynomials
 // of the given product width: the evaluation matrix restricted to any
 // `width` rows must be injective. For len(pts) == width this is simple
 // invertibility; for len(pts) == width+f it is the fault-tolerance validity
 // condition of Section 4.2 (any f erasures leave an invertible system).
+// The answer is computed once per point set and width.
 func Valid(pts []Point, width int) error {
+	var buf [64]byte
+	key := appendKey(buf[:0], pts, width)
+	memo.Lock()
+	defer memo.Unlock()
+	if err, ok := memo.valid[string(key)]; ok {
+		return err
+	}
+	err := valid(pts, width)
+	if len(memo.valid) < memoMax {
+		memo.valid[string(key)] = err
+	}
+	return err
+}
+
+func valid(pts []Point, width int) error {
 	if len(pts) < width {
 		return fmt.Errorf("points: %d points cannot determine %d coefficients", len(pts), width)
 	}
@@ -193,8 +252,27 @@ func Valid(pts []Point, width int) error {
 // inverse of the (square) product-evaluation matrix. It errors if the
 // matrix is singular. This is also the "on the fly" interpolation matrix
 // the fault-tolerant algorithm builds from whichever 2k-1 sub-problems
-// survive (Section 4.2, Fault recovery).
+// survive (Section 4.2, Fault recovery). The inverse is computed once per
+// point set and width; each call returns its own copy.
 func Interpolation(pts []Point, width int) (*mat.Matrix, error) {
+	var buf [64]byte
+	key := appendKey(buf[:0], pts, width)
+	memo.Lock()
+	defer memo.Unlock()
+	e, ok := memo.interp[string(key)]
+	if !ok {
+		e.m, e.err = interpolation(pts, width)
+		if len(memo.interp) < memoMax {
+			memo.interp[string(key)] = e
+		}
+	}
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e.m.Clone(), nil
+}
+
+func interpolation(pts []Point, width int) (*mat.Matrix, error) {
 	if len(pts) != width {
 		return nil, fmt.Errorf("points: interpolation needs exactly %d points, got %d", width, len(pts))
 	}

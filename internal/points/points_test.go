@@ -1,6 +1,7 @@
 package points
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/mat"
@@ -249,4 +250,84 @@ func TestMultiEvalMatrixShape(t *testing.T) {
 	if m.Det().IsZero() {
 		t.Fatal("tensor-grid evaluation matrix should be invertible")
 	}
+}
+
+// TestMemoMatchesFreshComputation: Valid and Interpolation answer from the
+// per-point-set memo exactly what a fresh computation gives, on the first
+// call and the repeat, for valid and invalid sets, and for proportional
+// representatives ((2:0) against ∞ = (1:0)), whose evaluation rows differ.
+func TestMemoMatchesFreshComputation(t *testing.T) {
+	inf2 := Point{X: rat.FromInt64(2), H: rat.Zero()}
+	sets := [][]Point{
+		Standard(3),
+		Standard(5),
+		StandardWithRedundancy(2, 2),
+		StandardWithRedundancy(3, 1),
+		{FiniteInt64(0), FiniteInt64(1), inf2},
+		{FiniteInt64(1), FiniteInt64(2), FiniteInt64(1)},
+	}
+	for _, pts := range sets {
+		for _, width := range []int{len(pts) - 1, len(pts)} {
+			for call := 0; call < 2; call++ {
+				if got, want := Valid(pts, width), valid(pts, width); (got == nil) != (want == nil) {
+					t.Errorf("Valid(%v, %d) call %d = %v, fresh %v", pts, width, call, got, want)
+				}
+				got, gotErr := Interpolation(pts, width)
+				want, wantErr := interpolation(pts, width)
+				if (gotErr == nil) != (wantErr == nil) || (gotErr == nil && !got.Equal(want)) {
+					t.Errorf("Interpolation(%v, %d) call %d = %v, %v; fresh %v, %v", pts, width, call, got, gotErr, want, wantErr)
+				}
+			}
+		}
+	}
+	a, _ := Interpolation([]Point{FiniteInt64(0), FiniteInt64(1), Infinity()}, 3)
+	b, _ := Interpolation([]Point{FiniteInt64(0), FiniteInt64(1), inf2}, 3)
+	if a.Equal(b) {
+		t.Fatal("(2:0) and (1:0) share a memo entry; their interpolation matrices differ")
+	}
+}
+
+// TestInterpolationReturnsACopy: a caller that writes into its matrix does
+// not change what the next caller gets.
+func TestInterpolationReturnsACopy(t *testing.T) {
+	pts := Standard(5)
+	m, err := Interpolation(pts, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Set(0, 0, rat.FromInt64(12345))
+	again, err := Interpolation(pts, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := interpolation(pts, 5); !again.Equal(want) {
+		t.Fatal("a write into a returned matrix reached the memo")
+	}
+}
+
+// TestMemoConcurrentFirstCalls: callers racing on a point set no other test
+// uses all get the fresh answer and a matrix of their own (run with -race).
+func TestMemoConcurrentFirstCalls(t *testing.T) {
+	pts := []Point{FiniteInt64(0), Finite(rat.NewInt64(1, 3)), Finite(rat.NewInt64(-1, 3)), Finite(rat.NewInt64(5, 7)), Infinity()}
+	want, err := interpolation(pts, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := Valid(pts, 5); err != nil {
+				t.Error(err)
+			}
+			got, err := Interpolation(pts, 5)
+			if err != nil || !got.Equal(want) {
+				t.Errorf("concurrent Interpolation = %v, %v; want %v", got, err, want)
+				return
+			}
+			got.Set(0, 0, rat.FromInt64(int64(i)))
+		}()
+	}
+	wg.Wait()
 }

@@ -18,6 +18,7 @@ package toom
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/bigint"
 	"repro/internal/mat"
@@ -114,13 +115,26 @@ func (alg *Algorithm) WithInterpolationSequence(seq InterpolationSequence) *Algo
 	return &cp
 }
 
+// standard holds New's algorithms by k: an Algorithm is immutable (its
+// options return copies), so every caller can share one.
+var standard sync.Map // int → *Algorithm
+
 // New returns the Toom-Cook-k algorithm over the standard evaluation points
-// (0, 1, -1, 2, …, ∞). k must be at least 2; k = 2 is Karatsuba.
+// (0, 1, -1, 2, …, ∞). k must be at least 2; k = 2 is Karatsuba. It is
+// built once per k.
 func New(k int) (*Algorithm, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("toom: k must be >= 2, got %d", k)
 	}
-	return NewWithPoints(k, points.Standard(2*k-1))
+	if alg, ok := standard.Load(k); ok {
+		return alg.(*Algorithm), nil
+	}
+	alg, err := NewWithPoints(k, points.Standard(2*k-1))
+	if err != nil {
+		return nil, err
+	}
+	shared, _ := standard.LoadOrStore(k, alg)
+	return shared.(*Algorithm), nil
 }
 
 // MustNew is New for known-good k; it panics on error.

@@ -3,6 +3,8 @@ package toom
 import (
 	"math/big"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +238,59 @@ func TestWithThresholdFloor(t *testing.T) {
 	alg := MustNew(2).WithThreshold(1)
 	if alg.ThresholdBits() != 64 {
 		t.Errorf("threshold floor not applied: %d", alg.ThresholdBits())
+	}
+}
+
+// TestNewIsBuiltOnce: New(k) hands every caller the one algorithm built
+// for k, equal field by field to a fresh construction, and the options
+// derive copies that leave it untouched.
+func TestNewIsBuiltOnce(t *testing.T) {
+	for _, k := range []int{2, 3, 4} {
+		alg := MustNew(k)
+		if MustNew(k) != alg {
+			t.Fatalf("k=%d: New built a second algorithm", k)
+		}
+		fresh, err := NewWithPoints(k, points.Standard(2*k-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(alg, fresh) {
+			t.Fatalf("k=%d: memoized algorithm differs from a fresh construction", k)
+		}
+		_ = alg.WithThreshold(64)
+		_ = alg.WithoutEvalReuse()
+		_ = alg.WithInterpolationSequence(nil)
+		if !reflect.DeepEqual(MustNew(k), fresh) {
+			t.Fatalf("k=%d: an option changed the shared algorithm", k)
+		}
+	}
+}
+
+// TestNewConcurrentFirstCalls: callers racing on a k no other test builds
+// all get one algorithm (run with -race).
+func TestNewConcurrentFirstCalls(t *testing.T) {
+	const k = 6
+	got := make([]*Algorithm, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = MustNew(k)
+		}()
+	}
+	wg.Wait()
+	for i, alg := range got {
+		if alg != got[0] {
+			t.Fatalf("caller %d got a different algorithm", i)
+		}
+	}
+	fresh, err := NewWithPoints(k, points.Standard(2*k-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got[0], fresh) {
+		t.Fatal("memoized algorithm differs from a fresh construction")
 	}
 }
 

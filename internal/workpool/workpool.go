@@ -26,6 +26,10 @@ import (
 // semaphore, running overflow tasks inline on the submitter.
 type Pool struct {
 	slots chan struct{}
+	// idle holds the pool's worker records, one per slot, between tasks. A
+	// worker returns its record before its slot, so whoever holds a slot
+	// finds a record idle.
+	idle chan *worker
 
 	// Telemetry for the pool tests and the benchmark harness.
 	active  atomic.Int64 // workers currently running
@@ -34,12 +38,28 @@ type Pool struct {
 	inline  atomic.Int64 // tasks that ran on the submitter (no slot free)
 }
 
+// worker carries one task to a pooled goroutine. run is the method value
+// w.start, bound once when the record is made, so launching a worker
+// allocates neither a closure nor a method value.
+type worker struct {
+	p   *Pool
+	wg  *sync.WaitGroup
+	fn  func()
+	run func()
+}
+
 // New returns a pool admitting at most size concurrent workers (minimum 1).
 func New(size int) *Pool {
 	if size < 1 {
 		size = 1
 	}
-	return &Pool{slots: make(chan struct{}, size)}
+	p := &Pool{slots: make(chan struct{}, size), idle: make(chan *worker, size)}
+	for i := 0; i < size; i++ {
+		w := &worker{p: p}
+		w.run = w.start
+		p.idle <- w
+	}
+	return p
 }
 
 // shared is the process-wide pool: every concurrent multiplication — Toom
@@ -54,32 +74,43 @@ func Shared() *Pool { return shared }
 // Fork runs fn, on a pooled worker goroutine when a slot is free and inline
 // otherwise. wg is incremented before the worker starts and released when fn
 // returns; inline execution completes before Fork returns and touches wg
-// not at all.
+// not at all. Launching a worker allocates nothing; fn itself should be a
+// value the caller already holds (a bound method value, say) for the whole
+// fork to be allocation-free.
 func (p *Pool) Fork(wg *sync.WaitGroup, fn func()) {
 	select {
 	case p.slots <- struct{}{}:
 		wg.Add(1)
 		p.spawned.Add(1)
+		w := <-p.idle
+		w.wg, w.fn = wg, fn
 		//ftlint:allow poolspawn this is the bounded pool's own worker launch; admission is gated by the slot semaphore acquired above
-		go func() {
-			defer func() {
-				p.active.Add(-1)
-				<-p.slots
-				wg.Done()
-			}()
-			n := p.active.Add(1)
-			for {
-				cur := p.peak.Load()
-				if n <= cur || p.peak.CompareAndSwap(cur, n) {
-					break
-				}
-			}
-			fn()
-		}()
+		go w.run()
 	default:
 		p.inline.Add(1)
 		fn()
 	}
+}
+
+// start runs the worker's task, then returns the record to the idle list
+// before giving up the slot.
+func (w *worker) start() {
+	p, wg := w.p, w.wg
+	defer func() {
+		w.wg, w.fn = nil, nil
+		p.idle <- w // cannot block: the pool has one record per slot
+		p.active.Add(-1)
+		<-p.slots
+		wg.Done()
+	}()
+	n := p.active.Add(1)
+	for {
+		cur := p.peak.Load()
+		if n <= cur || p.peak.CompareAndSwap(cur, n) {
+			break
+		}
+	}
+	w.fn()
 }
 
 // Capacity returns the slot count (the bound on concurrently live workers).
