@@ -8,9 +8,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Machine-checked invariants: the twelve ftlint analyzers (arenasafe, accown,
+# Machine-checked invariants: the eleven ftlint analyzers (arenasafe, accown,
 # poolspawn, natalias, costcharge, chanproto, statsrace, recoverpath,
-# modbound, tagflow, protomc, costbound) plus
+# modbound, protomc, costbound) plus
 # the stale-suppression audit, over the whole tree — including
 # internal/analysis itself. See DESIGN.md "Machine-checked invariants".
 # Fixture packages under testdata are not go-list packages, so ./... never

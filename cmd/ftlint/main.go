@@ -5,16 +5,16 @@
 // bounded-pool-only concurrency (poolspawn), kernel destination aliasing
 // (natalias, including through forwarding wrappers), F/BW/L cost charging
 // (costcharge, with charge reachability verified through helpers),
-// simulator channel discipline (chanproto), Stats-counter races from
+// simulator channel discipline (chanproto, including value-level tag
+// safety: constant-folded send/recv pairing both ways and branch-divergent
+// barrier phases), Stats-counter races from
 // workers (statsrace), the Section-4 fault-recovery path (recoverpath:
 // recovery errors must be checked, recovery handlers must not spawn raw
 // goroutines or allocate from caller-held arenas), and — since PR 7, on
 // the framework's interval abstract interpretation — the NTT kernel's
 // lazy-arithmetic contracts (modbound: every lazy store provably in
 // [0, 2p), Shoup/REDC preconditions, no uint64 wraparound, strict
-// reduction before CRT recombination) and value-level tag-protocol safety
-// (tagflow: constant-folded send/recv pairing and branch-divergent barrier
-// phases). Since PR 8, protomc extracts the communication skeleton of every
+// reduction before CRT recombination). Since PR 8, protomc extracts the communication skeleton of every
 // per-processor collective and of the fault-tolerant engine and
 // model-checks them explicitly for small worlds (n in [2,5], every legal
 // root, every tolerated single fail-stop fault plan), proving
@@ -62,7 +62,6 @@ import (
 	"repro/internal/analysis/protomc"
 	"repro/internal/analysis/recoverpath"
 	"repro/internal/analysis/statsrace"
-	"repro/internal/analysis/tagflow"
 )
 
 var analyzers = []*framework.Analyzer{
@@ -75,7 +74,6 @@ var analyzers = []*framework.Analyzer{
 	statsrace.Analyzer,
 	recoverpath.Analyzer,
 	modbound.Analyzer,
-	tagflow.Analyzer,
 	protomc.Analyzer,
 	costbound.Analyzer,
 }

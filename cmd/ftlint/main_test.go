@@ -143,7 +143,7 @@ func TestJSONGolden(t *testing.T) {
 			t.Errorf("active finding carries suppressed_by: %+v", f)
 		}
 	}
-	for _, want := range []string{"accown", "natalias", "modbound", "tagflow", "protomc", "costbound"} {
+	for _, want := range []string{"accown", "natalias", "modbound", "chanproto", "protomc", "costbound"} {
 		if !seen[want] {
 			t.Errorf("no %s finding in report; the lintme fixtures seed one", want)
 		}

@@ -1,6 +1,6 @@
-// Seeds one tagflow finding: every send tag folds, and the second receive
-// waits for a value no send can produce. The paired round keeps chanproto
-// quiet — its orphan check looks at the send side.
+// Seeds one chanproto orphan-receive finding: every send tag folds, and the
+// second receive waits for a value no send can produce. The paired round
+// keeps the send-side pairing check quiet.
 package machine
 
 type Payload []float64
@@ -18,5 +18,5 @@ func roundUp(p *Proc) {
 }
 
 func waitRetired(p *Proc) {
-	_, _ = p.Recv(0, "retired/0") // tagflow: no send can produce this tag
+	_, _ = p.Recv(0, "retired/0") // chanproto: no send can produce this tag
 }

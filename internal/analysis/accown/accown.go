@@ -56,41 +56,11 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-// accState is the event stream being assembled for one NewAcc acquisition.
-type accState struct {
-	newPos     token.Pos
-	events     map[token.Pos]framework.ProtoEvent
-	escaped    bool
-	hasRelease bool // some release exists (explicit, deferred, or via helper)
-}
-
 func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 	defers := framework.CollectDeferRanges(fd.Body)
 	closures := framework.CollectBareClosures(fd.Body)
 
-	accs := make(map[types.Object]*accState)
-
-	// place routes one release/use of a tracked Acc into its event stream,
-	// applying the defer and closure rules: a deferred release arms the
-	// protocol at its registration point, a deferred use runs after every
-	// observable point, and a bare closure ends tracking.
-	place := func(st *accState, pos token.Pos, kind framework.ProtoEventKind, name string) {
-		anchor, deferred := defers.CallAt(pos)
-		switch {
-		case kind == framework.ProtoRelease && deferred:
-			st.events[anchor] = framework.ProtoEvent{Kind: framework.ProtoDeferRelease, Name: name}
-			st.hasRelease = true
-		case deferred:
-			// Deferred use: runs at exit, nothing observable follows it.
-		case closures.Contains(pos):
-			st.escaped = true
-		case kind == framework.ProtoRelease:
-			st.events[pos] = framework.ProtoEvent{Kind: framework.ProtoRelease, Name: name}
-			st.hasRelease = true
-		default:
-			st.events[pos] = framework.ProtoEvent{Kind: framework.ProtoUse, Name: name}
-		}
-	}
+	accs := make(map[types.Object]*framework.Lifecycle)
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -107,12 +77,7 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 					}
 					if callee := framework.CalleeIdent(call); callee != nil && callee.Name == "NewAcc" {
 						if obj := pass.Info.Defs[id]; obj != nil {
-							accs[obj] = &accState{
-								newPos: call.Pos(),
-								events: map[token.Pos]framework.ProtoEvent{
-									call.Pos(): {Kind: framework.ProtoAcquire, Name: "NewAcc"},
-								},
-							}
+							accs[obj] = framework.NewLifecycle(call.Pos(), "NewAcc")
 						}
 					}
 				}
@@ -121,21 +86,21 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 			// An Acc returned escapes local ownership.
 			for _, expr := range n.Results {
 				if id, ok := ast.Unparen(expr).(*ast.Ident); ok {
-					if st := accs[pass.Info.Uses[id]]; st != nil {
-						st.escaped = true
+					if lc := accs[pass.Info.Uses[id]]; lc != nil {
+						lc.Escaped = true
 					}
 				}
 			}
 		case *ast.CallExpr:
 			// Method call on a tracked Acc variable.
 			if framework.RecvTypeName(pass.Info, n) == "Acc" {
-				if st := accs[framework.ReceiverObject(pass.Info, n)]; st != nil {
+				if lc := accs[framework.ReceiverObject(pass.Info, n)]; lc != nil {
 					if callee := framework.CalleeIdent(n); callee != nil {
 						kind := framework.ProtoUse
 						if callee.Name == "Release" {
 							kind = framework.ProtoRelease
 						}
-						place(st, n.Pos(), kind, callee.Name)
+						lc.Place(defers, closures, n.Pos(), kind, callee.Name)
 					}
 				}
 			}
@@ -146,8 +111,8 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 				if !ok {
 					continue
 				}
-				st := accs[pass.Info.Uses[id]]
-				if st == nil {
+				lc := accs[pass.Info.Uses[id]]
+				if lc == nil {
 					continue
 				}
 				name := "call"
@@ -156,24 +121,24 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 				}
 				switch pass.Summaries.ArgEffect(pass.Info, n, i) {
 				case framework.ArgRelease:
-					place(st, n.Pos(), framework.ProtoRelease, name)
+					lc.Place(defers, closures, n.Pos(), framework.ProtoRelease, name)
 				case framework.ArgUse:
-					place(st, n.Pos(), framework.ProtoUse, name)
+					lc.Place(defers, closures, n.Pos(), framework.ProtoUse, name)
 				default:
-					st.escaped = true
+					lc.Escaped = true
 				}
 			}
 		case *ast.FuncLit:
 			// A bare closure capturing the Acc may run at any time (or
 			// never): any reference inside ends local tracking. Deferred
-			// closures are handled by the defer rules in place().
+			// closures are handled by the defer rules in Place.
 			if !closures.Contains(n.Pos()) {
 				return true
 			}
 			ast.Inspect(n.Body, func(m ast.Node) bool {
 				if id, ok := m.(*ast.Ident); ok {
-					if st := accs[pass.Info.Uses[id]]; st != nil {
-						st.escaped = true
+					if lc := accs[pass.Info.Uses[id]]; lc != nil {
+						lc.Escaped = true
 					}
 				}
 				return true
@@ -186,39 +151,23 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 		return
 	}
 	cfg := framework.NewCFG(fd.Body)
-
-	for obj, st := range accs {
-		if st.escaped {
-			continue // ownership handed off; the new owner is responsible
-		}
-		if !st.hasRelease {
-			pass.Reportf(st.newPos, "Acc %q from NewAcc is never released back to the pool (add `defer %s.Release()`)", obj.Name(), obj.Name())
-			continue
-		}
-
-		for _, f := range framework.CheckProtocol(cfg, st.events, fd.Body.Rbrace) {
-			switch f.Kind {
-			case framework.LeakReturn:
-				pass.Reportf(f.Pos, "return leaks Acc %q: Release is not deferred and has not run yet on this path", obj.Name())
-			case framework.LeakReturnPartial:
-				pass.Reportf(f.Pos, "return leaks Acc %q on some path: Release does not run on every path reaching this return", obj.Name())
-			case framework.LeakExit:
-				pass.Reportf(f.Pos, "function exit leaks Acc %q: Release never runs before falling off the end", obj.Name())
-			case framework.LeakExitPartial:
-				pass.Reportf(f.Pos, "Acc %q is not released on every path to the function exit (Release runs in a branch or loop that may be skipped)", obj.Name())
-			case framework.UseAfterRelease:
-				pass.Reportf(f.Pos, "use of Acc %q after Release: the accumulator is back in the pool", obj.Name())
-			case framework.UseAfterReleasePartial:
-				pass.Reportf(f.Pos, "use of Acc %q after Release on some path (a branch or previous loop iteration already released it)", obj.Name())
-			case framework.DoubleRelease:
-				pass.Reportf(f.Pos, "Acc %q released twice: the second Release corrupts the pool", obj.Name())
-			case framework.DoubleReleasePartial:
-				pass.Reportf(f.Pos, "Acc %q may be released twice (a path reaches this Release with the Acc already released)", obj.Name())
-			case framework.DeferDoubleRelease:
-				pass.Reportf(f.Pos, "Acc %q exits already released with `defer Release` still armed: the defer releases it a second time", obj.Name())
-			case framework.DeferDoubleReleasePartial:
-				pass.Reportf(f.Pos, "Acc %q may exit already released with `defer Release` still armed (some path releases it explicitly before the defer fires)", obj.Name())
-			}
-		}
+	for obj, lc := range accs {
+		framework.CheckLifecycle(pass, cfg, fd.Body, obj, lc, accMessages)
 	}
+}
+
+var accMessages = framework.LifecycleMessages{
+	NeverReleased: "Acc %[1]q from NewAcc is never released back to the pool (add `defer %[1]s.Release()`)",
+	Kinds: map[framework.ProtoFindingKind]string{
+		framework.LeakReturn:                "return leaks Acc %q: Release is not deferred and has not run yet on this path",
+		framework.LeakReturnPartial:         "return leaks Acc %q on some path: Release does not run on every path reaching this return",
+		framework.LeakExit:                  "function exit leaks Acc %q: Release never runs before falling off the end",
+		framework.LeakExitPartial:           "Acc %q is not released on every path to the function exit (Release runs in a branch or loop that may be skipped)",
+		framework.UseAfterRelease:           "use of Acc %q after Release: the accumulator is back in the pool",
+		framework.UseAfterReleasePartial:    "use of Acc %q after Release on some path (a branch or previous loop iteration already released it)",
+		framework.DoubleRelease:             "Acc %q released twice: the second Release corrupts the pool",
+		framework.DoubleReleasePartial:      "Acc %q may be released twice (a path reaches this Release with the Acc already released)",
+		framework.DeferDoubleRelease:        "Acc %q exits already released with `defer Release` still armed: the defer releases it a second time",
+		framework.DeferDoubleReleasePartial: "Acc %q may exit already released with `defer Release` still armed (some path releases it explicitly before the defer fires)",
+	},
 }

@@ -54,53 +54,14 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-// lifecycle tracks one protocol object's call sites within a function.
-type lifecycle struct {
-	acquirePos token.Pos // CallExpr position of getArena()/mark()
-	events     map[token.Pos]framework.ProtoEvent
-	hasRelease bool // some release exists (explicit, deferred, or via helper)
-	escaped    bool // handed to unknown code; local tracking ends
-}
-
-func newLifecycle(pos token.Pos, acquireName string) *lifecycle {
-	return &lifecycle{
-		acquirePos: pos,
-		events: map[token.Pos]framework.ProtoEvent{
-			pos: {Kind: framework.ProtoAcquire, Name: acquireName},
-		},
-	}
-}
-
-// place routes one event into the stream, applying the defer and closure
-// rules: a deferred release arms the protocol at its registration point, a
-// deferred use runs after every observable point, and a reference inside a
-// bare (non-deferred) closure ends tracking.
-func (lc *lifecycle) place(defers framework.DeferRanges, closures framework.ClosureSpans, pos token.Pos, kind framework.ProtoEventKind, name string) {
-	anchor, deferred := defers.CallAt(pos)
-	switch {
-	case kind == framework.ProtoRelease && deferred:
-		lc.events[anchor] = framework.ProtoEvent{Kind: framework.ProtoDeferRelease, Name: name}
-		lc.hasRelease = true
-	case deferred:
-		// Deferred use: runs at exit, nothing observable follows it.
-	case closures.Contains(pos):
-		lc.escaped = true
-	case kind == framework.ProtoRelease:
-		lc.events[pos] = framework.ProtoEvent{Kind: framework.ProtoRelease, Name: name}
-		lc.hasRelease = true
-	default:
-		lc.events[pos] = framework.ProtoEvent{Kind: framework.ProtoUse, Name: name}
-	}
-}
-
 func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 	defers := framework.CollectDeferRanges(fd.Body)
 	closures := framework.CollectBareClosures(fd.Body)
 
-	arenas := make(map[types.Object]*lifecycle)    // var := getArena()
-	marks := make(map[types.Object]*lifecycle)     // m := ar.mark()
-	allocVars := make(map[types.Object]token.Pos)  // z := ar.alloc(n)
-	firstAlloc := make(map[types.Object]token.Pos) // arena -> earliest alloc pos
+	arenas := make(map[types.Object]*framework.Lifecycle) // var := getArena()
+	marks := make(map[types.Object]*framework.Lifecycle)  // m := ar.mark()
+	allocVars := make(map[types.Object]token.Pos)         // z := ar.alloc(n)
+	firstAlloc := make(map[types.Object]token.Pos)        // arena -> earliest alloc pos
 
 	recordDef := func(lhs ast.Expr, rhs ast.Expr) {
 		id, ok := lhs.(*ast.Ident)
@@ -116,14 +77,14 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 			return
 		}
 		if callee := framework.CalleeIdent(call); callee != nil && callee.Name == "getArena" {
-			arenas[obj] = newLifecycle(call.Pos(), "getArena")
+			arenas[obj] = framework.NewLifecycle(call.Pos(), "getArena")
 			return
 		}
 		if recv := framework.RecvTypeName(pass.Info, call); recv == "arena" {
 			callee := framework.CalleeIdent(call)
 			switch callee.Name {
 			case "mark":
-				marks[obj] = newLifecycle(call.Pos(), "mark")
+				marks[obj] = framework.NewLifecycle(call.Pos(), "mark")
 			case "alloc":
 				allocVars[obj] = call.Pos()
 			}
@@ -151,10 +112,10 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 				if id, ok := m.(*ast.Ident); ok {
 					obj := pass.Info.Uses[id]
 					if lc := arenas[obj]; lc != nil {
-						lc.escaped = true
+						lc.Escaped = true
 					}
 					if lc := marks[obj]; lc != nil {
-						lc.escaped = true
+						lc.Escaped = true
 					}
 				}
 				return true
@@ -167,7 +128,7 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 				for _, arg := range n.Args {
 					if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
 						if lc := arenas[pass.Info.Uses[id]]; lc != nil {
-							lc.escaped = true
+							lc.Escaped = true
 						}
 					}
 				}
@@ -176,7 +137,7 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 			if callee.Name == "putArena" && len(n.Args) == 1 {
 				if id, ok := ast.Unparen(n.Args[0]).(*ast.Ident); ok {
 					if lc := arenas[pass.Info.Uses[id]]; lc != nil {
-						lc.place(defers, closures, n.Pos(), framework.ProtoRelease, "putArena")
+						lc.Place(defers, closures, n.Pos(), framework.ProtoRelease, "putArena")
 					}
 				}
 				return true
@@ -197,18 +158,18 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 					}
 					switch pass.Summaries.ArgEffect(pass.Info, n, i) {
 					case framework.ArgRelease:
-						lc.place(defers, closures, n.Pos(), framework.ProtoRelease, callee.Name)
+						lc.Place(defers, closures, n.Pos(), framework.ProtoRelease, callee.Name)
 					case framework.ArgUse:
-						lc.place(defers, closures, n.Pos(), framework.ProtoUse, callee.Name)
+						lc.Place(defers, closures, n.Pos(), framework.ProtoUse, callee.Name)
 					default:
-						lc.escaped = true
+						lc.Escaped = true
 					}
 				}
 				return true
 			}
 			recvObj := framework.ReceiverObject(pass.Info, n)
 			if lc := arenas[recvObj]; lc != nil {
-				lc.place(defers, closures, n.Pos(), framework.ProtoUse, callee.Name)
+				lc.Place(defers, closures, n.Pos(), framework.ProtoUse, callee.Name)
 			}
 			switch callee.Name {
 			case "alloc":
@@ -233,7 +194,7 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 					}
 					obj := pass.Info.Uses[id]
 					if lc := marks[obj]; lc != nil {
-						lc.place(defers, closures, n.Pos(), framework.ProtoRelease, "release")
+						lc.Place(defers, closures, n.Pos(), framework.ProtoRelease, "release")
 					} else {
 						pass.Reportf(n.Pos(), "release() argument %q does not come from mark()", id.Name)
 					}
@@ -247,10 +208,10 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 		cfg := framework.NewCFG(fd.Body)
 
 		for obj, lc := range arenas {
-			checkLifecycle(pass, cfg, fd, obj, lc, arenaMessages)
+			framework.CheckLifecycle(pass, cfg, fd.Body, obj, lc, arenaMessages)
 		}
 		for obj, lc := range marks {
-			checkLifecycle(pass, cfg, fd, obj, lc, markMessages)
+			framework.CheckLifecycle(pass, cfg, fd.Body, obj, lc, markMessages)
 		}
 	}
 
@@ -274,15 +235,9 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 	}
 }
 
-// lifecycleMessages renders protocol findings for one object family.
-type lifecycleMessages struct {
-	neverReleased string // format: obj name
-	kinds         map[framework.ProtoFindingKind]string
-}
-
-var arenaMessages = lifecycleMessages{
-	neverReleased: "arena %q obtained from getArena is never returned with putArena",
-	kinds: map[framework.ProtoFindingKind]string{
+var arenaMessages = framework.LifecycleMessages{
+	NeverReleased: "arena %q obtained from getArena is never returned with putArena",
+	Kinds: map[framework.ProtoFindingKind]string{
 		framework.LeakReturn:                "return leaks arena %q: putArena is not deferred and has not run yet on this path",
 		framework.LeakReturnPartial:         "return leaks arena %q on some path: putArena does not run on every path reaching this return",
 		framework.LeakExit:                  "function exit leaks arena %q: putArena never runs before falling off the end",
@@ -296,9 +251,9 @@ var arenaMessages = lifecycleMessages{
 	},
 }
 
-var markMessages = lifecycleMessages{
-	neverReleased: "mark() result %q has no matching release() in this function",
-	kinds: map[framework.ProtoFindingKind]string{
+var markMessages = framework.LifecycleMessages{
+	NeverReleased: "mark() result %q has no matching release() in this function",
+	Kinds: map[framework.ProtoFindingKind]string{
 		framework.LeakReturn:                "return leaves mark %q unreleased: release() has not run on this path",
 		framework.LeakReturnPartial:         "return leaves mark %q unreleased on some path: release() does not run on every path reaching this return",
 		framework.LeakExit:                  "function exit leaves mark %q unreleased",
@@ -310,19 +265,4 @@ var markMessages = lifecycleMessages{
 		framework.DeferDoubleRelease:        "mark %q exits already released with a deferred release() still armed: the defer rewinds it a second time",
 		framework.DeferDoubleReleasePartial: "mark %q may exit already released with a deferred release() still armed (some path releases it explicitly before the defer fires)",
 	},
-}
-
-func checkLifecycle(pass *framework.Pass, cfg *framework.CFG, fd *ast.FuncDecl, obj types.Object, lc *lifecycle, msgs lifecycleMessages) {
-	if lc.escaped {
-		return // handed off; the new owner is responsible
-	}
-	if !lc.hasRelease {
-		pass.Reportf(lc.acquirePos, msgs.neverReleased, obj.Name())
-		return
-	}
-	for _, f := range framework.CheckProtocol(cfg, lc.events, fd.Body.Rbrace) {
-		if msg := msgs.kinds[f.Kind]; msg != "" {
-			pass.Reportf(f.Pos, msg, obj.Name())
-		}
-	}
 }

@@ -12,6 +12,17 @@
 //     values do NOT pair), falling back to expression text when either
 //     side is symbolic, so `tag+"/down"` still pairs with `tag+"/down"`
 //     and fmt.Sprintf patterns with their textual twins;
+//   - symmetrically, a receive whose tag folds to a constant no send in the
+//     package can produce is an orphan receive: the process blocks on a
+//     message that never arrives. The check only claims anything when every
+//     send tag in the package also folds — one symbolic send tag can
+//     produce any value, so the package goes conservatively silent. A
+//     receive whose textual twin on the send side folds to a different
+//     value is reported as a fold divergence, the sharper diagnosis;
+//   - an if/else whose two branches both reach Barrier calls but on
+//     different folded phase sets is a deadlock shape: processes taking
+//     different sides wait on barriers the other side never enters. Only
+//     claimed when both branches' phases all fold;
 //   - no Proc communication may be reachable after Machine.Run has returned
 //     in the same function — Run tears the machine down, so a later
 //     Send/Recv can never complete. This is a forward dataflow fact over the
@@ -24,21 +35,25 @@
 //     worker goroutines and are exempt.
 //
 // Like the other ftlint analyzers, matching is by name (methods on types
-// named Proc and Machine), so the checks work on the real tree and on
-// import-free fixtures alike.
+// named Proc, Endpoint and Machine), so the checks work on the real tree and
+// on import-free fixtures alike. Tags cross the transport seam unchanged, so
+// transport Endpoint traffic feeds the receive-side checks too.
 package chanproto
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"sort"
+	"strings"
 
 	"repro/internal/analysis/framework"
 )
 
 var Analyzer = &framework.Analyzer{
 	Name: "chanproto",
-	Doc:  "check Send/Recv tag pairing, no Proc traffic after Machine.Run, and no blocking raw sends on the host goroutine",
+	Doc:  "check Send/Recv tag pairing by text and folded value, branch-divergent barrier phases, no Proc traffic after Machine.Run, and no blocking raw sends on the host goroutine",
 	Run:  run,
 }
 
@@ -49,8 +64,8 @@ var Analyzer = &framework.Analyzer{
 // in scope.
 var governed = []string{"machine", "collective", "ftengine", "ftparallel", "ftmatmul", "transport", "simnet", "wallnet"}
 
-// procComm maps Proc method names to the argument index of their tag, for
-// the methods that move messages. The tag is always the second argument.
+// procComm names the methods that move messages; their tag is always the
+// second argument. Barrier's phase is its first.
 var procComm = map[string]bool{
 	"Send":         true,
 	"Recv":         true,
@@ -72,6 +87,7 @@ func run(pass *framework.Pass) error {
 
 	checkTagPairing(pass)
 	framework.FuncDecls(pass.Files, func(fd *ast.FuncDecl) {
+		checkBarrierDivergence(pass, fd)
 		checkShutdownOrder(pass, fd)
 		checkHostSends(pass, fd)
 	})
@@ -82,49 +98,61 @@ func run(pass *framework.Pass) error {
 // its constant-folded value when the type checker knows one.
 type tagSite struct {
 	pos    token.Pos
+	method string
+	proc   bool // on a Proc, as opposed to a transport Endpoint
 	text   string
 	val    string
 	folded bool
 }
 
-// tagOf captures the tag argument of a communication call.
-func tagOf(pass *framework.Pass, call *ast.CallExpr) (tagSite, bool) {
-	if len(call.Args) < 2 {
+// commCall classifies a call as Proc or Endpoint communication and returns
+// its method name and tag (or Barrier phase) site.
+func commCall(pass *framework.Pass, call *ast.CallExpr) (tagSite, bool) {
+	recv := framework.RecvTypeName(pass.Info, call)
+	if recv != "Proc" && recv != "Endpoint" {
 		return tagSite{}, false
 	}
-	arg := call.Args[1]
-	s := tagSite{pos: call.Pos(), text: types.ExprString(arg)}
+	callee := framework.CalleeIdent(call)
+	if callee == nil {
+		return tagSite{}, false
+	}
+	idx := 1
+	if callee.Name == "Barrier" {
+		idx = 0
+	} else if !procComm[callee.Name] {
+		return tagSite{}, false
+	}
+	if idx >= len(call.Args) {
+		return tagSite{}, false
+	}
+	arg := call.Args[idx]
+	s := tagSite{pos: call.Pos(), method: callee.Name, proc: recv == "Proc", text: types.ExprString(arg)}
 	if tv, ok := pass.Info.Types[arg]; ok && tv.Value != nil {
 		s.val, s.folded = tv.Value.ExactString(), true
 	}
 	return s, true
 }
 
-// checkTagPairing collects every Proc.Send tag in the package and reports the
-// ones no Recv variant can consume. Folded tags pair by value; a pair where
-// either side is symbolic falls back to text equality. Two sides that both
-// fold to different values never pair, however identical they read.
+// checkTagPairing pairs the package's send and receive tags both ways.
+// Every Proc.Send needs a Proc receive that can consume it: folded tags pair
+// by value, and a pair where either side is symbolic falls back to text
+// equality. Every folded receive (Proc or Endpoint) needs a send that can
+// produce its value, claimed only when all send tags fold.
 func checkTagPairing(pass *framework.Pass) {
 	var sends, recvs []tagSite
-
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || framework.RecvTypeName(pass.Info, call) != "Proc" {
-				return true
-			}
-			callee := framework.CalleeIdent(call)
-			if callee == nil || !procComm[callee.Name] {
-				return true
-			}
-			tag, ok := tagOf(pass, call)
 			if !ok {
 				return true
 			}
-			if callee.Name == "Send" {
-				sends = append(sends, tag)
-			} else {
-				recvs = append(recvs, tag)
+			s, ok := commCall(pass, call)
+			switch {
+			case !ok || s.method == "Barrier":
+			case s.method == "Send":
+				sends = append(sends, s)
+			default:
+				recvs = append(recvs, s)
 			}
 			return true
 		})
@@ -136,6 +164,9 @@ func checkTagPairing(pass *framework.Pass) {
 	recvTextSym := make(map[string]bool)
 	recvTexts := make(map[string]bool)
 	for _, r := range recvs {
+		if !r.proc {
+			continue
+		}
 		recvTexts[r.text] = true
 		if r.folded {
 			recvVals[r.val] = true
@@ -143,8 +174,17 @@ func checkTagPairing(pass *framework.Pass) {
 			recvTextSym[r.text] = true
 		}
 	}
-
+	sendVals := map[string]bool{}
+	allSendsFolded := true
 	for _, s := range sends {
+		if s.folded {
+			sendVals[s.val] = true
+		} else {
+			allSendsFolded = false
+		}
+		if !s.proc {
+			continue
+		}
 		switch {
 		case s.folded && recvVals[s.val]:
 			continue // value-paired
@@ -155,6 +195,80 @@ func checkTagPairing(pass *framework.Pass) {
 		}
 		pass.Reportf(s.pos, "Proc.Send with tag %s has no matching Recv in package %s: the message can never be consumed", s.text, pass.Path)
 	}
+
+	for _, r := range recvs {
+		if !r.folded || sendVals[r.val] {
+			continue // symbolic, or value-paired with some send
+		}
+		// Fold divergence: a textual twin on the send side with a different
+		// constant value is the sharper diagnosis.
+		diverged := false
+		for _, s := range sends {
+			if s.folded && s.text == r.text && s.val != r.val {
+				pass.Reportf(r.pos, "Proc.%s tag %s folds to %s here but the identically-written send tag folds to %s: text pairing matches, the values never will", r.method, r.text, r.val, s.val)
+				diverged = true
+				break
+			}
+		}
+		if !diverged && len(sends) > 0 && allSendsFolded {
+			pass.Reportf(r.pos, "Proc.%s waits for tag %s but no Send in package %s can produce it: the receive blocks until teardown", r.method, r.val, pass.Path)
+		}
+	}
+}
+
+// phaseSet collects the folded Barrier phases shallowly reachable in a
+// branch. allFolded is false if any reachable phase is symbolic.
+func phaseSet(pass *framework.Pass, branch ast.Node) (map[string]bool, bool) {
+	phases := map[string]bool{}
+	allFolded := true
+	framework.InspectShallow(branch, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		s, ok := commCall(pass, call)
+		if !ok || s.method != "Barrier" {
+			return true
+		}
+		if s.folded {
+			phases[s.val] = true
+		} else {
+			allFolded = false
+		}
+		return true
+	})
+	return phases, allFolded
+}
+
+// checkBarrierDivergence flags if/else statements whose branches barrier on
+// different folded phase sets.
+func checkBarrierDivergence(pass *framework.Pass, fd *ast.FuncDecl) {
+	framework.InspectShallow(fd.Body, func(n ast.Node) bool {
+		ifs, ok := n.(*ast.IfStmt)
+		if !ok || ifs.Else == nil {
+			return true
+		}
+		thenPhases, thenFolded := phaseSet(pass, ifs.Body)
+		elsePhases, elseFolded := phaseSet(pass, ifs.Else)
+		if !thenFolded || !elseFolded || len(thenPhases) == 0 || len(elsePhases) == 0 {
+			return true
+		}
+		if !maps.Equal(thenPhases, elsePhases) {
+			pass.Reportf(ifs.Pos(), "if/else branches synchronize on different barrier phases (%s vs %s): processes taking different sides deadlock", setString(thenPhases), setString(elsePhases))
+		}
+		return true
+	})
+}
+
+// setString renders a phase set in sorted order, for deterministic
+// diagnostics and golden files.
+func setString(s map[string]bool) string {
+	keys := make([]string, 0, len(s))
+	for k := range s {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return "{" + strings.Join(keys, ", ") + "}"
 }
 
 // checkShutdownOrder flags Proc communication reachable after a call to

@@ -48,7 +48,7 @@ func shadowedSend(p *Proc, x Ints) {
 
 func shadowedRecv(p *Proc) {
 	const tag = "shadow/b"
-	_, _ = p.RecvInts(0, tag)
+	_, _ = p.RecvInts(0, tag) // want "text pairing matches, the values never will"
 }
 
 // crossNamed: a literal send tag pairs with a receive naming it through a

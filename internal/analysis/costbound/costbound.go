@@ -32,13 +32,12 @@ var (
 	testMutateCounts  func(world string, c Counts) Counts
 )
 
-// worldPaths maps package paths to the multiplication worlds certified
-// against their Multiply entry point.
+// worldsFor returns the certified worlds whose Multiply entry the package
+// at path declares.
 func worldsFor(path string) []World {
 	var out []World
 	for _, w := range Worlds() {
-		if (w.FT && path == "repro/internal/ftparallel") ||
-			(!w.FT && path == "repro/internal/parallel") {
+		if w.Entry() == path {
 			out = append(out, w)
 		}
 	}
@@ -81,7 +80,7 @@ func checkCollectives(pass *framework.Pass) {
 			}
 			derived, err := deriveCollective(pass.Summaries, pass.Fset, node)
 			if err != nil {
-				if _, incomplete := err.(missingNode); incomplete {
+				if _, incomplete := err.(framework.Missing); incomplete {
 					continue // partial load set: not this package's fault
 				}
 				pass.Reportf(fd.Name.Pos(),
@@ -111,21 +110,7 @@ func checkCollectives(pass *framework.Pass) {
 // finite world and compares the per-counter maxima with the Table 2
 // recurrence values.
 func checkWorlds(pass *framework.Pass, worlds []World) {
-	var entryDecl *ast.FuncDecl
-	var entryFn *types.Func
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if ok && fd.Recv == nil && fd.Name.Name == "Multiply" {
-				entryDecl = fd
-				entryFn, _ = pass.Info.Defs[fd.Name].(*types.Func)
-			}
-		}
-	}
-	if entryDecl == nil || entryFn == nil {
-		return
-	}
-	node := nodeForDecl(pass.Summaries, entryFn)
+	node := framework.MultiplyEntry(pass.Summaries, pass.Pkg)
 	if node == nil {
 		return
 	}
@@ -136,17 +121,17 @@ func checkWorlds(pass *framework.Pass, worlds []World) {
 		}
 		derived, err := deriveWorld(pass.Summaries, pass.Fset, node, w)
 		if err != nil {
-			if _, incomplete := err.(missingNode); incomplete {
+			if _, incomplete := err.(framework.Missing); incomplete {
 				return // partial load set (single-package run): skip all worlds
 			}
-			pass.Reportf(entryDecl.Name.Pos(),
+			pass.Reportf(node.Decl.Name.Pos(),
 				"cannot certify world %s: %v", w.Name, err)
 			continue
 		}
 		if derived == expected {
 			continue
 		}
-		pass.ReportFormula(entryDecl.Name.Pos(),
+		pass.ReportFormula(node.Decl.Name.Pos(),
 			fmt.Sprintf("derived F=%d S=%d R=%d L=%d ≠ expected F=%d S=%d R=%d L=%d",
 				derived.F, derived.S, derived.R, derived.L,
 				expected.F, expected.S, expected.R, expected.L),
@@ -160,15 +145,7 @@ func checkWorlds(pass *framework.Pass, worlds []World) {
 // DeriveWorldCounts exposes the interpreter's per-world derivation for the
 // crosscheck suite (static table vs. abstract interpretation vs. runtime).
 func DeriveWorldCounts(sums *framework.Summaries, pkg *framework.Package, w World) (Counts, error) {
-	var fn *types.Func
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "Multiply" {
-				fn, _ = pkg.Info.Defs[fd.Name].(*types.Func)
-			}
-		}
-	}
-	node := nodeForDecl(sums, fn)
+	node := framework.MultiplyEntry(sums, pkg.Types)
 	if node == nil {
 		return Counts{}, fmt.Errorf("no Multiply entry in %s", pkg.Path)
 	}

@@ -114,31 +114,24 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// World describes one finite configuration of a multiplication tier
-// together with the paper's expected cost maxima.
+// World is one certified multiplication world of the shared list together
+// with the paper's expected cost maxima.
 type World struct {
-	Name     string
-	FT       bool // ftparallel.Multiply vs parallel.Multiply
-	P        int  // worker processors
-	K        int  // Toom-Cook parameter
-	Faults   int  // FT redundancy F (zero injected faults)
-	DFSSteps int
-	Leaf     int // LeafFactor
+	framework.MultiplyWorld
 	Digits   int // total digit count the plan derives
 	Expected Counts
 }
 
-// Worlds returns the certified crosscheck worlds: both tiers, with and
-// without a DFS level, smallest legal grids.
+// Worlds returns the certified crosscheck worlds: the shared world list's
+// zero-fault worlds (the straggler variant's deadline receives are
+// model-checked, not cost-certified).
 func Worlds() []World {
-	ws := []World{
-		{Name: "parallel/P3k2", FT: false, P: 3, K: 2, DFSSteps: 0, Leaf: 1},
-		{Name: "parallel/P3k2+dfs", FT: false, P: 3, K: 2, DFSSteps: 1, Leaf: 1},
-		{Name: "ftparallel/P3k2F1", FT: true, P: 3, K: 2, Faults: 1, DFSSteps: 0, Leaf: 1},
-		{Name: "ftparallel/P3k2F1+dfs", FT: true, P: 3, K: 2, Faults: 1, DFSSteps: 1, Leaf: 1},
-	}
-	for i := range ws {
-		w := &ws[i]
+	var ws []World
+	for _, mw := range framework.MultiplyWorlds() {
+		if mw.Straggler {
+			continue
+		}
+		w := World{MultiplyWorld: mw}
 		cols := 2*w.K - 1
 		levels := w.DFSSteps + intLog(w.P, cols)
 		w.Digits = ipow(w.K, levels) * w.Leaf * w.P
@@ -147,6 +140,7 @@ func Worlds() []World {
 		} else {
 			w.Expected = parallelCounts(w.P, w.K, w.DFSSteps, w.Digits)
 		}
+		ws = append(ws, w)
 	}
 	return ws
 }
@@ -192,15 +186,15 @@ func parallelNode(c *Counts, g, s, k, ldfs, level int) {
 	case g > 1:
 		// BFS step on the (g/(2k-1)) × (2k-1) grid.
 		lb := s / k
-		c.F += int64(4 * cols * s)            // evaluate all 2k-1 rows of both operands
-		c.S += int64(2 * (cols - 1) * lb)     // downward exchange (operands A and B)
+		c.F += int64(4 * cols * s)        // evaluate all 2k-1 rows of both operands
+		c.S += int64(2 * (cols - 1) * lb) // downward exchange (operands A and B)
 		c.R += int64(2 * (cols - 1) * lb)
 		c.L += int64(2 * (cols - 1))
 		parallelNode(c, g/cols, lb*cols, k, ldfs, level+1)
-		c.S += int64((cols - 1) * 2 * lb)     // upward exchange of product classes
+		c.S += int64((cols - 1) * 2 * lb) // upward exchange of product classes
 		c.R += int64((cols - 1) * 2 * lb)
 		c.L += int64(cols - 1)
-		c.F += int64(4 * cols * cols * lb)    // fold: (2k-1)² weights over 2·(s/k) entries
+		c.F += int64(4 * cols * cols * lb) // fold: (2k-1)² weights over 2·(s/k) entries
 	default:
 		// Leaf: recompose (2s word-ops) and multiply (s² schoolbook bound).
 		c.F += int64(2*s + s*s)
@@ -245,7 +239,7 @@ func ftCounts(p, k, faults, ldfs, digits int) Counts {
 func ftNode(worker, linear, poly *Counts, p, k, faults, gP int, logT int64, lenTotal, ldfs, level int) {
 	cols := 2*k - 1
 	if level < ldfs {
-		// DFS level: workers evaluate both operands locally (applyRowBlocks
+		// DFS level: workers evaluate both operands locally (parallel.EvalRowBlocks
 		// over the 2·lenTotal/P-word share, twice) and accumulate each
 		// child product into the 2k-1 coefficient blocks; code ranks only
 		// follow the recursion.

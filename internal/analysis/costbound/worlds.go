@@ -1,6 +1,6 @@
 package costbound
 
-// worlds.go drives the interpreter: symbolic derivation of a collective's
+// worlds.go drives the evaluator: symbolic derivation of a collective's
 // closed form from its declaration, and the send-log fixpoint that derives
 // exact per-rank counts for a finite multiplication world.
 
@@ -29,18 +29,18 @@ func nodeForDecl(sums *framework.Summaries, obj *types.Func) *framework.CGNode {
 // parameters follow the Broadcast/Reduce shape: an endpoint, a group, any
 // number of int/string scalars, and one payload vector. Returns false if a
 // parameter falls outside that shape.
-func collectiveArgs(sig *types.Signature) ([]val, bool) {
-	args := make([]val, 0, sig.Params().Len())
+func collectiveArgs(sig *types.Signature) ([]Value, bool) {
+	args := make([]Value, 0, sig.Params().Len())
 	payloads := 0
 	for i := 0; i < sig.Params().Len(); i++ {
 		t := sig.Params().At(i).Type()
 		switch {
 		case framework.NamedTypeName(t) == "Proc":
-			args = append(args, procVal(-1))
+			args = append(args, proc{rank: -1})
 		case framework.NamedTypeName(t) == "Group":
-			args = append(args, val{k: kGroupSym, n: framework.SymVar("g")})
-		case isIntVecType(t) || framework.NamedTypeName(t) == "Ints":
-			args = append(args, vecVal(framework.SymVar("W")))
+			args = append(args, group{framework.SymVar("g")})
+		case framework.IsLimbVector(t) || framework.NamedTypeName(t) == "Ints":
+			args = append(args, vec{framework.SymInt(framework.SymVar("W"))})
 			payloads++
 		default:
 			b, ok := t.Underlying().(*types.Basic)
@@ -49,15 +49,30 @@ func collectiveArgs(sig *types.Signature) ([]val, bool) {
 			}
 			switch {
 			case b.Info()&types.IsInteger != 0:
-				args = append(args, intVal(0))
+				args = append(args, framework.KnownInt(0))
 			case b.Info()&types.IsString != 0:
-				args = append(args, strVal("t"))
+				args = append(args, framework.KnownStr("t"))
 			default:
 				return nil, false
 			}
 		}
 	}
 	return args, payloads == 1
+}
+
+// evalErr converts an evaluation abort into an error carrying its
+// position; a partial load set stays a framework.Missing.
+func evalErr(fset *token.FileSet, r any) error {
+	switch e := r.(type) {
+	case *framework.EvalError:
+		if fset != nil && e.Pos.IsValid() {
+			return fmt.Errorf("%s: costbound: %s", fset.Position(e.Pos), e.Msg)
+		}
+		return e
+	case framework.Missing:
+		return e
+	}
+	panic(r)
 }
 
 // deriveCollective interprets one collective declaration symbolically and
@@ -72,102 +87,70 @@ func deriveCollective(sums *framework.Summaries, fset *token.FileSet, node *fram
 	if !ok {
 		return costVec{}, fmt.Errorf("parameters of %s fall outside the collective shape", node.Key)
 	}
-	d := &deriver{
-		sums:     sums,
-		fset:     fset,
-		symbolic: true,
-		spmdW:    framework.SymVar("W"),
-		pkg:      node.Pkg,
-		fuel:     hostFuel,
-	}
+	d := &deriver{symbolic: true, spmdW: framework.SymVar("W")}
 	defer func() {
-		if rec := recover(); rec != nil {
-			switch e := rec.(type) {
-			case interpErr:
-				err = e
-			case missingNode:
-				err = e
-			default:
-				panic(rec)
-			}
+		if r := recover(); r != nil {
+			err = evalErr(fset, r)
 		}
 	}()
-	d.callNode(node, nil, args, nil)
+	framework.NewEval(sums, d, hostFuel).CallNode(node, nil, args, nil)
 	return d.cost, nil
 }
 
-// worldArgs builds the (a, b, opts) arguments for a tier's Multiply entry.
-// opts starts from the real Options type's zero value, so every field the
-// interpreted sources read is present, then the world's shape parameters
-// are filled in.
-func worldArgs(entry *framework.CGNode, w World) ([]val, error) {
-	sig, _ := entry.Fn.Type().(*types.Signature)
-	if sig == nil || sig.Params().Len() != 3 {
-		return nil, fmt.Errorf("entry %s does not look like Multiply(a, b, opts)", entry.Key)
-	}
-	opts := zeroVal(sig.Params().At(2).Type())
-	if opts.k != kStruct {
-		return nil, fmt.Errorf("entry %s has a non-struct options parameter", entry.Key)
-	}
-	alg := structV("Algorithm")
-	alg.st.fields["k"] = intVal(int64(w.K))
-	f := opts.st.fields
-	f["Alg"] = alg
-	f["P"] = intVal(int64(w.P))
-	f["DFSSteps"] = intVal(int64(w.DFSSteps))
-	f["LeafFactor"] = intVal(int64(w.Leaf))
-	if w.FT {
-		f["F"] = intVal(int64(w.Faults))
-	}
-	return []val{unitBig(), unitBig(), opts}, nil
-}
-
-// deriveWorld interprets a Multiply entry over one finite world, iterating
-// the cross-rank send log to a fixpoint, and returns the per-counter maxima
-// over all simulated ranks.
+// deriveWorld interprets a Multiply entry over one finite world and returns
+// the per-counter maxima over all simulated ranks. Each pass interprets the
+// entry on the host up to Machine.Run, then the captured SPMD program once
+// per rank; message sizes cross rank boundaries through a send log: each
+// Send records its payload words under (src→dst, tag) and each RecvInts
+// pops the matching entry of the previous pass, until the log reaches a
+// fixpoint (one pass per pipeline phase that feeds shapes forward).
 func deriveWorld(sums *framework.Summaries, fset *token.FileSet, entry *framework.CGNode, w World) (Counts, error) {
-	args, err := worldArgs(entry, w)
-	if err != nil {
-		return Counts{}, err
-	}
 	prev := map[string][]int64{}
 	var lastFail error
 	for pass := 0; pass < maxFixpointPasses; pass++ {
-		d := &deriver{
-			sums:      sums,
-			fset:      fset,
-			machineP:  int64(w.MachineP()),
-			prevLog:   prev,
-			curLog:    map[string][]int64{},
-			recvCur:   map[string]int{},
-			rankCosts: map[int64]costVec{},
-			rankFail:  map[int64]error{},
-			pkg:       entry.Pkg,
-			fuel:      hostFuel,
-		}
-		reachedRun, err := runEntry(d, entry, args)
+		d := &deriver{prevLog: prev, curLog: map[string][]int64{}, recvCur: map[string]int{}}
+		ev := framework.NewEval(sums, d, hostFuel)
+		alg := &framework.Struct{Type: "Algorithm", Fields: map[string]Value{"k": framework.KnownInt(int64(w.K))}}
+		args, err := ev.MultiplyArgs(entry, w.MultiplyWorld, alg)
 		if err != nil {
 			return Counts{}, err
 		}
-		if !reachedRun {
-			return Counts{}, fmt.Errorf("world %s: entry finished without reaching machine.Run", w.Name)
+		p, prog, err := ev.CaptureRun(entry, args)
+		if err != nil {
+			if e, ok := err.(*framework.EvalError); ok {
+				err = evalErr(fset, e)
+			}
+			return Counts{}, err
 		}
+		d.machineP = p
+		// Every rank runs even after one fails: its sends feed the log.
+		costs := make([]costVec, p)
 		lastFail = nil
-		for r := int64(0); r < d.machineP; r++ {
-			if e, bad := d.rankFail[r]; bad {
-				lastFail = fmt.Errorf("rank %d: %v", r, e)
-				break
+		for r := int64(0); r < p; r++ {
+			d.rank, d.cost, d.joinDepth = r, costVec{}, 0
+			*ev.Fuel = rankFuel
+			err := func() (err error) {
+				defer func() {
+					if rec := recover(); rec != nil {
+						ev.Reset()
+						err = evalErr(fset, rec)
+					}
+				}()
+				ev.CallValue(prog, []Value{proc{rank: r}}, nil, entry.Decl.Pos())
+				costs[r] = d.cost
+				return nil
+			}()
+			if _, incomplete := err.(framework.Missing); incomplete {
+				return Counts{}, err
+			}
+			if err != nil && lastFail == nil {
+				lastFail = fmt.Errorf("rank %d: %v", r, err)
 			}
 		}
 		if lastFail == nil && !d.logMiss && logsEqual(prev, d.curLog) {
 			out := Counts{}
-			env := map[string]int64{}
-			for r := int64(0); r < d.machineP; r++ {
-				cv, ok := d.rankCosts[r]
-				if !ok {
-					return Counts{}, fmt.Errorf("world %s: rank %d produced no cost", w.Name, r)
-				}
-				cf, cs, cr, cl, err := cv.eval(env)
+			for r, cv := range costs {
+				cf, cs, cr, cl, err := cv.eval(nil)
 				if err != nil {
 					return Counts{}, fmt.Errorf("world %s: rank %d cost not concrete: %v", w.Name, r, err)
 				}
@@ -181,28 +164,6 @@ func deriveWorld(sums *framework.Summaries, fset *token.FileSet, entry *framewor
 		return Counts{}, fmt.Errorf("world %s: no fixpoint after %d passes; %v", w.Name, maxFixpointPasses, lastFail)
 	}
 	return Counts{}, fmt.Errorf("world %s: send log did not converge after %d passes", w.Name, maxFixpointPasses)
-}
-
-// runEntry interprets the entry function once, converting the interpreter's
-// panic-based exits into results: doneSignal means machine.Run collected
-// every rank.
-func runEntry(d *deriver, entry *framework.CGNode, args []val) (reachedRun bool, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			switch e := rec.(type) {
-			case doneSignal:
-				reachedRun, err = true, nil
-			case interpErr:
-				reachedRun, err = false, e
-			case missingNode:
-				reachedRun, err = false, e
-			default:
-				panic(rec)
-			}
-		}
-	}()
-	d.callNode(entry, nil, args, nil)
-	return false, nil
 }
 
 func logsEqual(a, b map[string][]int64) bool {

@@ -14,7 +14,76 @@ package framework
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
+
+// Lifecycle collects one tracked object's call sites within a function for
+// CheckLifecycle: the acquisition, every release and use placed so far, and
+// whether the object escaped local tracking.
+type Lifecycle struct {
+	acquirePos token.Pos // CallExpr position of the acquisition
+	events     map[token.Pos]ProtoEvent
+	hasRelease bool // some release exists (explicit, deferred, or via helper)
+	// Escaped is set when the object is handed to unknown code (returned,
+	// stored, captured by a bare closure); local tracking then ends.
+	Escaped bool
+}
+
+// NewLifecycle starts tracking an object acquired by the call at pos.
+func NewLifecycle(pos token.Pos, acquireName string) *Lifecycle {
+	return &Lifecycle{
+		acquirePos: pos,
+		events:     map[token.Pos]ProtoEvent{pos: {Kind: ProtoAcquire, Name: acquireName}},
+	}
+}
+
+// Place routes one release or use into the event stream, applying the defer
+// and closure rules: a deferred release arms the protocol at its
+// registration point, a deferred use runs after every observable point, and
+// a reference inside a bare (non-deferred) closure ends tracking.
+func (lc *Lifecycle) Place(defers DeferRanges, closures ClosureSpans, pos token.Pos, kind ProtoEventKind, name string) {
+	anchor, deferred := defers.CallAt(pos)
+	switch {
+	case kind == ProtoRelease && deferred:
+		lc.events[anchor] = ProtoEvent{Kind: ProtoDeferRelease, Name: name}
+		lc.hasRelease = true
+	case deferred:
+		// Deferred use: runs at exit, nothing observable follows it.
+	case closures.Contains(pos):
+		lc.Escaped = true
+	case kind == ProtoRelease:
+		lc.events[pos] = ProtoEvent{Kind: ProtoRelease, Name: name}
+		lc.hasRelease = true
+	default:
+		lc.events[pos] = ProtoEvent{Kind: ProtoUse, Name: name}
+	}
+}
+
+// LifecycleMessages renders protocol findings for one object family. Each
+// format takes the object's name as its only operand.
+type LifecycleMessages struct {
+	NeverReleased string
+	Kinds         map[ProtoFindingKind]string // "" silences a kind
+}
+
+// CheckLifecycle reports the protocol findings of one tracked object of
+// the function whose body is given: nothing if it escaped, a never-released
+// finding at the acquisition if no release exists at all, and otherwise
+// every CheckProtocol finding the message table renders.
+func CheckLifecycle(pass *Pass, cfg *CFG, body *ast.BlockStmt, obj types.Object, lc *Lifecycle, msgs LifecycleMessages) {
+	if lc.Escaped {
+		return // handed off; the new owner is responsible
+	}
+	if !lc.hasRelease {
+		pass.Reportf(lc.acquirePos, msgs.NeverReleased, obj.Name())
+		return
+	}
+	for _, f := range CheckProtocol(cfg, lc.events, body.Rbrace) {
+		if msg := msgs.Kinds[f.Kind]; msg != "" {
+			pass.Reportf(f.Pos, msg, obj.Name())
+		}
+	}
+}
 
 // ObjState is a set of lifecycle states (a powerset lattice element; join is
 // set union).

@@ -15,7 +15,7 @@ package framework
 // traces anchor). Keeping the AST authoritative means the checker can never
 // drift from the code it certifies.
 //
-// Communication is recognized the way tagflow recognizes it: a method call
+// Communication is recognized the way chanproto recognizes it: a method call
 // whose receiver's named type is Proc or Endpoint and whose name is one of
 // the transport verbs. The name-based match lets the same extractor work on
 // the real machine.Proc and on the miniature stand-ins the self-contained
@@ -26,7 +26,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // CommKind classifies a communication site.
@@ -153,7 +152,7 @@ func ExtractSkeletons(sums *Summaries, ax WorldAxioms) *SkeletonSet {
 }
 
 // CommSiteAt returns the comm site for a call expression, if the call is
-// communication ([ok] mirrors tagflow's commCall classification).
+// communication ([ok] mirrors chanproto's commCall classification).
 func CommSiteAt(info *types.Info, call *ast.CallExpr) (CommSite, bool) {
 	recv := RecvTypeName(info, call)
 	if recv != "Proc" && recv != "Endpoint" {
@@ -516,20 +515,6 @@ func (set *SkeletonSet) CommReach(key string) bool {
 	}
 	set.reach[key] = v
 	return v
-}
-
-// ModelBoundaryPkg reports packages whose internals the model checker
-// never interprets: the machine/transport layer (its verbs are the model's
-// primitives) and the arithmetic kernels it bridges natively or abstracts.
-// Their goroutines and channels are below the protocol abstraction, so
-// their blockers do not disqualify a caller.
-func ModelBoundaryPkg(path string) bool {
-	switch path[strings.LastIndex(path, "/")+1:] {
-	case "machine", "transport", "simnet", "wallnet", "faultinject", "costacct",
-		"bigint", "toom", "points", "erasure", "mat", "rat":
-		return true
-	}
-	return false
 }
 
 func (set *SkeletonSet) transitiveBlockers(key string, seen map[string]bool) []Blocker {

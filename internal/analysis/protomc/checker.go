@@ -17,7 +17,6 @@ import (
 	"go/token"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/analysis/framework"
 )
@@ -49,8 +48,8 @@ type world struct {
 	pos  token.Pos
 	plan []faultSpec
 	// run executes the SPMD body for one processor and returns its error
-	// result (NilVal for clean exit).
-	run func(in *interp, mp *modelProc) Value
+	// result (framework.Nil for clean exit).
+	run func(ev *framework.Eval, mp *modelProc) Value
 	// faultTolerant worlds must complete cleanly under their fault plan:
 	// an error exit is itself a finding. Worlds whose protocol has a
 	// legitimate abort-fast path (straggler decisions) leave this false.
@@ -62,6 +61,9 @@ type world struct {
 	maxRuns    int   // cap on explored choice vectors (0 = default)
 }
 
+// killSignal tears down a parked proc goroutine at end of run.
+type killSignal struct{}
+
 type procState int
 
 const (
@@ -71,7 +73,7 @@ const (
 	stAtBarrier
 	stExited  // clean exit (nil error)
 	stErrored // exited with a non-nil error value
-	stFailed  // interpretation failed (modelErr)
+	stFailed  // interpretation failed (framework.EvalError)
 )
 
 // modelProc is one model processor. The interpreter (running on the proc's
@@ -149,7 +151,7 @@ type checker struct {
 	abandoned map[qkey]bool // late-resolved deadline queues: orphans exempt
 	opC       chan op
 	wg        sync.WaitGroup
-	fuel      atomic.Int64
+	fuel      int64 // shared by the procs, which run one at a time
 
 	choices   []int
 	arities   []int
@@ -238,7 +240,7 @@ func (ck *checker) runOnce(choices []int) []int {
 	if fuel <= 0 {
 		fuel = defaultFuel
 	}
-	ck.fuel.Store(fuel)
+	ck.fuel = fuel
 
 	for i := 0; i < w.n; i++ {
 		mp := &modelProc{
@@ -362,7 +364,7 @@ func (ck *checker) handleSend(mp *modelProc, o op) {
 	ck.queues[k] = append(ck.queues[k], message{payload: o.payload, dstEpoch: dst.epoch, pos: o.pos})
 	ck.event("p%d sends tag %q to p%d", mp.id, o.tag, o.peer)
 	mp.state = stReady
-	mp.resume = opResult{payload: NilVal{}}
+	mp.resume = opResult{payload: framework.Nil{}}
 	// A parked matching receiver becomes deliverable.
 	ck.wakeMatching(k)
 }
@@ -430,7 +432,7 @@ func (ck *checker) handleRecvDeadline(mp *modelProc, o op) {
 		ck.event("p%d deadline-receive of tag %q from p%d times out", mp.id, o.tag, o.peer)
 		ck.abandoned[k] = true
 		mp.state = stReady
-		mp.resume = opResult{payload: NilVal{}, onTime: false}
+		mp.resume = opResult{payload: framework.Nil{}, onTime: false}
 		return
 	}
 	mp.state = stBlockedDeadline
@@ -488,9 +490,9 @@ func (ck *checker) tryBarrier() bool {
 		mp.store = map[string]Value{}
 		mp.faultCount++
 		mp.epoch++
-		events = append(events, &StructVal{Type: "FaultEvent", Fields: map[string]Value{
-			"Proc":  knownInt(int64(v)),
-			"Phase": knownStr(phase),
+		events = append(events, &framework.Struct{Type: "FaultEvent", Fields: map[string]Value{
+			"Proc":  framework.KnownInt(int64(v)),
+			"Phase": framework.KnownStr(phase),
 		}})
 		ck.event("barrier %q: p%d fail-stops; its replacement continues with wiped state", phase, v)
 		// Fail-stop wipes the rank's state; anything already in flight to
@@ -500,7 +502,7 @@ func (ck *checker) tryBarrier() bool {
 	ck.event("barrier %q completes (%d participants)", phase, len(waiting))
 	for _, mp := range waiting {
 		mp.state = stReady
-		mp.resume = opResult{payload: copyPayload(&SliceVal{Elems: events})}
+		mp.resume = opResult{payload: copyPayload(framework.NewSlice(events))}
 	}
 	return true
 }
@@ -514,7 +516,7 @@ func (ck *checker) resolveLateWaiter() bool {
 			ck.abandoned[k] = true
 			ck.event("p%d deadline-receive of tag %q from p%d can never complete; times out", mp.id, mp.waitTag, mp.waitSrc)
 			mp.state = stReady
-			mp.resume = opResult{payload: NilVal{}, onTime: false}
+			mp.resume = opResult{payload: framework.Nil{}, onTime: false}
 			return true
 		}
 	}
@@ -612,19 +614,20 @@ func (ck *checker) procMain(mp *modelProc) {
 		switch e := recover().(type) {
 		case nil:
 		case killSignal:
-		case modelErr:
+		case *framework.EvalError:
 			ck.opC <- op{proc: mp.id, kind: kFail, pos: e.Pos, errMsg: e.Msg}
+		case framework.Missing:
+			ck.opC <- op{proc: mp.id, kind: kFail, errMsg: e.Error()}
 		default:
 			panic(e)
 		}
 	}()
 	mp.await() // parked until the scheduler starts this processor
-	in := &interp{sums: ck.sums, skels: ck.skels, mp: mp, fuel: &ck.fuel}
-	errv := ck.w.run(in, mp)
+	errv := ck.w.run(newEval(ck.sums, ck.skels, &ck.fuel), mp)
 	o := op{proc: mp.id, kind: kExit}
-	if ev, ok := errv.(ErrVal); ok {
+	if e, ok := errv.(framework.Err); ok {
 		o.isErr = true
-		o.errMsg = ev.Msg
+		o.errMsg = e.Msg
 	}
 	ck.opC <- o
 }

@@ -4,6 +4,8 @@ import (
 	"go/token"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis/framework"
 )
 
 // unitWorld builds a world whose processors are driven directly by a Go
@@ -14,9 +16,9 @@ func unitWorld(n int, body func(mp *modelProc)) *world {
 	return &world{
 		name: "unit",
 		n:    n,
-		run: func(_ *interp, mp *modelProc) Value {
+		run: func(_ *framework.Eval, mp *modelProc) Value {
 			body(mp)
-			return NilVal{}
+			return framework.Nil{}
 		},
 	}
 }
@@ -32,11 +34,11 @@ func findingMsgs(fs []Finding) string {
 func TestCheckerCleanPingPong(t *testing.T) {
 	w := unitWorld(2, func(mp *modelProc) {
 		if mp.id == 0 {
-			mp.opSend(1, "ping", knownInt(1), token.NoPos)
+			mp.opSend(1, "ping", framework.KnownInt(1), token.NoPos)
 			mp.opRecv(1, "pong", token.NoPos)
 		} else {
 			mp.opRecv(0, "ping", token.NoPos)
-			mp.opSend(0, "pong", knownInt(2), token.NoPos)
+			mp.opSend(0, "pong", framework.KnownInt(2), token.NoPos)
 		}
 	})
 	fs, _ := explore(nil, nil, w)
@@ -49,7 +51,7 @@ func TestCheckerDeadlock(t *testing.T) {
 	w := unitWorld(2, func(mp *modelProc) {
 		// Both wait first: classic cyclic wait.
 		mp.opRecv(1-mp.id, "m", token.NoPos)
-		mp.opSend(1-mp.id, "m", knownInt(1), token.NoPos)
+		mp.opSend(1-mp.id, "m", framework.KnownInt(1), token.NoPos)
 	})
 	fs, _ := explore(nil, nil, w)
 	if len(fs) == 0 || !strings.Contains(fs[0].Msg, "deadlock") {
@@ -63,7 +65,7 @@ func TestCheckerDeadlock(t *testing.T) {
 func TestCheckerOrphanMessage(t *testing.T) {
 	w := unitWorld(2, func(mp *modelProc) {
 		if mp.id == 0 {
-			mp.opSend(1, "extra", knownInt(1), token.NoPos)
+			mp.opSend(1, "extra", framework.KnownInt(1), token.NoPos)
 		}
 	})
 	fs, _ := explore(nil, nil, w)
@@ -90,7 +92,7 @@ func TestCheckerSendToTerminated(t *testing.T) {
 func TestCheckerOutOfWorldSend(t *testing.T) {
 	w := unitWorld(2, func(mp *modelProc) {
 		if mp.id == 0 {
-			mp.opSend(7, "m", knownInt(1), token.NoPos)
+			mp.opSend(7, "m", framework.KnownInt(1), token.NoPos)
 		}
 	})
 	fs, _ := explore(nil, nil, w)
@@ -149,7 +151,7 @@ func TestCheckerFaultEventDelivery(t *testing.T) {
 	faults := make([]int, 3)
 	w := unitWorld(3, func(mp *modelProc) {
 		ev := mp.opBarrier("eval", token.NoPos)
-		events[mp.id] = len(ev.(*SliceVal).Elems)
+		events[mp.id] = len(ev.(*framework.Slice).Elems)
 		faults[mp.id] = mp.faultCount
 	})
 	w.plan = []faultSpec{{Proc: 1, Phase: "eval", Hit: 0}}
@@ -171,7 +173,7 @@ func TestCheckerFaultEventDelivery(t *testing.T) {
 func TestCheckerStaleCrossFaultDelivery(t *testing.T) {
 	w := unitWorld(2, func(mp *modelProc) {
 		if mp.id == 0 {
-			mp.opSend(1, "ckpt", knownInt(7), token.NoPos)
+			mp.opSend(1, "ckpt", framework.KnownInt(7), token.NoPos)
 		}
 		mp.opBarrier("sync", token.NoPos)
 		if mp.id == 1 {
@@ -189,12 +191,12 @@ func TestCheckerFaultTolerantAbortIsFinding(t *testing.T) {
 	w := &world{
 		name: "unit", n: 2, faultTolerant: true,
 		plan: []faultSpec{{Proc: 0, Phase: "sync", Hit: 0}},
-		run: func(_ *interp, mp *modelProc) Value {
+		run: func(_ *framework.Eval, mp *modelProc) Value {
 			mp.opBarrier("sync", token.NoPos)
 			if mp.id == 0 && mp.faultCount > 0 {
-				return ErrVal{Msg: "lost my state"}
+				return framework.Err{Msg: "lost my state"}
 			}
-			return NilVal{}
+			return framework.Nil{}
 		},
 	}
 	fs, _ := explore(nil, nil, w)
@@ -228,7 +230,7 @@ func TestCheckerDeadlineBothBranches(t *testing.T) {
 	var onTimes, lates int
 	w := unitWorld(2, func(mp *modelProc) {
 		if mp.id == 0 {
-			mp.opSend(1, "res", knownInt(1), token.NoPos)
+			mp.opSend(1, "res", framework.KnownInt(1), token.NoPos)
 		} else {
 			if _, onTime := mp.opRecvDeadline(0, "res", token.NoPos); onTime {
 				onTimes++
@@ -258,17 +260,17 @@ func TestCheckerExhaustiveAgreesWithDeterministic(t *testing.T) {
 			n:          3,
 			exhaustive: exhaustive,
 			maxRuns:    maxWorldRuns,
-			run: func(_ *interp, mp *modelProc) Value {
+			run: func(_ *framework.Eval, mp *modelProc) Value {
 				// All-to-root gather; the broken variant drops p2's drain.
 				if mp.id != 0 {
-					mp.opSend(0, "g", knownInt(int64(mp.id)), token.NoPos)
-					return NilVal{}
+					mp.opSend(0, "g", framework.KnownInt(int64(mp.id)), token.NoPos)
+					return framework.Nil{}
 				}
 				mp.opRecv(1, "g", token.NoPos)
 				if !broken {
 					mp.opRecv(2, "g", token.NoPos)
 				}
-				return NilVal{}
+				return framework.Nil{}
 			},
 		}
 	}

@@ -46,23 +46,7 @@ var Analyzer = &framework.Analyzer{
 }
 
 func run(pass *framework.Pass) error {
-	if framework.ModelBoundaryPkg(pass.Path) {
-		return nil // transport/arithmetic layers are modeled natively, not checked
-	}
-	if !inScope(pass) {
-		return nil
-	}
-
-	skels := framework.ExtractSkeletons(pass.Summaries, framework.DefaultWorldAxioms())
-
-	worlds, errs := collectiveWorlds(pass, pass.Summaries, skels)
-	ew, eerrs := engineWorlds(pass, pass.Summaries, skels)
-	worlds = append(worlds, ew...)
-	errs = append(errs, eerrs...)
-
-	for _, ie := range errs {
-		pass.Reportf(ie.pos, "%s: %s", shortKey(ie.key), ie.msg)
-	}
+	worlds, skels := buildWorlds(pass)
 
 	// The same violation recurs across world sizes and fault plans (with
 	// processor numbers baked into the message); report one diagnostic per
@@ -96,6 +80,24 @@ func run(pass *framework.Pass) error {
 		}
 	}
 	return nil
+}
+
+// buildWorlds instantiates every world of the pass's package, reporting
+// the functions it could not instantiate.
+func buildWorlds(pass *framework.Pass) ([]*world, *framework.SkeletonSet) {
+	if framework.ModelBoundaryPkg(pass.Path) {
+		return nil, nil // transport/arithmetic layers are modeled natively, not checked
+	}
+	if !inScope(pass) {
+		return nil, nil
+	}
+	skels := framework.ExtractSkeletons(pass.Summaries, framework.DefaultWorldAxioms())
+	worlds, errs := collectiveWorlds(pass, pass.Summaries, skels)
+	ew, eerrs := engineWorlds(pass, pass.Summaries, skels)
+	for _, ie := range append(errs, eerrs...) {
+		pass.Reportf(ie.pos, "%s: %s", shortKey(ie.key), ie.msg)
+	}
+	return append(worlds, ew...), skels
 }
 
 // inScope: the collective, ftengine, and ftparallel packages, plus any

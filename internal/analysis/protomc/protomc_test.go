@@ -142,3 +142,62 @@ func TestCounterexampleTrace(t *testing.T) {
 		t.Errorf("trace does not show the blocked receive:\n%s", joined)
 	}
 }
+
+// TestRealTreeCensus pins what TestRealTreeClean explores, so a world that
+// silently stops being built cannot pass as clean: every collective world,
+// the three engine worlds on 7 ranks, and one single-fault plan per barrier
+// crossing of the fault-free run of each fault-tolerant engine world.
+func TestRealTreeCensus(t *testing.T) {
+	pkgs, err := framework.LoadCached("../../..",
+		"./internal/collective", "./internal/ftparallel", "./internal/parallel",
+		"./internal/ftengine")
+	if err != nil {
+		t.Fatalf("loading real tree: %v", err)
+	}
+	sums := framework.ComputeSummaries(pkgs)
+	collectives := 0
+	type census struct{ n, plans int }
+	engine := map[string]census{}
+	for _, pkg := range pkgs {
+		pass := &framework.Pass{Analyzer: Analyzer, Path: pkg.Path, Fset: pkg.Fset,
+			Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, Summaries: sums}
+		worlds, skels := buildWorlds(pass)
+		for _, w := range worlds {
+			if !strings.HasPrefix(w.name, "ftparallel.Multiply ") {
+				if pkg.Path != "repro/internal/collective" {
+					t.Errorf("unexpected world %q in %s", w.name, pkg.Path)
+				}
+				collectives++
+				continue
+			}
+			c := census{n: w.n}
+			if w.faultTolerant {
+				ck := &checker{sums: sums, skels: skels, w: w, seen: map[string]bool{}}
+				ck.runOnce(nil)
+				c.plans = len(ck.crossings)
+			}
+			engine[w.name] = c
+		}
+	}
+	if collectives != 72 {
+		t.Errorf("collective worlds = %d, want 72", collectives)
+	}
+	want := map[string]int{
+		"ftparallel.Multiply P=3 k=2 F=1 ldfs=0":           21,
+		"ftparallel.Multiply P=3 k=2 F=1 ldfs=1":           49,
+		"ftparallel.Multiply P=3 k=2 F=1 ldfs=0 straggler": 0,
+	}
+	if len(engine) != len(want) {
+		t.Errorf("engine worlds = %v, want %d", engine, len(want))
+	}
+	for name, plans := range want {
+		c, ok := engine[name]
+		if !ok {
+			t.Errorf("engine world %q not explored", name)
+			continue
+		}
+		if c.n != 7 || c.plans != plans {
+			t.Errorf("%s: %d ranks, %d single-fault plans; want 7 ranks, %d plans", name, c.n, c.plans, plans)
+		}
+	}
+}

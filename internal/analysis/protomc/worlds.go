@@ -8,13 +8,12 @@ package protomc
 //     root parameter exists. Groups become the identity group [0..n),
 //     payload vectors become small opaque vectors, tags become "t".
 //
-//   - engine worlds: the fault-tolerant multiplication engine is
-//     instantiated exactly the way ftparallel.Multiply builds it (P=3, k=2,
-//     F=1: a 1x3 worker grid, one linear-code row, one polynomial-code
-//     processor — 7 ranks), for ldfs 0 and 1, plus the straggler-dropping
-//     variant. Construction runs through the host interpreter (NewLayout,
-//     computeDenLCM) and the native arithmetic bridge so the instantiated
-//     engine matches the real constructor bit for bit.
+//   - engine worlds: the fault-tolerant worlds of the shared
+//     multiplication world list (framework.MultiplyWorlds), built by
+//     interpreting the real ftparallel.Multiply entry on the host up to its
+//     Machine.Run; the SPMD program handed to Run is the world's
+//     per-processor body, so the instantiated engine is exactly what the
+//     production constructor builds.
 //
 // Fault plans are not chosen here: the checker's first (fault-free) run
 // records every (proc, phase, hit) barrier crossing, and the analyzer
@@ -27,53 +26,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"reflect"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/analysis/framework"
-	"repro/internal/erasure"
-	"repro/internal/points"
 	"repro/internal/toom"
 )
 
 // worldNs are the processor counts generic collective worlds run at.
 var worldNs = []int{2, 3, 4, 5}
-
-// hostCall interprets a declared function outside any model processor:
-// world construction evaluates the real constructors so instantiated state
-// matches what the production wrappers build. The recovered error carries
-// the interpreter's failure message.
-func hostCall(sums *framework.Summaries, skels *framework.SkeletonSet, key string, recv Value, args []Value) (out []Value, err error) {
-	node := sums.Graph.Nodes[key]
-	if node == nil {
-		return nil, fmt.Errorf("no declared function %s in the analyzed set", key)
-	}
-	var fuel atomic.Int64
-	fuel.Store(defaultFuel)
-	in := &interp{sums: sums, skels: skels, fuel: &fuel}
-	defer func() {
-		if r := recover(); r != nil {
-			me, ok := r.(modelErr)
-			if !ok {
-				panic(r)
-			}
-			out, err = nil, fmt.Errorf("interpreting %s: %s", key, me.Msg)
-		}
-	}()
-	return in.callDecl(node, recv, args, node.Decl.Pos()), nil
-}
-
-// hostErr extracts a trailing error result of a host call ("" when nil).
-func hostErr(out []Value) string {
-	if len(out) == 0 {
-		return ""
-	}
-	if ev, ok := out[len(out)-1].(ErrVal); ok {
-		return ev.Msg
-	}
-	return ""
-}
 
 // shortKey trims the import-path directory from a FuncKey:
 // "repro/internal/collective.Broadcast" -> "collective.Broadcast".
@@ -172,16 +132,12 @@ func funcWorlds(node *framework.CGNode, sig *types.Signature) ([]*world, *instEr
 				n:             n,
 				pos:           pos,
 				faultTolerant: true,
-				run: func(in *interp, mp *modelProc) Value {
+				run: func(ev *framework.Eval, mp *modelProc) Value {
 					args, err := worldArgs(sig, n, root)
 					if err != nil {
-						fail(pos, "%s", err.Error())
+						ev.Fail(pos, "%s", err.Error())
 					}
-					out := in.callDecl(node, nil, append([]Value{ProcVal{mp: mp}}, args...), pos)
-					if len(out) == 0 {
-						return NilVal{}
-					}
-					return out[len(out)-1]
+					return lastResult(ev.CallNode(node, nil, append([]Value{ProcVal{mp: mp}}, args...), nil))
 				},
 			})
 		}
@@ -224,18 +180,18 @@ func worldArg(p *types.Var, n, root int) (Value, error) {
 		switch {
 		case info&types.IsInteger != 0:
 			if strings.Contains(name, "root") {
-				return knownInt(int64(root)), nil
+				return framework.KnownInt(int64(root)), nil
 			}
 			if strings.Contains(name, "weight") {
-				return knownInt(2), nil
+				return framework.KnownInt(2), nil
 			}
-			return knownInt(1), nil
+			return framework.KnownInt(1), nil
 		case info&types.IsString != 0:
-			return knownStr("t"), nil
+			return framework.KnownStr("t"), nil
 		case info&types.IsFloat != 0:
-			return FloatVal{Known: true, V: 5}, nil
+			return framework.Float{Known: true, V: 5}, nil
 		case info&types.IsBoolean != 0:
-			return knownBool(false), nil
+			return framework.KnownBool(false), nil
 		}
 	case *types.Slice:
 		if framework.NamedTypeName(t) == "Group" {
@@ -250,7 +206,7 @@ func worldArg(p *types.Var, n, root int) (Value, error) {
 			for i := range vecs {
 				vecs[i] = payloadVec(2)
 			}
-			return &SliceVal{Elems: vecs}, nil
+			return framework.NewSlice(vecs), nil
 		}
 		return payloadVec(2), nil
 	}
@@ -258,218 +214,82 @@ func worldArg(p *types.Var, n, root int) (Value, error) {
 }
 
 // groupValue is the identity group [0..n).
-func groupValue(n int) *SliceVal {
+func groupValue(n int) *framework.Slice {
 	elems := make([]Value, n)
 	for i := range elems {
-		elems[i] = knownInt(int64(i))
+		elems[i] = framework.KnownInt(int64(i))
 	}
-	return &SliceVal{Elems: elems}
+	return framework.NewSlice(elems)
 }
 
 // payloadVec is a vector of opaque payload scalars.
-func payloadVec(n int) *SliceVal {
+func payloadVec(n int) *framework.Slice {
 	elems := make([]Value, n)
 	for i := range elems {
-		elems[i] = opaque()
+		elems[i] = Opaque{}
 	}
-	return &SliceVal{Elems: elems}
+	return framework.NewSlice(elems)
 }
 
-// engineVariant selects one fault-tolerant engine configuration.
-type engineVariant struct {
-	ldfs      int
-	straggler bool
+// lastResult is a body's trailing (error) result, nil for none.
+func lastResult(out []Value) Value {
+	if len(out) == 0 {
+		return framework.Nil{}
+	}
+	return out[len(out)-1]
 }
 
-// engineVariants covers both BFS/DFS schedules and the straggler-dropping
-// decision protocol. P=9 (a 3x3 grid) is within the checker's semantics but
-// outside its time budget; the P=3 grid already exercises every protocol
-// role (worker, linear-code row, polynomial-code column).
-var engineVariants = []engineVariant{
-	{ldfs: 0},
-	{ldfs: 1},
-	{ldfs: 0, straggler: true},
-}
-
-// engineWorlds instantiates the generic engine's SPMD body, loaded with the
-// Toom workload exactly as ftparallel.Multiply builds it, for each variant.
-// Returns nothing when the pass's package is not the engine's (the key
-// gate below fails for fixtures and for the collective package).
+// engineWorlds instantiates the package's Multiply entry for every
+// fault-tolerant world of the shared list: the host run builds the real
+// engine (layout, plan, coder, workload) and stops at Machine.Run, whose
+// program becomes the per-processor body. The engine state is shared by
+// all ranks and runs: the scheduler executes one processor at a time, and
+// the real engine is likewise shared read-only across goroutines.
 func engineWorlds(pass *framework.Pass, sums *framework.Summaries, skels *framework.SkeletonSet) ([]*world, []instError) {
-	runKey := pass.Path + ".exec.runRank"
-	runNode := sums.Graph.Nodes[runKey]
-	if runNode == nil || runNode.Pkg.Path != pass.Path {
+	ws := framework.MultiplyWorldsFor(pass.Path)
+	entry := framework.MultiplyEntry(sums, pass.Pkg)
+	if len(ws) == 0 || entry == nil {
 		return nil, nil
 	}
-	if ok, bl := skels.Modelable(runKey); !ok {
-		return nil, []instError{{key: runKey, pos: runNode.Decl.Pos(),
+	if ok, bl := skels.Modelable(entry.Key); !ok {
+		return nil, []instError{{key: entry.Key, pos: entry.Decl.Pos(),
 			msg: "cannot model communication skeleton: " + skels.DescribeBlockers(pass.Fset, bl)}}
 	}
 	var worlds []*world
 	var errs []instError
-	for _, v := range engineVariants {
-		w, err := buildEngineWorld(pass.Path, sums, skels, runNode, v)
+	for _, w := range ws {
+		var fuel int64 = defaultFuel
+		host := newEval(sums, skels, &fuel)
+		alg, err := toom.New(w.K)
 		if err != nil {
-			errs = append(errs, instError{key: runKey, pos: runNode.Decl.Pos(), msg: err.Error()})
+			return nil, []instError{{key: entry.Key, pos: entry.Decl.Pos(), msg: err.Error()}}
+		}
+		args, err := host.MultiplyArgs(entry, w, Native{V: alg})
+		var n int64
+		var prog Value
+		if err == nil {
+			n, prog, err = host.CaptureRun(entry, args)
+		}
+		if err != nil {
+			errs = append(errs, instError{key: entry.Key, pos: entry.Decl.Pos(), msg: err.Error()})
 			continue
 		}
-		worlds = append(worlds, w)
+		name := fmt.Sprintf("%s P=%d k=%d F=%d ldfs=%d", shortKey(entry.Key), w.P, w.K, w.Faults, w.DFSSteps)
+		if w.Straggler {
+			name += " straggler"
+		}
+		pos := entry.Decl.Pos()
+		worlds = append(worlds, &world{
+			name: name,
+			n:    int(n),
+			pos:  pos,
+			// The straggler protocol aborts collectively when too few columns
+			// answer on time — a legitimate exit, not a finding.
+			faultTolerant: !w.Straggler,
+			run: func(ev *framework.Eval, mp *modelProc) Value {
+				return lastResult(ev.CallValue(prog, []Value{ProcVal{mp: mp}}, nil, pos))
+			},
+		})
 	}
 	return worlds, errs
-}
-
-// toomPkg is the package whose Workload instantiation loads the engine
-// worlds: the engine itself lives in pkg (ftengine), the workload methods
-// and the denominator-LCM constructor in the Toom tier.
-const toomPkg = "repro/internal/ftparallel"
-
-// buildEngineWorld mirrors ftparallel.Multiply's construction for
-// P=3, k=2, F=1 and the variant's DFS depth: layout and denominator LCM via
-// the host interpreter, algorithm/points/matrices/code via the native
-// bridge, operand digit shares as opaque vectors in the plan's cyclic
-// layout. The entry is the generic engine's per-rank body with the Toom
-// workload behind its Workload interface — the same seam the production
-// Run crosses — so the model exercises the devirtualized dispatch too.
-func buildEngineWorld(pkg string, sums *framework.Summaries, skels *framework.SkeletonSet, runNode *framework.CGNode, v engineVariant) (*world, error) {
-	const (
-		p, k, f = 3, 2, 1
-		lbfs    = 1 // log_{2k-1}(P) = log_3(3)
-		shift   = 8 // any positive digit width: payloads are opaque
-	)
-	layOut, err := hostCall(sums, skels, pkg+".NewLayout", nil,
-		[]Value{knownInt(p), knownInt(k), knownInt(f)})
-	if err != nil {
-		return nil, err
-	}
-	if msg := hostErr(layOut); msg != "" {
-		return nil, fmt.Errorf("NewLayout: %s", msg)
-	}
-	lay, ok := layOut[0].(*StructVal)
-	if !ok {
-		return nil, fmt.Errorf("NewLayout returned %T, not a layout", layOut[0])
-	}
-	totOut, err := hostCall(sums, skels, pkg+".Layout.Total", lay, nil)
-	if err != nil {
-		return nil, err
-	}
-	total, ok := totOut[0].(IntVal)
-	if !ok || !total.Known {
-		return nil, fmt.Errorf("Layout.Total did not fold to a known rank count")
-	}
-	gp, ok := lay.Fields["GPrime"].(IntVal)
-	if !ok || !gp.Known {
-		return nil, fmt.Errorf("layout GPrime is not concrete")
-	}
-
-	alg, err := toom.New(k)
-	if err != nil {
-		return nil, err
-	}
-	pts := points.StandardWithRedundancy(k, f)
-	if err := points.Valid(pts, 2*k-1); err != nil {
-		return nil, err
-	}
-	uExt, err := toom.IntRows(points.EvalMatrix(pts, k))
-	if err != nil {
-		return nil, err
-	}
-	code, err := erasure.New(int(gp.V), f)
-	if err != nil {
-		return nil, err
-	}
-
-	levels := lbfs + v.ldfs
-	digits := p
-	for i := 0; i < levels; i++ {
-		digits *= k
-	}
-	per := digits / p
-
-	shares := func() Value {
-		qs := make([]Value, p)
-		for q := range qs {
-			qs[q] = payloadVec(per)
-		}
-		return &SliceVal{Elems: qs}
-	}
-	plan := &StructVal{Type: "Plan", PkgPath: "repro/internal/parallel", Fields: map[string]Value{
-		"alg":     NativeVal{V: alg},
-		"k":       knownInt(k),
-		"p":       knownInt(p),
-		"lbfs":    knownInt(lbfs),
-		"ldfs":    knownInt(int64(v.ldfs)),
-		"levels":  knownInt(int64(levels)),
-		"digits":  knownInt(int64(digits)),
-		"shift":   knownInt(shift),
-		"neg":     knownBool(false),
-		"track":   knownBool(false),
-		"hooks":   &StructVal{Type: "Hooks", Fields: map[string]Value{"Sync": NilVal{}}},
-		"sharesA": shares(),
-		"sharesB": shares(),
-	}}
-	eng := &StructVal{Type: "engine", PkgPath: toomPkg, Fields: map[string]Value{
-		"lay":            lay,
-		"plan":           plan,
-		"alg":            NativeVal{V: alg},
-		"pts":            fromNative(reflect.ValueOf(pts), runNode.Decl.Pos()),
-		"uExt":           fromNative(reflect.ValueOf(uExt), runNode.Decl.Pos()),
-		"ldfs":           knownInt(int64(v.ldfs)),
-		"levels":         knownInt(int64(levels)),
-		"shift":          knownInt(shift),
-		"digits":         knownInt(int64(digits)),
-		"dropStragglers": knownBool(v.straggler),
-		"slack":          FloatVal{Known: true, V: 5},
-		"wCache":         newMap(),
-		"denLCM":         knownInt(0),
-	}}
-	lcmOut, err := hostCall(sums, skels, toomPkg+".engine.computeDenLCM", eng, nil)
-	if err != nil {
-		return nil, err
-	}
-	if msg := hostErr(lcmOut); msg != "" {
-		return nil, fmt.Errorf("computeDenLCM: %s", msg)
-	}
-
-	// The Coder and exec mirror what NewCoder and Run build: the per-worker
-	// coded vector length and the per-processor product share length follow
-	// inputVecLen/productShareLen on the instantiated shape.
-	kPow := 1
-	for i := 0; i < v.ldfs; i++ {
-		kPow *= k
-	}
-	coder := &StructVal{Type: "Coder", PkgPath: pkg, Fields: map[string]Value{
-		"lay":     lay,
-		"code":    NativeVal{V: code},
-		"dataLen": knownInt(int64(2 * digits / p)),
-		"prodLen": knownInt(int64(2 * (digits / kPow) / (k * int(gp.V)))),
-	}}
-	ex := &StructVal{Type: "exec", PkgPath: pkg, Fields: map[string]Value{
-		"wl":             eng,
-		"lay":            lay,
-		"coder":          coder,
-		"dropStragglers": knownBool(v.straggler),
-	}}
-
-	name := fmt.Sprintf("ftparallel.Multiply P=%d k=%d F=%d ldfs=%d", p, k, f, v.ldfs)
-	if v.straggler {
-		name += " straggler"
-	}
-	// The engine (and its warmed interpolation cache) is shared by all
-	// ranks and runs: the scheduler executes one processor at a time, and
-	// the real engine is likewise shared read-only across goroutines.
-	return &world{
-		name: name,
-		n:    int(total.V),
-		pos:  runNode.Decl.Pos(),
-		// The straggler protocol aborts collectively when too few columns
-		// answer on time — a legitimate exit, not a finding.
-		faultTolerant: !v.straggler,
-		run: func(in *interp, mp *modelProc) Value {
-			out := in.callDecl(runNode, ex, []Value{ProcVal{mp: mp}}, runNode.Decl.Pos())
-			if len(out) == 0 {
-				return NilVal{}
-			}
-			return out[len(out)-1]
-		},
-	}, nil
 }

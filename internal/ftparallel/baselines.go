@@ -194,7 +194,7 @@ func MultiplyCheckpointRestart(a, b bigint.Int, opts CheckpointOptions) (*Checkp
 		checkpoint := func(round int) error {
 			// Diskless checkpoint: ship my input state to my buddy.
 			tag := fmt.Sprintf("ckpt/%d", round)
-			if err := p.Send(buddy, tag, machine.Ints(concat(myA, myB))); err != nil {
+			if err := p.Send(buddy, tag, machine.Ints(parallel.Concat(myA, myB))); err != nil {
 				return err
 			}
 			got, err := p.RecvInts(prev, tag)

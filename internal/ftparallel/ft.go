@@ -147,7 +147,7 @@ func Multiply(a, b bigint.Int, opts Options) (*Result, error) {
 		ldfs:   opts.DFSSteps,
 		levels: plan.Levels(),
 		shift:  plan.Shift(),
-		digits: pow(k, plan.Levels()) * maxInt(opts.LeafFactor, 1) * opts.P,
+		digits: parallel.Pow(k, plan.Levels()) * max(opts.LeafFactor, 1) * opts.P,
 		wCache: map[string]wScaled{},
 	}
 	e.dropStragglers = opts.DropStragglers
@@ -175,21 +175,6 @@ func Multiply(a, b bigint.Int, opts Options) (*Result, error) {
 	}, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func pow(base, exp int) int {
-	out := 1
-	for i := 0; i < exp; i++ {
-		out *= base
-	}
-	return out
-}
-
 // inputVecLen is the length of the concatenated per-worker input vector.
 func (e *engine) inputVecLen() int { return 2 * e.digits / e.lay.P }
 
@@ -197,7 +182,7 @@ func (e *engine) inputVecLen() int { return 2 * e.digits / e.lay.P }
 // coded BFS step.
 func (e *engine) productShareLen() int {
 	k := e.alg.K()
-	lenTotal := e.digits / pow(k, e.ldfs)
+	lenTotal := e.digits / parallel.Pow(k, e.ldfs)
 	return 2 * lenTotal / (k * e.lay.GPrime)
 }
 
@@ -209,7 +194,7 @@ func (e *engine) Shard(rank int) []bigint.Int {
 		return nil
 	}
 	a, b := e.plan.InputShares(rank)
-	return concat(a, b)
+	return parallel.Concat(a, b)
 }
 
 // Step is the SPMD compute body: the coded BFS/DFS traversal over the
@@ -248,7 +233,7 @@ func (e *engine) node(p *machine.Proc, level int, dfsPath []int, myA, myB []bigi
 func (e *engine) dfsLevel(p *machine.Proc, level int, dfsPath []int, myA, myB []bigint.Int, rk *ftengine.Rank) (ftengine.Slots, error) {
 	k := e.alg.K()
 	lay := e.lay
-	lenTotal := e.digits / pow(k, level)
+	lenTotal := e.digits / parallel.Pow(k, level)
 	lq := lenTotal / (k * lay.P)
 	wNum, _ := e.alg.WScaled()
 
@@ -256,8 +241,8 @@ func (e *engine) dfsLevel(p *machine.Proc, level int, dfsPath []int, myA, myB []
 	for j := 0; j < 2*k-1; j++ {
 		var evalA, evalB []bigint.Int
 		if p.ID() < lay.P {
-			evalA = applyRowBlocks(p, e.alg.U()[j], myA, k)
-			evalB = applyRowBlocks(p, e.alg.U()[j], myB, k)
+			evalA = parallel.EvalRowBlocks(p, e.alg.U()[j], myA, k)
+			evalB = parallel.EvalRowBlocks(p, e.alg.U()[j], myB, k)
 		}
 		child, err := e.node(p, level+1, append(dfsPath, j), evalA, evalB, rk)
 		if err != nil {
@@ -282,7 +267,7 @@ func (e *engine) dfsLevel(p *machine.Proc, level int, dfsPath []int, myA, myB []
 						continue
 					}
 					out[base+s] = out[base+s].Add(v.MulInt64(c))
-					work += 2 * wordsOf(v)
+					work += 2 * parallel.WordsOf(v)
 				}
 			}
 		}
@@ -301,7 +286,7 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 	numCols := lay.NumColumns()
 	gP := lay.GPrime
 	rank := p.ID()
-	lenTotal := e.digits / pow(k, e.ldfs)
+	lenTotal := e.digits / parallel.Pow(k, e.ldfs)
 	tag := pathTag(dfsPath)
 
 	myCol, inGrid := lay.ColumnOf(rank)
@@ -315,9 +300,9 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 	var selfSlice []bigint.Int
 	if isWorker {
 		for j := 0; j < numCols; j++ {
-			sa := applyRowBlocks(p, e.uExt[j], myA, k)
-			sb := applyRowBlocks(p, e.uExt[j], myB, k)
-			payload := concat(sa, sb)
+			sa := parallel.EvalRowBlocks(p, e.uExt[j], myA, k)
+			sb := parallel.EvalRowBlocks(p, e.uExt[j], myB, k)
+			payload := parallel.Concat(sa, sb)
 			dst := lay.ColumnRank(myRow, j)
 			if dst == rank {
 				selfSlice = payload
@@ -565,7 +550,7 @@ func (e *engine) fold(p *machine.Proc, slices [][]bigint.Int, w wScaled, lenTota
 					continue
 				}
 				acc = acc.Add(v.MulInt64(c))
-				work += 2 * wordsOf(v)
+				work += 2 * parallel.WordsOf(v)
 			}
 			out[base+s] = acc
 		}
@@ -574,7 +559,7 @@ func (e *engine) fold(p *machine.Proc, slices [][]bigint.Int, w wScaled, lenTota
 		for i := range out {
 			if !out[i].IsZero() {
 				out[i] = out[i].MulInt64(scale)
-				work += wordsOf(out[i])
+				work += parallel.WordsOf(out[i])
 			}
 		}
 	}
@@ -685,49 +670,10 @@ func (e *engine) replayEvalPath(p *machine.Proc, path []int) ([]bigint.Int, []bi
 	a, b := e.plan.InputShares(p.ID())
 	k := e.alg.K()
 	for _, j := range path {
-		a = applyRowBlocks(p, e.alg.U()[j], a, k)
-		b = applyRowBlocks(p, e.alg.U()[j], b, k)
+		a = parallel.EvalRowBlocks(p, e.alg.U()[j], a, k)
+		b = parallel.EvalRowBlocks(p, e.alg.U()[j], b, k)
 	}
 	return a, b
-}
-
-// applyRowBlocks applies one evaluation-matrix row block-wise to a local
-// share (k contiguous blocks), charging the word work.
-func applyRowBlocks(p *machine.Proc, row []int64, share []bigint.Int, k int) []bigint.Int {
-	lb := len(share) / k
-	out := make([]bigint.Int, lb)
-	var work int64
-	for t := 0; t < lb; t++ {
-		acc := bigint.Zero()
-		for m := 0; m < k; m++ {
-			c := row[m]
-			if c == 0 {
-				continue
-			}
-			v := share[m*lb+t]
-			if v.IsZero() {
-				continue
-			}
-			acc = acc.Add(v.MulInt64(c))
-			work += 2 * wordsOf(v)
-		}
-		out[t] = acc
-	}
-	p.Work(work)
-	return out
-}
-
-func concat(a, b []bigint.Int) []bigint.Int {
-	out := make([]bigint.Int, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-func wordsOf(x bigint.Int) int64 {
-	if l := int64(x.WordLen()); l > 0 {
-		return l
-	}
-	return 1
 }
 
 // Recombine assembles the decoded slot shares into the product (unmetered

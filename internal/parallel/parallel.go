@@ -64,23 +64,6 @@ type Options struct {
 	// processors' local stores, enabling peak-memory measurement and the M
 	// capacity check of Lemma 3.1.
 	TrackMemory bool
-	// Hooks interpose on phase boundaries (used by the fault-tolerant
-	// wrappers); zero value is plain Parallel Toom-Cook.
-	Hooks Hooks
-}
-
-// Hooks lets fault-tolerant wrappers interpose on the engine.
-type Hooks struct {
-	// Sync, when set, is invoked at each named phase boundary; it may run
-	// coding/recovery protocols (Section 4.1).
-	Sync func(p *machine.Proc, phase string) error
-}
-
-func (h Hooks) sync(p *machine.Proc, phase string) error {
-	if h.Sync == nil {
-		return nil
-	}
-	return h.Sync(p, phase)
 }
 
 // Result is the outcome of a parallel multiplication.
@@ -127,7 +110,6 @@ type Plan struct {
 	shift  int
 	neg    bool
 	track  bool
-	hooks  Hooks
 
 	sharesA, sharesB [][]bigint.Int
 }
@@ -151,7 +133,7 @@ func NewPlan(a, b bigint.Int, opts Options) (*Plan, error) {
 		leaf = 1
 	}
 	levels := opts.DFSSteps + lbfs
-	digits := pow(k, levels) * leaf * opts.P
+	digits := Pow(k, levels) * leaf * opts.P
 	neg := a.Sign()*b.Sign() < 0
 	a, b = a.Abs(), b.Abs()
 	maxBits := a.BitLen()
@@ -173,7 +155,6 @@ func NewPlan(a, b bigint.Int, opts Options) (*Plan, error) {
 		shift:  shift,
 		neg:    neg,
 		track:  opts.TrackMemory,
-		hooks:  opts.Hooks,
 	}
 	pl.sharesA = cyclicShares(a, digits, shift, opts.P)
 	pl.sharesB = cyclicShares(b, digits, shift, opts.P)
@@ -258,7 +239,7 @@ func (pl *Plan) Node(p *machine.Proc, group collective.Group, shareA, shareB []b
 		return pl.leaf(p, shareA, shareB)
 	}
 	if pl.track {
-		if err := p.Store("in/"+path, machine.Ints(concat(shareA, shareB))); err != nil {
+		if err := p.Store("in/"+path, machine.Ints(Concat(shareA, shareB))); err != nil {
 			return nil, err
 		}
 		defer p.Free("in/" + path)
@@ -283,13 +264,12 @@ func (pl *Plan) Node(p *machine.Proc, group collective.Group, shareA, shareB []b
 	return out, nil
 }
 
-// localEvalRow computes this processor's share of evaluation j: the j-th row
-// of U applied block-wise to the k digit blocks of the local share. The
-// cyclic layout makes each block a contiguous local sub-slice.
-func (pl *Plan) localEvalRow(p *machine.Proc, share []bigint.Int, j int) []bigint.Int {
-	k := pl.k
+// EvalRowBlocks computes a processor's share of one evaluation: an
+// evaluation-matrix row applied block-wise to the k digit blocks of the
+// local share, charging the word work. The cyclic layout makes each block a
+// contiguous local sub-slice.
+func EvalRowBlocks(p *machine.Proc, row []int64, share []bigint.Int, k int) []bigint.Int {
 	lb := len(share) / k
-	row := pl.alg.U()[j]
 	out := make([]bigint.Int, lb)
 	var work int64
 	for t := 0; t < lb; t++ {
@@ -304,7 +284,7 @@ func (pl *Plan) localEvalRow(p *machine.Proc, share []bigint.Int, j int) []bigin
 				continue
 			}
 			acc = acc.Add(v.MulInt64(c))
-			work += 2 * wordsOf(v)
+			work += 2 * WordsOf(v)
 		}
 		out[t] = acc
 	}
@@ -344,7 +324,7 @@ func (pl *Plan) fold(p *machine.Proc, slices [][]bigint.Int, lenTotal, g int) []
 					continue
 				}
 				acc = acc.Add(v.MulInt64(c))
-				work += 2 * wordsOf(v)
+				work += 2 * WordsOf(v)
 			}
 			out[base+s] = acc
 		}
@@ -371,11 +351,8 @@ func (pl *Plan) dfsStep(p *machine.Proc, group collective.Group, shareA, shareB 
 		out[i] = bigint.Zero()
 	}
 	for j := 0; j < 2*k-1; j++ {
-		if err := pl.hooks.sync(p, fmt.Sprintf("%s/dfs%d", path, j)); err != nil {
-			return nil, err
-		}
-		evalA := pl.localEvalRow(p, shareA, j)
-		evalB := pl.localEvalRow(p, shareB, j)
+		evalA := EvalRowBlocks(p, pl.alg.U()[j], shareA, k)
+		evalB := EvalRowBlocks(p, pl.alg.U()[j], shareB, k)
 		child, err := pl.Node(p, group, evalA, evalB, level+1, fmt.Sprintf("%s.%d", path, j))
 		if err != nil {
 			return nil, err
@@ -394,7 +371,7 @@ func (pl *Plan) dfsStep(p *machine.Proc, group collective.Group, shareA, shareB 
 					continue
 				}
 				out[base+s] = out[base+s].Add(v.MulInt64(c))
-				work += 2 * wordsOf(v)
+				work += 2 * WordsOf(v)
 			}
 		}
 		p.Work(work)
@@ -418,17 +395,13 @@ func (pl *Plan) bfsStep(p *machine.Proc, group collective.Group, shareA, shareB 
 		rowGroup[c] = group[row+c*gPrime]
 	}
 
-	if err := pl.hooks.sync(p, path+"/eval"); err != nil {
-		return nil, err
-	}
-
 	// Evaluation + downward redistribution: my slice of evaluation j goes
 	// to the row-mate in column j.
 	outA := make([]machine.Ints, cols)
 	outB := make([]machine.Ints, cols)
 	for j := 0; j < cols; j++ {
-		outA[j] = machine.Ints(pl.localEvalRow(p, shareA, j))
-		outB[j] = machine.Ints(pl.localEvalRow(p, shareB, j))
+		outA[j] = machine.Ints(EvalRowBlocks(p, pl.alg.U()[j], shareA, k))
+		outB[j] = machine.Ints(EvalRowBlocks(p, pl.alg.U()[j], shareB, k))
 	}
 	inA, err := collective.Exchange(p, rowGroup, path+"/xa", outA)
 	if err != nil {
@@ -455,18 +428,11 @@ func (pl *Plan) bfsStep(p *machine.Proc, group collective.Group, shareA, shareB 
 	for r := 0; r < gPrime; r++ {
 		colGroup[r] = group[r+col*gPrime]
 	}
-	if err := pl.hooks.sync(p, path+"/mul"); err != nil {
-		return nil, err
-	}
 	child, err := pl.Node(p, colGroup, childA, childB, level+1, fmt.Sprintf("%s.%d", path, col))
 	if err != nil {
 		return nil, err
 	}
 	p.Mark(fmt.Sprintf("mul@%d", level))
-
-	if err := pl.hooks.sync(p, path+"/interp"); err != nil {
-		return nil, err
-	}
 
 	// Upward redistribution (reverse of the downward one): my share of
 	// child product entries splits into 2k-1 offset classes mod g; class
@@ -502,10 +468,10 @@ func (pl *Plan) leaf(p *machine.Proc, shareA, shareB []bigint.Int) ([]bigint.Int
 	z := pl.alg.MulSharesWithStats(shareA, shareB, pl.shift, &stats)
 	var rw int64
 	for _, d := range shareA {
-		rw += wordsOf(d)
+		rw += WordsOf(d)
 	}
 	for _, d := range shareB {
-		rw += wordsOf(d)
+		rw += WordsOf(d)
 	}
 	p.Work(rw + stats.WordOps)
 	return splitSigned(z, 2*len(shareA), pl.shift), nil
@@ -610,7 +576,8 @@ func cyclicShares(v bigint.Int, digits, shift, p int) [][]bigint.Int {
 	return shares
 }
 
-func concat(a, b []bigint.Int) []bigint.Int {
+// Concat returns a fresh slice holding a followed by b.
+func Concat(a, b []bigint.Int) []bigint.Int {
 	out := make([]bigint.Int, 0, len(a)+len(b))
 	out = append(out, a...)
 	return append(out, b...)
@@ -632,8 +599,8 @@ func logBase(v, b int) int {
 	return l
 }
 
-// pow returns base^exp for small non-negative exponents.
-func pow(base, exp int) int {
+// Pow returns base^exp for small non-negative exponents.
+func Pow(base, exp int) int {
 	out := 1
 	for i := 0; i < exp; i++ {
 		out *= base
@@ -641,7 +608,9 @@ func pow(base, exp int) int {
 	return out
 }
 
-func wordsOf(x bigint.Int) int64 {
+// WordsOf is the word count the cost model charges for one digit: its
+// limb length, and one word for zero.
+func WordsOf(x bigint.Int) int64 {
 	if l := int64(x.WordLen()); l > 0 {
 		return l
 	}
