@@ -1,9 +1,15 @@
 GO ?= go
 
-.PHONY: build test race vet allocs bench benchjson benchgate caltune fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke ci
+.PHONY: build fmtcheck test race vet allocs bench benchjson benchgate caltune fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke ci
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: every tracked .go file (testdata fixtures included) must
+# be gofmt-clean. Lists the offending files and fails if there are any.
+fmtcheck:
+	@files=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$files" ]; then echo "gofmt needed on:"; echo "$$files"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -88,10 +94,11 @@ examples:
 	$(GO) run ./examples/polymul
 	$(GO) run ./examples/matstorm
 
-# Matrix-tier smoke: the exhaustive single-fail-stop crosscheck over both
-# backends, the golden F/BW/BW-in/L/barrier/Flops counts of every scheme
-# under fault-free, eval-phase and mul-phase plans, then the Table-1-style
-# matrix cost table on each backend.
+# Matrix-tier smoke: every ≤2-fault plan on all three schemes and both
+# backends (exact product or an error, never a wrong matrix), the golden
+# F/BW/BW-in/L/barrier/Flops counts of every scheme under fault-free,
+# eval-phase and mul-phase plans, then the Table-1-style matrix cost table
+# on each backend.
 matsmoke:
 	$(GO) test ./internal/mat ./internal/ftmatmul
 	$(GO) test -run 'TestMatrixSchemesPinnedCounts' ./internal/crosscheck
@@ -114,4 +121,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzToomMulStats -fuzztime 10s ./internal/toom
 
 # ci mirrors .github/workflows/ci.yml locally: everything a PR must pass.
-ci: build test vet allocs race fuzz-smoke wallsmoke matsmoke examples lint
+ci: build fmtcheck test vet allocs race fuzz-smoke wallsmoke matsmoke examples lint

@@ -359,8 +359,8 @@ func BenchmarkStragglerMitigation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := ftparallel.Multiply(a, x, ftparallel.Options{
 			Alg: alg, P: 9, F: 1,
-			DropStragglers: true, StragglerSlack: 100000,
-			Machine: machine.Config{SpeedFactors: slow},
+			StragglerSlack: 100000,
+			Machine:        machine.Config{SpeedFactors: slow},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -204,8 +204,8 @@ func stragglers(a, b bigint.Int) error {
 	slack := 10 * float64(a.BitLen())
 	res, err := ftparallel.Multiply(a, b, ftparallel.Options{
 		Alg: alg, P: 9, F: 1,
-		DropStragglers: true, StragglerSlack: slack,
-		Machine: mcfg(machine.Config{SpeedFactors: slow}),
+		StragglerSlack: slack,
+		Machine:        mcfg(machine.Config{SpeedFactors: slow}),
 	})
 	if err != nil {
 		return err

@@ -19,10 +19,10 @@ import (
 )
 
 const (
-	n      = 12  // matrix dimension
-	bits   = 96  // entry size
-	rounds = 10  // fault rounds
-	procs  = 15  // ranks of the two-algorithms scheme
+	n      = 12 // matrix dimension
+	bits   = 96 // entry size
+	rounds = 10 // fault rounds
+	procs  = 15 // ranks of the two-algorithms scheme
 )
 
 func randMatrix(rng *rand.Rand, n int, lim *big.Int) [][]*big.Int {

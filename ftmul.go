@@ -254,6 +254,9 @@ func MulFaultTolerant(a, b *big.Int, k, f int, cfg ClusterConfig, faults []Fault
 // standing in for the stragglers. The report's DeadColumns lists the
 // columns that were dropped for lateness.
 func MulStragglerTolerant(a, b *big.Int, k, f int, slack float64, cfg ClusterConfig) (*big.Int, *FTReport, error) {
+	if slack <= 0 {
+		return nil, nil, fmt.Errorf("ftmul: straggler slack must be positive, got %v", slack)
+	}
 	alg, err := toom.New(k)
 	if err != nil {
 		return nil, nil, err
@@ -263,7 +266,6 @@ func MulStragglerTolerant(a, b *big.Int, k, f int, slack float64, cfg ClusterCon
 		P:              cfg.P,
 		F:              f,
 		Machine:        cfg.machineConfig(),
-		DropStragglers: true,
 		StragglerSlack: slack,
 	})
 	if err != nil {

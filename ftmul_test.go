@@ -217,4 +217,9 @@ func TestMulStragglerTolerant(t *testing.T) {
 	if len(rep.DeadColumns) != 1 || rep.DeadColumns[0] != 1 {
 		t.Errorf("dropped columns = %v", rep.DeadColumns)
 	}
+	for _, slack := range []float64{0, -1} {
+		if _, _, err := MulStragglerTolerant(a, b, 2, 1, slack, ClusterConfig{P: 9}); err == nil {
+			t.Errorf("slack %v: want an error", slack)
+		}
+	}
 }

@@ -219,10 +219,9 @@ func escapeAllowed(n int) nat {
 	return z
 }
 
-// nttWorker models the NTT fan-out discipline (internal/bigint's
-// nttWorkProduct): each pool task is a named function renting its own arena
-// so concurrent workers never share a slab, with the rental closed on every
-// path before the task ends.
+// nttWorker models a pool task that rents its own arena so concurrent
+// workers never share a slab, with the rental closed on every path before
+// the task ends.
 func nttWorker(n int) {
 	ar := getArena()
 	defer putArena(ar)

@@ -135,8 +135,8 @@ func checkWorlds(pass *framework.Pass, worlds []World) {
 			fmt.Sprintf("derived F=%d S=%d R=%d L=%d ≠ expected F=%d S=%d R=%d L=%d",
 				derived.F, derived.S, derived.R, derived.L,
 				expected.F, expected.S, expected.R, expected.L),
-			fmt.Sprintf("world %s: P=%d k=%d F=%d ldfs=%d leaf=%d",
-				w.Name, w.P, w.K, w.Faults, w.DFSSteps, w.Leaf),
+			fmt.Sprintf("world %s: P=%d k=%d F=%d ldfs=%d",
+				w.Name, w.P, w.K, w.Faults, w.DFSSteps),
 			"Multiply cost diverges from the Table 2 recurrence on world %s",
 			w.Name)
 	}

@@ -134,7 +134,7 @@ func Worlds() []World {
 		w := World{MultiplyWorld: mw}
 		cols := 2*w.K - 1
 		levels := w.DFSSteps + intLog(w.P, cols)
-		w.Digits = ipow(w.K, levels) * w.Leaf * w.P
+		w.Digits = ipow(w.K, levels) * w.P
 		if w.FT {
 			w.Expected = ftCounts(w.P, w.K, w.Faults, w.DFSSteps, w.Digits)
 		} else {

@@ -261,7 +261,6 @@ type MultiplyWorld struct {
 	K         int  // Toom-Cook parameter
 	Faults    int  // FT redundancy F
 	DFSSteps  int
-	Leaf      int  // LeafFactor
 	Straggler bool // drop stragglers instead of coding (deadline receives)
 }
 
@@ -273,11 +272,11 @@ type MultiplyWorld struct {
 // polynomial-code column).
 func MultiplyWorlds() []MultiplyWorld {
 	return []MultiplyWorld{
-		{Name: "parallel/P3k2", P: 3, K: 2, Leaf: 1},
-		{Name: "parallel/P3k2+dfs", P: 3, K: 2, DFSSteps: 1, Leaf: 1},
-		{Name: "ftparallel/P3k2F1", FT: true, P: 3, K: 2, Faults: 1, Leaf: 1},
-		{Name: "ftparallel/P3k2F1+dfs", FT: true, P: 3, K: 2, Faults: 1, DFSSteps: 1, Leaf: 1},
-		{Name: "ftparallel/P3k2F1+straggler", FT: true, P: 3, K: 2, Faults: 1, Leaf: 1, Straggler: true},
+		{Name: "parallel/P3k2", P: 3, K: 2},
+		{Name: "parallel/P3k2+dfs", P: 3, K: 2, DFSSteps: 1},
+		{Name: "ftparallel/P3k2F1", FT: true, P: 3, K: 2, Faults: 1},
+		{Name: "ftparallel/P3k2F1+dfs", FT: true, P: 3, K: 2, Faults: 1, DFSSteps: 1},
+		{Name: "ftparallel/P3k2F1+straggler", FT: true, P: 3, K: 2, Faults: 1, Straggler: true},
 	}
 }
 
@@ -333,12 +332,10 @@ func (ev *Eval) MultiplyArgs(entry *CGNode, w MultiplyWorld, alg Value) ([]Value
 	f["Alg"] = alg
 	f["P"] = KnownInt(int64(w.P))
 	f["DFSSteps"] = KnownInt(int64(w.DFSSteps))
-	f["LeafFactor"] = KnownInt(int64(w.Leaf))
 	if w.FT {
 		f["F"] = KnownInt(int64(w.Faults))
 	}
 	if w.Straggler {
-		f["DropStragglers"] = KnownBool(true)
 		f["StragglerSlack"] = Float{Known: true, V: stragglerSlack}
 	}
 	return []Value{ev.D.Scalar(), ev.D.Scalar(), opts}, nil

@@ -95,7 +95,6 @@ var kernels = map[string]*kernelSpec{
 	"forwardBlockPar": {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, ltP: map[string]bool{"rot": true}, perPrime: true},
 	"inverseBlockPar": {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, ltP: map[string]bool{"irot": true}, perPrime: true},
 	"nttLoad":         {bufs: map[string]bufSpec{"dst": {kind: bufLazy}, "x": {kind: bufRaw}}, perPrime: true},
-	"nttWorkProduct":  {bufs: map[string]bufSpec{"dst": {kind: bufLazy}, "x": {kind: bufRaw}, "y": {kind: bufRaw}}, perPrime: true},
 	"nttProductInto": {
 		bufs:        map[string]bufSpec{"dst": {kind: bufLazy}, "work": {kind: bufLazy}, "x": {kind: bufRaw}, "y": {kind: bufRaw}},
 		strictFinal: "dst",

@@ -10,8 +10,8 @@ package bigint
 // into ≤192-bit convolution coefficients that are accumulated with carries
 // into the destination. All scratch comes from the caller's limb arena, so
 // the top-level natMul keeps its one-heap-allocation (the result) property;
-// the parallel path's per-prime workers rent their own arenas from the same
-// pool.
+// the parallel path's per-prime workers use transform buffers kept with
+// their pooled fan-out record.
 
 import (
 	"math"
@@ -86,8 +86,8 @@ func nttEligible(xLen, yLen int) bool {
 // nttMulTo writes x·y into the zeroed destination z (len(z) ≥ len(x)+len(y))
 // using the three-prime NTT with scratch from ar. When the shared worker
 // pool has more than one slot the three primes' transforms run as pool
-// tasks (each renting its own arena); butterfly stages additionally split
-// long blocks across the pool inside each transform.
+// tasks (each with its own second transform buffer); butterfly stages
+// additionally split long blocks across the pool inside each transform.
 func nttMulTo(z, x, y nat, ar *arena) {
 	m := len(x) + len(y)
 	n := nttSize(m)
@@ -123,7 +123,9 @@ func nttMulTo(z, x, y nat, ar *arena) {
 
 // nttFanout is one nttMulTo call's per-prime fan-out: the join and a task
 // record per prime. Each task's run is its bound work method, made once
-// with the record, so forking the three transforms allocates nothing.
+// with the record, and each task keeps its second transform buffer, grown
+// to the largest transform it has run, so forking the three transforms
+// allocates nothing in steady state.
 type nttFanout struct {
 	wg    sync.WaitGroup
 	tasks [len(nttPrimes)]nttTask
@@ -133,12 +135,14 @@ type nttTask struct {
 	dst, x, y nat
 	pr        *nttPrime
 	run       func()
+	buf       nat
 }
 
-// nttFanouts holds idle fan-out records. A buffered channel, unlike a
-// sync.Pool, keeps them under the race detector too. Eight covers the NTT
-// products that overlap in practice (one per concurrent multiply); a record
-// returned to a full list is left to the garbage collector.
+// nttFanouts holds idle fan-out records, buffers included. A buffered
+// channel, unlike a sync.Pool, keeps them under the race detector too.
+// Eight covers the NTT products that overlap in practice (one per concurrent
+// multiply); a record returned to a full list is left to the garbage
+// collector.
 var nttFanouts = make(chan *nttFanout, 8)
 
 func getNTTFanout() *nttFanout {
@@ -167,18 +171,14 @@ func putNTTFanout(f *nttFanout) {
 	}
 }
 
-func (t *nttTask) work() { nttWorkProduct(t.dst, t.x, t.y, t.pr) }
-
-// nttWorkProduct is one prime's transform task on the worker pool. It rents
-// its own arena for the second transform buffer — the pooled slabs make the
-// rental allocation-free in steady state — and forwards to nttProductInto
+// work is one prime's transform task on the worker pool: it grows the
+// task's buffer to the transform length if needed and runs nttProductInto
 // with the pool enabled for intra-transform stage splitting.
-func nttWorkProduct(dst nat, x, y nat, pr *nttPrime) {
-	ar := getArena()
-	ar.ensure(len(dst))
-	work := ar.alloc(len(dst))
-	nttProductInto(dst, work, x, y, pr, nttPool)
-	putArena(ar)
+func (t *nttTask) work() {
+	if len(t.buf) < len(t.dst) {
+		t.buf = make(nat, len(t.dst))
+	}
+	nttProductInto(t.dst, t.buf[:len(t.dst)], t.x, t.y, t.pr, nttPool)
 }
 
 // nttProductInto computes the cyclic convolution of x and y modulo pr.p into

@@ -167,7 +167,7 @@ func TestMulToLadderBoundary(t *testing.T) {
 }
 
 // TestNTTMulParallel swaps a multi-slot pool into nttPool so the per-prime
-// fan-out (nttWorkProduct) and the intra-stage block splitting run even on a
+// fan-out (nttTask.work) and the intra-stage block splitting run even on a
 // single-CPU host, and cross-checks the product. Run under -race this is the
 // data-race gate for the parallel butterfly paths.
 func TestNTTMulParallel(t *testing.T) {

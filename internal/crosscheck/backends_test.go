@@ -65,6 +65,37 @@ func TestBackendsAgreeOnFaultMatrix(t *testing.T) {
 		{"dfs-mul", 1, 1,
 			[]machine.Fault{{Proc: 3, Phase: ftparallel.PhaseMul, Hit: 1}},
 			goldenCounts{7511, 396, 65}},
+		// The recovery paths below were pinned before the coder's encode and
+		// repair loops merged: a dead code processor (re-encode), two losses
+		// in one column (the 2×2 Vandermonde minor), and a lost product share
+		// together with its column's code processor.
+		{"eval-code", 2, 0,
+			[]machine.Fault{{Proc: lay.LinearCode(0, 1), Phase: ftparallel.PhaseEval}},
+			goldenCounts{8235, 399, 32}},
+		{"eval-two-in-column", 2, 0,
+			[]machine.Fault{
+				{Proc: lay.Worker(0, 1), Phase: ftparallel.PhaseEval},
+				{Proc: lay.Worker(2, 1), Phase: ftparallel.PhaseEval},
+			},
+			goldenCounts{8235, 431, 33}},
+		{"interp-two-in-column", 2, 0,
+			[]machine.Fault{
+				{Proc: lay.Worker(0, 2), Phase: ftparallel.PhaseInterp},
+				{Proc: lay.Worker(1, 2), Phase: ftparallel.PhaseInterp},
+			},
+			goldenCounts{8171, 527, 35}},
+		{"interp-worker-and-code", 2, 0,
+			[]machine.Fault{
+				{Proc: lay.Worker(1, 0), Phase: ftparallel.PhaseInterp},
+				{Proc: lay.LinearCode(0, 0), Phase: ftparallel.PhaseInterp},
+			},
+			goldenCounts{8171, 479, 34}},
+		{"dfs-eval-worker-and-code", 2, 1,
+			[]machine.Fault{
+				{Proc: lay.Worker(1, 0), Phase: ftparallel.PhaseEval},
+				{Proc: lay.LinearCode(1, 2), Phase: ftparallel.PhaseEval},
+			},
+			goldenCounts{8162, 563, 80}},
 	}
 
 	for _, pl := range plans {

@@ -117,7 +117,7 @@ func TestWorldCostsMatchRuntime(t *testing.T) {
 			if w.FT {
 				res, err := ftparallel.Multiply(a, a, ftparallel.Options{
 					Alg: toom.MustNew(w.K), P: w.P, F: w.Faults,
-					DFSSteps: w.DFSSteps, LeafFactor: w.Leaf,
+					DFSSteps: w.DFSSteps,
 				})
 				if err != nil {
 					t.Fatalf("ftparallel.Multiply: %v", err)
@@ -126,7 +126,7 @@ func TestWorldCostsMatchRuntime(t *testing.T) {
 			} else {
 				res, err := parallel.Multiply(a, a, parallel.Options{
 					Alg: toom.MustNew(w.K), P: w.P,
-					DFSSteps: w.DFSSteps, LeafFactor: w.Leaf,
+					DFSSteps: w.DFSSteps,
 				})
 				if err != nil {
 					t.Fatalf("parallel.Multiply: %v", err)

@@ -23,8 +23,10 @@ type Ctx struct {
 }
 
 // Coder runs the Section 4.1 linear-erasure protocols over a Layout's grid:
-// Vandermonde-weighted column encoding, residual-reduce recovery of lost
-// shards, and re-encoding of dead code processors. It is payload-agnostic —
+// one encode (Vandermonde-weighted column reduces onto the code processors,
+// run for the input shards, for the child products of every coded BFS step,
+// and to re-encode dead code processors) and one repair (residual reduces
+// and a small exact solve that restore lost shards). It is payload-agnostic —
 // shards are flat []bigint.Int vectors, whatever the Workload packed into
 // them. A nil erasure code (f = 0) degrades every operation to a no-op while
 // Protect still crosses the evaluation barrier, preserving the fault-free
@@ -44,12 +46,13 @@ func NewCoder(lay Layout, code *erasure.Code, dataLen, prodLen int) *Coder {
 }
 
 // Protect runs the engine's stage 0 on one rank: encode the input shards
-// onto the code processors, cross the evaluation barrier, and repair any
-// data the barrier's fault events destroyed. The barrier is crossed even
-// with a nil code so the phase structure (and fault injection points) do not
-// depend on f.
+// onto the code processors (the paper's code creation), cross the
+// evaluation barrier, and repair any data the barrier's fault events
+// destroyed. The barrier is crossed even with a nil code so the phase
+// structure (and fault injection points) do not depend on f.
 func (c *Coder) Protect(p *machine.Proc, rk *Rank) error {
-	codeword, err := c.CreateInputCode(p, rk.Ctx.Data)
+	codeword, err := c.encode(p, rk.Ctx.Data, c.dataLen, everyCell,
+		func(i, j int) string { return fmt.Sprintf("code1/%d/%d", i, j) })
 	if err != nil {
 		return err
 	}
@@ -65,11 +68,61 @@ func (c *Coder) Protect(p *machine.Proc, rk *Rank) error {
 	if err := c.RecoverData(p, ev, rk.Ctx); err != nil {
 		return err
 	}
-	rk.Recovered += countDataLoss(ev)
+	rk.Recovered += len(ev)
 	return nil
 }
 
-func countDataLoss(ev []machine.FaultEvent) int { return len(ev) }
+func everyCell(i, j int) bool { return true }
+
+// RecoverData repairs the input shards the fault events destroyed, writing
+// each victim's restored shard back into ctx, then re-encodes the code cells
+// whose processors died: the victims' shards are whole again by then, so
+// the full column re-runs code creation for those cells.
+func (c *Coder) RecoverData(p *machine.Proc, ev []machine.FaultEvent, ctx *Ctx) error {
+	if len(ev) == 0 || c.code == nil {
+		return nil
+	}
+	data, deadCode, err := c.repair(p, ev, nil, ctx.Data, ctx.Code, c.dataLen,
+		func(i, j int) string { return fmt.Sprintf("rec1/%d/%d", i, j) },
+		func(j int) string { return fmt.Sprintf("rec1/share/%d", j) })
+	if err != nil {
+		return err
+	}
+	ctx.Data = data
+	codeword, err := c.encode(p, ctx.Data, c.dataLen,
+		func(i, j int) bool { return deadCode[[2]int{i, j}] },
+		func(i, j int) string { return fmt.Sprintf("reenc1/%d/%d", i, j) })
+	if err != nil {
+		return err
+	}
+	if codeword != nil {
+		ctx.Code = codeword
+	}
+	return nil
+}
+
+// CreateProductCode re-creates the linear code over the mid-step product
+// shares of the live worker columns ("Each BFS step initiates a new code
+// creation process"), protecting the recombination stage. It returns the
+// code processor's product codeword (nil elsewhere).
+func (c *Coder) CreateProductCode(p *machine.Proc, deadCols map[int]bool, prod []bigint.Int, tag string) ([]bigint.Int, error) {
+	return c.encode(p, prod, c.prodLen,
+		func(_, j int) bool { return !deadCols[j] },
+		func(i, j int) string { return fmt.Sprintf("%s/code2/%d/%d", tag, i, j) })
+}
+
+// RecoverProducts repairs the product shares lost after CreateProductCode
+// in live worker columns, from the product codeword prodCode. It returns
+// this rank's share, restored on a victim.
+func (c *Coder) RecoverProducts(p *machine.Proc, ev []machine.FaultEvent, deadCols map[int]bool, prod, prodCode []bigint.Int, tag string) ([]bigint.Int, error) {
+	if len(ev) == 0 || c.code == nil {
+		return prod, nil
+	}
+	prod, _, err := c.repair(p, ev, deadCols, prod, prodCode, c.prodLen,
+		func(i, j int) string { return fmt.Sprintf("%s/rec2/%d/%d", tag, i, j) },
+		func(j int) string { return fmt.Sprintf("%s/rec2/share/%d", tag, j) })
+	return prod, err
+}
 
 func zeroVec(n int) machine.Ints {
 	v := make(machine.Ints, n)
@@ -79,46 +132,48 @@ func zeroVec(n int) machine.Ints {
 	return v
 }
 
-// columnGroupWithRoot builds the reduce group for column j's code row i:
-// the given worker rows (ascending) followed by the root rank.
-func (c *Coder) columnGroupWithRoot(j int, rows []int, root int) collective.Group {
-	g := make(collective.Group, 0, len(rows)+1)
+// columnReduce reduces Σ_r η_i^r·vec_r over the given worker rows of column
+// j (ascending) onto root, which contributes zeros of length zeroLen; the
+// sum is returned on root.
+func (c *Coder) columnReduce(p *machine.Proc, i, j int, rows []int, root int, tag string, vec []bigint.Int, zeroLen int) (machine.Ints, error) {
+	group := make(collective.Group, 0, len(rows)+1)
 	for _, r := range rows {
-		g = append(g, c.lay.Worker(r, j))
+		group = append(group, c.lay.Worker(r, j))
 	}
-	return append(g, root)
+	group = append(group, root)
+	mine, weight := machine.Ints(vec), int64(0)
+	if p.ID() == root {
+		mine = zeroVec(zeroLen)
+	} else {
+		weight = c.code.RedundancyRow(i)[p.ID()%c.lay.GPrime]
+	}
+	return collective.WeightedReduce(p, group, len(group)-1, tag, mine, weight)
 }
 
-// CreateInputCode runs the paper's code creation (Section 4.1): each column
-// of workers encodes its input shards onto the f code processors below it
-// with Vandermonde-weighted reduces. Workers pass their shard; code
-// processors receive their codeword; other ranks return nil.
-func (c *Coder) CreateInputCode(p *machine.Proc, data []bigint.Int) ([]bigint.Int, error) {
+// encode runs code creation (Section 4.1) over the code cells (code row i,
+// column j) that admit accepts, row by row: column j's workers reduce their
+// vec, weighted by code row i, onto the code processor LinearCode(i, j),
+// which contributes zeros of length zeroLen. It returns the codeword of the
+// cell this rank roots, nil on every other rank.
+func (c *Coder) encode(p *machine.Proc, vec []bigint.Int, zeroLen int, admit func(i, j int) bool, tag func(i, j int) string) ([]bigint.Int, error) {
 	if c.code == nil {
 		return nil, nil
 	}
 	lay := c.lay
 	rank := p.ID()
-	allRows := seq(lay.GPrime)
+	var rows []int
 	var myCode []bigint.Int
 	for i := 0; i < lay.F; i++ {
 		for j := 0; j < lay.Cols(); j++ {
 			root := lay.LinearCode(i, j)
 			isWorker := rank < lay.P && rank/lay.GPrime == j
-			if !isWorker && rank != root {
+			if (!isWorker && rank != root) || !admit(i, j) {
 				continue
 			}
-			group := c.columnGroupWithRoot(j, allRows, root)
-			tag := fmt.Sprintf("code1/%d/%d", i, j)
-			var mine machine.Ints
-			var weight int64
-			if isWorker {
-				mine = machine.Ints(data)
-				weight = c.code.RedundancyRow(i)[rank%lay.GPrime]
-			} else {
-				mine = zeroVec(c.dataLen)
+			if rows == nil {
+				rows = seq(lay.GPrime)
 			}
-			got, err := collective.WeightedReduce(p, group, len(group)-1, tag, mine, weight)
+			got, err := c.columnReduce(p, i, j, rows, root, tag(i, j), vec, zeroLen)
 			if err != nil {
 				return nil, err
 			}
@@ -130,15 +185,15 @@ func (c *Coder) CreateInputCode(p *machine.Proc, data []bigint.Int) ([]bigint.In
 	return myCode, nil
 }
 
-// RecoverData repairs shard data lost to the fault events: each affected
-// column rebuilds its victims' shards from the survivors and the code
-// processors via reduces and one small exact solve (Section 4.1, "Fault
-// recovery"); dead code processors are then re-encoded. The victim's
-// restored shard is written back into ctx.
-func (c *Coder) RecoverData(p *machine.Proc, ev []machine.FaultEvent, ctx *Ctx) error {
-	if len(ev) == 0 || c.code == nil {
-		return nil
-	}
+// repair rebuilds the shards of vec that the fault events destroyed in the
+// worker columns outside skip (Section 4.1, "Fault recovery"). In each such
+// column the lowest dead worker leads: for as many live code rows i as the
+// column lost shards, it reduces Σ_{alive r} η_i^r·vec_r from the survivors
+// and subtracts it from code row i's codeword (cw on the code processor),
+// solves the Vandermonde minor for the lost shards, and sends each victim
+// its own. It returns this rank's vec, restored on a victim, and the dead
+// code cells (code row, column).
+func (c *Coder) repair(p *machine.Proc, ev []machine.FaultEvent, skip map[int]bool, vec, cw []bigint.Int, zeroLen int, tag func(i, j int) string, shareTag func(j int) string) ([]bigint.Int, map[[2]int]bool, error) {
 	lay := c.lay
 	rank := p.ID()
 
@@ -149,203 +204,7 @@ func (c *Coder) RecoverData(p *machine.Proc, ev []machine.FaultEvent, ctx *Ctx) 
 		switch {
 		case f.Proc < lay.P:
 			col := f.Proc / lay.GPrime
-			victimRows[col] = append(victimRows[col], f.Proc%lay.GPrime)
-		case f.Proc < lay.P+lay.F*lay.Cols():
-			idx := f.Proc - lay.P
-			deadCode[[2]int{idx / lay.Cols(), idx % lay.Cols()}] = true
-		}
-	}
-	cols := make([]int, 0, len(victimRows))
-	for col := range victimRows {
-		sort.Ints(victimRows[col])
-		cols = append(cols, col)
-	}
-	sort.Ints(cols)
-
-	for _, j := range cols {
-		dead := victimRows[j]
-		alive := complement(lay.GPrime, dead)
-		var codeRows []int
-		for i := 0; i < lay.F && len(codeRows) < len(dead); i++ {
-			if !deadCode[[2]int{i, j}] {
-				codeRows = append(codeRows, i)
-			}
-		}
-		if len(codeRows) < len(dead) {
-			return fmt.Errorf("ftengine: column %d lost %d workers with only %d live code rows", j, len(dead), len(codeRows))
-		}
-		leader := lay.Worker(dead[0], j)
-		amLeader := rank == leader
-		inColumn := rank < lay.P && rank/lay.GPrime == j
-
-		// Residual reduces: Σ_{alive r} η_i^r·x_r to the leader, plus the
-		// codeword from the code processor; leader computes residuals.
-		var residuals [][]bigint.Int
-		for idx, i := range codeRows {
-			root := leader
-			group := c.columnGroupWithRoot(j, alive, root)
-			tag := fmt.Sprintf("rec1/%d/%d", i, j)
-			participates := amLeader || (inColumn && containsInt(alive, rank%lay.GPrime))
-			if participates {
-				var mine machine.Ints
-				var weight int64
-				if amLeader {
-					mine = zeroVec(c.dataLen)
-				} else {
-					mine = machine.Ints(ctx.Data)
-					weight = c.code.RedundancyRow(i)[rank%lay.GPrime]
-				}
-				got, err := collective.WeightedReduce(p, group, len(group)-1, tag, mine, weight)
-				if err != nil {
-					return err
-				}
-				if amLeader {
-					residuals = append(residuals, got)
-				}
-			}
-			codeProc := lay.LinearCode(i, j)
-			if rank == codeProc {
-				if err := p.Send(leader, tag+"/cw", machine.Ints(ctx.Code)); err != nil {
-					return err
-				}
-			}
-			if amLeader {
-				cw, err := p.RecvInts(codeProc, tag+"/cw")
-				if err != nil {
-					return err
-				}
-				for t := range residuals[idx] {
-					residuals[idx][t] = cw[t].Sub(residuals[idx][t])
-				}
-				p.Work(int64(len(cw)))
-			}
-		}
-
-		// Leader solves the Vandermonde minor and distributes the shards.
-		if amLeader {
-			shares, err := c.solveMinor(p, codeRows, dead, residuals)
-			if err != nil {
-				return err
-			}
-			for vi, r := range dead {
-				target := lay.Worker(r, j)
-				if target == leader {
-					ctx.Data = shares[vi]
-					continue
-				}
-				if err := p.Send(target, fmt.Sprintf("rec1/share/%d", j), machine.Ints(shares[vi])); err != nil {
-					return err
-				}
-			}
-		} else if inColumn && containsInt(dead, rank%lay.GPrime) {
-			got, err := p.RecvInts(leader, fmt.Sprintf("rec1/share/%d", j))
-			if err != nil {
-				return err
-			}
-			ctx.Data = []bigint.Int(got)
-		}
-	}
-
-	// Re-encode columns whose code processors died (their codewords are
-	// gone); victims' shards are restored by now, so the full column can
-	// re-run code creation for the affected rows.
-	keys := make([][2]int, 0, len(deadCode))
-	for key := range deadCode {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	for _, key := range keys {
-		i, j := key[0], key[1]
-		root := lay.LinearCode(i, j)
-		isWorker := rank < lay.P && rank/lay.GPrime == j
-		if !isWorker && rank != root {
-			continue
-		}
-		group := c.columnGroupWithRoot(j, seq(lay.GPrime), root)
-		tag := fmt.Sprintf("reenc1/%d/%d", i, j)
-		var mine machine.Ints
-		var weight int64
-		if isWorker {
-			mine = machine.Ints(ctx.Data)
-			weight = c.code.RedundancyRow(i)[rank%lay.GPrime]
-		} else {
-			mine = zeroVec(c.dataLen)
-		}
-		got, err := collective.WeightedReduce(p, group, len(group)-1, tag, mine, weight)
-		if err != nil {
-			return err
-		}
-		if rank == root {
-			ctx.Code = []bigint.Int(got)
-		}
-	}
-	return nil
-}
-
-// CreateProductCode re-creates the linear code over the mid-step product
-// shares of the live worker columns ("Each BFS step initiates a new code
-// creation process"), protecting the recombination stage. It returns the
-// code processor's product codeword (nil elsewhere).
-func (c *Coder) CreateProductCode(p *machine.Proc, deadCols map[int]bool, prod []bigint.Int, tag string) ([]bigint.Int, error) {
-	if c.code == nil {
-		return nil, nil
-	}
-	lay := c.lay
-	rank := p.ID()
-	var myCode []bigint.Int
-	for i := 0; i < lay.F; i++ {
-		for j := 0; j < lay.Cols(); j++ {
-			if deadCols[j] {
-				continue
-			}
-			root := lay.LinearCode(i, j)
-			isWorker := rank < lay.P && rank/lay.GPrime == j
-			if !isWorker && rank != root {
-				continue
-			}
-			group := c.columnGroupWithRoot(j, seq(lay.GPrime), root)
-			rtag := fmt.Sprintf("%s/code2/%d/%d", tag, i, j)
-			var mine machine.Ints
-			var weight int64
-			if isWorker {
-				mine = machine.Ints(prod)
-				weight = c.code.RedundancyRow(i)[rank%lay.GPrime]
-			} else {
-				mine = zeroVec(c.prodLen)
-			}
-			got, err := collective.WeightedReduce(p, group, len(group)-1, rtag, mine, weight)
-			if err != nil {
-				return nil, err
-			}
-			if rank == root {
-				myCode = []bigint.Int(got)
-			}
-		}
-	}
-	return myCode, nil
-}
-
-// RecoverProducts repairs product shares lost after CreateProductCode for
-// victims in live worker columns, using the freshly created product code.
-// The victim's restored share is returned (others pass through unchanged).
-func (c *Coder) RecoverProducts(p *machine.Proc, ev []machine.FaultEvent, deadCols map[int]bool, prod, prodCode []bigint.Int, tag string) ([]bigint.Int, []bigint.Int, error) {
-	if len(ev) == 0 || c.code == nil {
-		return prod, prodCode, nil
-	}
-	lay := c.lay
-	rank := p.ID()
-	victimRows := map[int][]int{}
-	deadCode := map[[2]int]bool{}
-	for _, f := range ev {
-		switch {
-		case f.Proc < lay.P:
-			col := f.Proc / lay.GPrime
-			if !deadCols[col] {
+			if !skip[col] {
 				victimRows[col] = append(victimRows[col], f.Proc%lay.GPrime)
 			}
 		case f.Proc < lay.P+lay.F*lay.Cols():
@@ -370,27 +229,19 @@ func (c *Coder) RecoverProducts(p *machine.Proc, ev []machine.FaultEvent, deadCo
 			}
 		}
 		if len(codeRows) < len(dead) {
-			return nil, nil, fmt.Errorf("ftengine: column %d lost %d product shares with only %d live code rows", j, len(dead), len(codeRows))
+			return nil, nil, fmt.Errorf("ftengine: column %d lost %d shards with only %d live code rows", j, len(dead), len(codeRows))
 		}
 		leader := lay.Worker(dead[0], j)
 		amLeader := rank == leader
 		inColumn := rank < lay.P && rank/lay.GPrime == j
 
+		// Residual reduces: Σ_{alive r} η_i^r·x_r to the leader, plus the
+		// codeword from the code processor; leader computes residuals.
 		var residuals [][]bigint.Int
 		for idx, i := range codeRows {
-			group := c.columnGroupWithRoot(j, alive, leader)
-			rtag := fmt.Sprintf("%s/rec2/%d/%d", tag, i, j)
-			participates := amLeader || (inColumn && containsInt(alive, rank%lay.GPrime))
-			if participates {
-				var mine machine.Ints
-				var weight int64
-				if amLeader {
-					mine = zeroVec(c.prodLen)
-				} else {
-					mine = machine.Ints(prod)
-					weight = c.code.RedundancyRow(i)[rank%lay.GPrime]
-				}
-				got, err := collective.WeightedReduce(p, group, len(group)-1, rtag, mine, weight)
+			rtag := tag(i, j)
+			if amLeader || (inColumn && containsInt(alive, rank%lay.GPrime)) {
+				got, err := c.columnReduce(p, i, j, alive, leader, rtag, vec, zeroLen)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -400,21 +251,23 @@ func (c *Coder) RecoverProducts(p *machine.Proc, ev []machine.FaultEvent, deadCo
 			}
 			codeProc := lay.LinearCode(i, j)
 			if rank == codeProc {
-				if err := p.Send(leader, rtag+"/cw", machine.Ints(prodCode)); err != nil {
+				if err := p.Send(leader, rtag+"/cw", machine.Ints(cw)); err != nil {
 					return nil, nil, err
 				}
 			}
 			if amLeader {
-				cw, err := p.RecvInts(codeProc, rtag+"/cw")
+				got, err := p.RecvInts(codeProc, rtag+"/cw")
 				if err != nil {
 					return nil, nil, err
 				}
 				for t := range residuals[idx] {
-					residuals[idx][t] = cw[t].Sub(residuals[idx][t])
+					residuals[idx][t] = got[t].Sub(residuals[idx][t])
 				}
-				p.Work(int64(len(cw)))
+				p.Work(int64(len(got)))
 			}
 		}
+
+		// Leader solves the Vandermonde minor and distributes the shards.
 		if amLeader {
 			shares, err := c.solveMinor(p, codeRows, dead, residuals)
 			if err != nil {
@@ -423,22 +276,22 @@ func (c *Coder) RecoverProducts(p *machine.Proc, ev []machine.FaultEvent, deadCo
 			for vi, r := range dead {
 				target := lay.Worker(r, j)
 				if target == leader {
-					prod = shares[vi]
+					vec = shares[vi]
 					continue
 				}
-				if err := p.Send(target, fmt.Sprintf("%s/rec2/share/%d", tag, j), machine.Ints(shares[vi])); err != nil {
+				if err := p.Send(target, shareTag(j), machine.Ints(shares[vi])); err != nil {
 					return nil, nil, err
 				}
 			}
 		} else if inColumn && containsInt(dead, rank%lay.GPrime) {
-			got, err := p.RecvInts(leader, fmt.Sprintf("%s/rec2/share/%d", tag, j))
+			got, err := p.RecvInts(leader, shareTag(j))
 			if err != nil {
 				return nil, nil, err
 			}
-			prod = []bigint.Int(got)
+			vec = []bigint.Int(got)
 		}
 	}
-	return prod, prodCode, nil
+	return vec, deadCode, nil
 }
 
 // solveMinor solves the s×s Vandermonde-minor system: given residuals

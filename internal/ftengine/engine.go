@@ -20,7 +20,8 @@ type Slots map[int][]bigint.Int
 type Rank struct {
 	// Ctx holds the rank's durable coded data (shard + codeword).
 	Ctx *Ctx
-	// Coder runs the linear-code recovery protocols for this run.
+	// Coder runs the linear-code recovery protocols for this run (nil when
+	// the run has no coded prologue).
 	Coder *Coder
 	// DeadSeen records the workload's dead units (extended-grid columns for
 	// the Toom engine, shard ranks for the matrix engine) observed at
@@ -62,16 +63,14 @@ type RunOptions struct {
 	// Layout is the processor grid; Machine.P is overridden with its Total.
 	Layout Layout
 	// Coder protects the input shards (built with NewCoder; a nil erasure
-	// code inside it is valid for f = 0).
+	// code inside it is valid for f = 0). A nil Coder skips the coded
+	// prologue: delay-fault mitigation runs without barriers or linear
+	// coding (the workload's Step uses the Straggler protocol instead).
 	Coder *Coder
 	// Machine configures α/β/γ, memory, and the backend.
 	Machine machine.Config
 	// Faults is the fail-stop injection plan.
 	Faults []machine.Fault
-	// DropStragglers skips the coded prologue: delay-fault mitigation mode
-	// runs without barriers or linear coding (the workload's Step uses the
-	// Straggler protocol instead).
-	DropStragglers bool
 }
 
 // RunResult reports one engine execution.
@@ -88,22 +87,22 @@ type RunResult struct {
 
 // exec carries the per-run immutable engine state shared by all processors.
 type exec struct {
-	wl             Workload
-	lay            Layout
-	coder          *Coder
-	dropStragglers bool
+	wl    Workload
+	lay   Layout
+	coder *Coder
 }
 
 // runRank is the generic SPMD body: coded prologue (encode + eval barrier +
-// recovery), then the workload's step. It returns the rank's slot shares,
-// the dead units it observed, and the repairs it participated in.
+// recovery) unless the run has no Coder, then the workload's step. It
+// returns the rank's slot shares, the dead units it observed, and the
+// repairs it participated in.
 func (x *exec) runRank(p *machine.Proc) (Slots, []int, int, error) {
 	rk := &Rank{
 		Ctx:      &Ctx{Data: x.wl.Shard(p.ID())},
 		Coder:    x.coder,
 		DeadSeen: map[int]bool{},
 	}
-	if !x.dropStragglers {
+	if x.coder != nil {
 		if err := x.coder.Protect(p, rk); err != nil {
 			return nil, nil, 0, err
 		}
@@ -132,7 +131,7 @@ func Run(wl Workload, opts RunOptions) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := &exec{wl: wl, lay: opts.Layout, coder: opts.Coder, dropStragglers: opts.DropStragglers}
+	x := &exec{wl: wl, lay: opts.Layout, coder: opts.Coder}
 	results := make([]Slots, cfg.P)
 	deadLog := make([][]int, cfg.P)
 	recovered := make([]int, cfg.P)

@@ -219,8 +219,18 @@ func (w *workload) Step(p *machine.Proc, rk *ftengine.Rank) (ftengine.Slots, err
 // refetch repairs eval-phase shard loss by replication: the victim's tile
 // pair is re-sent by the two partner ranks that hold the same tiles —
 // A[i][k] by rank (i,1−j,k), B[k][j] by rank (1−i,j,k). Strassen victims
-// hold no shard and need nothing.
+// hold no shard and need nothing. Two standard victims that are partners
+// leave no copy of their shared tile, which both algorithm families need;
+// every rank sees the same events, so every rank returns the same error
+// before any refetch message.
 func (w *workload) refetch(p *machine.Proc, ev []machine.FaultEvent, myA, myB *[]bigint.Int) error {
+	for _, f := range ev {
+		for _, g := range ev {
+			if d := f.Proc ^ g.Proc; f.Proc < numStandard && g.Proc < numStandard && (d == 2 || d == 4) {
+				return fmt.Errorf("ftmatmul: eval-phase victims %d and %d held the only copies of a tile", f.Proc, g.Proc)
+			}
+		}
+	}
 	r := p.ID()
 	for _, f := range ev {
 		v := f.Proc

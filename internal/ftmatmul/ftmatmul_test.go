@@ -189,3 +189,66 @@ func TestShapeMismatch(t *testing.T) {
 		t.Fatal("expected shape mismatch error")
 	}
 }
+
+// TestFaultPlanCensus runs every plan of at most two fail-stops — none, one
+// on any (rank, phase) cell, or two on distinct cells — on all three schemes
+// and both backends. Every plan must give the exact product or an error,
+// never a wrong matrix or a panic, and the split is pinned per scheme:
+//
+//   - two-algorithm (15 ranks, 466 plans): 64 errors — the 8 eval pairs of a
+//     standard rank and its replica partner (both copies of a tile gone) and
+//     the 56 mul pairs of a standard and a Strassen rank (both families
+//     broken);
+//   - replicated (16 ranks, 529 plans): 16 errors — a product's two twins
+//     both lost at eval or both at mul;
+//   - plain (8 ranks, 137 plans): only the fault-free plan is exact.
+func TestFaultPlanCensus(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	a := randMat(rng, 6, 6, 64)
+	b := randMat(rng, 6, 6, 64)
+	want := a.MulNaive(b)
+	schemes := []struct {
+		scheme        ftmatmul.Scheme
+		ranks         int
+		exact, failed int
+	}{
+		{ftmatmul.SchemeTwoAlg, 15, 402, 64},
+		{ftmatmul.SchemeReplicated, 16, 513, 16},
+		{ftmatmul.SchemePlain, 8, 1, 136},
+	}
+	for _, sc := range schemes {
+		var cells []machine.Fault
+		for r := 0; r < sc.ranks; r++ {
+			for _, phase := range []string{ftengine.PhaseEval, ftengine.PhaseMul} {
+				cells = append(cells, machine.Fault{Proc: r, Phase: phase})
+			}
+		}
+		plans := [][]machine.Fault{nil}
+		for i := range cells {
+			plans = append(plans, cells[i:i+1])
+			for j := i + 1; j < len(cells); j++ {
+				plans = append(plans, []machine.Fault{cells[i], cells[j]})
+			}
+		}
+		for _, backend := range []machine.Backend{machine.BackendSim, machine.BackendWall} {
+			exact, failed := 0, 0
+			for _, plan := range plans {
+				res, err := ftmatmul.Multiply(a, b, ftmatmul.Options{
+					Machine: machine.Config{Backend: backend},
+					Faults:  plan,
+					Scheme:  sc.scheme,
+				})
+				if err != nil {
+					failed++
+					continue
+				}
+				mustEqual(t, fmt.Sprintf("scheme %q %s %v", sc.scheme, backend, plan), res.C, want)
+				exact++
+			}
+			if exact != sc.exact || failed != sc.failed {
+				t.Errorf("scheme %q %s: %d exact and %d errors over %d plans, want %d and %d",
+					sc.scheme, backend, exact, failed, len(plans), sc.exact, sc.failed)
+			}
+		}
+	}
+}

@@ -12,12 +12,11 @@ import (
 
 // ReplicationOptions configures the replication baseline of Theorem 5.3.
 type ReplicationOptions struct {
-	Alg        *toom.Algorithm
-	P          int // processors per fleet; power of 2k-1
-	F          int // tolerated faults; f extra fleets are allocated
-	DFSSteps   int
-	LeafFactor int
-	Machine    machine.Config
+	Alg      *toom.Algorithm
+	P        int // processors per fleet; power of 2k-1
+	F        int // tolerated faults; f extra fleets are allocated
+	DFSSteps int
+	Machine  machine.Config
 	// Faults: phase PhaseMul addresses the single barrier after the fleets'
 	// computation; a fault there invalidates the victim's entire fleet.
 	Faults []machine.Fault
@@ -45,10 +44,9 @@ func MultiplyReplicated(a, b bigint.Int, opts ReplicationOptions) (*ReplicationR
 		return nil, fmt.Errorf("ftparallel: negative fault tolerance")
 	}
 	plan, err := parallel.NewPlan(a, b, parallel.Options{
-		Alg:        opts.Alg,
-		P:          opts.P,
-		DFSSteps:   opts.DFSSteps,
-		LeafFactor: opts.LeafFactor,
+		Alg:      opts.Alg,
+		P:        opts.P,
+		DFSSteps: opts.DFSSteps,
 	})
 	if err != nil {
 		return nil, err
@@ -105,7 +103,8 @@ func MultiplyReplicated(a, b bigint.Int, opts ReplicationOptions) (*ReplicationR
 	if chosen < 0 {
 		return nil, fmt.Errorf("ftparallel: all %d fleets failed; tolerance exceeded", fleets)
 	}
-	product, err := plan.AssembleFrom(func(q int) ([]bigint.Int, error) {
+	_, wDen := opts.Alg.WScaled()
+	product, err := plan.AssembleFrom(wDen, func(q int) ([]bigint.Int, error) {
 		s := results[chosen*opts.P+q]
 		if s == nil {
 			return nil, fmt.Errorf("ftparallel: fleet %d processor %d has no result", chosen, q)
@@ -132,11 +131,10 @@ func MultiplyReplicated(a, b bigint.Int, opts ReplicationOptions) (*ReplicationR
 
 // CheckpointOptions configures the checkpoint-restart baseline.
 type CheckpointOptions struct {
-	Alg        *toom.Algorithm
-	P          int
-	DFSSteps   int
-	LeafFactor int
-	Machine    machine.Config
+	Alg      *toom.Algorithm
+	P        int
+	DFSSteps int
+	Machine  machine.Config
 	// Faults: phase PhaseMul with hit h injects a fault at the end of the
 	// h-th computation attempt, forcing a rollback and full recomputation.
 	Faults []machine.Fault
@@ -165,10 +163,9 @@ func MultiplyCheckpointRestart(a, b bigint.Int, opts CheckpointOptions) (*Checkp
 		maxRestarts = 8
 	}
 	plan, err := parallel.NewPlan(a, b, parallel.Options{
-		Alg:        opts.Alg,
-		P:          opts.P,
-		DFSSteps:   opts.DFSSteps,
-		LeafFactor: opts.LeafFactor,
+		Alg:      opts.Alg,
+		P:        opts.P,
+		DFSSteps: opts.DFSSteps,
 	})
 	if err != nil {
 		return nil, err
@@ -261,7 +258,8 @@ func MultiplyCheckpointRestart(a, b bigint.Int, opts CheckpointOptions) (*Checkp
 	if err != nil {
 		return nil, err
 	}
-	product, err := plan.AssembleFrom(func(q int) ([]bigint.Int, error) {
+	_, wDen := opts.Alg.WScaled()
+	product, err := plan.AssembleFrom(wDen, func(q int) ([]bigint.Int, error) {
 		if results[q] == nil {
 			return nil, fmt.Errorf("ftparallel: processor %d has no result", q)
 		}

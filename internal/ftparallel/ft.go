@@ -24,8 +24,6 @@ type Options struct {
 	F int
 	// DFSSteps is the sequential prefix (limited-memory case, Lemma 3.1).
 	DFSSteps int
-	// LeafFactor as in parallel.Options.
-	LeafFactor int
 	// Machine configures α/β/γ and memory; Machine.P is overridden.
 	Machine machine.Config
 	// Faults is the injection plan. Valid phases: PhaseEval (input data
@@ -35,17 +33,14 @@ type Options struct {
 	// PhaseMul/PhaseInterp addresses the h-th sub-problem barrier.
 	Faults []machine.Fault
 
-	// DropStragglers switches the engine into delay-fault mitigation mode
-	// (the paper's third fault category): the redundant evaluation-point
-	// columns absorb *slow* processors instead of dead ones. Each grid row
-	// elects its first column as decider; after its own sub-problem the
-	// decider waits StragglerSlack virtual time units for the other
-	// columns' completion reports and interpolates from the first 2k-1
-	// on-time columns. No barriers, no hard-fault injection, no linear
+	// StragglerSlack > 0 switches the engine into delay-fault mitigation
+	// mode (the paper's third fault category): the redundant
+	// evaluation-point columns absorb *slow* processors instead of dead
+	// ones. Each grid row elects its first column as decider; after its own
+	// sub-problem the decider waits StragglerSlack virtual time units for
+	// the other columns' completion reports and interpolates from the first
+	// 2k-1 on-time columns. No barriers, no hard-fault injection, no linear
 	// coding in this mode — combine Machine.SpeedFactors with it.
-	DropStragglers bool
-	// StragglerSlack is the decider's deadline slack in virtual time units
-	// (required > 0 when DropStragglers is set).
 	StragglerSlack float64
 }
 
@@ -70,12 +65,8 @@ type engine struct {
 	pts    []points.Point // 2k-1+f extended evaluation points
 	uExt   [][]int64      // (2k-1+f)×k extended evaluation matrix
 	ldfs   int
-	levels int
-	shift  int
 	digits int
-
-	dropStragglers bool
-	slack          float64
+	slack  float64 // > 0 selects straggler mode
 
 	// wScaledFor caches scaled interpolation matrices per surviving set.
 	wCache map[string]wScaled
@@ -115,28 +106,15 @@ func Multiply(a, b bigint.Int, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("ftparallel: extended evaluation matrix: %w", err)
 	}
 	plan, err := parallel.NewPlan(a, b, parallel.Options{
-		Alg:        opts.Alg,
-		P:          opts.P,
-		DFSSteps:   opts.DFSSteps,
-		LeafFactor: opts.LeafFactor,
+		Alg:      opts.Alg,
+		P:        opts.P,
+		DFSSteps: opts.DFSSteps,
 	})
 	if err != nil {
 		return nil, err
 	}
-	var code *erasure.Code
-	if opts.F > 0 {
-		code, err = erasure.New(lay.GPrime, opts.F)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if opts.DropStragglers {
-		if opts.StragglerSlack <= 0 {
-			return nil, fmt.Errorf("ftparallel: DropStragglers requires StragglerSlack > 0")
-		}
-		if len(opts.Faults) > 0 {
-			return nil, fmt.Errorf("ftparallel: straggler mode does not combine with hard-fault injection")
-		}
+	if opts.StragglerSlack > 0 && len(opts.Faults) > 0 {
+		return nil, fmt.Errorf("ftparallel: straggler mode does not combine with hard-fault injection")
 	}
 	e := &engine{
 		lay:    lay,
@@ -145,23 +123,30 @@ func Multiply(a, b bigint.Int, opts Options) (*Result, error) {
 		pts:    pts,
 		uExt:   uExt,
 		ldfs:   opts.DFSSteps,
-		levels: plan.Levels(),
-		shift:  plan.Shift(),
-		digits: parallel.Pow(k, plan.Levels()) * max(opts.LeafFactor, 1) * opts.P,
+		digits: parallel.Pow(k, plan.Levels()) * opts.P,
+		slack:  opts.StragglerSlack,
 		wCache: map[string]wScaled{},
 	}
-	e.dropStragglers = opts.DropStragglers
-	e.slack = opts.StragglerSlack
 	if err := e.computeDenLCM(); err != nil {
 		return nil, err
 	}
-	coder := ftengine.NewCoder(lay, code, e.inputVecLen(), e.productShareLen())
+	// Straggler mode runs without the coded prologue: no Coder.
+	var coder *ftengine.Coder
+	if e.slack <= 0 {
+		var code *erasure.Code
+		if opts.F > 0 {
+			code, err = erasure.New(lay.GPrime, opts.F)
+			if err != nil {
+				return nil, err
+			}
+		}
+		coder = ftengine.NewCoder(lay, code, e.inputVecLen(), e.productShareLen())
+	}
 	res, err := ftengine.Run(e, ftengine.RunOptions{
-		Layout:         lay,
-		Coder:          coder,
-		Machine:        opts.Machine,
-		Faults:         opts.Faults,
-		DropStragglers: opts.DropStragglers,
+		Layout:  lay,
+		Coder:   coder,
+		Machine: opts.Machine,
+		Faults:  opts.Faults,
 	})
 	if err != nil {
 		return nil, err
@@ -232,15 +217,11 @@ func (e *engine) node(p *machine.Proc, level int, dfsPath []int, myA, myB []bigi
 // (linear) evaluation, so the column code remains decodable at every depth.
 func (e *engine) dfsLevel(p *machine.Proc, level int, dfsPath []int, myA, myB []bigint.Int, rk *ftengine.Rank) (ftengine.Slots, error) {
 	k := e.alg.K()
-	lay := e.lay
 	lenTotal := e.digits / parallel.Pow(k, level)
-	lq := lenTotal / (k * lay.P)
-	wNum, _ := e.alg.WScaled()
-
 	acc := ftengine.Slots{}
 	for j := 0; j < 2*k-1; j++ {
 		var evalA, evalB []bigint.Int
-		if p.ID() < lay.P {
+		if p.ID() < e.lay.P {
 			evalA = parallel.EvalRowBlocks(p, e.alg.U()[j], myA, k)
 			evalB = parallel.EvalRowBlocks(p, e.alg.U()[j], myB, k)
 		}
@@ -249,29 +230,14 @@ func (e *engine) dfsLevel(p *machine.Proc, level int, dfsPath []int, myA, myB []
 			return nil, err
 		}
 		// Accumulate W^T column j into the per-slot coefficient shares.
-		var work int64
 		for slot, share := range child {
 			out, ok := acc[slot]
 			if !ok {
-				out = make([]bigint.Int, 2*lenTotal/lay.P)
+				out = make([]bigint.Int, 2*lenTotal/e.lay.P)
 				acc[slot] = out
 			}
-			for i := 0; i < 2*k-1; i++ {
-				c := wNum[i][j]
-				if c == 0 {
-					continue
-				}
-				base := i * lq
-				for s, v := range share {
-					if v.IsZero() {
-						continue
-					}
-					out[base+s] = out[base+s].Add(v.MulInt64(c))
-					work += 2 * parallel.WordsOf(v)
-				}
-			}
+			e.plan.AddColumn(p, j, share, out, lenTotal, e.lay.P)
 		}
-		p.Work(work)
 	}
 	return acc, nil
 }
@@ -343,7 +309,7 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 	// them — the affected column is halted (Section 4.2, "Fault recovery":
 	// "we halt the execution of the remaining processors of its column").
 	deadCols := map[int]bool{}
-	if !e.dropStragglers {
+	if e.slack <= 0 {
 		ev, err := p.Barrier(PhaseMul)
 		if err != nil {
 			return nil, err
@@ -396,7 +362,7 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 	}
 
 	var surv []int
-	if e.dropStragglers {
+	if e.slack > 0 {
 		// Delay-fault mitigation: each row's decider interpolates from the
 		// first 2k-1 columns whose completion reports arrive within the
 		// slack; slower columns are simply not waited for — the redundant
@@ -435,16 +401,12 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 		}
 
 		// Faults during the interpolation stage: rebuild lost product data
-		// from the fresh code.
+		// from the fresh code; an undecodable erasure aborts the multiply.
 		ev2, err := p.Barrier(PhaseInterp)
 		if err != nil {
 			return nil, err
 		}
-		// The refreshed code rows (second result) are not needed past this
-		// point: interpolation-phase faults on code columns are declared
-		// dead below rather than re-protected. The error is checked — an
-		// undecodable erasure aborts the multiply.
-		childProd, _, err = rk.Coder.RecoverProducts(p, ev2, deadCols, childProd, prodCode, tag)
+		childProd, err = rk.Coder.RecoverProducts(p, ev2, deadCols, childProd, prodCode, tag)
 		if err != nil {
 			return nil, err
 		}
@@ -521,50 +483,9 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 		}
 		slices[j] = got
 	}
-	out := e.fold(p, slices, w, lenTotal)
+	out := e.plan.Fold(p, w.rows, e.denLCM/w.den, slices, lenTotal, lay.P)
 	slot := myRow + myVirtual*gP
 	return ftengine.Slots{slot: out}, nil
-}
-
-// fold mirrors parallel's interpolation fold with the on-the-fly scaled
-// matrix, normalizing its denominator immediately so different surviving
-// sets across DFS sub-problems stay compatible.
-func (e *engine) fold(p *machine.Proc, slices [][]bigint.Int, w wScaled, lenTotal int) []bigint.Int {
-	k := e.alg.K()
-	lay := e.lay
-	childLen := len(slices[0])
-	lq := lenTotal / (k * lay.P)
-	out := make([]bigint.Int, 2*lenTotal/lay.P)
-	var work int64
-	for i := 0; i < 2*k-1; i++ {
-		base := i * lq
-		for s := 0; s < childLen; s++ {
-			acc := out[base+s]
-			for j := 0; j < 2*k-1; j++ {
-				c := w.rows[i][j]
-				if c == 0 {
-					continue
-				}
-				v := slices[j][s]
-				if v.IsZero() {
-					continue
-				}
-				acc = acc.Add(v.MulInt64(c))
-				work += 2 * parallel.WordsOf(v)
-			}
-			out[base+s] = acc
-		}
-	}
-	if scale := e.denLCM / w.den; scale != 1 {
-		for i := range out {
-			if !out[i].IsZero() {
-				out[i] = out[i].MulInt64(scale)
-				work += parallel.WordsOf(out[i])
-			}
-		}
-	}
-	p.Work(work)
-	return out
 }
 
 // computeDenLCM enumerates every (2k-1)-subset of the extended point set and
@@ -677,38 +598,12 @@ func (e *engine) replayEvalPath(p *machine.Proc, path []int) ([]bigint.Int, []bi
 }
 
 // Recombine assembles the decoded slot shares into the product (unmetered
-// read-out): interleave the per-slot coefficient shares, recompose, and
-// normalize the deferred denominators.
+// read-out): slot q holds virtual worker q's share, and the top BFS fold
+// carries the common denominator denLCM.
 func (e *engine) Recombine(perSlot map[int][]bigint.Int) ([]bigint.Int, error) {
-	lay := e.lay
-	var shareLen int
-	for _, s := range perSlot {
-		shareLen = len(s)
-		break
-	}
-	full := make([]bigint.Int, shareLen*lay.P)
-	for slot, share := range perSlot {
-		if len(share) != shareLen {
-			return nil, fmt.Errorf("ftparallel: ragged slot shares")
-		}
-		for u, v := range share {
-			full[slot+u*lay.P] = v
-		}
-	}
-	z := toom.Recompose(full, e.shift)
-	_, wDen := e.alg.WScaled()
-	// The top BFS fold carries the common denominator lcm; the lbfs-1 plain
-	// levels below and the ldfs DFS levels above each deferred one factor
-	// of the standard denominator.
-	z = z.DivExactInt64(e.denLCM)
-	for i := 0; i < e.levels-1; i++ {
-		z = z.DivExactInt64(wDen)
-	}
-	if e.neg() {
-		z = z.Neg()
+	z, err := e.plan.AssembleFrom(e.denLCM, func(q int) ([]bigint.Int, error) { return perSlot[q], nil })
+	if err != nil {
+		return nil, err
 	}
 	return []bigint.Int{z}, nil
 }
-
-// neg reports whether the product is negative.
-func (e *engine) neg() bool { return e.plan.Negative() }

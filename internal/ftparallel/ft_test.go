@@ -379,16 +379,3 @@ func TestEvalAndInterpFaultSamePlace(t *testing.T) {
 	})
 	checkProduct(t, a, b, res, err)
 }
-
-func TestLeafFactorVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(96))
-	alg := toom.MustNew(2)
-	a, b := randOperand(rng, 1<<14), randOperand(rng, 1<<14)
-	for _, leaf := range []int{1, 2, 4} {
-		res, err := Multiply(a, b, Options{
-			Alg: alg, P: 9, F: 1, LeafFactor: leaf,
-			Faults: []machine.Fault{{Proc: 0, Phase: PhaseMul}},
-		})
-		checkProduct(t, a, b, res, err)
-	}
-}

@@ -31,7 +31,6 @@ func TestStragglerModeCorrectness(t *testing.T) {
 	want := new(big.Int).Mul(a.ToBig(), b.ToBig())
 	res, err := Multiply(a, b, Options{
 		Alg: alg, P: 9, F: 1,
-		DropStragglers: true,
 		StragglerSlack: 50000,
 		Machine:        machine.Config{SpeedFactors: slowColumn(lay, 1, 50)},
 	})
@@ -54,7 +53,6 @@ func TestStragglerModeNoStragglers(t *testing.T) {
 	want := new(big.Int).Mul(a.ToBig(), b.ToBig())
 	res, err := Multiply(a, b, Options{
 		Alg: alg, P: 9, F: 1,
-		DropStragglers: true,
 		StragglerSlack: 1e7,
 	})
 	if err != nil {
@@ -96,7 +94,6 @@ func TestStragglerModeReducesCompletionTime(t *testing.T) {
 
 	res, err := Multiply(a, b, Options{
 		Alg: alg, P: 9, F: 1,
-		DropStragglers: true,
 		StragglerSlack: 100000,
 		Machine:        machine.Config{SpeedFactors: slowColumn(lay, 1, factor)},
 	})
@@ -133,7 +130,6 @@ func TestStragglerSlackTooSmall(t *testing.T) {
 	}
 	_, err := Multiply(a, b, Options{
 		Alg: alg, P: 9, F: 1,
-		DropStragglers: true,
 		StragglerSlack: 1, // essentially zero slack
 		Machine:        machine.Config{SpeedFactors: sf},
 	})
@@ -145,11 +141,7 @@ func TestStragglerSlackTooSmall(t *testing.T) {
 func TestStragglerOptionValidation(t *testing.T) {
 	alg := toom.MustNew(2)
 	if _, err := Multiply(randOperand(rand.New(rand.NewSource(1)), 64), randOperand(rand.New(rand.NewSource(2)), 64),
-		Options{Alg: alg, P: 9, F: 1, DropStragglers: true}); err == nil {
-		t.Error("missing slack should fail")
-	}
-	if _, err := Multiply(randOperand(rand.New(rand.NewSource(1)), 64), randOperand(rand.New(rand.NewSource(2)), 64),
-		Options{Alg: alg, P: 9, F: 1, DropStragglers: true, StragglerSlack: 10,
+		Options{Alg: alg, P: 9, F: 1, StragglerSlack: 10,
 			Faults: []machine.Fault{{Proc: 0, Phase: PhaseMul}}}); err == nil {
 		t.Error("straggler mode with fault injection should fail")
 	}

@@ -41,8 +41,8 @@ func TestStragglerDroppedInRealTime(t *testing.T) {
 	opts := func(cfg machine.Config) Options {
 		return Options{
 			Alg: alg, P: 9, F: 1,
-			DropStragglers: true, StragglerSlack: slack,
-			Machine: cfg,
+			StragglerSlack: slack,
+			Machine:        cfg,
 		}
 	}
 

@@ -54,9 +54,6 @@ type Options struct {
 	// the BFS steps (0 in the unlimited-memory case). Use DFSStepsFor to
 	// derive it from a memory budget per Lemma 3.1.
 	DFSSteps int
-	// LeafFactor c sets the leaf digit count R = c·P; larger values give
-	// each leaf more work relative to communication. Minimum (and default) 1.
-	LeafFactor int
 	// Machine configures the simulated machine (α, β, γ, memory budget).
 	// Machine.P is overridden by P.
 	Machine machine.Config
@@ -128,12 +125,8 @@ func NewPlan(a, b bigint.Int, opts Options) (*Plan, error) {
 	if opts.DFSSteps < 0 {
 		return nil, fmt.Errorf("parallel: negative DFSSteps")
 	}
-	leaf := opts.LeafFactor
-	if leaf < 1 {
-		leaf = 1
-	}
 	levels := opts.DFSSteps + lbfs
-	digits := Pow(k, levels) * leaf * opts.P
+	digits := Pow(k, levels) * opts.P
 	neg := a.Sign()*b.Sign() < 0
 	a, b = a.Abs(), b.Abs()
 	maxBits := a.BitLen()
@@ -196,7 +189,8 @@ func (pl *Plan) Execute(m *machine.Machine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	product, err := pl.AssembleFrom(func(q int) ([]bigint.Int, error) {
+	_, wDen := pl.alg.WScaled()
+	product, err := pl.AssembleFrom(wDen, func(q int) ([]bigint.Int, error) {
 		v, ok := m.StoreOf(q, "result")
 		if !ok {
 			return nil, fmt.Errorf("parallel: processor %d has no result share", q)
@@ -292,22 +286,23 @@ func EvalRowBlocks(p *machine.Proc, row []int64, share []bigint.Int, k int) []bi
 	return out
 }
 
-// fold applies the scaled interpolation and coefficient folding locally:
-// given this processor's aligned slices of the 2k-1 child product vectors
-// (each slice covering the offset class s ≡ me (mod g), listed low to high),
-// it computes the processor's share of the parent product vector:
+// Fold applies the scaled interpolation rows w and folds the coefficients
+// locally: given this processor's aligned slices of the 2k-1 child product
+// vectors (each slice covering the offset class s ≡ me (mod g), listed low
+// to high), it computes the processor's share of the parent product vector:
 //
-//	PV[t] = Σ_i c̄_i[t − i·len/k],  c̄_i[s] = Σ_j wNum[i][j]·PC_j[s].
+//	PV[t] = scale·Σ_i c̄_i[t − i·len/k],  c̄_i[s] = Σ_j w[i][j]·PC_j[s].
 //
 // Both indices stay in the processor's own offset class because len/k ≡ 0
 // (mod g) — interpolation costs no communication beyond the slice exchange.
-func (pl *Plan) fold(p *machine.Proc, slices [][]bigint.Int, lenTotal, g int) []bigint.Int {
+// The plain tier folds with the algorithm's WScaled rows at scale 1; the
+// fault-tolerant tier folds with the rows of its surviving points and
+// scales them to the denominator common to every surviving set.
+func (pl *Plan) Fold(p *machine.Proc, w [][]int64, scale int64, slices [][]bigint.Int, lenTotal, g int) []bigint.Int {
 	k := pl.k
-	wNum, _ := pl.alg.WScaled()
 	childLen := len(slices[0]) // entries per class of one child product
 	lq := lenTotal / (k * g)   // block offset step in class-local units
-	outLen := 2 * lenTotal / g
-	out := make([]bigint.Int, outLen)
+	out := make([]bigint.Int, 2*lenTotal/g)
 	var work int64
 	for i := 0; i < 2*k-1; i++ {
 		base := i * lq
@@ -315,7 +310,7 @@ func (pl *Plan) fold(p *machine.Proc, slices [][]bigint.Int, lenTotal, g int) []
 			// c̄_i[s] folded into position base + s.
 			acc := out[base+s]
 			for j := 0; j < 2*k-1; j++ {
-				c := wNum[i][j]
+				c := w[i][j]
 				if c == 0 {
 					continue
 				}
@@ -329,13 +324,42 @@ func (pl *Plan) fold(p *machine.Proc, slices [][]bigint.Int, lenTotal, g int) []
 			out[base+s] = acc
 		}
 	}
-	for i := range out {
-		if out[i].IsZero() {
-			out[i] = bigint.Zero()
+	if scale != 1 {
+		for i := range out {
+			if !out[i].IsZero() {
+				out[i] = out[i].MulInt64(scale)
+				work += WordsOf(out[i])
+			}
 		}
 	}
 	p.Work(work)
 	return out
+}
+
+// AddColumn adds column j of the scaled W^T, applied to one DFS
+// sub-problem's product share child, into this processor's coefficient
+// shares out (2·lenTotal/g entries): out[i·len/(k·g) + s] += wNum[i][j]·child[s]
+// for each of the 2k-1 coefficients i.
+func (pl *Plan) AddColumn(p *machine.Proc, j int, child, out []bigint.Int, lenTotal, g int) {
+	k := pl.k
+	wNum, _ := pl.alg.WScaled()
+	lq := lenTotal / (k * g)
+	var work int64
+	for i := 0; i < 2*k-1; i++ {
+		c := wNum[i][j]
+		if c == 0 {
+			continue
+		}
+		base := i * lq
+		for s, v := range child {
+			if v.IsZero() {
+				continue
+			}
+			out[base+s] = out[base+s].Add(v.MulInt64(c))
+			work += 2 * WordsOf(v)
+		}
+	}
+	p.Work(work)
 }
 
 // dfsStep solves the 2k-1 sub-problems sequentially on the whole group:
@@ -344,12 +368,7 @@ func (pl *Plan) fold(p *machine.Proc, slices [][]bigint.Int, lenTotal, g int) []
 func (pl *Plan) dfsStep(p *machine.Proc, group collective.Group, shareA, shareB []bigint.Int, level int, path string, lenTotal int) ([]bigint.Int, error) {
 	k := pl.k
 	g := len(group)
-	wNum, _ := pl.alg.WScaled()
-	lq := lenTotal / (k * g)
 	out := make([]bigint.Int, 2*lenTotal/g)
-	for i := range out {
-		out[i] = bigint.Zero()
-	}
 	for j := 0; j < 2*k-1; j++ {
 		evalA := EvalRowBlocks(p, pl.alg.U()[j], shareA, k)
 		evalB := EvalRowBlocks(p, pl.alg.U()[j], shareB, k)
@@ -357,24 +376,7 @@ func (pl *Plan) dfsStep(p *machine.Proc, group collective.Group, shareA, shareB 
 		if err != nil {
 			return nil, err
 		}
-		// Accumulate W^T column j into all coefficient positions.
-		var work int64
-		for i := 0; i < 2*k-1; i++ {
-			c := wNum[i][j]
-			if c == 0 {
-				continue
-			}
-			base := i * lq
-			for s := 0; s < len(child); s++ {
-				v := child[s]
-				if v.IsZero() {
-					continue
-				}
-				out[base+s] = out[base+s].Add(v.MulInt64(c))
-				work += 2 * WordsOf(v)
-			}
-		}
-		p.Work(work)
+		pl.AddColumn(p, j, child, out, lenTotal, g)
 	}
 	return out, nil
 }
@@ -453,7 +455,8 @@ func (pl *Plan) bfsStep(p *machine.Proc, group collective.Group, shareA, shareB 
 	for j := 0; j < cols; j++ {
 		slices[j] = []bigint.Int(inUp[j])
 	}
-	out := pl.fold(p, slices, lenTotal, g)
+	wNum, _ := pl.alg.WScaled()
+	out := pl.Fold(p, wNum, 1, slices, lenTotal, g)
 	p.Mark(fmt.Sprintf("interp@%d", level))
 	return out, nil
 }
@@ -500,12 +503,14 @@ func splitSigned(z bigint.Int, n, shift int) []bigint.Int {
 }
 
 // AssembleFrom reconstructs the product from the workers' result shares
-// (share(q) = worker q's cyclic share of the final product vector). It is
-// unmetered: the algorithm's final state leaves the product distributed,
-// and this models reading it out.
+// (share(q) = worker q's cyclic share of the final product vector). The
+// shares carry one deferred interpolation denominator per level: den for
+// the top BFS level's fold and wDen for every other. It is unmetered: the
+// algorithm's final state leaves the product distributed, and this models
+// reading it out.
 //
 //ftlint:allow costcharge assembly runs host-side after the simulated machine finishes; Theorems 5.1-5.3 do not charge result reassembly to the processors
-func (pl *Plan) AssembleFrom(share func(q int) ([]bigint.Int, error)) (bigint.Int, error) {
+func (pl *Plan) AssembleFrom(den int64, share func(q int) ([]bigint.Int, error)) (bigint.Int, error) {
 	var full []bigint.Int
 	for q := 0; q < pl.p; q++ {
 		s, err := share(q)
@@ -525,7 +530,8 @@ func (pl *Plan) AssembleFrom(share func(q int) ([]bigint.Int, error)) (bigint.In
 	z := toom.Recompose(full, pl.shift)
 	_, wDen := pl.alg.WScaled()
 	for i := 0; i < pl.levels; i++ {
-		z = z.DivExactInt64(wDen)
+		z = z.DivExactInt64(den)
+		den = wDen
 	}
 	if pl.neg {
 		z = z.Neg()

@@ -18,26 +18,27 @@ func randOperand(rng *rand.Rand, bits int) bigint.Int {
 func TestMultiplyMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	cases := []struct {
-		k, p, dfs, leaf int
+		k, p, dfs int
 	}{
-		{2, 3, 0, 1},
-		{2, 9, 0, 1},
-		{2, 27, 0, 1},
-		{3, 5, 0, 1},
-		{3, 25, 0, 1},
-		{2, 9, 1, 1},
-		{2, 9, 2, 1},
-		{3, 5, 1, 2},
-		{2, 3, 0, 4},
+		{2, 3, 0},
+		{2, 9, 0},
+		{2, 27, 0},
+		{3, 5, 0},
+		{3, 25, 0},
+		{2, 9, 1},
+		{2, 9, 2},
+		{3, 5, 1},
 	}
 	for _, c := range cases {
 		c := c
-		t.Run(fmt.Sprintf("k=%d P=%d dfs=%d leaf=%d", c.k, c.p, c.dfs, c.leaf), func(t *testing.T) {
+		// The leaf digit count is always R = P; the "leaf=1" suffix keeps
+		// the subtest IDs stable across versions.
+		t.Run(fmt.Sprintf("k=%d P=%d dfs=%d leaf=1", c.k, c.p, c.dfs), func(t *testing.T) {
 			alg := toom.MustNew(c.k)
 			bits := 1 << 15
 			a := randOperand(rng, bits)
 			b := randOperand(rng, bits)
-			res, err := Multiply(a, b, Options{Alg: alg, P: c.p, DFSSteps: c.dfs, LeafFactor: c.leaf})
+			res, err := Multiply(a, b, Options{Alg: alg, P: c.p, DFSSteps: c.dfs})
 			if err != nil {
 				t.Fatal(err)
 			}
