@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmtcheck test race vet allocs bench benchjson benchgate caltune fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke ci
+.PHONY: build fmtcheck test race vet allocs benchtest bench benchjson benchgate caltune fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke ci
 
 build:
 	$(GO) build ./...
@@ -40,12 +40,20 @@ vet:
 	$(GO) vet ./...
 
 # Allocation contracts at one and two cores: every test whose name contains
-# "Alloc" (the NTT kernel and its pool fan-out, the Toom leaf, the matrix
-# tile, rat.New's word path, lazy channel allocation, the limb-sharing unit
-# scalings, queued receives). A contract that only holds when the worker
-# pool never forks shows up at -cpu 2.
+# "Alloc" (the NTT kernel, its per-prime and butterfly fan-out, the Toom
+# leaf, the matrix tile, rat.New's word path, lazy channel allocation, the
+# limb-sharing unit scalings, the one-slab vector loops and reduce
+# combiner, queued and waiting receives and barriers, the FT multiply's
+# budget). A contract that only holds when the worker pool never forks
+# shows up at -cpu 2.
 allocs:
 	$(GO) test -count=1 -cpu 1,2 -run 'Alloc' ./...
+
+# The repository benchmark's own tests (bench/ is a module of its own, so
+# ./... never reaches it): workload cycles, metric definitions and their
+# agreement with BENCHMARK.json, and a smoke run of every workload.
+benchtest:
+	cd bench && $(GO) test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench 'Benchmark(Table1|Alloc)' -benchmem -benchtime 1x .
@@ -121,4 +129,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzToomMulStats -fuzztime 10s ./internal/toom
 
 # ci mirrors .github/workflows/ci.yml locally: everything a PR must pass.
-ci: build fmtcheck test vet allocs race fuzz-smoke wallsmoke matsmoke examples lint
+ci: build fmtcheck test vet allocs benchtest race fuzz-smoke wallsmoke matsmoke examples lint

@@ -29,11 +29,19 @@ import (
 	"time"
 
 	"repro/internal/bigint"
+	"repro/internal/ftengine"
 	"repro/internal/ftparallel"
 	"repro/internal/machine"
 	"repro/internal/parallel"
 	"repro/internal/toom"
 )
+
+// ToleranceError reports a fault plan beyond what a fault-tolerant run was
+// built to tolerate: the failed ranks behind the loss and the tolerance f.
+// Every fault-tolerant entry point (MulFaultTolerant, MulReplicated,
+// MulMatrixFaultTolerant) wraps it where it gives up, so callers detect it
+// with errors.As.
+type ToleranceError = ftengine.ToleranceError
 
 // DefaultK is the Toom-Cook split number used by the convenience functions:
 // Toom-3, the variant most commonly deployed in practice (GMP et al.).

@@ -1,6 +1,7 @@
 package ftmul
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -113,6 +114,49 @@ func TestMulFaultTolerantCleanAndFaulty(t *testing.T) {
 	}
 	if len(rep.DeadColumns) != 1 {
 		t.Errorf("dead columns = %v", rep.DeadColumns)
+	}
+}
+
+// TestTwoFaultCensus runs all 945 plans of two fail-stops on distinct
+// ranks of the f = 1 machine (P = 9 workers plus 6 code processors, each
+// victim hit at eval, mul or interp) on 2^12-bit operands, on sim. Every
+// plan must give the exact product or a ToleranceError, never a wrong
+// product, another error or a panic, and the split is pinned: 810 exact,
+// 135 beyond tolerance.
+func TestTwoFaultCensus(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	a, b := randBig(rng, 1<<12), randBig(rng, 1<<12)
+	want := new(big.Int).Mul(a, b)
+	lay, err := GridLayout(9, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := []string{PhaseEval, PhaseMul, PhaseInterp}
+	plans, exact := 0, 0
+	for r1 := 0; r1 < lay.Total(); r1++ {
+		for r2 := r1 + 1; r2 < lay.Total(); r2++ {
+			for _, p1 := range phases {
+				for _, p2 := range phases {
+					plan := []Fault{{Proc: r1, Phase: p1}, {Proc: r2, Phase: p2}}
+					plans++
+					got, _, err := MulFaultTolerant(a, b, 2, 1, ClusterConfig{P: 9}, plan)
+					if err != nil {
+						var tol *ToleranceError
+						if !errors.As(err, &tol) {
+							t.Errorf("plan %v: error is not a ToleranceError: %v", plan, err)
+						}
+						continue
+					}
+					if got.Cmp(want) != 0 {
+						t.Fatalf("plan %v: wrong product", plan)
+					}
+					exact++
+				}
+			}
+		}
+	}
+	if plans != 945 || exact != 810 {
+		t.Errorf("%d plans, %d exact, %d ToleranceErrors; want 945, 810 and 135", plans, exact, plans-exact)
 	}
 }
 

@@ -792,7 +792,7 @@ func (d *deriver) Call(ev *framework.Eval, fn *types.Func, recv Value, args []Va
 	switch fn.Pkg().Name() + "." + fn.Name() {
 	case "toom.Recompose":
 		// The recomposed scalar carries the share's word measure, as
-		// MulSharesWithStats's operands do below.
+		// MulSharesTo's operands do below.
 		if v, ok := args[0].(vec); ok {
 			return []Value{big{v.w}}, true
 		}
@@ -980,21 +980,25 @@ func (d *deriver) algContract(ev *framework.Eval, name string, recv Value, args 
 		return []Value{opaque{}}, true
 	case "WScaled":
 		return []Value{opaque{}, framework.Int{}}, true
-	case "MulWithStats", "MulSharesWithStats":
-		// MulSharesWithStats(sharesA, sharesB, shift, stats) multiplies the
-		// recomposed share vectors: the operands carry the vectors' measures,
-		// exactly as toom.Recompose's results do.
-		stats := 2
-		if name == "MulSharesWithStats" {
-			stats = 3
+	case "MulWithStats", "MulSharesTo":
+		// MulSharesTo(dst, sharesA, sharesB, shift, stats) multiplies the
+		// recomposed share vectors into dst: the operands carry the
+		// vectors' measures, exactly as toom.Recompose's results do.
+		shares := name == "MulSharesTo"
+		ops, arity := args, 3
+		if shares {
+			ops, arity = args[1:], 5
 		}
-		if st, ok := args[len(args)-1].(*framework.Struct); ok && len(args) == stats+1 {
-			a, aok := measure(args[0], name == "MulSharesWithStats")
-			b, bok := measure(args[1], name == "MulSharesWithStats")
+		if st, ok := args[len(args)-1].(*framework.Struct); ok && len(args) == arity {
+			a, aok := measure(ops[0], shares)
+			b, bok := measure(ops[1], shares)
 			if !aok || !bok {
 				ev.Fail(pos, "%s with unknown operand measures", name)
 			}
 			st.Fields["WordOps"] = framework.SymInt(a.Mul(b))
+		}
+		if shares {
+			return nil, true
 		}
 		return []Value{big{}}, true
 	case "Mul":

@@ -88,13 +88,13 @@ type kernelSpec struct {
 }
 
 var kernels = map[string]*kernelSpec{
-	"forward":         {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, perPrime: true},
-	"inverse":         {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, perPrime: true},
-	"forwardRange":    {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, ltP: map[string]bool{"rot": true}, perPrime: true},
-	"inverseRange":    {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, ltP: map[string]bool{"irot": true}, perPrime: true},
-	"forwardBlockPar": {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, ltP: map[string]bool{"rot": true}, perPrime: true},
-	"inverseBlockPar": {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, ltP: map[string]bool{"irot": true}, perPrime: true},
-	"nttLoad":         {bufs: map[string]bufSpec{"dst": {kind: bufLazy}, "x": {kind: bufRaw}}, perPrime: true},
+	"forward":      {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, perPrime: true},
+	"inverse":      {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, perPrime: true},
+	"forwardRange": {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, ltP: map[string]bool{"rot": true}, perPrime: true},
+	"inverseRange": {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, ltP: map[string]bool{"irot": true}, perPrime: true},
+	"splitBlock":   {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, ltP: map[string]bool{"rot": true}, perPrime: true},
+	"runChunk":     {perPrime: true},
+	"nttLoad":      {bufs: map[string]bufSpec{"dst": {kind: bufLazy}, "x": {kind: bufRaw}}, perPrime: true},
 	"nttProductInto": {
 		bufs:        map[string]bufSpec{"dst": {kind: bufLazy}, "work": {kind: bufLazy}, "x": {kind: bufRaw}, "y": {kind: bufRaw}},
 		strictFinal: "dst",
@@ -110,14 +110,31 @@ var kernels = map[string]*kernelSpec{
 	},
 }
 
+// recordLtP lists record fields held below p: a checked kernel's store into
+// one must prove it, and a kernel reading one through a record parameter
+// may assume it. A split block's pooled chunk records carry its twiddle
+// from splitBlock to runChunk this way.
+var recordLtP = map[string]map[string]bool{"nttChunk": {"rot": true}}
+
+// recordName is the type name of obj, through one pointer.
+func recordName(obj types.Object) string {
+	t := obj.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
+}
+
 // kernelCallPre maps checked-kernel callee names to the argument index that
 // must be proved < p at the call site (the twiddle handed to a range/block
 // worker).
 var kernelCallPre = map[string]int{
-	"forwardRange":    4,
-	"inverseRange":    4,
-	"forwardBlockPar": 3,
-	"inverseBlockPar": 3,
+	"forwardRange": 4,
+	"inverseRange": 4,
+	"splitBlock":   3,
 }
 
 func run(pass *framework.Pass) error {
@@ -630,9 +647,22 @@ func (m *checker) runProof(fd *ast.FuncDecl, spec *kernelSpec, prObj types.Objec
 				seed.Set(framework.KeyOf(obj), framework.NewInterval(0, p-1))
 			}
 		}
+		for _, obj := range c.params {
+			for field := range recordLtP[recordName(obj)] {
+				seed.Set(framework.KeyOf(obj).WithField(field), framework.NewInterval(0, p-1))
+			}
+		}
 	}
 
-	ev := c.newEval(nil)
+	storeKey := func(site ast.Expr, key framework.ValKey, v framework.Interval, env *framework.IntervalEnv) {
+		if c.prime == 0 || key.Obj == nil || !recordLtP[recordName(key.Obj)][key.Field] {
+			return
+		}
+		if v.IsEmpty() || v.Hi >= c.prime {
+			m.reportOnce(site.Pos(), "record:"+key.Field, fmt.Sprintf("store into %s.%s not provably below p (proved %v)%s", recordName(key.Obj), key.Field, v, c.primeNote()))
+		}
+	}
+	ev := c.newEval(storeKey)
 	solveBody(ev, fd.Body, seed)
 	// Closures (the pool-fork blocks) run with the function-entry facts:
 	// captured parameters keep their contracts, captured locals are

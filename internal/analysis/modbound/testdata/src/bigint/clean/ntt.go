@@ -84,25 +84,31 @@ func (pr *nttPrime) inverseRange(a []uint64, i0, i1, half int, irot, irotShoup u
 	}
 }
 
-func (pr *nttPrime) forwardBlockPar(a []uint64, offset, half int, rot, rotShoup uint64) {
+type nttChunk struct {
+	pr            *nttPrime
+	a             []uint64
+	lo, hi, half  int
+	rot, rotShoup uint64
+	inverse       bool
+}
+
+func (pr *nttPrime) splitBlock(a []uint64, offset, half int, rot, rotShoup uint64, inverse bool) {
 	chunk := half >> 2
 	for lo := 0; lo < half; lo += chunk {
-		hi := lo + chunk
-		lo, hi := lo, hi
-		fork(func() {
-			pr.forwardRange(a, offset+lo, offset+hi, half, rot, rotShoup)
-		})
+		c := new(nttChunk)
+		c.pr, c.a, c.half, c.rot, c.rotShoup, c.inverse = pr, a, half, rot, rotShoup, inverse
+		c.lo, c.hi = offset+lo, offset+lo+chunk
+		fork(c.work)
 	}
 }
 
-func (pr *nttPrime) inverseBlockPar(a []uint64, offset, half int, irot, irotShoup uint64) {
-	chunk := half >> 2
-	for lo := 0; lo < half; lo += chunk {
-		hi := lo + chunk
-		lo, hi := lo, hi
-		fork(func() {
-			pr.inverseRange(a, offset+lo, offset+hi, half, irot, irotShoup)
-		})
+func (c *nttChunk) work() { c.pr.runChunk(c) }
+
+func (pr *nttPrime) runChunk(c *nttChunk) {
+	if c.inverse {
+		pr.inverseRange(c.a, c.lo, c.hi, c.half, c.rot, c.rotShoup)
+	} else {
+		pr.forwardRange(c.a, c.lo, c.hi, c.half, c.rot, c.rotShoup)
 	}
 }
 
@@ -114,7 +120,7 @@ func (pr *nttPrime) forward(a []uint64) {
 	for half := n >> 1; half >= 1; half >>= 1 {
 		for off := 0; off < n; off += half << 1 {
 			if half >= 1024 {
-				pr.forwardBlockPar(a, off, half, rot, rotShoup)
+				pr.splitBlock(a, off, half, rot, rotShoup, false)
 			} else {
 				pr.forwardRange(a, off, off+half, half, rot, rotShoup)
 			}
@@ -131,7 +137,11 @@ func (pr *nttPrime) inverse(a []uint64) {
 	irotShoup := shoupOf(irot, p)
 	for half := 1; half < n; half <<= 1 {
 		for off := 0; off < n; off += half << 1 {
-			pr.inverseRange(a, off, off+half, half, irot, irotShoup)
+			if half >= 1024 {
+				pr.splitBlock(a, off, half, irot, irotShoup, true)
+			} else {
+				pr.inverseRange(a, off, off+half, half, irot, irotShoup)
+			}
 		}
 		irot = mulMod(irot, pr.irate[TrailingZeros64(^irot)], p)
 		irotShoup = shoupOf(irot, p)

@@ -1,7 +1,8 @@
 // Dirty fixture: each kernel carries one seeded lazy-arithmetic defect the
 // interval engine must catch — a dropped conditional subtract, swapped
 // Shoup arguments, an unreduced twiddle update, a missing pre-load
-// reduction, a REDC operand outside [0, 2p), a dropped final reduction
+// reduction, a REDC operand outside [0, 2p), a split chunk's twiddle
+// filed and read from the wrong field, a dropped final reduction
 // before CRT, an out-of-contract Garner constant, and a subtraction that
 // can underflow.
 package bigint
@@ -93,6 +94,28 @@ func (pr *nttPrime) forward(a []uint64) {
 		rot = rot * pr.rate[TrailingZeros64(^rot)] // want "possible uint64 wraparound"
 		rotShoup = shoupOf(rot, p)                 // want "Shoup precomputation input w not provably below p"
 	}
+}
+
+type nttChunk struct {
+	pr            *nttPrime
+	a             []uint64
+	lo, hi, half  int
+	rot, rotShoup uint64
+}
+
+// splitBlock files the Shoup precomputation as the chunk's twiddle, which
+// breaks the record's < p contract.
+func (pr *nttPrime) splitBlock(a []uint64, offset, half int, rot, rotShoup uint64) {
+	c := &nttChunk{pr: pr, a: a, lo: offset, hi: offset + half, half: half}
+	c.rot = rotShoup // want "store into nttChunk.rot not provably below p"
+	c.rotShoup = rot
+	pr.runChunk(c)
+}
+
+// runChunk hands the range the chunk's Shoup precomputation where the
+// twiddle belongs: only c.rot carries the split block's < p contract.
+func (pr *nttPrime) runChunk(c *nttChunk) {
+	pr.forwardRange(c.a, c.lo, c.hi, c.half, c.rotShoup, c.rot) // want "twiddle argument not provably below p"
 }
 
 // nttLoad drops the first of the two conditional subtracts, so a raw limb

@@ -2,6 +2,7 @@ package bigint
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -202,6 +203,27 @@ func (a *Acc) Shl(s uint) {
 	a.abs = natShlTo(a.abs, a.abs, s)
 }
 
+// Scale multiplies the accumulator by a small signed scalar v in place.
+func (a *Acc) Scale(v int64) {
+	if len(a.abs) == 0 {
+		return
+	}
+	if v == 0 {
+		a.Reset()
+		return
+	}
+	var u uint64
+	if v < 0 {
+		a.neg = !a.neg
+		u = uint64(-(v + 1)) + 1
+	} else {
+		u = uint64(v)
+	}
+	if u != 1 {
+		a.abs = natMulWordTo(a.abs, a.abs, u)
+	}
+}
+
 // DivExact divides the accumulator by v in place, panicking unless the
 // division is exact (mirroring Int.DivExactInt64: interpolation divides by
 // constants that provably divide, so a remainder is a logic error).
@@ -260,6 +282,42 @@ func (a *Acc) AppendValue(slab []uint64) (Int, []uint64) {
 	off := len(slab)
 	slab = append(slab, a.abs...)
 	return Int{neg: a.neg, abs: nat(slab[off:len(slab):len(slab)])}, slab
+}
+
+// AppendEntry copies out one entry of a linear combination built in a by
+// Add/AddMul calls, given how many nonzero terms reached a and the last of
+// them (lone, with coefficient c). A lone term with coefficient ±1 (a unit
+// row, or a zero addend) comes back as lone·c sharing lone's limbs; zero
+// comes back as zero; anything else is copied onto slab as by AppendValue.
+// A nil slab is first reserved for rest entries the size of this one plus a
+// carry limb each, so a vector of like-sized entries costs one allocation.
+func (a *Acc) AppendEntry(slab []uint64, rest, terms int, lone Int, c int64) (Int, []uint64) {
+	switch {
+	case terms == 1 && (c == 1 || c == -1):
+		return lone.MulInt64(c), slab
+	case len(a.abs) == 0:
+		return Int{}, slab
+	case slab == nil:
+		slab = make([]uint64, 0, rest*(len(a.abs)+1))
+	}
+	return a.AppendValue(slab)
+}
+
+// AppendBits copies bits [lo, lo+width) of |a|, carrying a's sign, onto the
+// end of slab and returns them as an Int over the copied (capped) limbs,
+// with the extended slab; the accumulator is not disturbed. It is the slab
+// form of Int.Extract: a caller that reserves the slab splits a whole
+// accumulated value into its digit vector with one allocation.
+func (a *Acc) AppendBits(slab []uint64, lo, width int) (Int, []uint64) {
+	off := len(slab)
+	if width > 0 && lo/64 < len(a.abs) {
+		slab = slices.Grow(slab, (width+63)/64)
+	}
+	z := natExtractTo(nat(slab[off:off]), a.abs, lo, width)
+	if len(z) == 0 {
+		return Int{}, slab[:off]
+	}
+	return Int{neg: a.neg, abs: z[:len(z):len(z)]}, slab[:off+len(z)]
 }
 
 // Value returns the accumulated value as an Int without disturbing the

@@ -248,16 +248,6 @@ func (x Int) Shl(s uint) Int {
 	return Int{neg: x.neg, abs: z}
 }
 
-// Shr returns |x| >> s with x's sign preserved (arithmetic shift on the
-// magnitude; used only on even splits where exactness is guaranteed).
-func (x Int) Shr(s uint) Int {
-	z := natShr(x.abs, s)
-	if len(z) == 0 {
-		return Int{}
-	}
-	return Int{neg: x.neg, abs: z}
-}
-
 // Extract returns bits [lo, lo+width) of |x| as a non-negative Int.
 func (x Int) Extract(lo, width int) Int {
 	z := natExtract(x.abs, lo, width)
@@ -360,11 +350,14 @@ func ParseInt(s string) (Int, error) {
 
 // ToBig converts x to a *math/big.Int (test oracle and public-API bridge).
 func (x Int) ToBig() *big.Int {
-	z := new(big.Int)
-	if len(x.abs) == 0 {
-		return z
-	}
-	words := make([]big.Word, len(x.abs))
+	return x.ToBigOn(new(big.Int), make([]big.Word, len(x.abs)))
+}
+
+// ToBigOn sets z to x over words, which must hold exactly x.WordLen()
+// entries and becomes z's limb storage, and returns z. Cap words (a
+// three-index slice) when it is cut from a larger slab: z then reallocates
+// instead of growing into its neighbours.
+func (x Int) ToBigOn(z *big.Int, words []big.Word) *big.Int {
 	for i, l := range x.abs {
 		words[i] = big.Word(l)
 	}
@@ -377,16 +370,24 @@ func (x Int) ToBig() *big.Int {
 
 // FromBig converts a *math/big.Int to an Int.
 func FromBig(v *big.Int) Int {
-	bitsv := v.Bits()
-	limbs := make(nat, len(bitsv))
-	for i, w := range bitsv {
-		limbs[i] = uint64(w)
+	z, _ := AppendBig(make([]uint64, 0, len(v.Bits())), v)
+	return z
+}
+
+// AppendBig converts v onto the end of slab and returns it as an Int over
+// the copied (capped) limbs, with the extended slab: converting a batch of
+// values through one reserved slab costs one allocation.
+func AppendBig(slab []uint64, v *big.Int) (Int, []uint64) {
+	off := len(slab)
+	for _, w := range v.Bits() {
+		slab = append(slab, uint64(w))
 	}
-	limbs = limbs.norm()
-	if len(limbs) == 0 {
-		return Int{}
+	abs := nat(slab[off:]).norm()
+	slab = slab[:off+len(abs)]
+	if len(abs) == 0 {
+		return Int{}, slab
 	}
-	return Int{neg: v.Sign() < 0, abs: limbs}
+	return Int{neg: v.Sign() < 0, abs: abs[:len(abs):len(abs)]}, slab
 }
 
 // Random returns a uniformly random non-negative Int with exactly the given

@@ -168,29 +168,6 @@ func natShl(x nat, s uint) nat {
 	return z.norm()
 }
 
-// natShr returns x >> s for s >= 0 (floor).
-func natShr(x nat, s uint) nat {
-	limbs := int(s / 64)
-	bitsOff := s % 64
-	if limbs >= len(x) {
-		return nil
-	}
-	z := make(nat, len(x)-limbs)
-	if bitsOff == 0 {
-		copy(z, x[limbs:])
-		return z.norm()
-	}
-	for i := range z {
-		lo := x[limbs+i] >> bitsOff
-		var hi uint64
-		if limbs+i+1 < len(x) {
-			hi = x[limbs+i+1] << (64 - bitsOff)
-		}
-		z[i] = lo | hi
-	}
-	return z.norm()
-}
-
 // natBitLen returns the number of bits needed to represent x (0 for 0).
 func natBitLen(x nat) int {
 	if len(x) == 0 {

@@ -198,7 +198,7 @@ func (pr *nttPrime) forward(a []uint64, par *workpool.Pool) {
 			offset := s << (h - st)
 			rotShoup := shoupOf(rot, p)
 			if par != nil && half >= nttParMinHalf {
-				pr.forwardBlockPar(a, offset, half, rot, rotShoup, par)
+				pr.splitBlock(a, offset, half, rot, rotShoup, false, par)
 			} else {
 				pr.forwardRange(a, offset, offset+half, half, rot, rotShoup)
 			}
@@ -230,25 +230,87 @@ func (pr *nttPrime) forwardRange(a []uint64, i0, i1, half int, rot, rotShoup uin
 	}
 }
 
-// forwardBlockPar splits one long block's butterfly range across the pool;
-// the chunks share the block's twiddle and stride, so they are independent.
-func (pr *nttPrime) forwardBlockPar(a []uint64, offset, half int, rot, rotShoup uint64, par *workpool.Pool) {
-	var wg sync.WaitGroup
-	chunk := (half + par.Capacity() - 1) / par.Capacity()
-	if chunk < nttParMinHalf/2 {
-		chunk = nttParMinHalf / 2
-	}
+// splitBlock splits one long block's butterfly range, forward or inverse,
+// across the pool; the chunks share the block's twiddle and stride, so they
+// are independent. Each chunk is a pooled record forked through its bound
+// work method, so the split allocates nothing in steady state.
+func (pr *nttPrime) splitBlock(a []uint64, offset, half int, rot, rotShoup uint64, inverse bool, par *workpool.Pool) {
+	chunk := max((half+par.Capacity()-1)/par.Capacity(), nttParMinHalf/2)
+	sp := getNTTSplit()
+	n := 0
 	for lo := 0; lo < half; lo += chunk {
-		hi := lo + chunk
-		if hi > half {
-			hi = half
+		if n == len(sp.chunks) {
+			c := new(nttChunk)
+			c.run = c.work
+			sp.chunks = append(sp.chunks, c)
 		}
-		lo, hi := lo, hi
-		par.Fork(&wg, func() {
-			pr.forwardRange(a, offset+lo, offset+hi, half, rot, rotShoup)
-		})
+		c := sp.chunks[n]
+		c.pr, c.a, c.half, c.rot, c.rotShoup, c.inverse = pr, a, half, rot, rotShoup, inverse
+		c.lo, c.hi = offset+lo, offset+min(lo+chunk, half)
+		n++
 	}
-	wg.Wait()
+	for _, c := range sp.chunks[:n] {
+		par.Fork(&sp.wg, c.run)
+	}
+	sp.wg.Wait()
+	for _, c := range sp.chunks[:n] {
+		c.pr, c.a = nil, nil
+	}
+	putNTTSplit(sp)
+}
+
+// nttSplit is one splitBlock call's fan-out: the join and a chunk record
+// per pool slot used, kept with the split for the next call.
+type nttSplit struct {
+	wg     sync.WaitGroup
+	chunks []*nttChunk
+}
+
+// nttChunk is one butterfly sub-range [lo, hi) of a split block; run is its
+// work method, bound once when the record is made.
+type nttChunk struct {
+	pr            *nttPrime
+	a             []uint64
+	lo, hi, half  int
+	rot, rotShoup uint64
+	inverse       bool
+	run           func()
+}
+
+func (c *nttChunk) work() { c.pr.runChunk(c) }
+
+// runChunk applies one chunk's butterflies. c.rot is below p: modbound
+// proves it at every store into the record (splitBlock's, whose callers
+// owe the twiddle's bound) and assumes it here.
+func (pr *nttPrime) runChunk(c *nttChunk) {
+	if c.inverse {
+		pr.inverseRange(c.a, c.lo, c.hi, c.half, c.rot, c.rotShoup)
+	} else {
+		pr.forwardRange(c.a, c.lo, c.hi, c.half, c.rot, c.rotShoup)
+	}
+}
+
+// nttSplits holds idle split records. A buffered channel, unlike a
+// sync.Pool, keeps them under the race detector too; eight covers the
+// transforms that split concurrently in practice (three primes per
+// concurrent multiply), and a record returned to a full list is left to
+// the garbage collector.
+var nttSplits = make(chan *nttSplit, 8)
+
+func getNTTSplit() *nttSplit {
+	select {
+	case sp := <-nttSplits:
+		return sp
+	default:
+		return new(nttSplit)
+	}
+}
+
+func putNTTSplit(sp *nttSplit) {
+	select {
+	case nttSplits <- sp:
+	default:
+	}
 }
 
 // inverse runs the in-place inverse transform (unscaled: the result is N
@@ -264,7 +326,7 @@ func (pr *nttPrime) inverse(a []uint64, par *workpool.Pool) {
 			offset := s << (h - st + 1)
 			irotShoup := shoupOf(irot, pr.p)
 			if par != nil && half >= nttParMinHalf {
-				pr.inverseBlockPar(a, offset, half, irot, irotShoup, par)
+				pr.splitBlock(a, offset, half, irot, irotShoup, true, par)
 			} else {
 				pr.inverseRange(a, offset, offset+half, half, irot, irotShoup)
 			}
@@ -290,24 +352,4 @@ func (pr *nttPrime) inverseRange(a []uint64, i0, i1, half int, irot, irotShoup u
 		a[i] = u0
 		a[i+half] = shoupMul(l+twoP-r, irot, irotShoup, p)
 	}
-}
-
-// inverseBlockPar splits one long inverse block's range across the pool.
-func (pr *nttPrime) inverseBlockPar(a []uint64, offset, half int, irot, irotShoup uint64, par *workpool.Pool) {
-	var wg sync.WaitGroup
-	chunk := (half + par.Capacity() - 1) / par.Capacity()
-	if chunk < nttParMinHalf/2 {
-		chunk = nttParMinHalf / 2
-	}
-	for lo := 0; lo < half; lo += chunk {
-		hi := lo + chunk
-		if hi > half {
-			hi = half
-		}
-		lo, hi := lo, hi
-		par.Fork(&wg, func() {
-			pr.inverseRange(a, offset+lo, offset+hi, half, irot, irotShoup)
-		})
-	}
-	wg.Wait()
 }

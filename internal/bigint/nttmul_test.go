@@ -181,12 +181,44 @@ func TestNTTMulParallel(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(13))
 	// 8200×8200 limbs → N = 2^14 transforms whose first-stage half (2^13)
-	// reaches nttParMinHalf, so forwardBlockPar/inverseBlockPar both engage.
+	// reaches nttParMinHalf, so splitBlock engages in both transforms.
 	x := randNat(rng, 8200)
 	y := randNat(rng, 8200)
 	got := natToBig(nttMulDirect(x, y))
 	if want := mulViaBig(x, y); got.Cmp(want) != 0 {
 		t.Fatal("parallel nttMulTo mismatch at 8200×8200 limbs")
+	}
+}
+
+// TestNTTMulParallelAllocs pins the butterfly fan-out's allocation
+// contract at the TestNTTMulParallel shape (8200-limb operands, 2^13-point
+// halves, a pool of 4): splitting long blocks across the pool forks pooled
+// chunk records, so the kernel stays allocation-free in steady state.
+func TestNTTMulParallelAllocs(t *testing.T) {
+	nttPoolMu.Lock()
+	prev := nttPool
+	nttPool = workpool.New(4)
+	defer func() {
+		nttPool = prev
+		nttPoolMu.Unlock()
+	}()
+
+	rng := rand.New(rand.NewSource(14))
+	x := randNat(rng, 8200)
+	y := randNat(rng, 8200)
+	z := make(nat, len(x)+len(y))
+	ar := getArena()
+	defer putArena(ar)
+	ar.ensure(nttScratchFor(len(x) + len(y)))
+	nttMulTo(z, x, y, ar) // warm: records, buffers and workers are made here
+	if got := natToBig(z); got.Cmp(mulViaBig(x, y)) != 0 {
+		t.Fatal("parallel nttMulTo mismatch at 8200×8200 limbs")
+	}
+	if got := testing.AllocsPerRun(5, func() {
+		clear(z)
+		nttMulTo(z, x, y, ar)
+	}); got != 0 {
+		t.Errorf("parallel nttMulTo steady state allocates %.1f times per op, want 0", got)
 	}
 }
 

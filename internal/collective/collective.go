@@ -13,6 +13,7 @@ package collective
 import (
 	"fmt"
 
+	"repro/internal/bigint"
 	"repro/internal/machine"
 )
 
@@ -48,14 +49,29 @@ func SumWork(a, b machine.Ints) int64 {
 	return w
 }
 
-// sum element-wise adds two equal-length integer vectors.
+// sum element-wise adds two equal-length integer vectors through one pooled
+// accumulator onto one limb slab; a zero addend shares the other's limbs.
 func sum(a, b machine.Ints) (machine.Ints, error) {
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("collective: vector length mismatch %d vs %d", len(a), len(b))
 	}
 	out := make(machine.Ints, len(a))
+	acc := bigint.NewAcc()
+	defer acc.Release()
+	var slab []uint64
 	for i := range a {
-		out[i] = a[i].Add(b[i])
+		acc.Reset()
+		var lone bigint.Int
+		terms := 0
+		if !a[i].IsZero() {
+			acc.Add(a[i])
+			lone, terms = a[i], terms+1
+		}
+		if !b[i].IsZero() {
+			acc.Add(b[i])
+			lone, terms = b[i], terms+1
+		}
+		out[i], slab = acc.AppendEntry(slab, len(a)-i, terms, lone, 1)
 	}
 	return out, nil
 }
@@ -254,11 +270,19 @@ func MultiBroadcast(p *machine.Proc, g Group, tag string, values []machine.Ints)
 // scales its vector locally (charging the scaling work), then joins a plain
 // sum-reduce. This is exactly the code-creation operation of Section 4.1,
 // where code processor weights are Vandermonde powers η^l.
+//
+// The scaled vector is built in one pooled accumulator onto one limb slab;
+// a unit weight shares the entries' limbs.
 func WeightedReduce(p *machine.Proc, g Group, rootIdx int, tag string, mine machine.Ints, weight int64) (machine.Ints, error) {
 	scaled := make(machine.Ints, len(mine))
+	acc := bigint.NewAcc()
+	defer acc.Release()
+	var slab []uint64
 	var work int64
 	for i := range mine {
-		scaled[i] = mine[i].MulInt64(weight)
+		acc.Reset()
+		acc.AddMul(mine[i], weight)
+		scaled[i], slab = acc.AppendEntry(slab, len(mine)-i, 1, mine[i], weight)
 		l := int64(mine[i].WordLen())
 		if l == 0 {
 			l = 1

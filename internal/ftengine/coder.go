@@ -229,7 +229,11 @@ func (c *Coder) repair(p *machine.Proc, ev []machine.FaultEvent, skip map[int]bo
 			}
 		}
 		if len(codeRows) < len(dead) {
-			return nil, nil, fmt.Errorf("ftengine: column %d lost %d shards with only %d live code rows", j, len(dead), len(codeRows))
+			lost := &ToleranceError{F: lay.F}
+			for _, r := range dead {
+				lost.Dead = append(lost.Dead, lay.Worker(r, j))
+			}
+			return nil, nil, fmt.Errorf("ftengine: column %d lost %d shards with only %d live code rows: %w", j, len(dead), len(codeRows), lost)
 		}
 		leader := lay.Worker(dead[0], j)
 		amLeader := rank == leader

@@ -227,7 +227,7 @@ func (w *workload) refetch(p *machine.Proc, ev []machine.FaultEvent, myA, myB *[
 	for _, f := range ev {
 		for _, g := range ev {
 			if d := f.Proc ^ g.Proc; f.Proc < numStandard && g.Proc < numStandard && (d == 2 || d == 4) {
-				return fmt.Errorf("ftmatmul: eval-phase victims %d and %d held the only copies of a tile", f.Proc, g.Proc)
+				return fmt.Errorf("ftmatmul: eval-phase victims %d and %d held the only copies of a tile: %w", f.Proc, g.Proc, ftengine.Exceeded(1, ev))
 			}
 		}
 	}
@@ -389,7 +389,7 @@ func (w *workload) Decode(dead []int, slots map[int][]bigint.Int) (map[int][]big
 	}
 	for t := 0; t < numStrassen; t++ {
 		if len(slots[numStandard+t]) != m2 {
-			return nil, fmt.Errorf("ftmatmul: dead ranks %v break both algorithm families", dead)
+			return nil, fmt.Errorf("ftmatmul: dead ranks %v break both algorithm families: %w", dead, &ftengine.ToleranceError{Dead: dead, F: 1})
 		}
 	}
 	mProd := func(t int) []bigint.Int { return slots[numStandard+t-1] } // M1..M7

@@ -1,6 +1,7 @@
 package ftmatmul_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -192,8 +193,9 @@ func TestShapeMismatch(t *testing.T) {
 
 // TestFaultPlanCensus runs every plan of at most two fail-stops — none, one
 // on any (rank, phase) cell, or two on distinct cells — on all three schemes
-// and both backends. Every plan must give the exact product or an error,
-// never a wrong matrix or a panic, and the split is pinned per scheme:
+// and both backends. Every plan must give the exact product or an
+// ftengine.ToleranceError, never a wrong matrix, another error or a panic,
+// and the split is pinned per scheme:
 //
 //   - two-algorithm (15 ranks, 466 plans): 64 errors — the 8 eval pairs of a
 //     standard rank and its replica partner (both copies of a tile gone) and
@@ -239,6 +241,10 @@ func TestFaultPlanCensus(t *testing.T) {
 					Scheme:  sc.scheme,
 				})
 				if err != nil {
+					var tol *ftengine.ToleranceError
+					if !errors.As(err, &tol) {
+						t.Errorf("scheme %q %s %v: error is not a ToleranceError: %v", sc.scheme, backend, plan, err)
+					}
 					failed++
 					continue
 				}

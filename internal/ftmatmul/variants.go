@@ -113,7 +113,7 @@ func (w *plainWorkload) Decode(dead []int, slots map[int][]bigint.Int) (map[int]
 	m2 := w.m * w.m
 	for r := 0; r < numStandard; r++ {
 		if len(slots[r]) != m2 {
-			return nil, fmt.Errorf("ftmatmul: plain scheme cannot recover dead ranks %v", dead)
+			return nil, fmt.Errorf("ftmatmul: plain scheme cannot recover dead ranks %v: %w", dead, &ftengine.ToleranceError{Dead: dead, F: 0})
 		}
 	}
 	return assembleStandard(m2, func(idx int) []bigint.Int { return slots[idx] }), nil
@@ -169,7 +169,8 @@ func (w *replWorkload) Step(p *machine.Proc, rk *ftengine.Rank) (ftengine.Slots,
 		}
 	}
 	if len(data) != 2*m2 {
-		return nil, fmt.Errorf("ftmatmul: rank %d shard has %d entries, want %d", r, len(data), 2*m2)
+		// Only a twin that died at eval too leaves nothing to refetch.
+		return nil, fmt.Errorf("ftmatmul: rank %d shard has %d entries, want %d: %w", r, len(data), 2*m2, ftengine.Exceeded(1, rk.EvalEvents))
 	}
 	prod, work := tileMul(w.m, data[:m2], data[m2:])
 	p.Work(work)
@@ -201,7 +202,7 @@ func (w *replWorkload) Decode(dead []int, slots map[int][]bigint.Int) (map[int][
 	}
 	for idx := 0; idx < numStandard; idx++ {
 		if len(pick(idx)) != m2 {
-			return nil, fmt.Errorf("ftmatmul: both copies of product %d dead (ranks %v)", idx, dead)
+			return nil, fmt.Errorf("ftmatmul: both copies of product %d dead (ranks %v): %w", idx, dead, &ftengine.ToleranceError{Dead: dead, F: 1})
 		}
 	}
 	return assembleStandard(m2, pick), nil

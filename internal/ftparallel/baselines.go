@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bigint"
 	"repro/internal/collective"
+	"repro/internal/ftengine"
 	"repro/internal/machine"
 	"repro/internal/parallel"
 	"repro/internal/toom"
@@ -101,7 +102,7 @@ func MultiplyReplicated(a, b bigint.Int, opts ReplicationOptions) (*ReplicationR
 		}
 	}
 	if chosen < 0 {
-		return nil, fmt.Errorf("ftparallel: all %d fleets failed; tolerance exceeded", fleets)
+		return nil, fmt.Errorf("ftparallel: all %d fleets failed: %w", fleets, ftengine.Exceeded(opts.F, rep.Faults))
 	}
 	_, wDen := opts.Alg.WScaled()
 	product, err := plan.AssembleFrom(wDen, func(q int) ([]bigint.Int, error) {

@@ -321,7 +321,7 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 			}
 		}
 		if numCols-len(deadCols) < cols {
-			return nil, fmt.Errorf("ftparallel: %d columns lost, tolerance f=%d exceeded", len(deadCols), lay.F)
+			return nil, fmt.Errorf("ftparallel: %d columns lost: %w", len(deadCols), ftengine.Exceeded(lay.F, ev))
 		}
 		// Victims also lost their top-level inputs; restore them (linear
 		// code) so later DFS sub-problems can proceed.
@@ -420,7 +420,7 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 			}
 		}
 		if numCols-len(deadCols) < cols {
-			return nil, fmt.Errorf("ftparallel: columns lost at interpolation, tolerance exceeded")
+			return nil, fmt.Errorf("ftparallel: columns lost at interpolation: %w", ftengine.Exceeded(lay.F, ev2))
 		}
 		// Restore victims' inputs for subsequent DFS sub-problems.
 		if err := rk.Coder.RecoverData(p, ev2, rk.Ctx); err != nil {

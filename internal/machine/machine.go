@@ -37,6 +37,7 @@ package machine
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -306,15 +307,20 @@ func (m *Machine) allocatedChannels() int {
 }
 
 // Run executes program on all P processors and returns the cost report.
-// The first processor error (if any) aborts with that error.
+// The first processor error (if any) aborts with that error. A processor
+// whose program panics does not take the caller down: its panic becomes an
+// error naming the rank, the run's context is canceled so peers blocked on
+// it unwind at once, and that error is returned ahead of theirs.
 func (m *Machine) Run(program func(*Proc) error) (*Report, error) {
 	return m.RunContext(context.Background(), program)
 }
 
-// RunContext is Run under a context: on backends that support cancellation
-// (wallnet), canceling ctx aborts blocked Recv/Barrier calls so the run
-// unwinds with an error instead of waiting out the protocol timeout.
+// RunContext is Run under a context: canceling ctx aborts blocked receives
+// (and, on wallnet, sends and barriers) so the run unwinds with an error
+// instead of waiting out the protocol timeout.
 func (m *Machine) RunContext(ctx context.Context, program func(*Proc) error) (*Report, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	for _, p := range m.procs {
 		ep, err := m.acct.OpenCounted(ctx, p.id)
 		if err != nil {
@@ -324,6 +330,7 @@ func (m *Machine) RunContext(ctx context.Context, program func(*Proc) error) (*R
 	}
 
 	errs := make([]error, m.cfg.P)
+	panics := make([]error, m.cfg.P)
 	var wg sync.WaitGroup
 	for i := range m.procs {
 		wg.Add(1)
@@ -333,6 +340,12 @@ func (m *Machine) RunContext(ctx context.Context, program func(*Proc) error) (*R
 			defer func() {
 				p.exitClock = p.ep.Now()
 				p.ep.Done()
+			}()
+			defer func() {
+				if r := recover(); r != nil {
+					panics[p.id] = fmt.Errorf("machine: rank %d panicked: %v\n%s", p.id, r, debug.Stack())
+					cancel()
+				}
 			}()
 			errs[p.id] = program(p)
 		}(m.procs[i])
@@ -376,7 +389,7 @@ func (m *Machine) RunContext(ctx context.Context, program func(*Proc) error) (*R
 			rep.Time = s.Clock
 		}
 	}
-	for _, err := range errs {
+	for _, err := range append(panics, errs...) {
 		if err != nil {
 			return rep, err
 		}

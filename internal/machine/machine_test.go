@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -344,6 +345,49 @@ func TestProgramErrorPropagates(t *testing.T) {
 	})
 	if err == nil || err.Error() != "boom" {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestRankPanicBecomesError: rank 2 of a ring exchange panics between its
+// send and its receive. Run must not crash the caller: it returns within a
+// second (the receive timeout is 30 s) with an error naming rank 2, ahead
+// of the cancellation errors of the peers left waiting on it, on both
+// backends.
+func TestRankPanicBecomesError(t *testing.T) {
+	for _, backend := range []Backend{BackendSim, BackendWall} {
+		t.Run(string(backend), func(t *testing.T) {
+			m, err := New(Config{P: 4, Backend: backend}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			_, err = m.Run(func(p *Proc) error {
+				next, prev := (p.ID()+1)%4, (p.ID()+3)%4
+				for round := 0; round < 2; round++ {
+					if err := p.Send(next, "ring", Ints{bigint.FromInt64(int64(round))}); err != nil {
+						return err
+					}
+					if p.ID() == 2 && round == 1 {
+						panic("mid-exchange")
+					}
+					if _, err := p.RecvInts(prev, "ring"); err != nil {
+						return err
+					}
+				}
+				// Rank 3's second receive from rank 2 comes through; rank 0
+				// then waits on rank 3's never-sent third message.
+				if _, err := p.RecvInts(prev, "ring"); err != nil {
+					return err
+				}
+				return nil
+			})
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Errorf("Run returned after %v, want under 1s", elapsed)
+			}
+			if err == nil || !strings.Contains(err.Error(), "rank 2 panicked: mid-exchange") {
+				t.Fatalf("err = %v, want the panic of rank 2", err)
+			}
+		})
 	}
 }
 

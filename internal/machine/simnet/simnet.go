@@ -18,9 +18,10 @@
 package simnet
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -74,6 +75,7 @@ type Net struct {
 	barGen  int
 	cur     *barState
 	done    map[int]*barState
+	idle    *barState // a fully read generation's state, reused by the next
 	barCond *sync.Cond
 }
 
@@ -140,20 +142,22 @@ func (n *Net) maybeRelease() {
 	}
 	st := n.cur
 	n.cur = nil
-	sort.Slice(st.events, func(i, j int) bool { return st.events[i].Proc < st.events[j].Proc })
+	slices.SortFunc(st.events, func(a, b transport.FaultEvent) int { return cmp.Compare(a.Proc, b.Proc) })
 	st.readers = st.count
 	n.done[n.barGen] = st
 	n.barGen++
 	n.barCond.Broadcast()
 }
 
-// endpoint is one rank's handle. The clock is owned by the rank's goroutine;
-// Barrier publishes it into the shared barState under n.mu.
+// endpoint is one rank's handle. The clock and the RecvTimeout timer are
+// owned by the rank's goroutine; Barrier publishes the clock into the
+// shared barState under n.mu.
 type endpoint struct {
 	n     *Net
 	rank  int
 	ctx   context.Context
 	clock float64
+	timer transport.WaitTimer
 }
 
 func (ep *endpoint) Rank() int { return ep.rank }
@@ -222,7 +226,8 @@ func (ep *endpoint) RecvDeadline(from int, tag string, deadline float64) (transp
 
 // next takes the next message from `from` and checks its tag. A message
 // already queued is taken at once; only an empty queue arms the
-// RecvTimeout guard, whose timer a completed receive stops at once.
+// RecvTimeout guard, the endpoint's one timer, which a completed receive
+// stops at once.
 func (ep *endpoint) next(from int, tag string) (message, error) {
 	if from < 0 || from >= ep.n.cfg.P {
 		return message{}, fmt.Errorf("simnet: proc %d receiving from nonexistent proc %d", ep.rank, from)
@@ -232,14 +237,17 @@ func (ep *endpoint) next(from int, tag string) (message, error) {
 	select {
 	case msg = <-ch:
 	default:
-		timer := time.NewTimer(ep.n.cfg.RecvTimeout)
-		defer timer.Stop()
+		var err error
 		select {
 		case msg = <-ch:
 		case <-ep.ctx.Done():
-			return message{}, fmt.Errorf("simnet: proc %d recv from %d canceled: %w", ep.rank, from, ep.ctx.Err())
-		case <-timer.C:
-			return message{}, fmt.Errorf("simnet: proc %d timed out waiting for tag %q from %d", ep.rank, tag, from)
+			err = fmt.Errorf("simnet: proc %d recv from %d canceled: %w", ep.rank, from, ep.ctx.Err())
+		case <-ep.timer.Arm(ep.n.cfg.RecvTimeout):
+			err = fmt.Errorf("simnet: proc %d timed out waiting for tag %q from %d", ep.rank, tag, from)
+		}
+		ep.timer.Stop()
+		if err != nil {
+			return message{}, err
 		}
 	}
 	if msg.tag != tag {
@@ -259,7 +267,10 @@ func (ep *endpoint) Barrier(phase string, local []transport.FaultEvent) ([]trans
 
 	gen := n.barGen
 	if n.cur == nil {
-		n.cur = &barState{}
+		n.cur, n.idle = n.idle, nil
+		if n.cur == nil {
+			n.cur = &barState{}
+		}
 	}
 	n.cur.count++
 	if ep.clock > n.cur.max {
@@ -280,6 +291,8 @@ func (ep *endpoint) Barrier(phase string, local []transport.FaultEvent) ([]trans
 	st.readers--
 	if st.readers == 0 {
 		delete(n.done, gen)
+		*st = barState{events: st.events[:0]}
+		n.idle = st
 	}
 	return events, nil
 }

@@ -297,3 +297,48 @@ func TestCloseRecyclesOnlyEmptyChannels(t *testing.T) {
 		t.Errorf("dropped channel holds %d messages, want its 1", len(late))
 	}
 }
+
+// TestWaitingRecvAndBarrierAllocs: a receive or a barrier that has to wait
+// re-arms the endpoint's one timer and reuses the previous barrier
+// generation's state, so after the endpoint's first wait neither allocates.
+// A helper goroutine sends (or arrives) a little after the waiter blocks.
+func TestWaitingRecvAndBarrierAllocs(t *testing.T) {
+	_, e0, e1 := open2(t, Config{P: 2})
+	var msg transport.Payload = words(1)
+	kick := make(chan bool)
+	errs := make(chan error, 1)
+	go func() {
+		for send := range kick {
+			time.Sleep(200 * time.Microsecond)
+			var err error
+			if send {
+				err = e0.Send(1, "w", msg)
+			} else {
+				_, err = e0.Barrier("b", nil)
+			}
+			errs <- err
+		}
+	}()
+	defer close(kick)
+	round := func() {
+		for _, send := range []bool{true, false} {
+			kick <- send
+			var err error
+			if send {
+				_, err = e1.Recv(0, "w")
+			} else {
+				_, err = e1.Barrier("b", nil)
+			}
+			if err == nil {
+				err = <-errs
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round() // the endpoints' first waits make their timers
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("a waiting receive and barrier allocate %.1f times per round, want 0", allocs)
+	}
+}

@@ -23,9 +23,10 @@
 package wallnet
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -79,15 +80,21 @@ type Net struct {
 	mu     sync.Mutex
 	active int
 	cur    *barState
+	idle   *barState // a fully read generation's state, reused by the next
 }
 
-// barState is one barrier generation. Waiters hold the pointer, so release
-// is just closing the channel; events are sorted before the close and read
-// only after it (the close is the happens-before edge).
+// barState is one barrier generation. Waiters hold the pointer; release
+// sends one token per arrival on the buffered release channel. Events are
+// sorted before the tokens go out and read only after one is received (the
+// send is the happens-before edge). Once every waiter has read the events
+// the state, channel included, is reused by a later generation; a waiter
+// that gave up (cancellation, timeout) never reads, so its generation's
+// state is simply dropped.
 type barState struct {
-	arrived  int
-	events   []transport.FaultEvent
-	released chan struct{}
+	arrived int
+	readers int // released waiters yet to read the events
+	events  []transport.FaultEvent
+	release chan struct{}
 }
 
 // New creates the wall-clock transport for cfg.P processors. The run's
@@ -148,8 +155,15 @@ func (n *Net) maybeRelease() {
 	}
 	st := n.cur
 	n.cur = nil
-	sort.Slice(st.events, func(i, j int) bool { return st.events[i].Proc < st.events[j].Proc })
-	close(st.released)
+	slices.SortFunc(st.events, func(a, b transport.FaultEvent) int { return cmp.Compare(a.Proc, b.Proc) })
+	st.readers = st.arrived
+	for i := 0; i < st.arrived; i++ {
+		select {
+		case st.release <- struct{}{}:
+		default:
+			panic("wallnet: barrier release buffer full") // it holds one token per rank
+		}
+	}
 }
 
 type endpoint struct {
@@ -160,6 +174,9 @@ type endpoint struct {
 	// charges; the next Elapse sleeps that much less. Only the rank's own
 	// goroutine charges time.
 	over time.Duration
+	// timer times every wait of the rank's goroutine: receives, deadline
+	// receives, barriers and dilated sleeps.
+	timer transport.WaitTimer
 }
 
 func (ep *endpoint) Rank() int { return ep.rank }
@@ -184,12 +201,11 @@ func (ep *endpoint) Elapse(units float64) {
 		return
 	}
 	start := time.Now()
-	t := time.NewTimer(d)
-	defer t.Stop()
 	select {
-	case <-t.C:
+	case <-ep.timer.Arm(d):
 	case <-ep.ctx.Done():
 	}
+	ep.timer.Stop()
 	ep.over = max(time.Since(start)-d, 0)
 }
 
@@ -211,8 +227,8 @@ func (ep *endpoint) Send(to int, tag string, payload transport.Payload) error {
 }
 
 // Recv takes the next message from `from` and asserts its tag. A message
-// already queued is taken at once; only an empty queue arms the
-// RecvTimeout timer.
+// already queued is taken at once; only an empty queue arms the endpoint's
+// timer for RecvTimeout.
 func (ep *endpoint) Recv(from int, tag string) (transport.Payload, error) {
 	if from < 0 || from >= ep.n.cfg.P {
 		return nil, fmt.Errorf("wallnet: proc %d receiving from nonexistent proc %d", ep.rank, from)
@@ -222,14 +238,17 @@ func (ep *endpoint) Recv(from int, tag string) (transport.Payload, error) {
 	select {
 	case msg = <-ch:
 	default:
-		timer := time.NewTimer(ep.n.cfg.RecvTimeout)
-		defer timer.Stop()
+		var err error
 		select {
 		case msg = <-ch:
 		case <-ep.ctx.Done():
-			return nil, fmt.Errorf("wallnet: proc %d recv from %d canceled: %w", ep.rank, from, ep.ctx.Err())
-		case <-timer.C:
-			return nil, fmt.Errorf("wallnet: proc %d timed out waiting for tag %q from %d", ep.rank, tag, from)
+			err = fmt.Errorf("wallnet: proc %d recv from %d canceled: %w", ep.rank, from, ep.ctx.Err())
+		case <-ep.timer.Arm(ep.n.cfg.RecvTimeout):
+			err = fmt.Errorf("wallnet: proc %d timed out waiting for tag %q from %d", ep.rank, tag, from)
+		}
+		ep.timer.Stop()
+		if err != nil {
+			return nil, err
 		}
 	}
 	if msg.tag != tag {
@@ -256,12 +275,11 @@ func (ep *endpoint) RecvDeadline(from int, tag string, deadline float64) (transp
 		return ep.judge(msg, from, tag, target)
 	default:
 	}
-	timer := time.NewTimer(time.Until(target))
-	defer timer.Stop()
+	defer ep.timer.Stop()
 	select {
 	case msg := <-ch:
 		return ep.judge(msg, from, tag, target)
-	case <-timer.C:
+	case <-ep.timer.Arm(time.Until(target)):
 		return nil, false, nil
 	case <-ep.ctx.Done():
 		return nil, false, fmt.Errorf("wallnet: proc %d recv from %d canceled: %w", ep.rank, from, ep.ctx.Err())
@@ -287,7 +305,10 @@ func (ep *endpoint) Barrier(phase string, local []transport.FaultEvent) ([]trans
 	n := ep.n
 	n.mu.Lock()
 	if n.cur == nil {
-		n.cur = &barState{released: make(chan struct{})}
+		n.cur, n.idle = n.idle, nil
+		if n.cur == nil {
+			n.cur = &barState{release: make(chan struct{}, n.cfg.P)}
+		}
 	}
 	st := n.cur
 	st.arrived++
@@ -295,17 +316,27 @@ func (ep *endpoint) Barrier(phase string, local []transport.FaultEvent) ([]trans
 	n.maybeRelease()
 	n.mu.Unlock()
 
-	timer := time.NewTimer(n.cfg.RecvTimeout)
-	defer timer.Stop()
+	var err error
 	select {
-	case <-st.released:
+	case <-st.release:
 	case <-ep.ctx.Done():
-		return nil, fmt.Errorf("wallnet: proc %d barrier %q canceled: %w", ep.rank, phase, ep.ctx.Err())
-	case <-timer.C:
-		return nil, fmt.Errorf("wallnet: proc %d timed out in barrier %q", ep.rank, phase)
+		err = fmt.Errorf("wallnet: proc %d barrier %q canceled: %w", ep.rank, phase, ep.ctx.Err())
+	case <-ep.timer.Arm(n.cfg.RecvTimeout):
+		err = fmt.Errorf("wallnet: proc %d timed out in barrier %q", ep.rank, phase)
+	}
+	ep.timer.Stop()
+	if err != nil {
+		return nil, err
 	}
 	events := make([]transport.FaultEvent, len(st.events))
 	copy(events, st.events)
+	n.mu.Lock()
+	st.readers--
+	if st.readers == 0 {
+		*st = barState{events: st.events[:0], release: st.release}
+		n.idle = st
+	}
+	n.mu.Unlock()
 	return events, nil
 }
 

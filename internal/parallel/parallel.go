@@ -37,6 +37,7 @@ package parallel
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/bigint"
 	"repro/internal/collective"
@@ -261,13 +262,21 @@ func (pl *Plan) Node(p *machine.Proc, group collective.Group, shareA, shareB []b
 // EvalRowBlocks computes a processor's share of one evaluation: an
 // evaluation-matrix row applied block-wise to the k digit blocks of the
 // local share, charging the word work. The cyclic layout makes each block a
-// contiguous local sub-slice.
+// contiguous local sub-slice. Every entry is combined in one pooled Acc and
+// copied onto one limb slab for the whole vector; the entries of a unit row
+// (evaluation at 0 or ∞) share the digits' limbs instead.
 func EvalRowBlocks(p *machine.Proc, row []int64, share []bigint.Int, k int) []bigint.Int {
 	lb := len(share) / k
 	out := make([]bigint.Int, lb)
+	acc := bigint.NewAcc()
+	defer acc.Release()
+	var slab []uint64
 	var work int64
 	for t := 0; t < lb; t++ {
-		acc := bigint.Zero()
+		acc.Reset()
+		var lone bigint.Int
+		var loneC int64
+		terms := 0
 		for m := 0; m < k; m++ {
 			c := row[m]
 			if c == 0 {
@@ -277,10 +286,11 @@ func EvalRowBlocks(p *machine.Proc, row []int64, share []bigint.Int, k int) []bi
 			if v.IsZero() {
 				continue
 			}
-			acc = acc.Add(v.MulInt64(c))
+			acc.AddMul(v, c)
+			lone, loneC, terms = v, c, terms+1
 			work += 2 * WordsOf(v)
 		}
-		out[t] = acc
+		out[t], slab = acc.AppendEntry(slab, lb-t, terms, lone, loneC)
 	}
 	p.Work(work)
 	return out
@@ -297,18 +307,31 @@ func EvalRowBlocks(p *machine.Proc, row []int64, share []bigint.Int, k int) []bi
 // (mod g) — interpolation costs no communication beyond the slice exchange.
 // The plain tier folds with the algorithm's WScaled rows at scale 1; the
 // fault-tolerant tier folds with the rows of its surviving points and
-// scales them to the denominator common to every surviving set.
+// scales them to the denominator common to every surviving set. Each
+// output position is summed in one pooled Acc, scaled in place, and copied
+// onto one limb slab; a position that is one coefficient's lone unit term
+// shares that entry's limbs.
 func (pl *Plan) Fold(p *machine.Proc, w [][]int64, scale int64, slices [][]bigint.Int, lenTotal, g int) []bigint.Int {
 	k := pl.k
 	childLen := len(slices[0]) // entries per class of one child product
 	lq := lenTotal / (k * g)   // block offset step in class-local units
 	out := make([]bigint.Int, 2*lenTotal/g)
+	acc := bigint.NewAcc()
+	defer acc.Release()
+	var slab []uint64
 	var work int64
-	for i := 0; i < 2*k-1; i++ {
-		base := i * lq
-		for s := 0; s < childLen; s++ {
-			// c̄_i[s] folded into position base + s.
-			acc := out[base+s]
+	for t := range out {
+		// Position t collects c̄_i[t − i·lq] from every coefficient i whose
+		// child slice covers it.
+		acc.Reset()
+		var lone bigint.Int
+		var loneC int64
+		terms := 0
+		for i := 0; i < 2*k-1; i++ {
+			s := t - i*lq
+			if s < 0 || s >= childLen {
+				continue
+			}
 			for j := 0; j < 2*k-1; j++ {
 				c := w[i][j]
 				if c == 0 {
@@ -318,18 +341,18 @@ func (pl *Plan) Fold(p *machine.Proc, w [][]int64, scale int64, slices [][]bigin
 				if v.IsZero() {
 					continue
 				}
-				acc = acc.Add(v.MulInt64(c))
+				acc.AddMul(v, c)
+				lone, loneC, terms = v, c, terms+1
 				work += 2 * WordsOf(v)
 			}
-			out[base+s] = acc
 		}
-	}
-	if scale != 1 {
-		for i := range out {
-			if !out[i].IsZero() {
-				out[i] = out[i].MulInt64(scale)
-				work += WordsOf(out[i])
-			}
+		if scale != 1 {
+			acc.Scale(scale)
+			loneC = 0 // a rescaled entry is never a bare copy of its term
+		}
+		out[t], slab = acc.AppendEntry(slab, len(out)-t, terms, lone, loneC)
+		if scale != 1 && !out[t].IsZero() {
+			work += WordsOf(out[t])
 		}
 	}
 	p.Work(work)
@@ -339,25 +362,47 @@ func (pl *Plan) Fold(p *machine.Proc, w [][]int64, scale int64, slices [][]bigin
 // AddColumn adds column j of the scaled W^T, applied to one DFS
 // sub-problem's product share child, into this processor's coefficient
 // shares out (2·lenTotal/g entries): out[i·len/(k·g) + s] += wNum[i][j]·child[s]
-// for each of the 2k-1 coefficients i.
+// for each of the 2k-1 coefficients i. Each touched position is summed in
+// one pooled Acc and copied onto one limb slab; a position whose first
+// contribution is a lone unit term shares that entry's limbs.
 func (pl *Plan) AddColumn(p *machine.Proc, j int, child, out []bigint.Int, lenTotal, g int) {
 	k := pl.k
 	wNum, _ := pl.alg.WScaled()
 	lq := lenTotal / (k * g)
+	acc := bigint.NewAcc()
+	defer acc.Release()
+	var slab []uint64
 	var work int64
-	for i := 0; i < 2*k-1; i++ {
-		c := wNum[i][j]
-		if c == 0 {
-			continue
-		}
-		base := i * lq
-		for s, v := range child {
+	for t := range out {
+		acc.Reset()
+		var lone bigint.Int
+		var loneC int64
+		terms := 0
+		for i := 0; i < 2*k-1; i++ {
+			s := t - i*lq
+			if s < 0 || s >= len(child) {
+				continue
+			}
+			c := wNum[i][j]
+			if c == 0 {
+				continue
+			}
+			v := child[s]
 			if v.IsZero() {
 				continue
 			}
-			out[base+s] = out[base+s].Add(v.MulInt64(c))
+			acc.AddMul(v, c)
+			lone, loneC, terms = v, c, terms+1
 			work += 2 * WordsOf(v)
 		}
+		if terms == 0 {
+			continue // column j does not reach position t
+		}
+		if !out[t].IsZero() {
+			acc.Add(out[t])
+			terms++
+		}
+		out[t], slab = acc.AppendEntry(slab, len(out)-t, terms, lone, loneC)
 	}
 	p.Work(work)
 }
@@ -413,7 +458,7 @@ func (pl *Plan) bfsStep(p *machine.Proc, group collective.Group, shareA, shareB 
 	if err != nil {
 		return nil, err
 	}
-	p.Mark(fmt.Sprintf("eval@%d", level))
+	p.Mark("eval@" + strconv.Itoa(level))
 
 	// Interleave received slices into my share of sub-problem `col`:
 	// child entry u came from row-mate u mod (2k-1), position u div (2k-1).
@@ -434,7 +479,7 @@ func (pl *Plan) bfsStep(p *machine.Proc, group collective.Group, shareA, shareB 
 	if err != nil {
 		return nil, err
 	}
-	p.Mark(fmt.Sprintf("mul@%d", level))
+	p.Mark("mul@" + strconv.Itoa(level))
 
 	// Upward redistribution (reverse of the downward one): my share of
 	// child product entries splits into 2k-1 offset classes mod g; class
@@ -457,18 +502,21 @@ func (pl *Plan) bfsStep(p *machine.Proc, group collective.Group, shareA, shareB 
 	}
 	wNum, _ := pl.alg.WScaled()
 	out := pl.Fold(p, wNum, 1, slices, lenTotal, g)
-	p.Mark(fmt.Sprintf("interp@%d", level))
+	p.Mark("interp@" + strconv.Itoa(level))
 	return out, nil
 }
 
 // leaf multiplies a fully-local sub-problem: recompose the digit vectors
 // into integers (straight into the sequential algorithm's workspace),
-// multiply with the sequential algorithm (charging its exact word-operation
-// count), and re-split the product into a digit vector of length 2R (the
-// last entry absorbing the unbounded top bits).
+// multiply with the sequential algorithm into a pooled accumulator
+// (charging its exact word-operation count), and split the product
+// straight out of it into a digit vector of length 2R (the last entry
+// absorbing the unbounded top bits).
 func (pl *Plan) leaf(p *machine.Proc, shareA, shareB []bigint.Int) ([]bigint.Int, error) {
 	var stats toom.Stats
-	z := pl.alg.MulSharesWithStats(shareA, shareB, pl.shift, &stats)
+	z := bigint.NewAcc()
+	defer z.Release()
+	pl.alg.MulSharesTo(z, shareA, shareB, pl.shift, &stats)
 	var rw int64
 	for _, d := range shareA {
 		rw += WordsOf(d)
@@ -480,25 +528,19 @@ func (pl *Plan) leaf(p *machine.Proc, shareA, shareB []bigint.Int) ([]bigint.Int
 	return splitSigned(z, 2*len(shareA), pl.shift), nil
 }
 
-// splitSigned splits z into n entries of base 2^shift: entries 0..n-2 are
-// the normalized digits of |z| and entry n-1 absorbs all remaining high
-// bits; every entry carries z's sign so the positional sum equals z.
-func splitSigned(z bigint.Int, n, shift int) []bigint.Int {
-	neg := z.Sign() < 0
-	abs := z.Abs()
+// splitSigned splits z into n entries of base 2^shift onto one limb slab:
+// entries 0..n-2 are the normalized digits of |z| and entry n-1 absorbs all
+// remaining high bits; every entry carries z's sign so the positional sum
+// equals z.
+func splitSigned(z *bigint.Acc, n, shift int) []bigint.Int {
 	out := make([]bigint.Int, n)
+	// Each digit spills into at most one limb beyond its share of z's.
+	slab := make([]uint64, 0, z.WordLen()+n)
 	for t := 0; t < n-1; t++ {
-		d := abs.Extract(t*shift, shift)
-		if neg {
-			d = d.Neg()
-		}
-		out[t] = d
+		out[t], slab = z.AppendBits(slab, t*shift, shift)
 	}
-	top := abs.Shr(uint((n - 1) * shift))
-	if neg {
-		top = top.Neg()
-	}
-	out[n-1] = top
+	top := (n - 1) * shift
+	out[n-1], _ = z.AppendBits(slab, top, z.BitLen()-top)
 	return out
 }
 
@@ -568,15 +610,20 @@ func DFSStepsFor(nWords int64, k, p int, memoryWords int64) int {
 }
 
 // cyclicShares splits |v| into `digits` base-2^shift digits and deals them
-// cyclically to p processors: share[q][u] = digit(q + u·p).
+// cyclically to p processors: share[q][u] = digit(q + u·p). The digits are
+// cut straight out of one pooled accumulator onto one limb slab.
 func cyclicShares(v bigint.Int, digits, shift, p int) [][]bigint.Int {
+	acc := bigint.NewAcc()
+	defer acc.Release()
+	acc.SetInt(v.Abs())
+	slab := make([]uint64, 0, digits*((shift+63)/64))
 	shares := make([][]bigint.Int, p)
 	per := digits / p
 	for q := 0; q < p; q++ {
 		shares[q] = make([]bigint.Int, per)
 		for u := 0; u < per; u++ {
 			s := q + u*p
-			shares[q][u] = v.Extract(s*shift, shift)
+			shares[q][u], slab = acc.AppendBits(slab, s*shift, shift)
 		}
 	}
 	return shares

@@ -207,7 +207,9 @@ func TestSplitSigned(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			z = z.Neg()
 		}
-		parts := splitSigned(z, n, shift)
+		var acc bigint.Acc
+		acc.SetInt(z)
+		parts := splitSigned(&acc, n, shift)
 		if len(parts) != n {
 			t.Fatalf("got %d parts", len(parts))
 		}

@@ -144,7 +144,7 @@ func TestToom2KernelDispatch(t *testing.T) {
 // TestToom2KernelMatchesGeneric requires the Toom-2 kernel to reproduce the
 // generic frame recursion exactly, products and all five Stats fields,
 // through every entry point that reaches it: MulWithStats,
-// MulSharesWithStats and the unbalanced algorithm's inner recursion, on
+// MulSharesTo and the unbalanced algorithm's inner recursion, on
 // zero, signed, unbalanced and 64·j ± 1-bit operands.
 func TestToom2KernelMatchesGeneric(t *testing.T) {
 	for _, th := range []int{64, 256} {
@@ -181,8 +181,10 @@ func TestToom2KernelMatchesGeneric(t *testing.T) {
 					sa[i], sb[i] = signedRandom(rng, rng.Intn(shift+4)), signedRandom(rng, rng.Intn(shift+4))
 				}
 				want := new(big.Int).Mul(bigRecompose(sa, shift), bigRecompose(sb, shift))
-				same(fmt.Sprintf("MulSharesWithStats 9×%d bits", shift), func(alg *toom.Algorithm, st *toom.Stats) bigint.Int {
-					return alg.MulSharesWithStats(sa, sb, shift, st)
+				same(fmt.Sprintf("MulSharesTo 9×%d bits", shift), func(alg *toom.Algorithm, st *toom.Stats) bigint.Int {
+					var z bigint.Acc
+					alg.MulSharesTo(&z, sa, sb, shift, st)
+					return z.Value()
 				}, want)
 			}
 			for _, k := range [][2]int{{2, 1}, {3, 2}, {4, 2}} {

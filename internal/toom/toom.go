@@ -315,12 +315,13 @@ func (alg *Algorithm) MulWithStats(a, b bigint.Int, stats *Stats) bigint.Int {
 	return ws.out.Value()
 }
 
-// MulSharesWithStats returns Recompose(sharesA, shift)·Recompose(sharesB,
-// shift), recomposing both digit vectors straight into the workspace. It is
-// the parallel algorithm's leaf multiply; the stats are those of
-// MulWithStats on the recomposed operands (the recomposition itself is the
-// caller's to charge).
-func (alg *Algorithm) MulSharesWithStats(sharesA, sharesB []bigint.Int, shift int, stats *Stats) bigint.Int {
+// MulSharesTo sets dst = Recompose(sharesA, shift)·Recompose(sharesB,
+// shift), recomposing both digit vectors straight into the workspace and
+// writing the product into dst, so a caller that splits the product back
+// into digits (the parallel algorithm's leaf) never materializes it as an
+// Int. The stats are those of MulWithStats on the recomposed operands (the
+// recomposition itself is the caller's to charge).
+func (alg *Algorithm) MulSharesTo(dst *bigint.Acc, sharesA, sharesB []bigint.Int, shift int, stats *Stats) {
 	ws := getWorkspace()
 	defer putWorkspace(ws)
 	for i, shares := range [2][]bigint.Int{sharesA, sharesB} {
@@ -331,8 +332,7 @@ func (alg *Algorithm) MulSharesWithStats(sharesA, sharesB []bigint.Int, shift in
 			in.Add(shares[j])
 		}
 	}
-	alg.mul(ws, 0, &ws.out, &ws.in[0], &ws.in[1], stats)
-	return ws.out.Value()
+	alg.mul(ws, 0, dst, &ws.in[0], &ws.in[1], stats)
 }
 
 // mul writes x·y into dst (Algorithm 1), using ws.frames[depth] for this

@@ -60,12 +60,13 @@ func MulMatrixFaultTolerant(a, b [][]*big.Int, cfg ClusterConfig, faults []Fault
 	return fromIntMat(res.C), rep, nil
 }
 
+// toIntMat converts a math/big matrix through one limb slab.
 func toIntMat(rows [][]*big.Int) (*mat.IntMat, error) {
 	if len(rows) == 0 || len(rows[0]) == 0 {
 		return nil, fmt.Errorf("ftmul: empty matrix")
 	}
 	cols := len(rows[0])
-	m := mat.NewIntMat(len(rows), cols)
+	words := 0
 	for i, row := range rows {
 		if len(row) != cols {
 			return nil, fmt.Errorf("ftmul: ragged matrix: row %d has %d entries, want %d", i, len(row), cols)
@@ -74,18 +75,45 @@ func toIntMat(rows [][]*big.Int) (*mat.IntMat, error) {
 			if v == nil {
 				return nil, fmt.Errorf("ftmul: nil entry at (%d,%d)", i, j)
 			}
-			m.Set(i, j, bigint.FromBig(v))
+			words += len(v.Bits())
+		}
+	}
+	m := mat.NewIntMat(len(rows), cols)
+	slab := make([]uint64, 0, words)
+	for i, row := range rows {
+		for j, v := range row {
+			var x bigint.Int
+			x, slab = bigint.AppendBig(slab, v)
+			m.Set(i, j, x)
 		}
 	}
 	return m, nil
 }
 
+// fromIntMat builds the math/big result from one []big.Int slab, one
+// []big.Word slab cut into capped per-entry slices (an entry the caller
+// grows reallocates instead of overwriting its neighbour) and one backing
+// array for the row slices.
 func fromIntMat(m *mat.IntMat) [][]*big.Int {
-	out := make([][]*big.Int, m.Rows())
+	r, c := m.Rows(), m.Cols()
+	words := 0
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			words += m.At(i, j).WordLen()
+		}
+	}
+	vals := make([]big.Int, r*c)
+	ptrs := make([]*big.Int, r*c)
+	slab := make([]big.Word, words)
+	out := make([][]*big.Int, r)
+	off := 0
 	for i := range out {
-		out[i] = make([]*big.Int, m.Cols())
+		out[i] = ptrs[i*c : (i+1)*c : (i+1)*c]
 		for j := range out[i] {
-			out[i][j] = m.At(i, j).ToBig()
+			x := m.At(i, j)
+			n := off + x.WordLen()
+			out[i][j] = x.ToBigOn(&vals[i*c+j], slab[off:n:n])
+			off = n
 		}
 	}
 	return out
