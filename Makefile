@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmtcheck test race vet allocs benchtest bench benchjson benchgate caltune fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke ci
+.PHONY: build fmtcheck test race vet allocs benchtest bench benchjson benchgate caltune fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke loc ci
 
 build:
 	$(GO) build ./...
@@ -40,12 +40,14 @@ vet:
 	$(GO) vet ./...
 
 # Allocation contracts at one and two cores: every test whose name contains
-# "Alloc" (the NTT kernel, its per-prime and butterfly fan-out, the Toom
-# leaf, the matrix tile, rat.New's word path, lazy channel allocation, the
-# limb-sharing unit scalings, the one-slab vector loops and reduce
-# combiner, queued and waiting receives and barriers, the FT multiply's
-# budget). A contract that only holds when the worker pool never forks
-# shows up at -cpu 2.
+# "Alloc" (the NTT kernel and natMul through it, its per-prime and butterfly
+# fan-out, the Toom leaf, the matrix tile, rat.New's word path, the
+# machine's lazy channel allocation and its queued and waiting receives and
+# barriers on both clocks, the limb-sharing unit scalings, the one-slab
+# vector loops and reduce combiner, the FT multiply's budget). A contract
+# that only holds when the worker pool never forks shows up at -cpu 2. The
+# halves that rent from a sync.Pool skip under -race, so this target, not
+# `make race`, is where they are checked.
 allocs:
 	$(GO) test -count=1 -cpu 1,2 -run 'Alloc' ./...
 
@@ -78,14 +80,18 @@ benchgate:
 caltune:
 	$(GO) run ./cmd/caltune -v
 
-# Wall-clock backend smoke: the machine/crosscheck suites that exercise the
-# wallnet transport (including the deadline test that receives a queued,
-# on-time message after its deadline has passed), the real-time straggler
-# test 20 times over, then one real end-to-end FT multiplication on
-# -backend wall with an injected fault, verified against math/big by ftmul
-# itself.
+# Wall-clock backend smoke: the whole machine suite (its table-driven tests
+# run every receive, deadline, barrier, cancellation, timeout and allocation
+# behaviour on the wall clock as well as the sim one, including the deadline
+# test that receives a queued, on-time message after its deadline has
+# passed; the rest are its wall-only dilation tests and a few sim-only
+# ones), the crosscheck and ftparallel suites that exercise the wall
+# backend, the real-time straggler test 20 times over, then one real
+# end-to-end FT multiplication on -backend wall with an injected fault,
+# verified against math/big by ftmul itself.
 wallsmoke:
-	$(GO) test -run 'Wall|Backends|RecvDeadline' ./internal/machine/... ./internal/crosscheck ./internal/ftparallel
+	$(GO) test ./internal/machine
+	$(GO) test -run 'Wall|Backends|RecvDeadline' ./internal/crosscheck ./internal/ftparallel
 	$(GO) test -run 'StragglerDroppedInRealTime' -count=20 ./internal/ftparallel
 	$(GO) run ./cmd/ftmul -bits 16384 -algo ft -k 2 -P 9 -f 1 -fault 4:mul -backend wall -q
 
@@ -127,6 +133,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNatMul -fuzztime 10s ./internal/bigint
 	$(GO) test -run '^$$' -fuzz FuzzTileMulWork -fuzztime 10s ./internal/ftmatmul
 	$(GO) test -run '^$$' -fuzz FuzzToomMulStats -fuzztime 10s ./internal/toom
+
+# Non-test Go lines per package directory and in total, excluding testdata
+# fixtures and the bench/ module: the size figure each change reports next
+# to its behaviour change. Informational; nothing gates on it.
+loc:
+	@find . \( -path ./bench -o -name testdata -o -name '.?*' \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2
 
 # ci mirrors .github/workflows/ci.yml locally: everything a PR must pass.
 ci: build fmtcheck test vet allocs benchtest race fuzz-smoke wallsmoke matsmoke examples lint

@@ -160,6 +160,65 @@ func TestTwoFaultCensus(t *testing.T) {
 	}
 }
 
+// TestThreeFaultCensus runs 400 seeded plans of three fail-stops on the
+// f = 2 machine (P = 9 workers plus 12 code processors, one DFS step) on
+// 2^12-bit operands, on sim and on wall. A plan's three victims are
+// distinct ranks that die at one barrier crossing: the same phase and, at
+// mul or interp, the same one of the DFS step's three sub-problems, a
+// shape that often exceeds f (fully random three-fault plans almost never
+// do). Every plan must give the exact product or a ToleranceError, the
+// same outcome on both backends, and the split is pinned.
+func TestThreeFaultCensus(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	a, b := randBig(rng, 1<<12), randBig(rng, 1<<12)
+	want := new(big.Int).Mul(a, b)
+	lay, err := GridLayout(9, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := []string{PhaseEval, PhaseMul, PhaseInterp}
+	plans := make([][]Fault, 400)
+	for i := range plans {
+		phase, hit := phases[rng.Intn(len(phases))], 0
+		if phase != PhaseEval {
+			hit = rng.Intn(3)
+		}
+		for _, r := range rng.Perm(lay.Total())[:3] {
+			plans[i] = append(plans[i], Fault{Proc: r, Phase: phase, Hit: hit})
+		}
+	}
+	var exact [2][]bool
+	for bi, backend := range []string{"sim", "wall"} {
+		exact[bi] = make([]bool, len(plans))
+		for i, plan := range plans {
+			got, _, err := MulFaultTolerant(a, b, 2, 2, ClusterConfig{P: 9, DFSSteps: 1, Backend: backend}, plan)
+			if err != nil {
+				var tol *ToleranceError
+				if !errors.As(err, &tol) {
+					t.Errorf("%s plan %v: error is not a ToleranceError: %v", backend, plan, err)
+				}
+				continue
+			}
+			if got.Cmp(want) != 0 {
+				t.Fatalf("%s plan %v: wrong product", backend, plan)
+			}
+			exact[bi][i] = true
+		}
+	}
+	n := 0
+	for i := range plans {
+		if exact[0][i] != exact[1][i] {
+			t.Errorf("plan %v: exact on sim %v, on wall %v", plans[i], exact[0][i], exact[1][i])
+		}
+		if exact[0][i] {
+			n++
+		}
+	}
+	if n != 354 {
+		t.Errorf("%d exact, %d ToleranceErrors; want 354 and 46", n, len(plans)-n)
+	}
+}
+
 func TestMulReplicated(t *testing.T) {
 	rng := rand.New(rand.NewSource(207))
 	a, b := randBig(rng, 1<<13), randBig(rng, 1<<13)

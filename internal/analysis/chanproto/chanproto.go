@@ -58,10 +58,9 @@ var Analyzer = &framework.Analyzer{
 }
 
 // governed lists the package path segments whose channel traffic follows the
-// simulator protocol. "machine" covers the transport subpackages
-// (internal/machine/{transport,simnet,wallnet,costacct,faultinject}); the
-// backends are also listed by name so single-segment fixture packages fall
-// in scope.
+// simulator protocol. "machine" covers internal/machine, whose network the
+// sim and wall clocks share; "transport", "simnet" and "wallnet" name the
+// single-segment fixture packages that exercise the rule.
 var governed = []string{"machine", "collective", "ftengine", "ftparallel", "ftmatmul", "transport", "simnet", "wallnet"}
 
 // procComm names the methods that move messages; their tag is always the

@@ -222,7 +222,7 @@ func loadFixture(t *testing.T, rel string) *framework.Package {
 // TestDirtyWitnessReproduces closes the loop between the static derivation
 // and the runtime: the witness world reported for the double-send broadcast
 // fixture must reproduce the exact bandwidth divergence when the honest and
-// the dirty protocol run on the real simulated machine under costacct-style
+// the dirty protocol run on the real simulated machine under its own
 // accounting.
 func TestDirtyWitnessReproduces(t *testing.T) {
 	diags, err := framework.Run(Analyzer, loadFixture(t, "collective/dirty"))

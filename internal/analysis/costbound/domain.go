@@ -30,7 +30,7 @@ package costbound
 // The boundary verbs are cost contracts, the model's axiom set: Send
 // charges its payload words to S and one message to L, Recv charges R,
 // Work charges F, Barrier charges the binomial-tree dissemination —
-// exactly what machine/costacct charges at runtime, which the crosscheck
+// exactly what machine.Proc charges at runtime, which the crosscheck
 // suite pins. Contracts key methods on the receiver's type name, so
 // fixtures declaring miniature Proc/Int stand-ins follow the same rules.
 
@@ -45,7 +45,7 @@ import (
 
 type Value = framework.Value
 
-// costVec is the four-counter cost state, matching costacct.Stats: F
+// costVec is the four-counter cost state, matching machine.Stats: F
 // (word operations), S (sent words), R (received words), L (messages).
 type costVec struct {
 	F, S, R, L framework.SymExpr

@@ -305,7 +305,7 @@ func ftNode(worker, linear, poly *Counts, p, k, faults, gP int, logT int64, lenT
 
 // ---------------------------------------------------------------------------
 // Exact evaluation of the collective closed forms, exported for the
-// crosscheck suite (static table vs. costacct runtime).
+// crosscheck suite (static table vs. machine.Proc's runtime charges).
 
 // ExpectedBroadcast evaluates the Table 1 Broadcast form at g, w.
 func ExpectedBroadcast(g, w int64) Counts {

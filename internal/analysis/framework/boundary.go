@@ -18,7 +18,7 @@ import (
 )
 
 // ModelBoundaryPkg reports packages whose internals are never interpreted:
-// the machine/transport layer (its verbs are the analyzers' primitives),
+// the machine layer (its verbs are the analyzers' primitives),
 // the arithmetic kernels (modeled by result shape, with each domain's
 // measure), and the host-side tooling packages. Their goroutines and
 // channels are below the protocol abstraction, so their blockers do not

@@ -95,8 +95,8 @@ var chargePrimitives = map[string]map[string]bool{
 		"Work": true, "Send": true, "Recv": true,
 		"RecvInts": true, "RecvDeadline": true, "Barrier": true,
 	},
-	// Endpoint is the transport-seam carrier (costacct.Endpoint): the layer
-	// machine.Proc charges through, with the same primitive set.
+	// Endpoint is a transport-seam carrier with Proc's primitive set; the
+	// fixtures of the cost analyzers charge through it.
 	"Endpoint": {
 		"Work": true, "Send": true, "Recv": true,
 		"RecvDeadline": true, "Barrier": true,

@@ -26,10 +26,9 @@ var Analyzer = &framework.Analyzer{
 }
 
 // governed lists the package path segments under the no-raw-goroutines rule.
-// The "machine" segment already covers its transport subpackages
-// (internal/machine/{transport,simnet,wallnet,costacct,faultinject}), but
-// the backend packages are listed by name too so fixture packages — whose
-// synthetic import paths are a single segment — exercise the rule.
+// The "machine" segment covers internal/machine; "simnet" and "wallnet" are
+// listed too so fixture packages — whose synthetic import paths are a
+// single segment — exercise the rule.
 var governed = []string{"toom", "parallel", "ftengine", "ftparallel", "ftmatmul", "machine", "simnet", "wallnet", "bigint", "workpool", "caltune"}
 
 func run(pass *framework.Pass) error {

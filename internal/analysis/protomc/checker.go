@@ -9,7 +9,7 @@ package protomc
 // remaining nondeterminism — receive-deadline timing and (for
 // cross-validation) scheduling order — is explored exhaustively by DFS over
 // explicit choice vectors, and fail-stop faults are injected at barrier
-// crossings exactly as machine/faultinject does: the victim's store is
+// crossings exactly as machine.Proc.Barrier does: the victim's store is
 // wiped and its replacement continues at the same rank.
 
 import (
@@ -30,7 +30,7 @@ type Finding struct {
 }
 
 // faultSpec schedules one fail-stop fault: proc dies the hit-th time it
-// crosses the named barrier phase (mirroring faultinject.Fault).
+// crosses the named barrier phase (mirroring machine.Fault).
 type faultSpec struct {
 	Proc  int
 	Phase string
@@ -471,7 +471,7 @@ func (ck *checker) tryBarrier() bool {
 		}
 	}
 
-	// Per-endpoint, phase-keyed hit counting, exactly as faultinject does.
+	// Per-rank, phase-keyed hit counting, exactly as machine.Proc does.
 	var events []Value
 	var victims []int
 	for _, mp := range waiting {

@@ -10,8 +10,8 @@
 // fault-tolerant engine is additionally instantiated exactly as
 // ftparallel.Multiply builds it and re-explored under every single
 // fail-stop fault plan its layout claims to tolerate (one fault per barrier
-// crossing observed in the fault-free run, mirroring machine/faultinject's
-// per-endpoint phase-keyed hit counting).
+// crossing observed in the fault-free run, mirroring machine.Proc's
+// per-rank, phase-keyed hit counting).
 //
 // Properties checked, each reported with a counterexample interleaving and
 // the fault plan that exhibits it:

@@ -18,7 +18,7 @@ package protomc
 // Fault plans are not chosen here: the checker's first (fault-free) run
 // records every (proc, phase, hit) barrier crossing, and the analyzer
 // re-explores the world once per crossing with that single fail-stop
-// injected — exactly the space machine/faultinject can express for one
+// injected — exactly the space a machine.Fault plan can express for one
 // fault, which is what a layout with F=1 must tolerate.
 
 import (

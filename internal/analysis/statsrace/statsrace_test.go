@@ -11,8 +11,8 @@ func TestStatsRace(t *testing.T) {
 	analysistest.Run(t, statsrace.Analyzer, "toom")
 }
 
-// The transport seam's accounting decorator names its counter struct Stats
-// so this analyzer governs it; the fixture proves the coverage.
+// An accounting decorator that names its counter struct Stats is governed
+// too; the fixture proves the coverage.
 func TestStatsRaceCostAcct(t *testing.T) {
 	analysistest.Run(t, statsrace.Analyzer, "costacct")
 }

@@ -3,7 +3,7 @@
 //	paper table  ==  abstract interpretation  ==  runtime accounting
 //
 // costbound's own tests pin interpreter == table over the real ASTs; this
-// file pins table == costacct-certified runtime Stats on the same worlds, so
+// file pins table == the machine's runtime Stats on the same worlds, so
 // a drift in any one of the three representations breaks a test somewhere.
 // S (sent words), R (received words) and L (messages) must agree exactly;
 // the static F is a worst-case word-operation bound (the recurrence never

@@ -105,9 +105,9 @@ func TestEverySingleFailStop(t *testing.T) {
 	}
 }
 
-// TestBackendsAgreeOnCounts pins that the F/BW/L accounting is a
-// backend-independent decorator for the matrix workload too: identical
-// counts on simnet and wallnet, fault-free and under a compute-phase fault.
+// TestBackendsAgreeOnCounts pins that the F/BW/L accounting is
+// backend-independent for the matrix workload too: identical counts on the
+// sim and wall backends, fault-free and under a compute-phase fault.
 func TestBackendsAgreeOnCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := randMat(rng, 8, 8, 64)

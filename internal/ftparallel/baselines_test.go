@@ -3,6 +3,7 @@ package ftparallel
 import (
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -162,7 +163,9 @@ func TestCheckpointRestartTwoFaults(t *testing.T) {
 func TestCheckpointBuddyPairLoss(t *testing.T) {
 	// A fault pair hitting a buddy chain (victim and its checkpoint holder
 	// at once) is beyond diskless buddy checkpointing; the run must fail
-	// loudly rather than return a wrong product.
+	// loudly rather than return a wrong product, and at once, naming the
+	// buddy-pair loss rather than the timeout of the victim left waiting
+	// for a restore that never comes.
 	rng := rand.New(rand.NewSource(108))
 	alg := toom.MustNew(2)
 	a, b := randOperand(rng, 1<<13), randOperand(rng, 1<<13)
@@ -173,8 +176,8 @@ func TestCheckpointBuddyPairLoss(t *testing.T) {
 			{Proc: 1, Phase: PhaseMul},
 		},
 	})
-	if err == nil {
-		t.Fatal("buddy-pair loss should fail")
+	if err == nil || !strings.Contains(err.Error(), "buddy-pair fault") {
+		t.Fatalf("err = %v, want the buddy-pair loss", err)
 	}
 }
 

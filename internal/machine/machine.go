@@ -5,24 +5,25 @@
 // are counted along the critical path, and the total runtime is modeled as
 // C = α·L + β·BW + γ·F.
 //
-// Since PR 5 the package is a facade over a layered stack (see
-// internal/machine/transport): algorithms talk to Proc, Proc drives a
-// costacct endpoint (F/BW/L accounting), which drives a faultinject
-// endpoint (fail-stop deaths at barriers, delay-fault speed factors), which
-// drives one of two interchangeable transport backends —
+// The machine is one layer. Algorithms program against Proc, which owns a
+// rank's local store, charges F/BW/L and α/β/γ time itself, and applies the
+// fault plan at its barriers; every Proc talks over one network of lazily
+// made, recycled per-pair FIFOs. All that differs between the two backends
+// is the clock each Proc reads and charges:
 //
-//   - simnet (Config.Backend == BackendSim, the default): the deterministic
-//     virtual-clock simulator. Each processor carries a virtual clock that
-//     advances with local work and message transfers, so the maximum clock
-//     at the end of a run is the critical-path runtime under the α/β/γ
-//     model, independent of real scheduling.
-//   - wallnet (Config.Backend == BackendWall): an in-process wall-clock
-//     backend with real deadlines and context cancellation, for wall-clock
-//     benchmarking and real-time straggler experiments.
+//   - BackendSim (the default): a deterministic virtual clock. It advances
+//     with local work and message transfers, and receives and barriers move
+//     it to the message's stamp or the barrier's latest arrival, so the
+//     maximum clock at the end of a run is the critical-path runtime under
+//     the α/β/γ model, independent of real scheduling.
+//   - BackendWall: real time, for wall-clock benchmarking and real-time
+//     straggler experiments. Deadlines are real deadlines, and with
+//     WallTimeDilation set, charges are slept off so that model-unit
+//     ratios carry over to the wall clock.
 //
-// Because accounting is a decorator above the backend, F/BW/L counts are
-// identical on both backends; only Time changes meaning (virtual cost units
-// versus real seconds or dilated units).
+// Because the counters live in Proc, F/BW/L counts are identical on both
+// backends; only Time changes meaning (virtual cost units versus real
+// seconds or dilated units).
 //
 // Hard faults (Section 2.1) are injected at named barriers: a processor
 // scheduled to fail "at phase X" loses its entire local store when it
@@ -37,20 +38,16 @@ package machine
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/bigint"
-	"repro/internal/machine/costacct"
-	"repro/internal/machine/faultinject"
-	"repro/internal/machine/simnet"
-	"repro/internal/machine/transport"
-	"repro/internal/machine/wallnet"
 )
 
-// Backend selects the transport realization under the machine API.
+// Backend selects the clock under the machine API.
 type Backend string
 
 const (
@@ -65,7 +62,7 @@ const (
 type Config struct {
 	P int // number of processors (excluding none; code processors included by caller)
 
-	// Backend selects the transport realization; empty means BackendSim.
+	// Backend selects the clock; empty means BackendSim.
 	// Algorithm code never branches on this — the choice is invisible
 	// above the Proc API.
 	Backend Backend
@@ -80,16 +77,11 @@ type Config struct {
 	// γ=1 — a conventional HPC-ish ratio.
 	Alpha, Beta, Gamma float64
 
-	// RecvTimeout guards against protocol deadlocks in tests; zero means
-	// 30 seconds.
+	// RecvTimeout bounds how long a receive or a barrier waits before
+	// declaring the protocol dead; zero means 30 seconds. On the sim backend
+	// it is a real-time guard on a virtual-time machine: a correct protocol
+	// never hits it.
 	RecvTimeout time.Duration
-
-	// ChannelCap is the per-pair in-flight message capacity (default 128).
-	// Channels are allocated lazily on first use of a (sender, receiver)
-	// pair, so a large-P machine pays only for the pairs its protocol
-	// actually exercises (grid protocols use O(P·√P) of the P² pairs)
-	// rather than O(P²·ChannelCap) setup memory.
-	ChannelCap int
 
 	// SpeedFactors optionally slows processors down: processor i's
 	// arithmetic takes γ·SpeedFactors[i] per word-operation (1.0 when nil
@@ -123,9 +115,6 @@ func (c Config) withDefaults() Config {
 	if c.RecvTimeout == 0 {
 		c.RecvTimeout = 30 * time.Second
 	}
-	if c.ChannelCap == 0 {
-		c.ChannelCap = 128
-	}
 	return c
 }
 
@@ -137,12 +126,19 @@ type Fault struct {
 	Hit   int
 }
 
-// FaultEvent reports an injected fault to the surviving processors.
-type FaultEvent = transport.FaultEvent
+// FaultEvent reports an injected fail-stop fault to the surviving
+// processors: rank Proc died (and was replaced in place) at the barrier
+// named Phase.
+type FaultEvent struct {
+	Proc  int
+	Phase string
+}
 
 // Payload is anything a message can carry; Words is its size in the model's
 // word units and is what the BW accounting charges.
-type Payload = transport.Payload
+type Payload interface {
+	Words() int64
+}
 
 // Ints is a payload of big integers; its word count is the total limb count
 // (at least one word per integer, so zeros still occupy a word on the wire).
@@ -209,16 +205,13 @@ type Report struct {
 	Marks [][]MarkRecord
 }
 
-// Machine is a P-processor machine over a pluggable transport. Create with
-// New (or NewWithTransport for a custom backend), run one program with Run;
-// a Machine is single-use.
+// Machine is a P-processor machine. Create with New, run one program with
+// Run; a Machine is single-use.
 type Machine struct {
 	cfg   Config
+	logP  int64 // messages a barrier charges: ⌈log₂P⌉, at least 1
+	net   *network
 	procs []*Proc
-
-	base transport.Transport    // the backend, for backend-specific hooks
-	fi   *faultinject.Transport // fault layer, for the event log
-	acct *costacct.Transport    // accounting layer, endpoints come from here
 }
 
 // New creates a machine with the given configuration and fault plan, on the
@@ -228,67 +221,36 @@ func New(cfg Config, plan []Fault) (*Machine, error) {
 	if cfg.P < 1 {
 		return nil, fmt.Errorf("machine: need P >= 1, got %d", cfg.P)
 	}
-	var base transport.Transport
-	var err error
-	switch cfg.Backend {
-	case BackendSim:
-		base, err = simnet.New(simnet.Config{
-			P:           cfg.P,
-			ChannelCap:  cfg.ChannelCap,
-			RecvTimeout: cfg.RecvTimeout,
-		})
-	case BackendWall:
-		base, err = wallnet.New(wallnet.Config{
-			P:            cfg.P,
-			ChannelCap:   cfg.ChannelCap,
-			RecvTimeout:  cfg.RecvTimeout,
-			TimeDilation: cfg.WallTimeDilation,
-		})
-	default:
-		err = fmt.Errorf("machine: unknown backend %q", cfg.Backend)
+	if cfg.Backend != BackendSim && cfg.Backend != BackendWall {
+		return nil, fmt.Errorf("machine: unknown backend %q", cfg.Backend)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return NewWithTransport(cfg, plan, base)
-}
-
-// NewWithTransport creates a machine over a caller-supplied backend,
-// layering fault injection and cost accounting on top of it. cfg.Backend is
-// ignored; everything else applies as usual.
-func NewWithTransport(cfg Config, plan []Fault, base transport.Transport) (*Machine, error) {
-	cfg = cfg.withDefaults()
-	if base.P() != cfg.P {
-		return nil, fmt.Errorf("machine: transport has P=%d, config has P=%d", base.P(), cfg.P)
-	}
-	m := &Machine{cfg: cfg, base: base}
 	for _, f := range plan {
 		if f.Proc < 0 || f.Proc >= cfg.P {
 			return nil, fmt.Errorf("machine: fault for nonexistent processor %d", f.Proc)
 		}
 	}
-	fiPlan := make([]faultinject.Fault, len(plan))
-	for i, f := range plan {
-		fiPlan[i] = faultinject.Fault{Proc: f.Proc, Phase: f.Phase, Hit: f.Hit}
+	m := &Machine{
+		cfg:   cfg,
+		logP:  max(int64(math.Ceil(math.Log2(float64(cfg.P)))), 1),
+		net:   newNetwork(cfg.P, &spare),
+		procs: make([]*Proc, cfg.P),
 	}
-	// Fail-stop: all local data is lost; the replacement starts empty at
-	// the same rank. The callback runs on the dying rank's own goroutine
-	// (inside its Barrier call), so touching its store is race-free.
-	onFault := func(rank int) {
-		p := m.procs[rank]
-		p.store = map[string]storedValue{}
-		p.memWords = 0
-		p.faultCount++
-	}
-	fi, err := faultinject.New(base, fiPlan, cfg.SpeedFactors, onFault)
-	if err != nil {
-		return nil, fmt.Errorf("machine: %w", err)
-	}
-	m.fi = fi
-	m.acct = costacct.New(fi, costacct.Model{Alpha: cfg.Alpha, Beta: cfg.Beta, Gamma: cfg.Gamma})
-	m.procs = make([]*Proc, cfg.P)
+	start := time.Now() // the zero of the wall clock
 	for i := range m.procs {
-		m.procs[i] = &Proc{id: i, m: m, store: map[string]storedValue{}}
+		p := &Proc{id: i, m: m, ctx: context.Background(), speed: 1, store: map[string]storedValue{}}
+		if i < len(cfg.SpeedFactors) && cfg.SpeedFactors[i] > 0 {
+			p.speed = cfg.SpeedFactors[i]
+		}
+		if cfg.Backend == BackendWall {
+			p.clk = &wallClock{p: p, start: start, dilation: cfg.WallTimeDilation}
+		} else {
+			p.clk = &simClock{}
+		}
+		m.procs[i] = p
+	}
+	for _, f := range plan {
+		p := m.procs[f.Proc]
+		p.doom = append(p.doom, f)
 	}
 	return m, nil
 }
@@ -296,105 +258,77 @@ func NewWithTransport(cfg Config, plan []Fault, base transport.Transport) (*Mach
 // P returns the processor count.
 func (m *Machine) P() int { return m.cfg.P }
 
-// allocatedChannels counts the backend's lazily created per-pair channels
-// (test hook for the lazy-allocation contract; call only while the machine
-// is quiescent). Returns -1 for backends without the hook.
-func (m *Machine) allocatedChannels() int {
-	if h, ok := m.base.(interface{ AllocatedChannels() int }); ok {
-		return h.AllocatedChannels()
-	}
-	return -1
-}
-
 // Run executes program on all P processors and returns the cost report.
-// The first processor error (if any) aborts with that error. A processor
-// whose program panics does not take the caller down: its panic becomes an
-// error naming the rank, the run's context is canceled so peers blocked on
-// it unwind at once, and that error is returned ahead of theirs.
+// The first rank to fail aborts the run: a returned error, or a panic,
+// which becomes an error naming the rank so that it does not take the
+// caller down. The run's context is then canceled, so peers blocked on the
+// failed rank unwind at once, and Run returns that first failure ahead of
+// the cancellation errors it causes.
 func (m *Machine) Run(program func(*Proc) error) (*Report, error) {
 	return m.RunContext(context.Background(), program)
 }
 
-// RunContext is Run under a context: canceling ctx aborts blocked receives
-// (and, on wallnet, sends and barriers) so the run unwinds with an error
+// RunContext is Run under a context: canceling ctx aborts blocked sends,
+// receives, barriers and dilated sleeps, so the run unwinds with an error
 // instead of waiting out the protocol timeout.
 func (m *Machine) RunContext(ctx context.Context, program func(*Proc) error) (*Report, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	for _, p := range m.procs {
-		ep, err := m.acct.OpenCounted(ctx, p.id)
-		if err != nil {
-			return nil, err
+	var (
+		mu    sync.Mutex
+		first error
+		wg    sync.WaitGroup
+	)
+	fail := func(err error) {
+		mu.Lock()
+		if first == nil {
+			first = err
 		}
-		p.ep = ep
+		mu.Unlock()
+		cancel()
 	}
-
-	errs := make([]error, m.cfg.P)
-	panics := make([]error, m.cfg.P)
-	var wg sync.WaitGroup
-	for i := range m.procs {
+	for _, p := range m.procs {
+		p.ctx = ctx
 		wg.Add(1)
 		//ftlint:allow poolspawn the machine runtime IS the pool: one goroutine per simulated processor, bounded by cfg.P, not algorithm fan-out
 		go func(p *Proc) {
 			defer wg.Done()
 			defer func() {
-				p.exitClock = p.ep.Now()
-				p.ep.Done()
+				p.st.Clock = p.clk.now()
+				m.net.retire()
 			}()
 			defer func() {
 				if r := recover(); r != nil {
-					panics[p.id] = fmt.Errorf("machine: rank %d panicked: %v\n%s", p.id, r, debug.Stack())
-					cancel()
+					fail(fmt.Errorf("machine: rank %d panicked: %v\n%s", p.id, r, debug.Stack()))
 				}
 			}()
-			errs[p.id] = program(p)
-		}(m.procs[i])
+			if err := program(p); err != nil {
+				fail(err)
+			}
+		}(p)
 	}
 	wg.Wait()
-	defer m.base.Close()
+	m.net.close()
 
-	rep := &Report{PerProc: make([]Stats, m.cfg.P), Faults: m.fi.Events(), Marks: make([][]MarkRecord, m.cfg.P)}
-	for i, p := range m.procs {
-		rep.Marks[i] = p.marks
+	rep := &Report{
+		PerProc: make([]Stats, m.cfg.P),
+		Faults:  append([]FaultEvent{}, m.net.faults...),
+		Marks:   make([][]MarkRecord, m.cfg.P),
 	}
 	for i, p := range m.procs {
-		c := p.ep.Stats()
-		s := Stats{
-			Flops:     c.Flops,
-			SentWords: c.SentWords,
-			RecvWords: c.RecvWords,
-			Messages:  c.Messages,
-			Barriers:  c.Barriers,
-			PeakWords: p.peakWords,
-			Clock:     p.exitClock,
-			Faults:    p.faultCount,
-		}
+		s := p.st
 		rep.PerProc[i] = s
+		rep.Marks[i] = p.marks
 		rep.TotalF += s.Flops
 		rep.TotalBW += s.SentWords
 		rep.TotalL += s.Messages
-		if s.Flops > rep.F {
-			rep.F = s.Flops
-		}
-		if s.SentWords > rep.BW {
-			rep.BW = s.SentWords
-		}
-		if s.RecvWords > rep.BWIn {
-			rep.BWIn = s.RecvWords
-		}
-		if s.Messages > rep.L {
-			rep.L = s.Messages
-		}
-		if s.Clock > rep.Time {
-			rep.Time = s.Clock
-		}
+		rep.F = max(rep.F, s.Flops)
+		rep.BW = max(rep.BW, s.SentWords)
+		rep.BWIn = max(rep.BWIn, s.RecvWords)
+		rep.L = max(rep.L, s.Messages)
+		rep.Time = max(rep.Time, s.Clock)
 	}
-	for _, err := range append(panics, errs...) {
-		if err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
+	return rep, first
 }
 
 // StoreOf reads processor id's local store. It is intended for harness use
@@ -419,32 +353,36 @@ type storedValue struct {
 
 // Proc is one processor of the machine; its methods must only be called
 // from its own program goroutine. It owns the local store (the part of the
-// model faults erase) and delegates communication, time, and accounting to
-// its endpoint stack.
+// model faults erase), charges its own costs, applies its part of the fault
+// plan, and communicates over the machine's network.
 type Proc struct {
-	id int
-	m  *Machine
-	ep *costacct.Endpoint
+	id    int
+	m     *Machine
+	clk   clock
+	ctx   context.Context // the run's; canceling it aborts every wait
+	timer waitTimer       // re-armed by every wait of this rank
 
-	memWords   int64
-	peakWords  int64
-	faultCount int
-	exitClock  float64 // Clock() captured when the program returned
+	st    Stats
+	speed float64 // delay-fault factor on computation time
+	// doom is this rank's part of the fault plan. Each crossing of a
+	// fault's phase counts its Hit down; the rank dies at the crossing
+	// where a Hit is 0.
+	doom []Fault
 
-	store map[string]storedValue
-	marks []MarkRecord
+	memWords int64
+	store    map[string]storedValue
+	marks    []MarkRecord
 }
 
 // Mark records a named snapshot of the processor's counters; the run report
 // exposes all snapshots for per-phase cost attribution.
 func (p *Proc) Mark(label string) {
-	c := p.ep.Stats()
 	p.marks = append(p.marks, MarkRecord{
 		Label:     label,
-		Clock:     p.ep.Now(),
-		Flops:     c.Flops,
-		SentWords: c.SentWords,
-		Messages:  c.Messages,
+		Clock:     p.clk.now(),
+		Flops:     p.st.Flops,
+		SentWords: p.st.SentWords,
+		Messages:  p.st.Messages,
 	})
 }
 
@@ -455,28 +393,34 @@ func (p *Proc) ID() int { return p.id }
 func (p *Proc) P() int { return p.m.cfg.P }
 
 // Clock returns the processor's current time in model units.
-func (p *Proc) Clock() float64 { return p.ep.Now() }
+func (p *Proc) Clock() float64 { return p.clk.now() }
 
 // FaultCount returns how many times this rank has been killed and replaced.
-func (p *Proc) FaultCount() int { return p.faultCount }
+func (p *Proc) FaultCount() int { return p.st.Faults }
 
-// Work charges n word-level arithmetic operations (F) and advances the clock.
+// Work charges n word-level arithmetic operations (F) and advances the
+// clock by γ·n, stretched by the rank's speed factor.
 func (p *Proc) Work(n int64) {
 	if n < 0 {
 		panic("machine: negative work")
 	}
-	p.ep.Work(n)
+	p.st.Flops += n
+	p.clk.charge(p.m.cfg.Gamma * float64(n) * p.speed)
 }
 
 // Send transmits payload to processor `to` with a protocol tag. It charges
 // one message (L) and the payload's word count (BW) to the sender and
-// advances the sender's clock by α + β·words; the receiver's clock is
-// advanced on Recv to at least the arrival time.
+// advances the sender's clock by α + β·words before stamping the message,
+// so the receiver's clock is advanced on Recv to at least the arrival time.
 func (p *Proc) Send(to int, tag string, payload Payload) error {
 	if to < 0 || to >= p.m.cfg.P {
 		return fmt.Errorf("machine: proc %d sending to nonexistent proc %d", p.id, to)
 	}
-	return p.ep.Send(to, tag, payload)
+	w := payload.Words()
+	p.st.Messages++
+	p.st.SentWords += w
+	p.clk.charge(p.m.cfg.Alpha + p.m.cfg.Beta*float64(w))
+	return p.m.net.send(p, to, message{tag: tag, payload: payload, stamp: p.clk.now()})
 }
 
 // Recv receives the next message from processor `from`, asserting the
@@ -486,19 +430,38 @@ func (p *Proc) Recv(from int, tag string) (Payload, error) {
 	if from < 0 || from >= p.m.cfg.P {
 		return nil, fmt.Errorf("machine: proc %d receiving from nonexistent proc %d", p.id, from)
 	}
-	return p.ep.Recv(from, tag)
+	msg, _, err := p.m.net.recv(p, from, tag, p.m.cfg.RecvTimeout, false)
+	if err != nil {
+		return nil, err
+	}
+	p.clk.sync(msg.stamp)
+	p.st.RecvWords += msg.payload.Words()
+	return msg.payload, nil
 }
 
 // RecvDeadline receives the next message from `from` but accepts it only if
-// it arrives at or before the deadline (in the clock's model units); a late
-// message is not accepted and the clock advances to the deadline instead.
+// it was sent at or before the deadline (in the clock's model units); a
+// late message is dropped and the clock advances to the deadline instead.
 // This is the timeout primitive behind straggler (delay-fault) mitigation:
-// proceed at the deadline with whoever reported in time.
+// proceed at the deadline with whoever reported in time. On the wall clock
+// the receive waits until the real deadline; if nothing came, ok is false
+// and a message sent later stays queued until the run ends.
 func (p *Proc) RecvDeadline(from int, tag string, deadline float64) (Payload, bool, error) {
 	if from < 0 || from >= p.m.cfg.P {
 		return nil, false, fmt.Errorf("machine: proc %d receiving from nonexistent proc %d", p.id, from)
 	}
-	return p.ep.RecvDeadline(from, tag, deadline)
+	wait, missOK := p.clk.patience(deadline, p.m.cfg.RecvTimeout)
+	msg, ok, err := p.m.net.recv(p, from, tag, wait, missOK)
+	if err != nil {
+		return nil, false, err
+	}
+	if !ok || msg.stamp > deadline {
+		p.clk.sync(deadline)
+		return nil, false, nil
+	}
+	p.clk.sync(msg.stamp)
+	p.st.RecvWords += msg.payload.Words()
+	return msg.payload, true, nil
 }
 
 // RecvInts is Recv specialized to the Ints payload type.
@@ -525,9 +488,7 @@ func (p *Proc) Store(key string, v Payload) error {
 	}
 	p.store[key] = storedValue{v: v, words: w}
 	p.memWords = next
-	if p.memWords > p.peakWords {
-		p.peakWords = p.memWords
-	}
+	p.st.PeakWords = max(p.st.PeakWords, p.memWords)
 	return nil
 }
 
@@ -581,8 +542,26 @@ func (p *Proc) MemoryWords() int64 { return p.memWords }
 // rank: its store has been wiped and it continues with empty memory.
 //
 // The barrier charges ⌈log₂P⌉ messages of one word (a tree barrier) and
-// synchronizes clocks to the barrier's completion time. The error return is
-// the wall backend's cancellation path; on the sim backend it is always nil.
+// synchronizes clocks to the barrier's completion time. It fails only when
+// the run is canceled or RecvTimeout passes first.
 func (p *Proc) Barrier(phase string) ([]FaultEvent, error) {
-	return p.ep.Barrier(phase, nil)
+	p.st.Barriers++
+	p.st.Messages += p.m.logP
+	p.st.SentWords += p.m.logP
+	p.clk.charge(float64(p.m.logP) * (p.m.cfg.Alpha + p.m.cfg.Beta))
+	died := false
+	for i := range p.doom {
+		if p.doom[i].Phase == phase {
+			died = died || p.doom[i].Hit == 0
+			p.doom[i].Hit--
+		}
+	}
+	if died {
+		// Fail-stop: all local data is lost; the replacement starts empty
+		// at the same rank.
+		clear(p.store)
+		p.memWords = 0
+		p.st.Faults++
+	}
+	return p.m.net.barrier(p, phase, died)
 }

@@ -61,31 +61,35 @@ func TestSendRecv(t *testing.T) {
 }
 
 func TestTagMismatch(t *testing.T) {
-	m, _ := New(Config{P: 2}, nil)
-	_, err := m.Run(func(p *Proc) error {
-		if p.ID() == 0 {
-			return p.Send(1, "alpha", Meta{})
+	eachBackend(t, func(t *testing.T, b Backend) {
+		m, _ := New(Config{P: 2, Backend: b}, nil)
+		_, err := m.Run(func(p *Proc) error {
+			if p.ID() == 0 {
+				return p.Send(1, "alpha", Meta{})
+			}
+			_, err := p.Recv(0, "beta")
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), "expected tag") {
+			t.Fatalf("err = %v, want a tag mismatch", err)
 		}
-		_, err := p.Recv(0, "beta")
-		return err
 	})
-	if err == nil {
-		t.Fatal("expected tag mismatch error")
-	}
 }
 
 func TestRecvTimeout(t *testing.T) {
-	m, _ := New(Config{P: 2, RecvTimeout: 50 * time.Millisecond}, nil)
-	_, err := m.Run(func(p *Proc) error {
-		if p.ID() == 1 {
-			_, err := p.Recv(0, "never")
-			return err
+	eachBackend(t, func(t *testing.T, b Backend) {
+		m, _ := New(Config{P: 2, Backend: b, RecvTimeout: 50 * time.Millisecond}, nil)
+		_, err := m.Run(func(p *Proc) error {
+			if p.ID() == 1 {
+				_, err := p.Recv(0, "never")
+				return err
+			}
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "timed out") {
+			t.Fatalf("err = %v, want a timeout", err)
 		}
-		return nil
 	})
-	if err == nil {
-		t.Fatal("expected timeout error")
-	}
 }
 
 func TestClockCriticalPath(t *testing.T) {
@@ -335,6 +339,34 @@ func TestReportAggregation(t *testing.T) {
 	}
 }
 
+// TestRankErrorCancelsRun: rank 1 returns an error while rank 0 waits in
+// Recv on it. Run cancels the run at once instead of leaving rank 0 to
+// wait out the 30 s receive timeout, and returns rank 1's error, the
+// failure that caused the cancellation, ahead of rank 0's.
+func TestRankErrorCancelsRun(t *testing.T) {
+	eachBackend(t, func(t *testing.T, b Backend) {
+		m, err := New(Config{P: 2, Backend: b}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, err = m.Run(func(p *Proc) error {
+			if p.ID() == 1 {
+				time.Sleep(10 * time.Millisecond) // let rank 0 block first
+				return fmt.Errorf("rank 1 gives up")
+			}
+			_, err := p.Recv(1, "never")
+			return err
+		})
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("Run returned after %v, want under 1s", elapsed)
+		}
+		if err == nil || err.Error() != "rank 1 gives up" {
+			t.Fatalf("err = %v, want rank 1's error", err)
+		}
+	})
+}
+
 func TestProgramErrorPropagates(t *testing.T) {
 	m, _ := New(Config{P: 2}, nil)
 	_, err := m.Run(func(p *Proc) error {
@@ -497,32 +529,206 @@ func TestLazyChannelAllocation(t *testing.T) {
 	// Channels must be created on first use of a (sender, receiver) pair,
 	// not eagerly for all P² pairs: a ring protocol on a 64-processor
 	// machine should materialize exactly the 64 pair channels it touches.
-	m, err := New(Config{P: 64}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.allocatedChannels(); got != 0 {
-		t.Fatalf("machine allocated %d channels before any send", got)
-	}
-	_, err = m.Run(func(p *Proc) error {
-		next := (p.ID() + 1) % p.P()
-		prev := (p.ID() + p.P() - 1) % p.P()
-		if err := p.Send(next, "ring", Meta{Value: p.ID()}); err != nil {
-			return err
-		}
-		got, err := p.Recv(prev, "ring")
+	eachBackend(t, func(t *testing.T, b Backend) {
+		m, err := New(Config{P: 64, Backend: b}, nil)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.net.used; got != 0 {
+			t.Fatalf("machine allocated %d channels before any send", got)
+		}
+		_, err = m.Run(func(p *Proc) error {
+			next := (p.ID() + 1) % p.P()
+			prev := (p.ID() + p.P() - 1) % p.P()
+			if err := p.Send(next, "ring", Meta{Value: p.ID()}); err != nil {
+				return err
+			}
+			got, err := p.Recv(prev, "ring")
+			if err != nil {
+				return err
+			}
+			if got.(Meta).Value != prev {
+				return fmt.Errorf("proc %d: bad ring value %v", p.ID(), got)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.net.used; got != 64 {
+			t.Fatalf("ring on P=64 allocated %d channels, want 64 (one per used pair)", got)
+		}
+	})
+}
+
+func TestWorkChargesGammaAndCountsFlops(t *testing.T) {
+	eachBackend(t, func(t *testing.T, b Backend) {
+		_, ps := ranks(t, Config{P: 1, Backend: b, Gamma: 2}, nil)
+		ps[0].Work(10)
+		if ps[0].st.Flops != 10 {
+			t.Errorf("flops = %d", ps[0].st.Flops)
+		}
+		if now := ps[0].Clock(); b == BackendSim && now != 20 {
+			t.Errorf("clock = %v, want 20 (γ=2)", now)
+		}
+	})
+}
+
+func TestSendChargesAlphaBetaAndStampsAfterCharge(t *testing.T) {
+	eachBackend(t, func(t *testing.T, b Backend) {
+		_, ps := ranks(t, Config{P: 2, Backend: b, Alpha: 100, Beta: 10, Gamma: 1}, nil)
+		if err := ps[0].Send(1, "x", words(3)); err != nil {
+			t.Fatal(err)
+		}
+		if st := ps[0].st; st.Messages != 1 || st.SentWords != 3 {
+			t.Errorf("sender stats = %+v", st)
+		}
+		if _, err := ps[1].Recv(0, "x"); err != nil {
+			t.Fatal(err)
+		}
+		if st := ps[1].st; st.RecvWords != 3 || st.Messages != 0 {
+			t.Errorf("receiver stats = %+v", st)
+		}
+		if b != BackendSim {
+			return
+		}
+		if now := ps[0].Clock(); now != 130 {
+			t.Errorf("sender clock = %v, want 130 (α+3β)", now)
+		}
+		// The arrival stamp includes the sender's transfer charge.
+		if now := ps[1].Clock(); now != 130 {
+			t.Errorf("receiver clock = %v, want 130", now)
+		}
+	})
+}
+
+func TestBarrierChargesTreeCost(t *testing.T) {
+	eachBackend(t, func(t *testing.T, b Backend) {
+		m, _ := New(Config{P: 4, Backend: b, Alpha: 100, Beta: 10, Gamma: 1}, nil)
+		rep, err := m.Run(func(p *Proc) error {
+			_, err := p.Barrier("x")
 			return err
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got.(Meta).Value != prev {
-			return fmt.Errorf("proc %d: bad ring value %v", p.ID(), got)
+		// log2(4) = 2 one-word messages, each costing α+β.
+		if st := rep.PerProc[0]; st.Messages != 2 || st.SentWords != 2 || st.Barriers != 1 {
+			t.Errorf("barrier stats = %+v, want 2 messages / 2 words / 1 barrier", st)
 		}
-		return nil
+		if b == BackendSim && rep.Time != 220 {
+			t.Errorf("clock = %v, want 220", rep.Time)
+		}
+	})
+}
+
+func TestBarrierChargesAtLeastOneMessage(t *testing.T) {
+	m, _ := New(Config{P: 1}, nil)
+	rep, err := m.Run(func(p *Proc) error {
+		_, err := p.Barrier("x")
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.allocatedChannels(); got != 64 {
-		t.Fatalf("ring on P=64 allocated %d channels, want 64 (one per used pair)", got)
+	if got := rep.PerProc[0].Messages; got != 1 {
+		t.Errorf("P=1 barrier messages = %d, want 1 (⌈log₂P⌉ floored at 1)", got)
+	}
+}
+
+// TestMissedDeadlineChargesNothing: on sim the message is stamped after the
+// deadline; on wall nothing arrives before the real deadline. Either way
+// the miss charges no received words.
+func TestMissedDeadlineChargesNothing(t *testing.T) {
+	eachBackend(t, func(t *testing.T, b Backend) {
+		_, ps := ranks(t, Config{P: 2, Backend: b, Alpha: 1, Beta: 1, Gamma: 1}, nil)
+		deadline := ps[1].Clock() + 0.005 // 5 ms on the free-running wall clock
+		if b == BackendSim {
+			ps[0].Work(700)
+			if err := ps[0].Send(1, "d", words(5)); err != nil {
+				t.Fatal(err)
+			}
+			deadline = 500
+		}
+		if _, ok, err := ps[1].RecvDeadline(0, "d", deadline); err != nil || ok {
+			t.Fatalf("ok=%v err=%v", ok, err)
+		}
+		if got := ps[1].st.RecvWords; got != 0 {
+			t.Errorf("missed deadline charged %d recv words", got)
+		}
+	})
+}
+
+// TestInjectsAtScheduledHit: rank 1 is scheduled to die at its second
+// crossing of "mul". The first crossing and a crossing of another phase
+// inject nothing; the second wipes rank 1's store, and only rank 1's, and
+// lands in the report's fault log.
+func TestInjectsAtScheduledHit(t *testing.T) {
+	eachBackend(t, func(t *testing.T, b Backend) {
+		m, _ := New(Config{P: 3, Backend: b}, []Fault{{Proc: 1, Phase: "mul", Hit: 1}})
+		rep, err := m.Run(func(p *Proc) error {
+			if err := p.Store("data", Meta{}); err != nil {
+				return err
+			}
+			for i, phase := range []string{"mul", "other", "mul"} {
+				events, err := p.Barrier(phase)
+				if err != nil {
+					return err
+				}
+				if i < 2 && len(events) != 0 {
+					return fmt.Errorf("crossing %d (%s) injected %v", i, phase, events)
+				}
+				if i == 2 && (len(events) != 1 || events[0] != FaultEvent{Proc: 1, Phase: "mul"}) {
+					return fmt.Errorf("second mul crossing events = %v", events)
+				}
+			}
+			if _, kept := p.Load("data"); kept == (p.ID() == 1) {
+				return fmt.Errorf("rank %d store after the fault: kept=%v", p.ID(), kept)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Faults) != 1 || rep.Faults[0].Proc != 1 || rep.PerProc[1].Faults != 1 {
+			t.Errorf("report faults = %v, rank 1 stats = %+v", rep.Faults, rep.PerProc[1])
+		}
+	})
+}
+
+func TestAllRanksSeeTheFault(t *testing.T) {
+	eachBackend(t, func(t *testing.T, b Backend) {
+		m, _ := New(Config{P: 4, Backend: b}, []Fault{{Proc: 2, Phase: "x"}})
+		seen := make([][]FaultEvent, 4)
+		if _, err := m.Run(func(p *Proc) error {
+			var err error
+			seen[p.ID()], err = p.Barrier("x")
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, ev := range seen {
+			if len(ev) != 1 || ev[0].Proc != 2 {
+				t.Errorf("rank %d saw %v", i, ev)
+			}
+		}
+	})
+}
+
+func TestSpeedFactorScalesWorkOnly(t *testing.T) {
+	_, ps := ranks(t, Config{P: 2, Alpha: 4, Beta: 1, Gamma: 1, SpeedFactors: []float64{1, 10}}, nil)
+	ps[0].Work(100)
+	ps[1].Work(100)
+	if err := ps[1].Send(0, "x", words(1)); err != nil { // communication: never scaled
+		t.Fatal(err)
+	}
+	if now := ps[0].Clock(); now != 100 {
+		t.Errorf("rank 0 clock = %v", now)
+	}
+	if now := ps[1].Clock(); now != 1005 {
+		t.Errorf("rank 1 clock = %v, want 1005 (10×work + unscaled α+β)", now)
+	}
+	if ps[1].st.Flops != 100 {
+		t.Errorf("slow rank flops = %d", ps[1].st.Flops)
 	}
 }

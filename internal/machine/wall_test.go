@@ -162,3 +162,62 @@ func TestBackendsAgreeOnCounts(t *testing.T) {
 			sim.F, sim.BW, sim.L, wall.F, wall.BW, wall.L)
 	}
 }
+
+// TestWallRecvDeadline: a message queued well before its deadline is
+// accepted; with nothing sent, the receive returns a miss once the real
+// deadline, 30 ms after the machine was made, has passed.
+func TestWallRecvDeadline(t *testing.T) {
+	_, ps := ranks(t, Config{P: 2, Backend: BackendWall, Alpha: 1e-9, Beta: 1e-9, WallTimeDilation: time.Millisecond}, nil)
+	if err := ps[0].Send(1, "d", words(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := ps[1].RecvDeadline(0, "d", 10_000); err != nil || !ok { // 10 s of model time
+		t.Fatalf("on-time message rejected: ok=%v err=%v", ok, err)
+	}
+	start := time.Now()
+	_, ok, err := ps[1].RecvDeadline(0, "d", 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		t.Fatal("deadline with no sender should miss")
+	}
+	if now := ps[1].Clock(); now < 30 {
+		t.Errorf("missed at %v model units, before the 30 unit deadline", now)
+	}
+	if time.Since(start) > 5*time.Second {
+		t.Fatal("deadline wait did not use the real deadline")
+	}
+}
+
+func TestDilationSleepsWorkAndConvertsNow(t *testing.T) {
+	_, ps := ranks(t, Config{P: 1, Backend: BackendWall, Gamma: 1, WallTimeDilation: time.Millisecond}, nil)
+	ps[0].Work(50) // 50 model units = 50ms of real time
+	if now := ps[0].Clock(); now < 50 {
+		t.Errorf("Clock() = %v model units after charging 50", now)
+	}
+}
+
+// TestDilationDoesNotAccumulateLateness charges 400 model units of 100µs
+// one at a time. Each sleep may fire late (about a millisecond on some
+// hosts, which made 400 of them take over 400ms); the overrun is made up
+// on later charges, so the whole run stays near its 40ms of charges,
+// and never below them.
+func TestDilationDoesNotAccumulateLateness(t *testing.T) {
+	_, ps := ranks(t, Config{P: 1, Backend: BackendWall, Gamma: 1, WallTimeDilation: 100 * time.Microsecond}, nil)
+	start := ps[0].Clock()
+	for i := 0; i < 400; i++ {
+		ps[0].Work(1)
+	}
+	if got := ps[0].Clock() - start; got < 400 || got > 1400 {
+		t.Errorf("400 one-unit charges took %.0f units (of 100µs), want [400, 1400]", got)
+	}
+}
+
+func TestFreeRunningNowIsSeconds(t *testing.T) {
+	_, ps := ranks(t, Config{P: 1, Backend: BackendWall, Gamma: 1}, nil)
+	ps[0].Work(1e9) // free-running: charges are not slept
+	if now := ps[0].Clock(); now > 60 {
+		t.Errorf("free-running Clock() = %v, should be wall seconds", now)
+	}
+}
