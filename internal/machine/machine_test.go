@@ -659,6 +659,21 @@ func TestMissedDeadlineChargesNothing(t *testing.T) {
 	})
 }
 
+// TestValidatesPlan: New rejects a fault plan that names a rank outside
+// [0, P), on either backend, and accepts one that names the last rank.
+func TestValidatesPlan(t *testing.T) {
+	eachBackend(t, func(t *testing.T, b Backend) {
+		for _, proc := range []int{-1, 2} {
+			if _, err := New(Config{P: 2, Backend: b}, []Fault{{Proc: proc, Phase: "x"}}); err == nil {
+				t.Errorf("fault for nonexistent rank %d should fail", proc)
+			}
+		}
+		if _, err := New(Config{P: 2, Backend: b}, []Fault{{Proc: 1, Phase: "x"}}); err != nil {
+			t.Errorf("fault for rank 1 of 2: %v", err)
+		}
+	})
+}
+
 // TestInjectsAtScheduledHit: rank 1 is scheduled to die at its second
 // crossing of "mul". The first crossing and a crossing of another phase
 // inject nothing; the second wipes rank 1's store, and only rank 1's, and
