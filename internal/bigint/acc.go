@@ -100,10 +100,19 @@ func (a *Acc) addMul(x nat, xneg bool, c int64) {
 	}
 }
 
-// AddProd accumulates a += x·y — one step of a dot product. The product is
-// formed by the kernel ladder in internal scratch and added in place; no
-// Int is materialized.
+// AddProd accumulates a += x·y — one step of a dot product; no Int is
+// materialized. When both operands have at most five limbs the product is
+// formed and accumulated by the fused word-size kernels (dot.go); longer
+// ones go through the kernel ladder into internal scratch and are added in
+// place.
 func (a *Acc) AddProd(x, y Int) {
+	if len(x.abs) == 0 || len(y.abs) == 0 {
+		return
+	}
+	if len(x.abs) <= maxFusedLimbs && len(y.abs) <= maxFusedLimbs {
+		a.addProdFused(x.abs, y.abs, x.neg != y.neg)
+		return
+	}
 	a.tmp = natMulTo(a.tmp, x.abs, y.abs)
 	a.add(a.tmp, x.neg != y.neg)
 }

@@ -76,6 +76,9 @@ func FuzzIntArith(f *testing.F) {
 	f.Add([]byte{3}, []byte{5}, false, true, int64(7), uint(3))
 	f.Add([]byte{0xff, 0xff}, []byte{}, true, false, int64(-12345), uint(70))
 	f.Add(bytes.Repeat([]byte{0x5a}, 400), bytes.Repeat([]byte{0xc3}, 399), true, true, int64(1)<<40, uint(129))
+	// Four- and five-limb operands: AddProd's fused word-size kernels.
+	f.Add(bytes.Repeat([]byte{0xff}, 32), bytes.Repeat([]byte{0x9e}, 33), false, true, int64(-3), uint(17))
+	f.Add(bytes.Repeat([]byte{0xff}, 40), bytes.Repeat([]byte{0xab}, 40), true, false, int64(5), uint(64))
 	f.Fuzz(func(t *testing.T, ab, bb []byte, an, bn bool, c int64, s uint) {
 		s %= 1024
 		x := new(big.Int).SetBytes(ab)
@@ -107,19 +110,28 @@ func FuzzIntArith(f *testing.F) {
 			t.Fatalf("Cmp mismatch")
 		}
 
-		// Acc chain: ±x ± y·c, shifted — against the same chain in math/big.
+		// Acc chain: ±x ± y·c, shifted, plus the dot-product step x·y —
+		// against the same chain in math/big. Operands of at most five limbs
+		// take AddProd's fused kernels, longer ones the ladder.
 		acc := NewAcc()
+		defer acc.Release()
 		acc.Add(xi)
 		acc.AddMul(yi, c)
 		acc.Shl(s % 64)
 		acc.Sub(xi)
-		got := acc.Take().ToBig()
-		acc.Release()
+		acc.AddProd(xi, yi)
+		sum := acc.Value()
 		want := new(big.Int).Add(x, new(big.Int).Mul(y, big.NewInt(c)))
 		want.Lsh(want, s%64)
 		want.Sub(want, x)
-		if got.Cmp(want) != 0 {
+		want.Add(want, new(big.Int).Mul(x, y))
+		if got := sum.ToBig(); got.Cmp(want) != 0 {
 			t.Fatalf("Acc chain mismatch: got %v want %v", got, want)
+		}
+		// A step that cancels the running sum exactly: (−sum)·1.
+		acc.AddProd(sum.Neg(), One())
+		if !acc.IsZero() || acc.Sign() != 0 {
+			t.Fatalf("AddProd(−sum, 1) left %v, want 0", acc.Value())
 		}
 	})
 }

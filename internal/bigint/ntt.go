@@ -184,10 +184,10 @@ const nttParMinHalf = 1 << 13
 
 // forward runs the in-place forward transform of a (length a power of two)
 // in the no-bit-reversal order. Input values must be in [0, 2p); output
-// values are in [0, 2p). When par is non-nil, the long early-stage blocks
-// are partitioned across the pool's workers (the twiddle is constant within
+// values are in [0, 2p). When sp is non-nil, the long early-stage blocks
+// are partitioned across its pool's workers (the twiddle is constant within
 // a block, so chunks of the half-block range are independent).
-func (pr *nttPrime) forward(a []uint64, par *workpool.Pool) {
+func (pr *nttPrime) forward(a []uint64, sp *nttSplit) {
 	p := pr.p
 	n := len(a)
 	h := bits.Len(uint(n)) - 1
@@ -197,8 +197,8 @@ func (pr *nttPrime) forward(a []uint64, par *workpool.Pool) {
 		for s := 0; s < 1<<st; s++ {
 			offset := s << (h - st)
 			rotShoup := shoupOf(rot, p)
-			if par != nil && half >= nttParMinHalf {
-				pr.splitBlock(a, offset, half, rot, rotShoup, false, par)
+			if sp != nil && half >= nttParMinHalf {
+				pr.splitBlock(a, offset, half, rot, rotShoup, false, sp)
 			} else {
 				pr.forwardRange(a, offset, offset+half, half, rot, rotShoup)
 			}
@@ -231,12 +231,11 @@ func (pr *nttPrime) forwardRange(a []uint64, i0, i1, half int, rot, rotShoup uin
 }
 
 // splitBlock splits one long block's butterfly range, forward or inverse,
-// across the pool; the chunks share the block's twiddle and stride, so they
-// are independent. Each chunk is a pooled record forked through its bound
-// work method, so the split allocates nothing in steady state.
-func (pr *nttPrime) splitBlock(a []uint64, offset, half int, rot, rotShoup uint64, inverse bool, par *workpool.Pool) {
-	chunk := max((half+par.Capacity()-1)/par.Capacity(), nttParMinHalf/2)
-	sp := getNTTSplit()
+// across sp's pool; the chunks share the block's twiddle and stride, so
+// they are independent. Each chunk is a record of sp forked through its
+// bound work method, so the split allocates nothing in steady state.
+func (pr *nttPrime) splitBlock(a []uint64, offset, half int, rot, rotShoup uint64, inverse bool, sp *nttSplit) {
+	chunk := max((half+sp.pool.Capacity()-1)/sp.pool.Capacity(), nttParMinHalf/2)
 	n := 0
 	for lo := 0; lo < half; lo += chunk {
 		if n == len(sp.chunks) {
@@ -250,18 +249,21 @@ func (pr *nttPrime) splitBlock(a []uint64, offset, half int, rot, rotShoup uint6
 		n++
 	}
 	for _, c := range sp.chunks[:n] {
-		par.Fork(&sp.wg, c.run)
+		sp.pool.Fork(&sp.wg, c.run)
 	}
 	sp.wg.Wait()
 	for _, c := range sp.chunks[:n] {
 		c.pr, c.a = nil, nil
 	}
-	putNTTSplit(sp)
 }
 
-// nttSplit is one splitBlock call's fan-out: the join and a chunk record
-// per pool slot used, kept with the split for the next call.
+// nttSplit is the block-split fan-out of one transform task: the pool, the
+// join and a chunk record per pool slot used. Each of nttMulTo's per-prime
+// tasks owns one and runs its transforms one after another, so the records
+// grown by its first split serve every later one, however the three tasks
+// overlap in time.
 type nttSplit struct {
+	pool   *workpool.Pool
 	wg     sync.WaitGroup
 	chunks []*nttChunk
 }
@@ -290,33 +292,10 @@ func (pr *nttPrime) runChunk(c *nttChunk) {
 	}
 }
 
-// nttSplits holds idle split records. A buffered channel, unlike a
-// sync.Pool, keeps them under the race detector too; eight covers the
-// transforms that split concurrently in practice (three primes per
-// concurrent multiply), and a record returned to a full list is left to
-// the garbage collector.
-var nttSplits = make(chan *nttSplit, 8)
-
-func getNTTSplit() *nttSplit {
-	select {
-	case sp := <-nttSplits:
-		return sp
-	default:
-		return new(nttSplit)
-	}
-}
-
-func putNTTSplit(sp *nttSplit) {
-	select {
-	case nttSplits <- sp:
-	default:
-	}
-}
-
 // inverse runs the in-place inverse transform (unscaled: the result is N
 // times the inverse DFT), consuming the forward pass's order. Values stay in
 // [0, 2p).
-func (pr *nttPrime) inverse(a []uint64, par *workpool.Pool) {
+func (pr *nttPrime) inverse(a []uint64, sp *nttSplit) {
 	n := len(a)
 	h := bits.Len(uint(n)) - 1
 	for st := h; st >= 1; st-- {
@@ -325,8 +304,8 @@ func (pr *nttPrime) inverse(a []uint64, par *workpool.Pool) {
 		for s := 0; s < 1<<(st-1); s++ {
 			offset := s << (h - st + 1)
 			irotShoup := shoupOf(irot, pr.p)
-			if par != nil && half >= nttParMinHalf {
-				pr.splitBlock(a, offset, half, irot, irotShoup, true, par)
+			if sp != nil && half >= nttParMinHalf {
+				pr.splitBlock(a, offset, half, irot, irotShoup, true, sp)
 			} else {
 				pr.inverseRange(a, offset, offset+half, half, irot, irotShoup)
 			}

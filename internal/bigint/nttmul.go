@@ -17,8 +17,6 @@ import (
 	"math"
 	"math/bits"
 	"sync"
-
-	"repro/internal/workpool"
 )
 
 // nttSize returns the transform length for a product of m limbs: the next
@@ -124,8 +122,8 @@ func nttMulTo(z, x, y nat, ar *arena) {
 // nttFanout is one nttMulTo call's per-prime fan-out: the join and a task
 // record per prime. Each task's run is its bound work method, made once
 // with the record, and each task keeps its second transform buffer, grown
-// to the largest transform it has run, so forking the three transforms
-// allocates nothing in steady state.
+// to the largest transform it has run, and its block-split records, so
+// forking the three transforms allocates nothing in steady state.
 type nttFanout struct {
 	wg    sync.WaitGroup
 	tasks [len(nttPrimes)]nttTask
@@ -136,6 +134,7 @@ type nttTask struct {
 	pr        *nttPrime
 	run       func()
 	buf       nat
+	split     nttSplit
 }
 
 // nttFanouts holds idle fan-out records, buffers included. A buffered
@@ -173,12 +172,14 @@ func putNTTFanout(f *nttFanout) {
 
 // work is one prime's transform task on the worker pool: it grows the
 // task's buffer to the transform length if needed and runs nttProductInto
-// with the pool enabled for intra-transform stage splitting.
+// with the task's split records on the pool, for intra-transform stage
+// splitting.
 func (t *nttTask) work() {
 	if len(t.buf) < len(t.dst) {
 		t.buf = make(nat, len(t.dst))
 	}
-	nttProductInto(t.dst, t.buf[:len(t.dst)], t.x, t.y, t.pr, nttPool)
+	t.split.pool = nttPool
+	nttProductInto(t.dst, t.buf[:len(t.dst)], t.x, t.y, t.pr, &t.split)
 }
 
 // nttProductInto computes the cyclic convolution of x and y modulo pr.p into
@@ -186,14 +187,14 @@ func (t *nttTask) work() {
 // pointwise with REDC, inverse-transform, and scale by N⁻¹·R (the R undoes
 // REDC's R⁻¹). work is a second N-limb buffer; when x and y are the same
 // slice (squaring) only one forward transform runs and work stays untouched.
-// par, when non-nil, is the pool long butterfly blocks are split across.
-func nttProductInto(dst, work nat, x, y nat, pr *nttPrime, par *workpool.Pool) {
+// sp, when non-nil, splits long butterfly blocks across its pool.
+func nttProductInto(dst, work nat, x, y nat, pr *nttPrime, sp *nttSplit) {
 	p, pInv := pr.p, pr.pInv
 	nttLoad(dst, x, pr)
-	pr.forward(dst, par)
+	pr.forward(dst, sp)
 	if !sameNat(x, y) {
 		nttLoad(work, y, pr)
-		pr.forward(work, par)
+		pr.forward(work, sp)
 		for i, v := range work {
 			dst[i] = redc(dst[i], v, p, pInv)
 		}
@@ -202,7 +203,7 @@ func nttProductInto(dst, work nat, x, y nat, pr *nttPrime, par *workpool.Pool) {
 			dst[i] = redc(v, v, p, pInv)
 		}
 	}
-	pr.inverse(dst, par)
+	pr.inverse(dst, sp)
 
 	// Scale by N⁻¹·R mod p and reduce strictly below p for the CRT.
 	scale := mulMod(invMod(uint64(len(dst))%p, p), pr.r, p)
