@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmtcheck test race vet allocs benchtest bench benchjson benchgate caltune fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke loc ci
+.PHONY: build fmtcheck test race vet allocs procs benchtest bench benchjson benchgate caltune fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke loc ci
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,13 @@ vet:
 # `make race`, is where they are checked.
 allocs:
 	$(GO) test -count=1 -cpu 1,2 -run 'Alloc' ./...
+
+# The whole suite at eight procs. go test -cpu sets GOMAXPROCS after package
+# init, so state sized from GOMAXPROCS at init would disagree with the
+# GOMAXPROCS the tests read; on a host with fewer cores this is also the
+# only run where the worker pool has more slots than CPUs.
+procs:
+	$(GO) test -count=1 -cpu 8 ./...
 
 # The repository benchmark's own tests (bench/ is a module of its own, so
 # ./... never reaches it): workload cycles, metric definitions and their
@@ -145,4 +152,4 @@ loc:
 		END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2
 
 # ci mirrors .github/workflows/ci.yml locally: everything a PR must pass.
-ci: build fmtcheck test vet allocs benchtest race fuzz-smoke wallsmoke matsmoke examples lint
+ci: build fmtcheck test vet allocs procs benchtest race fuzz-smoke wallsmoke matsmoke examples lint

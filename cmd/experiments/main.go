@@ -51,7 +51,7 @@ import (
 
 // expBackend is the -backend flag: every machine the experiments build gets
 // it stamped into its config via mcfg. F/BW/L columns are identical on both
-// backends (accounting is a transport decorator); time columns change
+// backends (machine.Proc charges them whatever the clock); time columns change
 // meaning from modeled units to real seconds.
 var expBackend machine.Backend
 

@@ -139,8 +139,8 @@ type ClusterConfig struct {
 	// Backend selects the machine realization the algorithms run on:
 	// "sim" (empty, the default) is the deterministic virtual-clock
 	// simulator; "wall" is the in-process wall-clock backend with real
-	// deadlines. F, BW and L are identical on both — accounting is a
-	// decorator over the transport — so only the meaning of Time changes
+	// deadlines. F, BW and L are identical on both — machine.Proc charges
+	// them whatever the clock — so only the meaning of Time changes
 	// (virtual cost units versus real seconds or dilated model units).
 	Backend string
 	// WallTimeDilation applies to the wall backend only: the real duration

@@ -3,7 +3,7 @@
 // internal/ftparallel):
 //
 //   - every Proc.Send must have a matching receive somewhere in the same
-//     package: a Send whose tag no Recv/RecvInts/RecvDeadline call can name
+//     package: a Send whose tag no Recv/RecvDeadline call can name
 //     produces a message nothing will ever consume (it sits in the per-pair
 //     buffer until the run ends and the cost model silently under-charges
 //     the receive side). Tags are compared by constant-folded value when
@@ -35,9 +35,8 @@
 //     worker goroutines and are exempt.
 //
 // Like the other ftlint analyzers, matching is by name (methods on types
-// named Proc, Endpoint and Machine), so the checks work on the real tree and
-// on import-free fixtures alike. Tags cross the transport seam unchanged, so
-// transport Endpoint traffic feeds the receive-side checks too.
+// named Proc and Machine), so the checks work on the real tree and on
+// import-free fixtures alike.
 package chanproto
 
 import (
@@ -59,16 +58,14 @@ var Analyzer = &framework.Analyzer{
 
 // governed lists the package path segments whose channel traffic follows the
 // simulator protocol. "machine" covers internal/machine, whose network the
-// sim and wall clocks share; "transport", "simnet" and "wallnet" name the
-// single-segment fixture packages that exercise the rule.
-var governed = []string{"machine", "collective", "ftengine", "ftparallel", "ftmatmul", "transport", "simnet", "wallnet"}
+// sim and wall clocks share.
+var governed = []string{"machine", "collective", "ftengine", "ftparallel", "ftmatmul"}
 
 // procComm names the methods that move messages; their tag is always the
 // second argument. Barrier's phase is its first.
 var procComm = map[string]bool{
 	"Send":         true,
 	"Recv":         true,
-	"RecvInts":     true,
 	"RecvDeadline": true,
 }
 
@@ -98,17 +95,15 @@ func run(pass *framework.Pass) error {
 type tagSite struct {
 	pos    token.Pos
 	method string
-	proc   bool // on a Proc, as opposed to a transport Endpoint
 	text   string
 	val    string
 	folded bool
 }
 
-// commCall classifies a call as Proc or Endpoint communication and returns
-// its method name and tag (or Barrier phase) site.
+// commCall classifies a call as Proc communication and returns its method
+// name and tag (or Barrier phase) site.
 func commCall(pass *framework.Pass, call *ast.CallExpr) (tagSite, bool) {
-	recv := framework.RecvTypeName(pass.Info, call)
-	if recv != "Proc" && recv != "Endpoint" {
+	if framework.RecvTypeName(pass.Info, call) != "Proc" {
 		return tagSite{}, false
 	}
 	callee := framework.CalleeIdent(call)
@@ -125,7 +120,7 @@ func commCall(pass *framework.Pass, call *ast.CallExpr) (tagSite, bool) {
 		return tagSite{}, false
 	}
 	arg := call.Args[idx]
-	s := tagSite{pos: call.Pos(), method: callee.Name, proc: recv == "Proc", text: types.ExprString(arg)}
+	s := tagSite{pos: call.Pos(), method: callee.Name, text: types.ExprString(arg)}
 	if tv, ok := pass.Info.Types[arg]; ok && tv.Value != nil {
 		s.val, s.folded = tv.Value.ExactString(), true
 	}
@@ -135,8 +130,8 @@ func commCall(pass *framework.Pass, call *ast.CallExpr) (tagSite, bool) {
 // checkTagPairing pairs the package's send and receive tags both ways.
 // Every Proc.Send needs a Proc receive that can consume it: folded tags pair
 // by value, and a pair where either side is symbolic falls back to text
-// equality. Every folded receive (Proc or Endpoint) needs a send that can
-// produce its value, claimed only when all send tags fold.
+// equality. Every folded receive needs a send that can produce its value,
+// claimed only when all send tags fold.
 func checkTagPairing(pass *framework.Pass) {
 	var sends, recvs []tagSite
 	for _, f := range pass.Files {
@@ -163,9 +158,6 @@ func checkTagPairing(pass *framework.Pass) {
 	recvTextSym := make(map[string]bool)
 	recvTexts := make(map[string]bool)
 	for _, r := range recvs {
-		if !r.proc {
-			continue
-		}
 		recvTexts[r.text] = true
 		if r.folded {
 			recvVals[r.val] = true
@@ -180,9 +172,6 @@ func checkTagPairing(pass *framework.Pass) {
 			sendVals[s.val] = true
 		} else {
 			allSendsFolded = false
-		}
-		if !s.proc {
-			continue
 		}
 		switch {
 		case s.folded && recvVals[s.val]:

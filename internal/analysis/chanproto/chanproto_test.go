@@ -12,10 +12,10 @@ func TestChanProto(t *testing.T) {
 	analysistest.Run(t, chanproto.Analyzer, "machine")
 }
 
-// The transport backends move messages over raw channels; the host-send
-// discipline must apply to them under their own package names.
+// The machine's network moves messages over raw channels; the host-send
+// discipline applies to a package below the "machine" path segment.
 func TestChanProtoTransportBackend(t *testing.T) {
-	analysistest.Run(t, chanproto.Analyzer, "wallnet")
+	analysistest.Run(t, chanproto.Analyzer, "machine/net")
 }
 
 // Constant-folded pairing: orphan receives, text-vs-value divergence, and

@@ -3,18 +3,13 @@
 // path is "machine", so the analyzer's path scoping applies.
 package machine
 
-type Payload interface{ payload() }
-
 type Ints []uint64
-
-func (Ints) payload() {}
 
 type Proc struct{ id int }
 
-func (p *Proc) Send(to int, tag string, payload Payload) error { return nil }
-func (p *Proc) Recv(from int, tag string) (Payload, error)     { return nil, nil }
-func (p *Proc) RecvInts(from int, tag string) (Ints, error)    { return nil, nil }
-func (p *Proc) RecvDeadline(from int, tag string, deadline float64) (Payload, bool, error) {
+func (p *Proc) Send(to int, tag string, payload Ints) error { return nil }
+func (p *Proc) Recv(from int, tag string) (Ints, error)     { return nil, nil }
+func (p *Proc) RecvDeadline(from int, tag string, deadline float64) (Ints, bool, error) {
 	return nil, false, nil
 }
 func (p *Proc) Barrier(phase string) {}
@@ -29,7 +24,7 @@ func okPaired(p *Proc, x Ints, tag string) error {
 	if err := p.Send(1, tag+"/up", x); err != nil {
 		return err
 	}
-	_, err := p.RecvInts(0, tag+"/up")
+	_, err := p.Recv(0, tag+"/up")
 	return err
 }
 
@@ -48,7 +43,7 @@ func shadowedSend(p *Proc, x Ints) {
 
 func shadowedRecv(p *Proc) {
 	const tag = "shadow/b"
-	_, _ = p.RecvInts(0, tag) // want "text pairing matches, the values never will"
+	_, _ = p.Recv(0, tag) // want "text pairing matches, the values never will"
 }
 
 // crossNamed: a literal send tag pairs with a receive naming it through a
@@ -61,7 +56,7 @@ func crossNamedSend(p *Proc, x Ints) {
 }
 
 func crossNamedRecv(p *Proc) {
-	_, _ = p.RecvInts(0, crossTag)
+	_, _ = p.Recv(0, crossTag)
 }
 
 // sendAfterRun: once Run returns the machine is torn down. The send inside
@@ -80,7 +75,7 @@ func condShutdown(m *Machine, p *Proc, c bool) {
 	if c {
 		_, _ = m.Run(nil)
 	}
-	_, _ = p.RecvInts(0, "run/x") // want "after Machine.Run"
+	_, _ = p.Recv(0, "run/x") // want "after Machine.Run"
 }
 
 // okRunThenLocal: non-Proc work after Run is fine.

@@ -1,22 +1,15 @@
 // Fixture for chanproto's constant-folded tag pairing, text-vs-value
-// divergence, and branch-divergent barrier phases. Stand-ins for Proc and
-// Endpoint are matched by name, like the real machine package.
+// divergence, and branch-divergent barrier phases. The stand-in for Proc is
+// matched by name, like the real machine package.
 package machine
 
-type Payload []float64
+type Ints []float64
 
 type Proc struct{}
 
-func (p *Proc) Send(to int, tag string, payload Payload) error { return nil }
-func (p *Proc) Recv(from int, tag string) (Payload, error)     { return nil, nil }
-func (p *Proc) RecvInts(from int, tag string) ([]int, error)   { return nil, nil }
-func (p *Proc) Barrier(phase string) ([]int, error)            { return nil, nil }
-
-type Endpoint interface {
-	Send(to int, tag string, payload Payload) error
-	Recv(from int, tag string) (Payload, error)
-	Barrier(phase string, local []int) ([]int, error)
-}
+func (p *Proc) Send(to int, tag string, payload Ints) error { return nil }
+func (p *Proc) Recv(from int, tag string) (Ints, error)     { return nil, nil }
+func (p *Proc) Barrier(phase string) ([]int, error)         { return nil, nil }
 
 const (
 	tagUp   = "coeff/up"
@@ -45,11 +38,6 @@ func sendShare(p *Proc) {
 func recvShare(p *Proc) {
 	const tag = "phase/2"
 	_, _ = p.Recv(0, tag) // want "folds to .* text pairing matches, the values never will"
-}
-
-// epOrphan: transport endpoints feed the same pairing pool.
-func epOrphan(e Endpoint) {
-	_, _ = e.Recv(0, "ep/retired") // want "waits for tag .* but no Send in package"
 }
 
 // balancedBarriers: both sides synchronize on the same phase — no finding.

@@ -292,7 +292,7 @@ func runBroadcast(p *machine.Proc, n int, v machine.Ints, double bool) error {
 		}
 	}
 	if r != 0 {
-		got, err := p.RecvInts(r-recvMask, "bc")
+		got, err := p.Recv(r-recvMask, "bc")
 		if err != nil {
 			return err
 		}

@@ -761,10 +761,6 @@ func (d *deriver) Call(ev *framework.Eval, fn *types.Func, recv Value, args []Va
 				}
 				ev.Fail(pos, "Words of %s", describe(recv))
 			}
-		case "Meta":
-			if fn.Name() == "Words" {
-				return []Value{framework.KnownInt(1)}, true
-			}
 		case "Algorithm":
 			return d.algContract(ev, fn.Name(), recv, args, pos)
 		case "Int":
@@ -836,7 +832,7 @@ func (d *deriver) procContract(ev *framework.Eval, name string, args []Value, po
 		return nil, true
 	case "Send":
 		return []Value{d.sendContract(ev, args, pos)}, true
-	case "RecvInts", "Recv":
+	case "Recv":
 		return d.recvContract(ev, args, pos), true
 	case "Barrier":
 		if d.symbolic {
@@ -913,13 +909,8 @@ func (d *deriver) sendContract(ev *framework.Eval, args []Value, pos token.Pos) 
 }
 
 func payloadWords(p Value) (framework.SymExpr, bool) {
-	switch x := p.(type) {
-	case vec:
+	if x, ok := p.(vec); ok {
 		return x.w.Expr()
-	case *framework.Struct:
-		if x.Type == "Meta" {
-			return framework.SymConst(1), true
-		}
 	}
 	return framework.SymExpr{}, false
 }

@@ -145,18 +145,6 @@ func Worlds() []World {
 	return ws
 }
 
-// MachineP returns the simulated machine size the world runs on.
-func (w World) MachineP() int {
-	if !w.FT {
-		return w.P
-	}
-	cols := 2*w.K - 1
-	gP := w.P / cols
-	// Workers + one linear-code rank per grid column + F polynomial-code
-	// ranks per grid row.
-	return 2*w.P + w.Faults*gP
-}
-
 // ---------------------------------------------------------------------------
 // Section 3 recurrence (plain parallel tier). All processors are SPMD
 // symmetric, so the per-processor tally is the per-counter maximum.

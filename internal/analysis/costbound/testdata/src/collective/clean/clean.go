@@ -29,7 +29,7 @@ type Proc struct{ id int }
 
 func (p *Proc) ID() int                               { return p.id }
 func (p *Proc) Send(to int, tag string, v Ints) error { return nil }
-func (p *Proc) RecvInts(from int, tag string) (Ints, error) {
+func (p *Proc) Recv(from int, tag string) (Ints, error) {
 	return nil, nil
 }
 func (p *Proc) Work(n int64) {}
@@ -88,7 +88,7 @@ func Broadcast(p *Proc, g Group, rootIdx int, tag string, v Ints) (Ints, error) 
 	}
 	if r != 0 {
 		src := (r - recvMask + rootIdx) % n
-		got, err := p.RecvInts(g[src], tag)
+		got, err := p.Recv(g[src], tag)
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +128,7 @@ func Reduce(p *Proc, g Group, rootIdx int, tag string, mine Ints) (Ints, error) 
 		}
 		src := r + mask
 		if src < n {
-			got, err := p.RecvInts(g[(src+rootIdx)%n], tag)
+			got, err := p.Recv(g[(src+rootIdx)%n], tag)
 			if err != nil {
 				return nil, err
 			}

@@ -25,7 +25,7 @@ type Proc struct{ id int }
 
 func (p *Proc) ID() int                               { return p.id }
 func (p *Proc) Send(to int, tag string, v Ints) error { return nil }
-func (p *Proc) RecvInts(from int, tag string) (Ints, error) {
+func (p *Proc) Recv(from int, tag string) (Ints, error) {
 	return nil, nil
 }
 
@@ -55,7 +55,7 @@ func Broadcast(p *Proc, g Group, rootIdx int, tag string, v Ints) (Ints, error) 
 	}
 	if r != 0 {
 		src := (r - recvMask + rootIdx) % n
-		got, err := p.RecvInts(g[src], tag)
+		got, err := p.Recv(g[src], tag)
 		if err != nil {
 			return nil, err
 		}

@@ -101,7 +101,7 @@ func deriveCollective(sums *framework.Summaries, fset *token.FileSet, node *fram
 // the per-counter maxima over all simulated ranks. Each pass interprets the
 // entry on the host up to Machine.Run, then the captured SPMD program once
 // per rank; message sizes cross rank boundaries through a send log: each
-// Send records its payload words under (src→dst, tag) and each RecvInts
+// Send records its payload words under (src→dst, tag) and each Recv
 // pops the matching entry of the previous pass, until the log reaches a
 // fixpoint (one pass per pipeline phase that feeds shapes forward).
 func deriveWorld(sums *framework.Summaries, fset *token.FileSet, entry *framework.CGNode, w World) (Counts, error) {

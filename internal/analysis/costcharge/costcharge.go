@@ -66,9 +66,8 @@ var arithMethods = map[string]map[string]bool{
 }
 
 // witnessTypes are the cost-model carrier types: a call into a function that
-// receives one of these can charge (or forward) costs. Endpoint is a
-// transport-seam carrier with Proc's charging verbs, as in the fixtures.
-var witnessTypes = map[string]bool{"Stats": true, "Proc": true, "Machine": true, "Endpoint": true}
+// receives one of these can charge (or forward) costs.
+var witnessTypes = map[string]bool{"Stats": true, "Proc": true, "Machine": true}
 
 func run(pass *framework.Pass) error {
 	target := false

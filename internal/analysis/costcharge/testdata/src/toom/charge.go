@@ -99,19 +99,6 @@ func ChargedProc(p *Proc, x, y Int) Int {
 	return x.Mul(y)
 }
 
-// Endpoint stands in for the transport-seam cost carrier
-// (costacct.Endpoint in the real tree, what machine.Proc charges through);
-// it is a witness type like Stats and Proc.
-type Endpoint struct{ flops int64 }
-
-func (e *Endpoint) Work(n int64) { e.flops += n }
-
-// ChargedEndpoint charges through the transport-seam endpoint.
-func ChargedEndpoint(e *Endpoint, x, y Int) Int {
-	e.Work(int64(x.WordLen()))
-	return x.Mul(y)
-}
-
 // ChargedDelegate routes through a cost-aware callee; passing nil Stats is
 // the documented caller opt-out, the channel still exists.
 func ChargedDelegate(x, y Int) Int {

@@ -25,9 +25,8 @@ import (
 // disqualify a caller.
 func ModelBoundaryPkg(path string) bool {
 	switch path[strings.LastIndex(path, "/")+1:] {
-	case "machine", "transport", "simnet", "wallnet", "faultinject", "costacct",
-		"bigint", "toom", "points", "erasure", "mat", "rat",
-		"costmodel", "multistep", "toomgraph", "poly", "softfault", "workpool",
+	case "machine", "bigint", "toom", "points", "erasure", "mat", "rat",
+		"costmodel", "multistep", "toomgraph", "softfault", "workpool",
 		"crosscheck", "benchenv":
 		return true
 	}

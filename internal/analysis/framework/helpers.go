@@ -112,12 +112,6 @@ func CollectDeferRanges(root ast.Node) DeferRanges {
 	return spans
 }
 
-// Contains reports whether pos falls inside any defer statement.
-func (r DeferRanges) Contains(pos token.Pos) bool {
-	_, ok := r.CallAt(pos)
-	return ok
-}
-
 // CallAt returns the deferred CallExpr position of the innermost defer
 // statement containing pos (false when pos is not deferred).
 func (r DeferRanges) CallAt(pos token.Pos) (token.Pos, bool) {

@@ -16,8 +16,8 @@ package framework
 // drift from the code it certifies.
 //
 // Communication is recognized the way chanproto recognizes it: a method call
-// whose receiver's named type is Proc or Endpoint and whose name is one of
-// the transport verbs. The name-based match lets the same extractor work on
+// whose receiver's named type is Proc and whose name is one of the
+// communication verbs. The name-based match lets the same extractor work on
 // the real machine.Proc and on the miniature stand-ins the self-contained
 // test fixtures declare.
 
@@ -52,15 +52,14 @@ func (k CommKind) String() string {
 	return "?"
 }
 
-// commVerbs maps transport method names to their kind and the index of the
-// tag (or phase) argument. Recv and RecvInts differ only in payload type.
+// commVerbs maps communication method names to their kind and the index of
+// the tag (or phase) argument.
 var commVerbs = map[string]struct {
 	kind   CommKind
 	tagArg int
 }{
 	"Send":         {CommSend, 1},
 	"Recv":         {CommRecv, 1},
-	"RecvInts":     {CommRecv, 1},
 	"RecvDeadline": {CommRecvDeadline, 1},
 	"Barrier":      {CommBarrier, 0},
 }
@@ -154,8 +153,7 @@ func ExtractSkeletons(sums *Summaries, ax WorldAxioms) *SkeletonSet {
 // CommSiteAt returns the comm site for a call expression, if the call is
 // communication ([ok] mirrors chanproto's commCall classification).
 func CommSiteAt(info *types.Info, call *ast.CallExpr) (CommSite, bool) {
-	recv := RecvTypeName(info, call)
-	if recv != "Proc" && recv != "Endpoint" {
+	if RecvTypeName(info, call) != "Proc" {
 		return CommSite{}, false
 	}
 	id := CalleeIdent(call)

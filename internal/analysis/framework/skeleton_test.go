@@ -15,14 +15,12 @@ type Proc struct{ id int }
 func (p *Proc) ID() int                                                      { return p.id }
 func (p *Proc) Send(to int, tag string, v Ints) error                        { return nil }
 func (p *Proc) Recv(from int, tag string) (Ints, error)                      { return nil, nil }
-func (p *Proc) RecvInts(from int, tag string) (Ints, error)                  { return nil, nil }
 func (p *Proc) RecvDeadline(from int, tag string, d int) (Ints, bool, error) { return nil, false, nil }
 func (p *Proc) Barrier(phase string) error                                   { return nil }
 
 func verbs(p *Proc, g Group, tag string, v Ints) {
 	p.Send(g[0], tag, v)
 	p.Recv(g[1], tag)
-	p.RecvInts(g[1], tag)
 	p.RecvDeadline(g[1], tag, 5)
 	p.Barrier(tag)
 }
@@ -120,7 +118,7 @@ func skel(t *testing.T, set *SkeletonSet, key string) *Skeleton {
 	return sk
 }
 
-// TestSkeletonCommSites pins verb classification: each transport verb maps
+// TestSkeletonCommSites pins verb classification: each communication verb maps
 // to its kind, the tag expression sits at the verb's tag index, and every
 // point-to-point site carries its peer-rank expression (barriers do not).
 func TestSkeletonCommSites(t *testing.T) {
@@ -129,7 +127,7 @@ func TestSkeletonCommSites(t *testing.T) {
 	if !sk.HasComm() {
 		t.Fatal("p.verbs has no comm sites")
 	}
-	wantKinds := []CommKind{CommSend, CommRecv, CommRecv, CommRecvDeadline, CommBarrier}
+	wantKinds := []CommKind{CommSend, CommRecv, CommRecvDeadline, CommBarrier}
 	if len(sk.Sites) != len(wantKinds) {
 		t.Fatalf("p.verbs has %d sites, want %d", len(sk.Sites), len(wantKinds))
 	}
@@ -260,18 +258,16 @@ func TestSkeletonIndirectAndReach(t *testing.T) {
 	}
 }
 
-// TestModelBoundaryPkg pins the interpretation boundary: transport and
+// TestModelBoundaryPkg pins the interpretation boundary: the machine and
 // arithmetic packages are primitives/bridged, protocol packages are not.
 func TestModelBoundaryPkg(t *testing.T) {
 	for path, want := range map[string]bool{
-		"repro/internal/machine":           true,
-		"repro/internal/machine/transport": true,
-		"repro/internal/machine/simnet":    true,
-		"repro/internal/toom":              true,
-		"repro/internal/erasure":           true,
-		"repro/internal/collective":        false,
-		"repro/internal/ftparallel":        false,
-		"p":                                false,
+		"repro/internal/machine":    true,
+		"repro/internal/toom":       true,
+		"repro/internal/erasure":    true,
+		"repro/internal/collective": false,
+		"repro/internal/ftparallel": false,
+		"p":                         false,
 	} {
 		if got := ModelBoundaryPkg(path); got != want {
 			t.Errorf("ModelBoundaryPkg(%q) = %v, want %v", path, got, want)

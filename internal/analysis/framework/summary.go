@@ -93,18 +93,12 @@ var chargePrimitives = map[string]map[string]bool{
 	"Stats": {"chargeWords": true},
 	"Proc": {
 		"Work": true, "Send": true, "Recv": true,
-		"RecvInts": true, "RecvDeadline": true, "Barrier": true,
-	},
-	// Endpoint is a transport-seam carrier with Proc's primitive set; the
-	// fixtures of the cost analyzers charge through it.
-	"Endpoint": {
-		"Work": true, "Send": true, "Recv": true,
 		"RecvDeadline": true, "Barrier": true,
 	},
 }
 
 // chargeCarrierTypes are the cost-model carrier types of a signature.
-var chargeCarrierTypes = map[string]bool{"Stats": true, "Proc": true, "Machine": true, "Endpoint": true}
+var chargeCarrierTypes = map[string]bool{"Stats": true, "Proc": true, "Machine": true}
 
 // recoverySources lists the decode/verify entry points of the fault
 // recovery machinery, per receiver type name.

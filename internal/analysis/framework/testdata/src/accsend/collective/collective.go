@@ -34,7 +34,7 @@ func Broadcast(p *machine.Proc, g Group, root int, tag string, v machine.Ints) (
 		}
 	}
 	if r != 0 {
-		got, err := p.RecvInts(g[(r-recvMask+root)%n], tag)
+		got, err := p.Recv(g[(r-recvMask+root)%n], tag)
 		if err != nil {
 			return nil, err
 		}

@@ -26,10 +26,8 @@ var Analyzer = &framework.Analyzer{
 }
 
 // governed lists the package path segments under the no-raw-goroutines rule.
-// The "machine" segment covers internal/machine; "simnet" and "wallnet" are
-// listed too so fixture packages — whose synthetic import paths are a
-// single segment — exercise the rule.
-var governed = []string{"toom", "parallel", "ftengine", "ftparallel", "ftmatmul", "machine", "simnet", "wallnet", "bigint", "workpool", "caltune"}
+// The "machine" segment covers internal/machine.
+var governed = []string{"toom", "parallel", "ftengine", "ftparallel", "ftmatmul", "machine", "bigint", "workpool", "caltune"}
 
 func run(pass *framework.Pass) error {
 	target := false

@@ -15,10 +15,10 @@ func TestPoolSpawnUngoverned(t *testing.T) {
 	analysistest.Run(t, poolspawn.Analyzer, "other")
 }
 
-// The machine's transport backends are governed by name, not only through
-// their parent "machine" path segment.
+// The machine runtime is governed: its one sanctioned spawn, the
+// per-processor launch, carries an allow comment.
 func TestPoolSpawnTransportBackend(t *testing.T) {
-	analysistest.Run(t, poolspawn.Analyzer, "simnet")
+	analysistest.Run(t, poolspawn.Analyzer, "machine")
 }
 
 // The NTT tier's home package is governed: butterfly fan-out goes through

@@ -32,7 +32,6 @@ import (
 	"go/token"
 	"go/types"
 	"reflect"
-	"sort"
 
 	"repro/internal/analysis/framework"
 	"repro/internal/bigint"
@@ -290,7 +289,7 @@ func (d *domain) Call(ev *framework.Eval, fn *types.Func, recv Value, args []Val
 			payload = copyPayload(args[2])
 		}
 		return []Value{mp.opSend(int(to), tag, payload, pos)}, true
-	case "Recv", "RecvInts":
+	case "Recv":
 		from := intArg(ev, args[0], pos, "recv source rank")
 		tag := strArg(ev, args[1], pos, "recv tag")
 		return []Value{mp.opRecv(int(from), tag, pos), framework.Nil{}}, true
@@ -310,7 +309,7 @@ func (d *domain) Call(ev *framework.Eval, fn *types.Func, recv Value, args []Val
 		return []Value{framework.Float{Known: true}}, true
 	case "FaultCount":
 		return []Value{framework.KnownInt(int64(mp.faultCount))}, true
-	case "Work", "Mark", "Elapse":
+	case "Work", "Mark":
 		return nil, true
 	case "Store":
 		mp.store[strArg(ev, args[0], pos, "store key")] = copyPayload(args[1])
@@ -321,27 +320,9 @@ func (d *domain) Call(ev *framework.Eval, fn *types.Func, recv Value, args []Val
 			v = framework.Nil{}
 		}
 		return []Value{v, framework.KnownBool(ok)}, true
-	case "LoadInts":
-		key := strArg(ev, args[0], pos, "load key")
-		v, ok := mp.store[key]
-		if !ok {
-			return []Value{framework.Nil{}, framework.Err{Msg: "no such key: " + key}}, true
-		}
-		return []Value{v, framework.Nil{}}, true
 	case "Free":
 		delete(mp.store, strArg(ev, args[0], pos, "free key"))
 		return nil, true
-	case "Keys":
-		keys := make([]string, 0, len(mp.store))
-		for k := range mp.store {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		out := make([]Value, len(keys))
-		for i, k := range keys {
-			out[i] = framework.KnownStr(k)
-		}
-		return []Value{framework.NewSlice(out)}, true
 	case "MemoryWords":
 		return []Value{framework.Int{}}, true
 	}

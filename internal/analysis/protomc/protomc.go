@@ -86,7 +86,7 @@ func run(pass *framework.Pass) error {
 // the functions it could not instantiate.
 func buildWorlds(pass *framework.Pass) ([]*world, *framework.SkeletonSet) {
 	if framework.ModelBoundaryPkg(pass.Path) {
-		return nil, nil // transport/arithmetic layers are modeled natively, not checked
+		return nil, nil // machine/arithmetic layers are modeled natively, not checked
 	}
 	if !inScope(pass) {
 		return nil, nil

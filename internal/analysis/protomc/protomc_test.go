@@ -179,8 +179,8 @@ func TestRealTreeCensus(t *testing.T) {
 			engine[w.name] = c
 		}
 	}
-	if collectives != 72 {
-		t.Errorf("collective worlds = %d, want 72", collectives)
+	if collectives != 46 {
+		t.Errorf("collective worlds = %d, want 46", collectives)
 	}
 	want := map[string]int{
 		"ftparallel.Multiply P=3 k=2 F=1 ldfs=0":           21,

@@ -11,8 +11,8 @@ func TestStatsRace(t *testing.T) {
 	analysistest.Run(t, statsrace.Analyzer, "toom")
 }
 
-// An accounting decorator that names its counter struct Stats is governed
-// too; the fixture proves the coverage.
+// The machine's per-rank counter struct, named Stats, is governed too; the
+// fixture proves the coverage.
 func TestStatsRaceCostAcct(t *testing.T) {
-	analysistest.Run(t, statsrace.Analyzer, "costacct")
+	analysistest.Run(t, statsrace.Analyzer, "machine")
 }

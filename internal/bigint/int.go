@@ -303,51 +303,6 @@ func (x Int) String() string {
 	return b.String()
 }
 
-// ParseInt parses a decimal string (with optional leading '-') into an Int.
-func ParseInt(s string) (Int, error) {
-	if s == "" {
-		return Int{}, fmt.Errorf("bigint: empty string")
-	}
-	neg := false
-	if s[0] == '-' || s[0] == '+' {
-		neg = s[0] == '-'
-		s = s[1:]
-		if s == "" {
-			return Int{}, fmt.Errorf("bigint: sign without digits")
-		}
-	}
-	var z Int
-	ten19 := FromUint64(10000000000000000000)
-	for len(s) > 0 {
-		n := 19
-		if len(s) < n {
-			n = len(s)
-		}
-		var group uint64
-		for i := 0; i < n; i++ {
-			c := s[i]
-			if c < '0' || c > '9' {
-				return Int{}, fmt.Errorf("bigint: invalid digit %q", c)
-			}
-			group = group*10 + uint64(c-'0')
-		}
-		if n == 19 {
-			z = z.Mul(ten19).Add(FromUint64(group))
-		} else {
-			pow := uint64(1)
-			for i := 0; i < n; i++ {
-				pow *= 10
-			}
-			z = z.Mul(FromUint64(pow)).Add(FromUint64(group))
-		}
-		s = s[n:]
-	}
-	if neg {
-		z = z.Neg()
-	}
-	return z, nil
-}
-
 // ToBig converts x to a *math/big.Int (test oracle and public-API bridge).
 func (x Int) ToBig() *big.Int {
 	return x.ToBigOn(new(big.Int), make([]big.Word, len(x.abs)))

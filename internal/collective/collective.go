@@ -1,8 +1,9 @@
 // Package collective implements the collective communication operations the
 // parallel Toom-Cook algorithms rely on (Section 2.4 of the paper):
-// broadcast, reduce, all-reduce and gather over arbitrary processor groups
-// of the simulated machine, plus the all-to-all personalized exchange that a
-// BFS step performs within each grid row.
+// broadcast, reduce and weighted reduce over arbitrary processor groups of
+// the simulated machine, plus the all-to-all personalized exchange that a
+// BFS step performs within each grid row. The runtime realizes the paper's
+// t-reduce and t-broadcast as one reduce or broadcast per grid column.
 //
 // Reduce and broadcast use binomial trees, giving the O(log g) latency and
 // O(W) bandwidth shapes of Lemma 2.5 / Corollary 2.6 within a group of g
@@ -99,7 +100,7 @@ func Broadcast(p *machine.Proc, g Group, rootIdx int, tag string, v machine.Ints
 	}
 	if r != 0 {
 		src := (r - recvMask + rootIdx) % n
-		got, err := p.RecvInts(g[src], tag)
+		got, err := p.Recv(g[src], tag)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +143,7 @@ func Reduce(p *machine.Proc, g Group, rootIdx int, tag string, mine machine.Ints
 		}
 		src := r + mask
 		if src < n {
-			got, err := p.RecvInts(g[(src+rootIdx)%n], tag)
+			got, err := p.Recv(g[(src+rootIdx)%n], tag)
 			if err != nil {
 				return nil, err
 			}
@@ -155,41 +156,6 @@ func Reduce(p *machine.Proc, g Group, rootIdx int, tag string, mine machine.Ints
 		}
 	}
 	return acc, nil
-}
-
-// AllReduce is Reduce followed by Broadcast: every member returns the sum.
-func AllReduce(p *machine.Proc, g Group, tag string, mine machine.Ints) (machine.Ints, error) {
-	total, err := Reduce(p, g, 0, tag+"/r", mine)
-	if err != nil {
-		return nil, err
-	}
-	return Broadcast(p, g, 0, tag+"/b", total)
-}
-
-// Gather collects every member's vector at the root (group index), in group
-// order. The root returns the list; other members return nil.
-func Gather(p *machine.Proc, g Group, rootIdx int, tag string, mine machine.Ints) ([]machine.Ints, error) {
-	n := len(g)
-	me := g.Index(p.ID())
-	if me < 0 {
-		return nil, fmt.Errorf("collective: proc %d not in group", p.ID())
-	}
-	if me != rootIdx {
-		return nil, p.Send(g[rootIdx], tag, mine)
-	}
-	out := make([]machine.Ints, n)
-	out[me] = mine
-	for i := 0; i < n; i++ {
-		if i == me {
-			continue
-		}
-		got, err := p.RecvInts(g[i], tag)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = got
-	}
-	return out, nil
 }
 
 // Exchange performs an all-to-all personalized exchange within the group:
@@ -215,55 +181,13 @@ func Exchange(p *machine.Proc, g Group, tag string, outgoing []machine.Ints) ([]
 		if err := p.Send(g[dst], tag, outgoing[dst]); err != nil {
 			return nil, err
 		}
-		got, err := p.RecvInts(g[src], tag)
+		got, err := p.Recv(g[src], tag)
 		if err != nil {
 			return nil, err
 		}
 		incoming[src] = got
 	}
 	return incoming, nil
-}
-
-// MultiReduce performs t simultaneous sum-reduces (the t-reduce of
-// Lemma 2.5): contribution vector i is reduced to the group member i mod
-// |g| (round-robin roots spread the root load, the essence of the
-// Sanders-Sibeyn/Birnbaum-Schwartz construction). Because each member sends
-// at most one message per reduce and the trees overlap, the critical-path
-// message count is O(t + log g) rather than t·O(log g). The return maps
-// reduce index → total for the reduces this processor roots.
-func MultiReduce(p *machine.Proc, g Group, tag string, contribs []machine.Ints) (map[int]machine.Ints, error) {
-	out := map[int]machine.Ints{}
-	for i, mine := range contribs {
-		root := i % len(g)
-		total, err := Reduce(p, g, root, fmt.Sprintf("%s/%d", tag, i), mine)
-		if err != nil {
-			return nil, err
-		}
-		if g.Index(p.ID()) == root {
-			out[i] = total
-		}
-	}
-	return out, nil
-}
-
-// MultiBroadcast performs t simultaneous broadcasts (the t-broadcast of
-// Corollary 2.6): value i originates at group member i mod |g|; only the
-// origin's `values[i]` is consulted. Every member returns all t vectors.
-func MultiBroadcast(p *machine.Proc, g Group, tag string, values []machine.Ints) ([]machine.Ints, error) {
-	out := make([]machine.Ints, len(values))
-	for i := range values {
-		root := i % len(g)
-		var mine machine.Ints
-		if g.Index(p.ID()) == root {
-			mine = values[i]
-		}
-		got, err := Broadcast(p, g, root, fmt.Sprintf("%s/%d", tag, i), mine)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = got
-	}
-	return out, nil
 }
 
 // WeightedReduce computes Σ_i weight_i·vector_i at the root: each member

@@ -120,45 +120,6 @@ func TestReduceChargesWork(t *testing.T) {
 	}
 }
 
-func TestAllReduce(t *testing.T) {
-	g := Group{1, 2, 3} // non-trivial subgroup of a larger machine
-	run(t, 5, func(p *machine.Proc) error {
-		if g.Index(p.ID()) < 0 {
-			return nil
-		}
-		got, err := AllReduce(p, g, "ar", ints(10))
-		if err != nil {
-			return err
-		}
-		if v, _ := got[0].Int64(); v != 30 {
-			return fmt.Errorf("proc %d: all-reduce = %d", p.ID(), v)
-		}
-		return nil
-	})
-}
-
-func TestGather(t *testing.T) {
-	g := Group{0, 1, 2, 3}
-	run(t, 4, func(p *machine.Proc) error {
-		got, err := Gather(p, g, 1, "ga", ints(int64(p.ID()*10)))
-		if err != nil {
-			return err
-		}
-		if p.ID() != 1 {
-			if got != nil {
-				return fmt.Errorf("non-root got data")
-			}
-			return nil
-		}
-		for i := 0; i < 4; i++ {
-			if v, _ := got[i][0].Int64(); v != int64(i*10) {
-				return fmt.Errorf("slot %d = %d", i, v)
-			}
-		}
-		return nil
-	})
-}
-
 func TestExchange(t *testing.T) {
 	g := Group{0, 1, 2}
 	run(t, 3, func(p *machine.Proc) error {
@@ -245,83 +206,5 @@ func TestExchangeWrongArity(t *testing.T) {
 		out := []machine.Ints{ints(0), ints(0)}
 		_, err := Exchange(p, g, "ok", out)
 		return err
-	})
-}
-
-func TestMultiReduce(t *testing.T) {
-	// t = 6 reduces over 3 procs: roots round-robin 0,1,2,0,1,2.
-	g := Group{0, 1, 2}
-	run(t, 3, func(p *machine.Proc) error {
-		contribs := make([]machine.Ints, 6)
-		for i := range contribs {
-			contribs[i] = ints(int64((i + 1) * (p.ID() + 1)))
-		}
-		got, err := MultiReduce(p, g, "mr", contribs)
-		if err != nil {
-			return err
-		}
-		for i, total := range got {
-			if i%3 != g.Index(p.ID()) {
-				return fmt.Errorf("proc %d rooted reduce %d", p.ID(), i)
-			}
-			// Σ_procs (i+1)(id+1) = (i+1)·6.
-			if v, _ := total[0].Int64(); v != int64((i+1)*6) {
-				return fmt.Errorf("reduce %d total = %d", i, v)
-			}
-		}
-		return nil
-	})
-}
-
-func TestMultiReduceLatencyShape(t *testing.T) {
-	// Lemma 2.5: t simultaneous reduces cost L = O(log P + t) on the
-	// critical path, not t·O(log P). With round-robin roots each member
-	// sends ~t/|g| + own-tree messages, far below t·log(g).
-	n, tt := 8, 16
-	g := make(Group, n)
-	for i := range g {
-		g[i] = i
-	}
-	m, _ := machine.New(machine.Config{P: n, Alpha: 1000, Beta: 0.01, Gamma: 0.01}, nil)
-	rep, err := m.Run(func(p *machine.Proc) error {
-		contribs := make([]machine.Ints, tt)
-		for i := range contribs {
-			contribs[i] = ints(int64(p.ID()))
-		}
-		_, err := MultiReduce(p, g, "mrl", contribs)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Naive bound: t·log2(P) = 16·3 = 48 sends per proc; the overlapped
-	// schedule must stay well below it.
-	if rep.L >= int64(tt*3) {
-		t.Errorf("critical-path L = %d, want well below t·log P = %d", rep.L, tt*3)
-	}
-	if rep.L < int64(tt)/int64(n) {
-		t.Errorf("critical-path L = %d suspiciously low", rep.L)
-	}
-}
-
-func TestMultiBroadcast(t *testing.T) {
-	g := Group{0, 1, 2, 3}
-	run(t, 4, func(p *machine.Proc) error {
-		values := make([]machine.Ints, 5)
-		for i := range values {
-			if i%4 == g.Index(p.ID()) {
-				values[i] = ints(int64(100 + i))
-			}
-		}
-		got, err := MultiBroadcast(p, g, "mb", values)
-		if err != nil {
-			return err
-		}
-		for i := range got {
-			if v, _ := got[i][0].Int64(); v != int64(100+i) {
-				return fmt.Errorf("proc %d broadcast %d = %d", p.ID(), i, v)
-			}
-		}
-		return nil
 	})
 }

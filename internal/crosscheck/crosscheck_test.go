@@ -49,11 +49,6 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 		check("toom-3 scheduled", toom.MustNew(3).WithInterpolationSequence(toomgraph.Toom3()).Mul(a, b), nil)
 		lazy, err := toom.MustNew(2).MulLazy(a, b, 3)
 		check("lazy l=3", lazy, err)
-		unb, err := toom.NewUnbalanced(3, 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("toom-2.5", unb.Mul(a, b), nil)
 
 		par, err := parallel.Multiply(a, b, parallel.Options{Alg: toom.MustNew(2), P: 9})
 		if err != nil {

@@ -260,7 +260,7 @@ func (c *Coder) repair(p *machine.Proc, ev []machine.FaultEvent, skip map[int]bo
 				}
 			}
 			if amLeader {
-				got, err := p.RecvInts(codeProc, rtag+"/cw")
+				got, err := p.Recv(codeProc, rtag+"/cw")
 				if err != nil {
 					return nil, nil, err
 				}
@@ -288,7 +288,7 @@ func (c *Coder) repair(p *machine.Proc, ev []machine.FaultEvent, skip map[int]bo
 				}
 			}
 		} else if inColumn && containsInt(dead, rank%lay.GPrime) {
-			got, err := p.RecvInts(leader, shareTag(j))
+			got, err := p.Recv(leader, shareTag(j))
 			if err != nil {
 				return nil, nil, err
 			}

@@ -21,7 +21,7 @@ type Straggler struct {
 
 // DecideOnTime runs one row's decision round under the given message tag.
 // Linear-code processors are not involved and return a nil choice.
-func (s Straggler) DecideOnTime(p *machine.Proc, myRow, myCol int, inGrid bool, tag string) (chosen, late []int, err error) {
+func (s Straggler) DecideOnTime(p *machine.Proc, myRow int, inGrid bool, tag string) (chosen, late []int, err error) {
 	if !inGrid {
 		return nil, nil, nil
 	}
@@ -30,10 +30,11 @@ func (s Straggler) DecideOnTime(p *machine.Proc, myRow, myCol int, inGrid bool, 
 	numCols := lay.NumColumns()
 	decider := lay.ColumnRank(myRow, 0)
 	if p.ID() != decider {
-		if err := p.Send(decider, tag+"/done", machine.Meta{Value: myCol}); err != nil {
+		// The report is one word; the decider reads only its arrival time.
+		if err := p.Send(decider, tag+"/done", make(machine.Ints, 1)); err != nil {
 			return nil, nil, err
 		}
-		dec, err := p.RecvInts(decider, tag+"/dec")
+		dec, err := p.Recv(decider, tag+"/dec")
 		if err != nil {
 			return nil, nil, err
 		}

@@ -244,11 +244,11 @@ func (w *workload) refetch(p *machine.Proc, ev []machine.FaultEvent, myA, myB *[
 		tagB := fmt.Sprintf("mm/refetch/B/%d", v)
 		switch r {
 		case v:
-			gotA, err := p.RecvInts(partnerA, tagA)
+			gotA, err := p.Recv(partnerA, tagA)
 			if err != nil {
 				return err
 			}
-			gotB, err := p.RecvInts(partnerB, tagB)
+			gotB, err := p.Recv(partnerB, tagB)
 			if err != nil {
 				return err
 			}

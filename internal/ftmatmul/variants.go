@@ -157,7 +157,7 @@ func (w *replWorkload) Step(p *machine.Proc, rk *ftengine.Rank) (ftengine.Slots,
 		tag := fmt.Sprintf("mmrepl/refetch/%d", v)
 		switch r {
 		case v:
-			got, err := p.RecvInts(tw, tag)
+			got, err := p.Recv(tw, tag)
 			if err != nil {
 				return nil, err
 			}

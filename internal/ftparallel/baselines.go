@@ -195,7 +195,7 @@ func MultiplyCheckpointRestart(a, b bigint.Int, opts CheckpointOptions) (*Checkp
 			if err := p.Send(buddy, tag, machine.Ints(parallel.Concat(myA, myB))); err != nil {
 				return err
 			}
-			got, err := p.RecvInts(prev, tag)
+			got, err := p.Recv(prev, tag)
 			if err != nil {
 				return err
 			}
@@ -231,16 +231,16 @@ func MultiplyCheckpointRestart(a, b bigint.Int, opts CheckpointOptions) (*Checkp
 				vb := (victim + 1) % opts.P
 				tag := fmt.Sprintf("restore/%d/%d", attempt, victim)
 				if rank == vb {
-					ck, err := p.LoadInts("buddy-ckpt")
-					if err != nil {
-						return fmt.Errorf("ftparallel: buddy checkpoint lost too (buddy-pair fault): %w", err)
+					ck, ok := p.Load("buddy-ckpt")
+					if !ok {
+						return fmt.Errorf("ftparallel: proc %d lost the buddy checkpoint of proc %d too (buddy-pair fault)", rank, victim)
 					}
 					if err := p.Send(victim, tag, ck); err != nil {
 						return err
 					}
 				}
 				if rank == victim {
-					got, err := p.RecvInts(vb, tag)
+					got, err := p.Recv(vb, tag)
 					if err != nil {
 						return err
 					}

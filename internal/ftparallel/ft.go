@@ -290,7 +290,7 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 				got = machine.Ints(selfSlice)
 			} else {
 				var err error
-				got, err = p.RecvInts(src, tag+"/down")
+				got, err = p.Recv(src, tag+"/down")
 				if err != nil {
 					return nil, err
 				}
@@ -370,7 +370,7 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 		// columns.
 		var late []int
 		dec := ftengine.Straggler{Lay: e.lay, Slack: e.slack}
-		surv, late, err = dec.DecideOnTime(p, myRow, myCol, inGrid, tag)
+		surv, late, err = dec.DecideOnTime(p, myRow, inGrid, tag)
 		if err != nil {
 			return nil, err
 		}
@@ -477,7 +477,7 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 			slices[j] = selfUp
 			continue
 		}
-		got, err := p.RecvInts(src, tag+"/up")
+		got, err := p.Recv(src, tag+"/up")
 		if err != nil {
 			return nil, err
 		}

@@ -117,6 +117,34 @@ func TestStragglerModeReducesCompletionTime(t *testing.T) {
 	}
 }
 
+// TestStragglerModePinnedCounts pins the cost of one straggler-mode
+// multiply with a slowed column on the sim clock, so that any change to
+// what the completion reports and decisions carry shows up as a moved
+// count or a moved completion time.
+func TestStragglerModePinnedCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(161))
+	lay, _ := NewLayout(9, 2, 1)
+	a, b := randOperand(rng, 1<<14), randOperand(rng, 1<<14)
+	res, err := Multiply(a, b, Options{
+		Alg: toom.MustNew(2), P: 9, F: 1,
+		StragglerSlack: 50000,
+		Machine:        machine.Config{SpeedFactors: slowColumn(lay, 1, 50)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type counts struct {
+		F, BW, L, TotalBW, TotalL int64
+		Time                      float64
+	}
+	r := res.Report
+	got := counts{r.F, r.BW, r.L, r.TotalBW, r.TotalL, r.Time}
+	want := counts{F: 22701, BW: 364, L: 14, TotalBW: 3787, TotalL: 135, Time: 1112240}
+	if got != want {
+		t.Errorf("got %+v, want %+v", got, want)
+	}
+}
+
 func TestStragglerSlackTooSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(164))
 	alg := toom.MustNew(2)

@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
@@ -134,17 +133,13 @@ type FaultEvent struct {
 	Phase string
 }
 
-// Payload is anything a message can carry; Words is its size in the model's
-// word units and is what the BW accounting charges.
-type Payload interface {
-	Words() int64
-}
-
-// Ints is a payload of big integers; its word count is the total limb count
-// (at least one word per integer, so zeros still occupy a word on the wire).
+// Ints is what a message or a local-store entry carries: a vector of big
+// integers, as every message the paper's algorithms send is.
 type Ints []bigint.Int
 
-// Words implements Payload.
+// Words is v's size in the model's word units, what the BW accounting and
+// the memory capacity charge: the total limb count, at least one word per
+// integer, so zeros still occupy a word on the wire.
 func (v Ints) Words() int64 {
 	var w int64
 	for _, x := range v {
@@ -156,12 +151,6 @@ func (v Ints) Words() int64 {
 	}
 	return w
 }
-
-// Meta is a small control payload (a tag, an index, a count) costing one word.
-type Meta struct{ Value int }
-
-// Words implements Payload.
-func (Meta) Words() int64 { return 1 }
 
 // Stats are one processor's accumulated costs.
 type Stats struct {
@@ -255,9 +244,6 @@ func New(cfg Config, plan []Fault) (*Machine, error) {
 	return m, nil
 }
 
-// P returns the processor count.
-func (m *Machine) P() int { return m.cfg.P }
-
 // Run executes program on all P processors and returns the cost report.
 // The first rank to fail aborts the run: a returned error, or a panic,
 // which becomes an error naming the rank so that it does not take the
@@ -334,7 +320,7 @@ func (m *Machine) RunContext(ctx context.Context, program func(*Proc) error) (*R
 // StoreOf reads processor id's local store. It is intended for harness use
 // after Run has returned (e.g. assembling a distributed result without
 // charging communication); calling it during a run races with the programs.
-func (m *Machine) StoreOf(id int, key string) (Payload, bool) {
+func (m *Machine) StoreOf(id int, key string) (Ints, bool) {
 	if id < 0 || id >= m.cfg.P {
 		return nil, false
 	}
@@ -345,9 +331,9 @@ func (m *Machine) StoreOf(id int, key string) (Payload, bool) {
 	return sv.v, true
 }
 
-// storedValue tracks a stored payload and its size for memory accounting.
+// storedValue tracks a stored vector and its size for memory accounting.
 type storedValue struct {
-	v     Payload
+	v     Ints
 	words int64
 }
 
@@ -412,7 +398,7 @@ func (p *Proc) Work(n int64) {
 // one message (L) and the payload's word count (BW) to the sender and
 // advances the sender's clock by α + β·words before stamping the message,
 // so the receiver's clock is advanced on Recv to at least the arrival time.
-func (p *Proc) Send(to int, tag string, payload Payload) error {
+func (p *Proc) Send(to int, tag string, payload Ints) error {
 	if to < 0 || to >= p.m.cfg.P {
 		return fmt.Errorf("machine: proc %d sending to nonexistent proc %d", p.id, to)
 	}
@@ -426,7 +412,7 @@ func (p *Proc) Send(to int, tag string, payload Payload) error {
 // Recv receives the next message from processor `from`, asserting the
 // protocol tag. It blocks until the message arrives and advances the clock
 // to at least the message's arrival time.
-func (p *Proc) Recv(from int, tag string) (Payload, error) {
+func (p *Proc) Recv(from int, tag string) (Ints, error) {
 	if from < 0 || from >= p.m.cfg.P {
 		return nil, fmt.Errorf("machine: proc %d receiving from nonexistent proc %d", p.id, from)
 	}
@@ -446,7 +432,7 @@ func (p *Proc) Recv(from int, tag string) (Payload, error) {
 // proceed at the deadline with whoever reported in time. On the wall clock
 // the receive waits until the real deadline; if nothing came, ok is false
 // and a message sent later stays queued until the run ends.
-func (p *Proc) RecvDeadline(from int, tag string, deadline float64) (Payload, bool, error) {
+func (p *Proc) RecvDeadline(from int, tag string, deadline float64) (Ints, bool, error) {
 	if from < 0 || from >= p.m.cfg.P {
 		return nil, false, fmt.Errorf("machine: proc %d receiving from nonexistent proc %d", p.id, from)
 	}
@@ -464,22 +450,9 @@ func (p *Proc) RecvDeadline(from int, tag string, deadline float64) (Payload, bo
 	return msg.payload, true, nil
 }
 
-// RecvInts is Recv specialized to the Ints payload type.
-func (p *Proc) RecvInts(from int, tag string) (Ints, error) {
-	v, err := p.Recv(from, tag)
-	if err != nil {
-		return nil, err
-	}
-	ints, ok := v.(Ints)
-	if !ok {
-		return nil, fmt.Errorf("machine: proc %d expected Ints from %d tag %q, got %T", p.id, from, tag, v)
-	}
-	return ints, nil
-}
-
-// Store saves a payload in local memory under key, enforcing the memory
+// Store saves a vector in local memory under key, enforcing the memory
 // capacity M when configured. Overwriting a key releases the old value.
-func (p *Proc) Store(key string, v Payload) error {
+func (p *Proc) Store(key string, v Ints) error {
 	w := v.Words()
 	old := p.store[key].words
 	next := p.memWords - old + w
@@ -492,8 +465,9 @@ func (p *Proc) Store(key string, v Payload) error {
 	return nil
 }
 
-// Load retrieves a stored payload.
-func (p *Proc) Load(key string) (Payload, bool) {
+// Load retrieves a stored vector; ok is false when the key is absent, for
+// example because a fault wiped the store.
+func (p *Proc) Load(key string) (Ints, bool) {
 	sv, ok := p.store[key]
 	if !ok {
 		return nil, false
@@ -501,35 +475,12 @@ func (p *Proc) Load(key string) (Payload, bool) {
 	return sv.v, true
 }
 
-// LoadInts retrieves a stored Ints payload, with a typed error on mismatch.
-func (p *Proc) LoadInts(key string) (Ints, error) {
-	v, ok := p.Load(key)
-	if !ok {
-		return nil, fmt.Errorf("machine: proc %d has no %q (lost to a fault?)", p.id, key)
-	}
-	ints, ok := v.(Ints)
-	if !ok {
-		return nil, fmt.Errorf("machine: proc %d key %q holds %T, not Ints", p.id, key, v)
-	}
-	return ints, nil
-}
-
-// Free releases a stored payload.
+// Free releases a stored vector.
 func (p *Proc) Free(key string) {
 	if sv, ok := p.store[key]; ok {
 		p.memWords -= sv.words
 		delete(p.store, key)
 	}
-}
-
-// Keys returns the stored keys in sorted order (diagnostics).
-func (p *Proc) Keys() []string {
-	keys := make([]string, 0, len(p.store))
-	for k := range p.store {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // MemoryWords returns the current local-store occupancy.

@@ -37,7 +37,7 @@ func TestSendRecv(t *testing.T) {
 		if p.ID() == 0 {
 			return p.Send(1, "data", payload)
 		}
-		got, err := p.RecvInts(0, "data")
+		got, err := p.Recv(0, "data")
 		if err != nil {
 			return err
 		}
@@ -65,7 +65,7 @@ func TestTagMismatch(t *testing.T) {
 		m, _ := New(Config{P: 2, Backend: b}, nil)
 		_, err := m.Run(func(p *Proc) error {
 			if p.ID() == 0 {
-				return p.Send(1, "alpha", Meta{})
+				return p.Send(1, "alpha", words(1))
 			}
 			_, err := p.Recv(0, "beta")
 			return err
@@ -101,13 +101,13 @@ func TestClockCriticalPath(t *testing.T) {
 		switch p.ID() {
 		case 0:
 			p.Work(50)
-			return p.Send(1, "x", Meta{})
+			return p.Send(1, "x", words(1))
 		case 1:
 			if _, err := p.Recv(0, "x"); err != nil {
 				return err
 			}
 			p.Work(50)
-			return p.Send(2, "x", Meta{})
+			return p.Send(2, "x", words(1))
 		default:
 			_, err := p.Recv(1, "x")
 			return err
@@ -149,9 +149,9 @@ func TestStoreLoadFree(t *testing.T) {
 		if p.MemoryWords() != 3 {
 			return fmt.Errorf("mem = %d, want 3", p.MemoryWords())
 		}
-		got, err := p.LoadInts("a")
-		if err != nil {
-			return err
+		got, ok := p.Load("a")
+		if !ok {
+			return fmt.Errorf("stored value missing")
 		}
 		if !got[0].Equal(v[0]) {
 			return fmt.Errorf("loaded wrong value")
@@ -160,7 +160,7 @@ func TestStoreLoadFree(t *testing.T) {
 		if p.MemoryWords() != 0 {
 			return fmt.Errorf("free did not release memory")
 		}
-		if _, err := p.LoadInts("a"); err == nil {
+		if _, ok := p.Load("a"); ok {
 			return fmt.Errorf("expected miss after Free")
 		}
 		return nil
@@ -243,14 +243,14 @@ func TestFaultInjection(t *testing.T) {
 		atomic.AddInt32(&observed, 1)
 		if p.ID() == 1 {
 			// The replacement's store is empty.
-			if _, err := p.LoadInts("data"); err == nil {
+			if _, ok := p.Load("data"); ok {
 				return fmt.Errorf("fault did not wipe store")
 			}
 			if p.FaultCount() != 1 {
 				return fmt.Errorf("fault count %d", p.FaultCount())
 			}
-		} else if _, err := p.LoadInts("data"); err != nil {
-			return fmt.Errorf("survivor lost data: %v", err)
+		} else if _, ok := p.Load("data"); !ok {
+			return fmt.Errorf("survivor lost data")
 		}
 		return nil
 	})
@@ -402,13 +402,13 @@ func TestRankPanicBecomesError(t *testing.T) {
 					if p.ID() == 2 && round == 1 {
 						panic("mid-exchange")
 					}
-					if _, err := p.RecvInts(prev, "ring"); err != nil {
+					if _, err := p.Recv(prev, "ring"); err != nil {
 						return err
 					}
 				}
 				// Rank 3's second receive from rank 2 comes through; rank 0
 				// then waits on rank 3's never-sent third message.
-				if _, err := p.RecvInts(prev, "ring"); err != nil {
+				if _, err := p.Recv(prev, "ring"); err != nil {
 					return err
 				}
 				return nil
@@ -426,7 +426,7 @@ func TestRankPanicBecomesError(t *testing.T) {
 func TestSendBounds(t *testing.T) {
 	m, _ := New(Config{P: 1}, nil)
 	_, err := m.Run(func(p *Proc) error {
-		if err := p.Send(7, "x", Meta{}); err == nil {
+		if err := p.Send(7, "x", words(1)); err == nil {
 			return fmt.Errorf("expected out-of-range error")
 		}
 		if _, err := p.Recv(-1, "x"); err == nil {
@@ -445,7 +445,7 @@ func TestMarks(t *testing.T) {
 		p.Work(10)
 		p.Mark("after-work")
 		if p.ID() == 0 {
-			if err := p.Send(1, "x", Meta{}); err != nil {
+			if err := p.Send(1, "x", words(1)); err != nil {
 				return err
 			}
 		} else if _, err := p.Recv(0, "x"); err != nil {
@@ -493,11 +493,11 @@ func TestRecvDeadline(t *testing.T) {
 		switch p.ID() {
 		case 0:
 			// Fast sender: arrives around t=11.
-			return p.Send(2, "d", Meta{})
+			return p.Send(2, "d", words(1))
 		case 1:
 			// Slow sender: works first, arrives around t=1011.
 			p.Work(1000)
-			return p.Send(2, "d", Meta{})
+			return p.Send(2, "d", words(1))
 		default:
 			// Accept only what arrives by t=500.
 			got, ok, err := p.RecvDeadline(0, "d", 500)
@@ -540,14 +540,14 @@ func TestLazyChannelAllocation(t *testing.T) {
 		_, err = m.Run(func(p *Proc) error {
 			next := (p.ID() + 1) % p.P()
 			prev := (p.ID() + p.P() - 1) % p.P()
-			if err := p.Send(next, "ring", Meta{Value: p.ID()}); err != nil {
+			if err := p.Send(next, "ring", Ints{bigint.FromInt64(int64(p.ID()))}); err != nil {
 				return err
 			}
 			got, err := p.Recv(prev, "ring")
 			if err != nil {
 				return err
 			}
-			if got.(Meta).Value != prev {
+			if v, _ := got[0].Int64(); v != int64(prev) {
 				return fmt.Errorf("proc %d: bad ring value %v", p.ID(), got)
 			}
 			return nil
@@ -682,7 +682,7 @@ func TestInjectsAtScheduledHit(t *testing.T) {
 	eachBackend(t, func(t *testing.T, b Backend) {
 		m, _ := New(Config{P: 3, Backend: b}, []Fault{{Proc: 1, Phase: "mul", Hit: 1}})
 		rep, err := m.Run(func(p *Proc) error {
-			if err := p.Store("data", Meta{}); err != nil {
+			if err := p.Store("data", words(1)); err != nil {
 				return err
 			}
 			for i, phase := range []string{"mul", "other", "mul"} {

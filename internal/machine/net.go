@@ -17,7 +17,7 @@ const pairCap = 128
 // (after the transfer's charge) when it was sent.
 type message struct {
 	tag     string
-	payload Payload
+	payload Ints
 	stamp   float64
 }
 

@@ -8,10 +8,8 @@ import (
 	"time"
 )
 
-// words is a bare payload of the given size.
-type words int64
-
-func (w words) Words() int64 { return int64(w) }
+// words is a message of n zero entries, which costs n words.
+func words(n int) Ints { return make(Ints, n) }
 
 // eachBackend runs test once per backend, as a subtest named after it.
 func eachBackend(t *testing.T, test func(t *testing.T, b Backend)) {
@@ -49,7 +47,7 @@ func TestClockStampsAndRecvSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.(words) != 3 {
+	if got.Words() != 3 {
 		t.Errorf("payload = %v", got)
 	}
 	// The receiver's clock jumps to the sender's stamp, not beyond.
@@ -133,7 +131,7 @@ func TestRecvDeadlineQueuedBeforePassedDeadline(t *testing.T) {
 			if !ok {
 				t.Fatalf("iteration %d: message sent before the deadline reported late", i)
 			}
-			if got.(words) != words(i) {
+			if got.Words() != int64(i) {
 				t.Fatalf("iteration %d: payload %v", i, got)
 			}
 		}
@@ -383,14 +381,15 @@ func TestQueuedRecvAllocs(t *testing.T) {
 		if _, err := ps[1].Recv(0, "beta"); err == nil || !strings.Contains(err.Error(), "expected tag") {
 			t.Fatalf("queued tag mismatch err = %v", err)
 		}
+		msg := words(1) // made once: a fresh vector is the caller's allocation
 		allocs := testing.AllocsPerRun(100, func() {
-			if err := ps[0].Send(1, "q", words(1)); err != nil {
+			if err := ps[0].Send(1, "q", msg); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := ps[1].Recv(0, "q"); err != nil {
 				t.Fatal(err)
 			}
-			if err := ps[0].Send(1, "d", words(1)); err != nil {
+			if err := ps[0].Send(1, "d", msg); err != nil {
 				t.Fatal(err)
 			}
 			if _, _, err := ps[1].RecvDeadline(0, "d", 1e9); err != nil {
@@ -410,7 +409,7 @@ func TestQueuedRecvAllocs(t *testing.T) {
 func TestWaitingRecvAndBarrierAllocs(t *testing.T) {
 	eachBackend(t, func(t *testing.T, b Backend) {
 		_, ps := ranks(t, Config{P: 2, Backend: b}, nil)
-		var msg Payload = words(1)
+		msg := words(1)
 		kick := make(chan bool)
 		errs := make(chan error, 1)
 		go func() {

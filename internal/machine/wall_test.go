@@ -22,7 +22,7 @@ func TestWallBackendSendRecvCounts(t *testing.T) {
 		if p.ID() == 0 {
 			return p.Send(1, "data", payload)
 		}
-		got, err := p.RecvInts(0, "data")
+		got, err := p.Recv(0, "data")
 		if err != nil {
 			return err
 		}
@@ -57,11 +57,11 @@ func TestWallBackendFaultInjection(t *testing.T) {
 			return fmt.Errorf("proc %d saw events %v", p.ID(), events)
 		}
 		if p.ID() == 1 {
-			if _, err := p.LoadInts("data"); err == nil {
+			if _, ok := p.Load("data"); ok {
 				return fmt.Errorf("fault did not wipe store")
 			}
-		} else if _, err := p.LoadInts("data"); err != nil {
-			return fmt.Errorf("survivor lost data: %v", err)
+		} else if _, ok := p.Load("data"); !ok {
+			return fmt.Errorf("survivor lost data")
 		}
 		return nil
 	})
@@ -134,7 +134,7 @@ func TestBackendsAgreeOnCounts(t *testing.T) {
 			if err := p.Send(1, "x", Ints{bigint.FromInt64(7)}); err != nil {
 				return err
 			}
-		} else if _, err := p.RecvInts(0, "x"); err != nil {
+		} else if _, err := p.Recv(0, "x"); err != nil {
 			return err
 		}
 		if _, err := p.Barrier("sync"); err != nil {

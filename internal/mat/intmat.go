@@ -14,8 +14,7 @@ import (
 )
 
 // IntMat is a dense rows×cols matrix over integers. The zero IntMat is the
-// empty 0×0 matrix. Matrices are mutable; use Clone before destructive
-// operations when the original is still needed.
+// empty 0×0 matrix. Matrices are mutable.
 //
 // The type is deliberately not named Int: the analysis layers key limb
 // arithmetic and value contracts on the receiver type name "Int"
@@ -44,18 +43,6 @@ func IntMatFromFlat(rows, cols int, flat []bigint.Int) *IntMat {
 		panic(fmt.Sprintf("mat: IntMatFromFlat got %d entries for %dx%d", len(flat), rows, cols))
 	}
 	return &IntMat{rows: rows, cols: cols, a: flat}
-}
-
-// IntMatFromInt64s builds a matrix from a row-major slice of small integers.
-func IntMatFromInt64s(rows, cols int, vals []int64) *IntMat {
-	if len(vals) != rows*cols {
-		panic("mat: IntMatFromInt64s size mismatch")
-	}
-	m := NewIntMat(rows, cols)
-	for i, v := range vals {
-		m.a[i] = bigint.FromInt64(v)
-	}
-	return m
 }
 
 // IntIdentity returns the n×n integer identity matrix.
@@ -94,14 +81,6 @@ func (m *IntMat) check(i, j int) {
 // Flat returns the row-major backing vector — the wire shape the collective
 // layer sends. The slice aliases the matrix; callers who mutate it mutate m.
 func (m *IntMat) Flat() []bigint.Int { return m.a }
-
-// Clone returns a deep copy of m (entry values are immutable, so copying the
-// backing slice suffices).
-func (m *IntMat) Clone() *IntMat {
-	z := &IntMat{rows: m.rows, cols: m.cols, a: make([]bigint.Int, len(m.a))}
-	copy(z.a, m.a)
-	return z
-}
 
 // Equal reports whether m and n have the same shape and entries.
 func (m *IntMat) Equal(n *IntMat) bool {
@@ -164,68 +143,6 @@ func (m *IntMat) MulNaive(n *IntMat) *IntMat {
 	return z
 }
 
-// strassenCutoff is the dimension below which Strassen recursion falls back
-// to the classical product; 2×2 blocking gains nothing on tiny tiles.
-const strassenCutoff = 8
-
-// Strassen returns the matrix product m·n via Strassen's 2×2 recursion.
-// Odd or non-square shapes are zero-padded to the next even square at each
-// level and the result is cropped back, so any conformable pair multiplies.
-func (m *IntMat) Strassen(n *IntMat) *IntMat {
-	if m.cols != n.rows {
-		panic(fmt.Sprintf("mat: Strassen shape mismatch %dx%d · %dx%d", m.rows, m.cols, n.rows, n.cols))
-	}
-	size := maxDim(m.rows, m.cols, n.cols)
-	if size%2 != 0 {
-		size++
-	}
-	if size < strassenCutoff {
-		return m.MulNaive(n)
-	}
-	a := m.padTo(size, size)
-	b := n.padTo(size, size)
-	c := strassenSquare(a, b)
-	return c.Block(0, 0, m.rows, n.cols)
-}
-
-// strassenSquare multiplies two even n×n matrices by Strassen's identities.
-func strassenSquare(a, b *IntMat) *IntMat {
-	n := a.rows
-	if n < strassenCutoff {
-		return a.MulNaive(b)
-	}
-	h := n / 2
-	if h%2 != 0 && h >= strassenCutoff {
-		// Keep halves even so every level splits cleanly.
-		return a.padTo(n+2, n+2).strassenEven(b.padTo(n+2, n+2)).Block(0, 0, n, n)
-	}
-	return a.strassenEven(b)
-}
-
-func (a *IntMat) strassenEven(b *IntMat) *IntMat {
-	n := a.rows
-	h := n / 2
-	a00, a01 := a.Block(0, 0, h, h), a.Block(0, h, h, h)
-	a10, a11 := a.Block(h, 0, h, h), a.Block(h, h, h, h)
-	b00, b01 := b.Block(0, 0, h, h), b.Block(0, h, h, h)
-	b10, b11 := b.Block(h, 0, h, h), b.Block(h, h, h, h)
-
-	m1 := strassenSquare(a00.Add(a11), b00.Add(b11))
-	m2 := strassenSquare(a10.Add(a11), b00)
-	m3 := strassenSquare(a00, b01.SubM(b11))
-	m4 := strassenSquare(a11, b10.SubM(b00))
-	m5 := strassenSquare(a00.Add(a01), b11)
-	m6 := strassenSquare(a10.SubM(a00), b00.Add(b01))
-	m7 := strassenSquare(a01.SubM(a11), b10.Add(b11))
-
-	c := NewIntMat(n, n)
-	c.SetBlock(0, 0, m1.Add(m4).SubM(m5).Add(m7))
-	c.SetBlock(0, h, m3.Add(m5))
-	c.SetBlock(h, 0, m2.Add(m4))
-	c.SetBlock(h, h, m1.SubM(m2).Add(m3).Add(m6))
-	return c
-}
-
 // Block returns a copy of the r×c submatrix whose top-left corner is (i0, j0).
 func (m *IntMat) Block(i0, j0, r, c int) *IntMat {
 	if i0 < 0 || j0 < 0 || r < 0 || c < 0 || i0+r > m.rows || j0+c > m.cols {
@@ -248,16 +165,6 @@ func (m *IntMat) SetBlock(i0, j0 int, blk *IntMat) {
 	}
 }
 
-// padTo returns m zero-extended to rows×cols (m's shape must fit).
-func (m *IntMat) padTo(rows, cols int) *IntMat {
-	if rows == m.rows && cols == m.cols {
-		return m
-	}
-	z := NewIntMat(rows, cols)
-	z.SetBlock(0, 0, m)
-	return z
-}
-
 // Transpose returns mᵀ.
 func (m *IntMat) Transpose() *IntMat {
 	z := &IntMat{rows: m.cols, cols: m.rows, a: make([]bigint.Int, len(m.a))}
@@ -267,14 +174,4 @@ func (m *IntMat) Transpose() *IntMat {
 		}
 	}
 	return z
-}
-
-func maxDim(vals ...int) int {
-	out := 0
-	for _, v := range vals {
-		if v > out {
-			out = v
-		}
-	}
-	return out
 }

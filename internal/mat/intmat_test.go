@@ -106,45 +106,3 @@ func TestIntMatBlockStitch(t *testing.T) {
 		t.Fatalf("block decompose/stitch round-trip failed")
 	}
 }
-
-// Strassen must agree with the classical product on every shape, including
-// odd dimensions and shapes around the recursion cutoff.
-func TestIntMatStrassenMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	shapes := [][3]int{
-		{1, 1, 1}, {2, 2, 2}, {3, 3, 3}, {7, 7, 7}, {8, 8, 8},
-		{9, 9, 9}, {15, 15, 15}, {16, 16, 16}, {17, 17, 17},
-		{5, 9, 3}, {12, 7, 10}, {31, 4, 19}, {1, 33, 1},
-	}
-	for _, s := range shapes {
-		a := randIntMat(rng, s[0], s[1], 48)
-		b := randIntMat(rng, s[1], s[2], 48)
-		got := a.Strassen(b)
-		want := a.MulNaive(b)
-		if !got.Equal(want) {
-			t.Fatalf("Strassen != naive for %dx%d · %dx%d", s[0], s[1], s[1], s[2])
-		}
-	}
-}
-
-// FuzzIntMatStrassen drives Strassen against the classical oracle with
-// fuzzer-chosen shapes (odd, padded, rectangular) and entry seeds.
-func FuzzIntMatStrassen(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(5), uint8(2))
-	f.Add(int64(2), uint8(9), uint8(9), uint8(9))
-	f.Add(int64(3), uint8(17), uint8(1), uint8(17))
-	f.Add(int64(4), uint8(8), uint8(16), uint8(24))
-	f.Fuzz(func(t *testing.T, seed int64, rr, kk, cc uint8) {
-		r := 1 + int(rr)%24
-		k := 1 + int(kk)%24
-		c := 1 + int(cc)%24
-		rng := rand.New(rand.NewSource(seed))
-		a := randIntMat(rng, r, k, 40)
-		b := randIntMat(rng, k, c, 40)
-		got := a.Strassen(b)
-		want := a.MulNaive(b)
-		if !got.Equal(want) {
-			t.Fatalf("Strassen != naive for %dx%d · %dx%d (seed %d)", r, k, k, c, seed)
-		}
-	})
-}

@@ -19,9 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/bigint"
-	"repro/internal/mat"
 	"repro/internal/points"
-	"repro/internal/poly"
 	"repro/internal/rat"
 	"repro/internal/toom"
 )
@@ -181,8 +179,7 @@ func (alg *Algorithm) MulWithErasures(a, b bigint.Int, dead []int) (bigint.Int, 
 
 	// Recompose the multivariate product polynomial at the base tower
 	// (Claim 2.1's variable assignment y_j = 2^{shift·k^{l-j}}).
-	mp := &poly.MultiPoly{R: 2*alg.K - 1, L: alg.L, Coeffs: coeffs}
-	z := mp.EvalBase2Tower(alg.K, shift)
+	z := evalBase2Tower(coeffs, alg.K, alg.L, shift)
 	if neg {
 		z = z.Neg()
 	}
@@ -222,9 +219,32 @@ func (alg *Algorithm) GeneralPosition() bool {
 	return points.InGeneralPosition(alg.pts, 2*alg.K-1, alg.L)
 }
 
-// EvalMatrix exposes the extended evaluation matrix (for diagnostics).
-func (alg *Algorithm) EvalMatrix() *mat.Matrix {
-	return points.MultiEvalMatrix(alg.pts, alg.K, alg.L)
+// evalBase2Tower evaluates the product polynomial of Poly_{2k-1,l} whose
+// coefficients are coeffs, in the monomial order of points.Monomials, with
+// variable y_j set to 2^{shift·k^{l-j}}: the final recomposition of
+// lazy-interpolation Toom-Cook, where the digits were split in base
+// 2^shift and the tower of variables stands for the nested digit bases.
+func evalBase2Tower(coeffs []bigint.Int, k, l, shift int) bigint.Int {
+	// Weight of variable d (0-based, most significant first): k^{l-1-d}·shift bits.
+	weights := make([]int, l)
+	w := 1
+	for d := l - 1; d >= 0; d-- {
+		weights[d] = w * shift
+		w *= k
+	}
+	acc := bigint.Zero()
+	for idx, e := range points.Monomials(2*k-1, l) {
+		c := coeffs[idx]
+		if c.IsZero() {
+			continue
+		}
+		bits := 0
+		for d := 0; d < l; d++ {
+			bits += e[d] * weights[d]
+		}
+		acc = acc.Add(c.Shl(uint(bits)))
+	}
+	return acc
 }
 
 func digitsOf(v bigint.Int, n, shift int) []bigint.Int {

@@ -155,9 +155,6 @@ func NewPlan(a, b bigint.Int, opts Options) (*Plan, error) {
 	return pl, nil
 }
 
-// K returns the split number of the underlying algorithm.
-func (pl *Plan) K() int { return pl.k }
-
 // P returns the worker processor count (excluding any code processors).
 func (pl *Plan) P() int { return pl.p }
 
@@ -166,10 +163,6 @@ func (pl *Plan) Shift() int { return pl.shift }
 
 // Levels returns l_total.
 func (pl *Plan) Levels() int { return pl.levels }
-
-// Negative reports whether the product's sign is negative (the plan works
-// on magnitudes; wrappers that assemble results themselves need the sign).
-func (pl *Plan) Negative() bool { return pl.neg }
 
 // InputShares returns worker q's cyclic shares of the two operand digit
 // vectors (aliases internal storage; treat as read-only).
@@ -196,7 +189,7 @@ func (pl *Plan) Execute(m *machine.Machine) (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("parallel: processor %d has no result share", q)
 		}
-		return []bigint.Int(v.(machine.Ints)), nil
+		return v, nil
 	})
 	if err != nil {
 		return nil, err

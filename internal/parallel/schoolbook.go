@@ -135,7 +135,7 @@ func MultiplySchoolbook(a, b bigint.Int, opts SchoolbookOptions) (*SchoolbookRes
 		if !ok {
 			return nil, fmt.Errorf("parallel: diagonal %d root has no partial", d)
 		}
-		part := v.(machine.Ints)[0]
+		part := v[0]
 		product = product.Add(part.Shl(uint(d * shift)))
 	}
 	if neg {

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/bigint"
+	"repro/internal/workpool"
 )
 
 // MulConcurrent returns a·b like Mul, but computes the 2k-1 pointwise
@@ -13,20 +14,21 @@ import (
 // multiplications; depth 0 is exactly Mul.
 //
 // Parallelism is bounded by the shared GOMAXPROCS-sized worker pool
-// (pool.go): each level submits its sub-products to the pool and computes
-// whatever the pool declines inline, so deep fan-outs stop spawning
-// (2k-1)^d goroutines while the recursion-tree independence the paper's BFS
-// steps distribute is still fully exploited.
+// (workpool.Shared, taken once per call): each level submits its
+// sub-products to the pool and computes whatever the pool declines inline,
+// so deep fan-outs stop spawning (2k-1)^d goroutines while the
+// recursion-tree independence the paper's BFS steps distribute is still
+// fully exploited.
 func (alg *Algorithm) MulConcurrent(a, b bigint.Int, depth int) bigint.Int {
 	neg := a.Sign()*b.Sign() < 0
-	z := alg.mulAbsConcurrent(a.Abs(), b.Abs(), depth)
+	z := alg.mulAbsConcurrent(workpool.Shared(), a.Abs(), b.Abs(), depth)
 	if neg {
 		z = z.Neg()
 	}
 	return z
 }
 
-func (alg *Algorithm) mulAbsConcurrent(a, b bigint.Int, depth int) bigint.Int {
+func (alg *Algorithm) mulAbsConcurrent(pool *workpool.Pool, a, b bigint.Int, depth int) bigint.Int {
 	if a.IsZero() || b.IsZero() {
 		return bigint.Zero()
 	}
@@ -48,10 +50,10 @@ func (alg *Algorithm) mulAbsConcurrent(a, b bigint.Int, depth int) bigint.Int {
 	var wg sync.WaitGroup
 	for i := range prods {
 		i := i
-		leafPool.Fork(&wg, func() {
+		pool.Fork(&wg, func() {
 			x, y := ea[i], eb[i]
 			n := x.Sign()*y.Sign() < 0
-			z := alg.mulAbsConcurrent(x.Abs(), y.Abs(), depth-1)
+			z := alg.mulAbsConcurrent(pool, x.Abs(), y.Abs(), depth-1)
 			if n {
 				z = z.Neg()
 			}

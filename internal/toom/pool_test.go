@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/bigint"
+	"repro/internal/workpool"
 )
 
 // TestMulConcurrentPoolBounded is the acceptance test for the bounded
@@ -21,7 +22,7 @@ func TestMulConcurrentPoolBounded(t *testing.T) {
 			alg := MustNew(k)
 			a := bigint.Random(rng, 1<<14)
 			b := bigint.Random(rng, 1<<14)
-			leafPool.ResetStats()
+			workpool.Shared().ResetStats()
 			got := alg.MulConcurrent(a, b, 2)
 			if want := alg.Mul(a, b); !got.Equal(want) {
 				t.Fatalf("MulConcurrent(depth=2) product mismatch")

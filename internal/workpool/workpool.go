@@ -62,14 +62,27 @@ func New(size int) *Pool {
 	return p
 }
 
-// shared is the process-wide pool: every concurrent multiplication — Toom
-// leaf fan-out and NTT butterfly stages alike — draws from the same
-// GOMAXPROCS slots, so nested or simultaneous calls cannot oversubscribe
-// the host.
-var shared = New(runtime.GOMAXPROCS(0))
+// shared is the process-wide pool that Shared hands out.
+var shared atomic.Pointer[Pool]
 
-// Shared returns the process-wide GOMAXPROCS-sized pool.
-func Shared() *Pool { return shared }
+// Shared returns the process-wide pool, with one slot per GOMAXPROCS: every
+// concurrent multiplication — Toom leaf fan-out and NTT butterfly stages
+// alike — draws from the same slots, so nested or simultaneous calls cannot
+// oversubscribe the host. A multiplication takes the pool once, when it
+// starts. GOMAXPROCS can change after package init (go test -cpu does
+// that), so Shared makes a pool of the new size when it has changed; the
+// multiplications already running finish on the old one.
+func Shared() *Pool {
+	n := runtime.GOMAXPROCS(0)
+	p := shared.Load()
+	if p != nil && p.Capacity() == n {
+		return p
+	}
+	if np := New(n); shared.CompareAndSwap(p, np) {
+		return np
+	}
+	return shared.Load()
+}
 
 // Fork runs fn, on a pooled worker goroutine when a slot is free and inline
 // otherwise. wg is incremented before the worker starts and released when fn
