@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmtcheck test race vet allocs procs benchtest bench benchjson benchgate caltune fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke loc ci
+.PHONY: build fmtcheck test race vet allocs procs benchtest bench benchjson benchgate fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke loc census ci
 
 build:
 	$(GO) build ./...
@@ -82,11 +82,6 @@ benchgate:
 	@test -n "$(BENCH_BASE)" || { echo "benchgate: no committed BENCH_PR*.json baseline"; exit 1; }
 	$(GO) run ./cmd/benchjson -bench BenchmarkAlloc -count 3 -out '' -gate $(BENCH_BASE)
 
-# Measure this machine's kernel crossovers and write calibration.json,
-# picked up automatically by internal/bigint at process start.
-caltune:
-	$(GO) run ./cmd/caltune -v
-
 # Wall-clock backend smoke: the whole machine suite (its table-driven tests
 # run every receive, deadline, barrier, cancellation, timeout and allocation
 # behaviour on the wall clock as well as the sim one, including the deadline
@@ -151,5 +146,13 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2
 
+# Linker census of unreached code (scripts/census.sh): every non-test
+# function no binary reaches must be on scripts/census.keep, and every entry
+# there must still be unreached. Runtime packages are rooted at every main
+# but cmd/ftlint, plus bench/; internal/analysis at cmd/ftlint alone, whose
+# reflection bridge keeps every exported method of the types it bridges.
+census:
+	@bash scripts/census.sh
+
 # ci mirrors .github/workflows/ci.yml locally: everything a PR must pass.
-ci: build fmtcheck test vet allocs procs benchtest race fuzz-smoke wallsmoke matsmoke examples lint
+ci: build fmtcheck census test vet allocs procs benchtest race fuzz-smoke wallsmoke matsmoke examples lint

@@ -9,7 +9,6 @@ package ftmul
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/bigint"
@@ -121,21 +120,6 @@ func BenchmarkAllocNTT(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_ = a.Mul(x)
-			}
-		})
-	}
-}
-
-// BenchmarkAllocMulConcurrent exercises the bounded worker pool on the
-// shared-memory concurrent multiply (depth-2 fan-out).
-func BenchmarkAllocMulConcurrent(b *testing.B) {
-	a, x := benchOperands(1 << 16)
-	for _, k := range []int{2, 3} {
-		alg := toom.MustNew(k)
-		b.Run(fmt.Sprintf("k=%d/depth=2/procs=%d", k, runtime.GOMAXPROCS(0)), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = alg.MulConcurrent(a, x, 2)
 			}
 		})
 	}

@@ -36,6 +36,7 @@ import (
 	"math/rand"
 	"os"
 	"text/tabwriter"
+	"time"
 
 	"repro/internal/bigint"
 	"repro/internal/costmodel"
@@ -52,7 +53,8 @@ import (
 // expBackend is the -backend flag: every machine the experiments build gets
 // it stamped into its config via mcfg. F/BW/L columns are identical on both
 // backends (machine.Proc charges them whatever the clock); time columns change
-// meaning from modeled units to real seconds.
+// meaning from modeled units to real seconds, except in stragglers, which
+// dilates the wall clock to model units.
 var expBackend machine.Backend
 
 // mcfg stamps the selected backend into a machine config.
@@ -191,9 +193,13 @@ func stragglers(a, b bigint.Int) error {
 		slowPlain[lay.Worker(r, 1)] = factor
 	}
 	want := alg.Mul(a, b)
+	// The wall clock slows a rank in real time only when charges are slept
+	// off, and its times then read in model units, as the sim clock's do
+	// (the sim clock ignores the dilation).
+	const dilation = 10 * time.Nanosecond
 
 	plain, err := parallel.Multiply(a, b, parallel.Options{
-		Alg: alg, P: 9, Machine: mcfg(machine.Config{SpeedFactors: slowPlain}),
+		Alg: alg, P: 9, Machine: mcfg(machine.Config{SpeedFactors: slowPlain, WallTimeDilation: dilation}),
 	})
 	if err != nil {
 		return err
@@ -205,7 +211,7 @@ func stragglers(a, b bigint.Int) error {
 	res, err := ftparallel.Multiply(a, b, ftparallel.Options{
 		Alg: alg, P: 9, F: 1,
 		StragglerSlack: slack,
-		Machine:        mcfg(machine.Config{SpeedFactors: slow}),
+		Machine:        mcfg(machine.Config{SpeedFactors: slow, WallTimeDilation: dilation}),
 	})
 	if err != nil {
 		return err

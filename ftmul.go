@@ -49,8 +49,8 @@ const DefaultK = 3
 
 // pastToomNTT reports whether the sequential API should bypass Toom-Cook and
 // multiply through the kernel crossover ladder directly (schoolbook →
-// Karatsuba → NTT; internal/bigint). The crossover is the calibration
-// ladder's toom_ntt_bits (bigint.ToomNTTThresholdBits; <= 0 disables the
+// Karatsuba → NTT; internal/bigint). The crossover is the ladder's
+// compiled-in ToomNTTBits (bigint.ToomNTTThresholdBits; <= 0 disables the
 // bypass). Only the sequential convenience API dispatches on it — the
 // parallel and fault-tolerant paths are the object of study and stay on
 // Toom-Cook regardless, so their F/BW/L accounting is unaffected.
@@ -60,7 +60,7 @@ func pastToomNTT(a, b *big.Int) bool {
 }
 
 // Mul multiplies two integers sequentially. It never fails: any size, any
-// sign. Below the calibrated Toom → NTT crossover it runs Toom-Cook-3; at
+// sign. Below the ladder's Toom → NTT crossover it runs Toom-Cook-3; at
 // and above it, the operands are large enough that the NTT tier of the
 // kernel ladder beats the Toom recursion outright, so it dispatches straight
 // to the kernel (which climbs schoolbook → Karatsuba → NTT internally).
@@ -75,7 +75,7 @@ func Mul(a, b *big.Int) *big.Int {
 // MulToom multiplies with sequential Toom-Cook-k over the standard
 // evaluation points (0, ±1, ±2, …, ∞); k must be at least 2. Like Mul, it
 // dispatches past the Toom recursion to the kernel ladder above the
-// calibrated Toom → NTT crossover.
+// Toom → NTT crossover.
 func MulToom(a, b *big.Int, k int) (*big.Int, error) {
 	alg, err := toom.New(k)
 	if err != nil {

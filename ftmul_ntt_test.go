@@ -9,7 +9,7 @@ import (
 )
 
 // TestSequentialToomNTTBypass pins the sequential API's Toom → NTT
-// dispatch: above the calibrated crossover Mul, MulToom and Square reroute
+// dispatch: above the ladder's crossover Mul, MulToom and Square reroute
 // to the kernel ladder and must agree with math/big; just below it they
 // stay on Toom-Cook (cross-checked the same way). The parallel and
 // fault-tolerant entry points have no such bypass — their costs are the

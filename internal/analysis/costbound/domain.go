@@ -965,8 +965,6 @@ func (d *deriver) algContract(ev *framework.Eval, name string, recv Value, args 
 	switch name {
 	case "K":
 		return []Value{framework.SymInt(k())}, true
-	case "NumProducts":
-		return []Value{framework.SymInt(k().Scale(2).Sub(framework.SymConst(1)))}, true
 	case "U":
 		return []Value{opaque{}}, true
 	case "WScaled":

@@ -1,12 +1,12 @@
 // Package poolspawn forbids raw `go` statements in the packages whose
 // concurrency must route through the bounded worker pool
-// (internal/workpool): internal/toom, internal/parallel,
-// internal/ftparallel, internal/machine, internal/bigint (the NTT's
-// per-prime and butterfly fan-out), internal/workpool itself, and
-// cmd/caltune. The seed implementation's one-goroutine-per-subproduct
-// fan-out was a (2k-1)^depth goroutine explosion; the pool bounds live
-// workers at GOMAXPROCS, and this analyzer keeps new code from quietly
-// reintroducing unbounded spawns.
+// (internal/workpool): internal/toom, internal/parallel, internal/ftengine,
+// internal/ftparallel, internal/ftmatmul, internal/machine, internal/bigint
+// (the NTT's per-prime and butterfly fan-out) and internal/workpool itself.
+// The seed implementation's one-goroutine-per-subproduct fan-out was a
+// (2k-1)^depth goroutine explosion; the pool bounds live workers at
+// GOMAXPROCS, and this analyzer keeps new code from quietly reintroducing
+// unbounded spawns.
 //
 // The two legitimate spawn sites — the pool's own worker launch and the
 // machine simulator's one-goroutine-per-processor Run loop — carry explicit
@@ -27,7 +27,7 @@ var Analyzer = &framework.Analyzer{
 
 // governed lists the package path segments under the no-raw-goroutines rule.
 // The "machine" segment covers internal/machine.
-var governed = []string{"toom", "parallel", "ftengine", "ftparallel", "ftmatmul", "machine", "bigint", "workpool", "caltune"}
+var governed = []string{"toom", "parallel", "ftengine", "ftparallel", "ftmatmul", "machine", "bigint", "workpool"}
 
 func run(pass *framework.Pass) error {
 	target := false

@@ -32,9 +32,3 @@ func TestPoolSpawnBigint(t *testing.T) {
 func TestPoolSpawnWorkpool(t *testing.T) {
 	analysistest.Run(t, poolspawn.Analyzer, "workpool")
 }
-
-// The calibrator is governed: background goroutines would perturb its
-// timing probes.
-func TestPoolSpawnCaltune(t *testing.T) {
-	analysistest.Run(t, poolspawn.Analyzer, "caltune")
-}

@@ -11,8 +11,8 @@
 // enclosing function — a Stats declared inside the literal is worker-local
 // and safe. Calls to chargeWords on a captured Stats are flagged too:
 // chargeWords is a plain `+=` underneath. The sanctioned patterns are
-// passing nil stats into concurrent leaves (as MulConcurrent does) or
-// giving each worker its own Stats and merging after the join.
+// passing nil stats into concurrent leaves or giving each worker its own
+// Stats and merging after the join.
 package statsrace
 
 import (

@@ -62,7 +62,7 @@ func okLocal(results []Stats, work []int64) {
 }
 
 // okNil: the sanctioned concurrent pattern — no stats in the leaves at all
-// (chargeWords tolerates nil), as MulConcurrent does.
+// (chargeWords tolerates nil).
 func okNil(work []int64) {
 	for _, w := range work {
 		w := w

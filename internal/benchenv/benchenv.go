@@ -1,6 +1,6 @@
 // Package benchenv collects the environment provenance recorded alongside
-// benchmark snapshots (cmd/benchjson) and calibration profiles (cmd/caltune):
-// enough machine context to judge whether two measurements are comparable.
+// benchmark results (cmd/benchjson and the bench/ module): enough machine
+// context to judge whether two measurements are comparable.
 // Every probe is best-effort — on platforms without /proc or cpufreq the
 // corresponding fields are simply empty.
 package benchenv
@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-// Env is the environment block embedded in benchmark and calibration files.
+// Env is the environment block embedded in benchmark results.
 type Env struct {
 	CPUModel   string  `json:"cpu_model,omitempty"`
 	NumCPU     int     `json:"num_cpu"`

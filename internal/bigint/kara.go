@@ -2,11 +2,11 @@ package bigint
 
 import "math/bits"
 
-// The schoolbook → Karatsuba crossover lives in the calibration ladder
-// (ladder.go, karatsubaThresholdLimbs); it is not a constant here so that a
-// per-machine calibration.json can move it without this file and the docs
-// drifting apart. Tuning history: 40 measured fastest on 32768-bit operands
-// on amd64 (see cmd/benchjson and EXPERIMENTS.md).
+// The schoolbook → Karatsuba crossover lives in the crossover ladder
+// (ladder.go, karatsubaThresholdLimbs) with the other rungs, so tests can
+// move it and this file and the docs cannot drift apart. Tuning history:
+// 40 measured fastest on 32768-bit operands on amd64 (see cmd/benchjson and
+// EXPERIMENTS.md).
 
 // basicMulTo adds x*y into z using the schoolbook algorithm. z must have
 // length >= len(x)+len(y); the product is accumulated (z += x*y), so callers
@@ -111,7 +111,7 @@ func karatsuba(z, x, y nat, ar *arena) {
 }
 
 // mulTo writes x*y into the zeroed destination z (len(z) == len(x)+len(y),
-// len(x) >= len(y) >= 1), dispatching on the calibration ladder. Mildly
+// len(x) >= len(y) >= 1), dispatching on the crossover ladder. Mildly
 // unbalanced NTT-eligible pairs (len(x) < 2·len(y)) go through a single
 // transform — cheaper than chunking, which would waste a near-empty second
 // block. More unbalanced operands are chunked into len(y)-limb blocks so

@@ -2,31 +2,27 @@ package bigint
 
 // The multiplication crossover ladder: schoolbook → Karatsuba → NTT inside
 // natMul, and sequential Toom → NTT at the ftmul level. The crossover points
-// are not hardcoded constants scattered through kernels and comments any
-// more; they live in one Ladder profile with compiled-in defaults, loadable
-// from a calibration file produced by cmd/caltune, so per-machine tuning
-// can never silently disagree with what the code actually dispatches on.
-// Every threshold reference — kernel dispatch, scratch sizing, fuzz-range
-// selection, documentation of the current values — goes through the
-// accessors below.
+// are not hardcoded constants scattered through kernels and comments; they
+// live in one Ladder profile with compiled-in defaults, which tests may
+// replace with SetLadder. Every threshold reference — kernel dispatch,
+// scratch sizing, fuzz-range selection, documentation of the current
+// values — goes through the accessors below.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sync/atomic"
 )
 
 // Ladder is a multiplication crossover profile. The zero value of a field
 // disables the corresponding rung (useful for ablations); see Validate for
-// the consistency rules.
+// the consistency rules. The JSON tags name the profile's keys in the
+// benchmark's provenance record.
 type Ladder struct {
 	// KaratsubaLimbs is the operand size, in limbs, at and above which the
 	// balanced kernel switches from the schoolbook inner loop to Karatsuba
 	// splitting. Below it the O(n²) loop's locality wins.
 	KaratsubaLimbs int `json:"karatsuba_limbs"`
-	// NTTLimbs is the calibrated tight-transform crossover of the NTT rung:
+	// NTTLimbs is the tight-transform crossover of the NTT rung:
 	// the balanced operand size, in limbs, at which a padding-free
 	// three-prime NTT (ntt.go) ties Karatsuba. It is both the floor for the
 	// shorter operand and the anchor of the padding-aware cost comparison in
@@ -43,8 +39,8 @@ type Ladder struct {
 	ToomNTTBits int `json:"toom_ntt_bits"`
 }
 
-// Compiled-in defaults, measured on the benchmark machine (see cmd/caltune
-// and EXPERIMENTS.md): 40 matches the crossover math/big uses for the same
+// Compiled-in defaults, measured on the benchmark machine (see
+// EXPERIMENTS.md): 40 matches the crossover math/big uses for the same
 // limb width; 1500 limbs is the tight-transform tie point between Karatsuba
 // and the three-prime NTT (Karatsuba won at 1024, the NTT won at 2048); the
 // Toom bypass engages at 2048 limbs expressed in bits, the first size where
@@ -65,41 +61,16 @@ func DefaultLadder() Ladder {
 }
 
 // The live profile, read on every multiplication dispatch. Atomics so that
-// SetLadder in one goroutine (tests, calibration loaders) cannot race with
-// concurrent multiplications; on amd64 the loads compile to plain moves.
+// SetLadder in one goroutine (a test installing another profile) cannot
+// race with concurrent multiplications; on amd64 the loads compile to plain
+// moves.
 var (
 	ladderKaratsubaLimbs atomic.Int64
 	ladderNTTLimbs       atomic.Int64
 	ladderToomNTTBits    atomic.Int64
 )
 
-func init() {
-	applyLadder(DefaultLadder())
-	loadStartupCalibration(os.Getenv, "calibration.json", os.Stderr)
-}
-
-// loadStartupCalibration implements the process-startup calibration
-// precedence: an explicit $FTMUL_CALIBRATION path wins outright over the
-// implicit profile in the working directory — even when loading it fails,
-// the implicit file is not consulted, so a typo'd override can never
-// silently fall back to a different machine's numbers. Load errors are
-// reported on warnw and leave the compiled-in defaults in effect. It
-// returns the path it attempted, "" when no calibration source existed.
-func loadStartupCalibration(getenv func(string) string, implicit string, warnw io.Writer) string {
-	if path := getenv("FTMUL_CALIBRATION"); path != "" {
-		if err := LoadCalibration(path); err != nil {
-			fmt.Fprintf(warnw, "bigint: ignoring $FTMUL_CALIBRATION: %v\n", err)
-		}
-		return path
-	}
-	if _, err := os.Stat(implicit); err == nil {
-		if err := LoadCalibration(implicit); err != nil {
-			fmt.Fprintf(warnw, "bigint: ignoring %s: %v\n", implicit, err)
-		}
-		return implicit
-	}
-	return ""
-}
+func init() { applyLadder(DefaultLadder()) }
 
 func applyLadder(l Ladder) {
 	ladderKaratsubaLimbs.Store(int64(l.KaratsubaLimbs))
@@ -143,29 +114,11 @@ func (l Ladder) Validate() error {
 // SetLadder installs a crossover profile after validating it. It is safe to
 // call concurrently with multiplications (each dispatch reads a consistent
 // snapshot of each rung, and any rung combination computes exact products),
-// but it is intended for process startup and calibration tooling.
+// but it is intended for tests that run the kernels under another profile.
 func SetLadder(l Ladder) error {
 	if err := l.Validate(); err != nil {
 		return err
 	}
 	applyLadder(l)
-	return nil
-}
-
-// LoadCalibration reads a calibration profile (the JSON written by
-// cmd/caltune; unknown fields such as its environment block are ignored)
-// and installs it. The compiled-in defaults stay in effect on any error.
-func LoadCalibration(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	l := DefaultLadder()
-	if err := json.Unmarshal(data, &l); err != nil {
-		return fmt.Errorf("bigint: parsing calibration %s: %w", path, err)
-	}
-	if err := SetLadder(l); err != nil {
-		return fmt.Errorf("bigint: calibration %s: %w", path, err)
-	}
 	return nil
 }

@@ -1,53 +1,6 @@
 package bigint
 
-import (
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
-
-// fakeEnv returns a getenv function backed by a map, so the startup loader
-// can be driven without mutating the real process environment.
-func fakeEnv(m map[string]string) func(string) string {
-	return func(k string) string { return m[k] }
-}
-
-func writeProfile(t *testing.T, dir, name, content string) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestLoadCalibrationMalformedJSON: a syntactically broken profile must be
-// rejected with a parse error that names the file, and the live ladder must
-// keep whatever was installed before.
-func TestLoadCalibrationMalformedJSON(t *testing.T) {
-	prev := CurrentLadder()
-	defer SetLadder(prev)
-
-	for _, bad := range []string{
-		`{"karatsuba_limbs": 48,`,      // truncated
-		`{"karatsuba_limbs": "forty"}`, // wrong type
-		`not json at all`,
-	} {
-		path := writeProfile(t, t.TempDir(), "calibration.json", bad)
-		err := LoadCalibration(path)
-		if err == nil {
-			t.Errorf("LoadCalibration accepted malformed profile %q", bad)
-			continue
-		}
-		if !strings.Contains(err.Error(), "parsing calibration") || !strings.Contains(err.Error(), path) {
-			t.Errorf("parse error %q does not name the file", err)
-		}
-		if got := CurrentLadder(); got != prev {
-			t.Fatalf("malformed profile %q mutated the live ladder: %+v", bad, got)
-		}
-	}
-}
+import "testing"
 
 // TestLadderValidateMonotone pins the Validate consistency rules directly:
 // the Karatsuba rung is mandatory and the NTT rung, when enabled, must sit
@@ -74,79 +27,5 @@ func TestLadderValidateMonotone(t *testing.T) {
 		if !tc.wantOK && err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", tc.l)
 		}
-	}
-}
-
-// TestStartupCalibrationPrecedence pins the init-time source selection:
-// $FTMUL_CALIBRATION wins over the implicit working-directory profile, the
-// implicit profile is used only when the variable is unset, and no source
-// at all leaves the ladder alone.
-func TestStartupCalibrationPrecedence(t *testing.T) {
-	prev := CurrentLadder()
-	defer SetLadder(prev)
-
-	dir := t.TempDir()
-	envPath := writeProfile(t, dir, "env.json", `{"karatsuba_limbs": 44, "ntt_limbs": 700, "toom_ntt_bits": 44800}`)
-	implicit := writeProfile(t, dir, "calibration.json", `{"karatsuba_limbs": 52, "ntt_limbs": 900, "toom_ntt_bits": 57600}`)
-
-	var warn strings.Builder
-	if got := loadStartupCalibration(fakeEnv(map[string]string{"FTMUL_CALIBRATION": envPath}), implicit, &warn); got != envPath {
-		t.Fatalf("with env set, loader chose %q, want %q", got, envPath)
-	}
-	if got := CurrentLadder(); got.KaratsubaLimbs != 44 {
-		t.Fatalf("env profile not installed: %+v", got)
-	}
-	if warn.Len() != 0 {
-		t.Errorf("clean env load produced a warning: %q", warn.String())
-	}
-
-	if got := loadStartupCalibration(fakeEnv(nil), implicit, &warn); got != implicit {
-		t.Fatalf("without env, loader chose %q, want %q", got, implicit)
-	}
-	if got := CurrentLadder(); got.KaratsubaLimbs != 52 {
-		t.Fatalf("implicit profile not installed: %+v", got)
-	}
-
-	if got := loadStartupCalibration(fakeEnv(nil), filepath.Join(dir, "absent.json"), &warn); got != "" {
-		t.Fatalf("with no source, loader reported %q, want \"\"", got)
-	}
-	if got := CurrentLadder(); got.KaratsubaLimbs != 52 {
-		t.Fatalf("no-source pass mutated the ladder: %+v", got)
-	}
-}
-
-// TestStartupCalibrationBadEnvNoFallback: a broken $FTMUL_CALIBRATION keeps
-// the current profile, emits a warning naming the variable, and — crucially
-// — does NOT fall back to the implicit file: an explicit override that
-// fails must never silently load a different machine's numbers.
-func TestStartupCalibrationBadEnvNoFallback(t *testing.T) {
-	prev := CurrentLadder()
-	defer SetLadder(prev)
-
-	dir := t.TempDir()
-	badEnv := writeProfile(t, dir, "env.json", `{"karatsuba_limbs": 1}`) // fails Validate
-	implicit := writeProfile(t, dir, "calibration.json", `{"karatsuba_limbs": 52, "ntt_limbs": 900, "toom_ntt_bits": 57600}`)
-
-	var warn strings.Builder
-	if got := loadStartupCalibration(fakeEnv(map[string]string{"FTMUL_CALIBRATION": badEnv}), implicit, &warn); got != badEnv {
-		t.Fatalf("loader chose %q, want the (failing) env path %q", got, badEnv)
-	}
-	if !strings.Contains(warn.String(), "$FTMUL_CALIBRATION") {
-		t.Errorf("warning %q does not name $FTMUL_CALIBRATION", warn.String())
-	}
-	if got := CurrentLadder(); got != prev {
-		t.Fatalf("failed env load changed the ladder: %+v (want %+v)", got, prev)
-	}
-
-	// Same for a malformed implicit file when the env is unset: warn, keep
-	// the current profile.
-	warn.Reset()
-	badImplicit := writeProfile(t, dir, "bad-calibration.json", `{{{`)
-	loadStartupCalibration(fakeEnv(nil), badImplicit, &warn)
-	if !strings.Contains(warn.String(), badImplicit) {
-		t.Errorf("warning %q does not name the implicit file", warn.String())
-	}
-	if got := CurrentLadder(); got != prev {
-		t.Fatalf("failed implicit load changed the ladder: %+v (want %+v)", got, prev)
 	}
 }

@@ -5,7 +5,7 @@
 // of 64-bit limbs, and a signed integer wraps a natural with a sign. The
 // multiplication kernel is a crossover ladder — schoolbook, then Karatsuba
 // (kara.go), then a three-prime NTT (ntt.go, nttmul.go), with the crossover
-// points held in a calibration profile (ladder.go) rather than constants —
+// points held in one ladder profile (ladder.go) rather than constants —
 // with scratch drawn from a pooled limb arena
 // (arena.go); the asymptotically faster Toom-Cook algorithms in
 // internal/toom are built on top of these primitives, mirroring the paper's
@@ -95,7 +95,7 @@ func natSub(x, y nat) nat {
 	return z.norm()
 }
 
-// natMul returns x * y, climbing the calibration ladder (ladder.go). Small
+// natMul returns x * y, climbing the crossover ladder (ladder.go). Small
 // operands use the schoolbook kernel — the paper's Θ(n²) "hardware multiply"
 // and the base case beneath the Toom-Cook recursion; mid-size operands use
 // Karatsuba (kara.go); large ones use the three-prime NTT (nttmul.go). All

@@ -129,7 +129,7 @@ func natDivWordTo(dst, x nat, w uint64) (nat, uint64) {
 	return z.norm(), r
 }
 
-// natMulTo returns x*y written into dst, climbing the calibration ladder
+// natMulTo returns x*y written into dst, climbing the crossover ladder
 // (see natMul). dst must not alias x or y: a product cannot be formed in
 // place.
 func natMulTo(dst, x, y nat) nat {

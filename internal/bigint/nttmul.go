@@ -42,14 +42,14 @@ func nttScratchFor(m int) int {
 // cost curve on the benchmark machine (theory says 1.585; caches push the
 // observed doubling ratio to ≈2^1.7 across the sizes the NTT competes at).
 // It shapes the crossover model below; the model's anchor point is the
-// calibrated NTTLimbs.
+// ladder's NTTLimbs.
 const karaCostExp = 1.7
 
 // nttEligible reports whether the NTT tier can and should handle an
 // xLen×yLen-limb product. The gate has three parts:
 //
 //   - both operands at or above the ladder's NTT threshold t (ladder.go),
-//     which is calibrated as the "tight" crossover: the balanced size at
+//     which is measured as the "tight" crossover: the balanced size at
 //     which a zero-padding-free transform (N = 2t a power of two) ties the
 //     Karatsuba tier;
 //   - a padding-aware cost comparison anchored at that point. The transform

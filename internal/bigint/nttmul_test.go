@@ -3,7 +3,7 @@ package bigint
 import (
 	"math/big"
 	"math/rand"
-	"os"
+	"sync"
 	"testing"
 
 	"repro/internal/workpool"
@@ -76,13 +76,13 @@ func TestNTTMulVsMathBig(t *testing.T) {
 // or just below a power of two), yields to Karatsuba just past a boundary
 // where zero-padding doubles the transform, and re-engages once operands
 // refill it. Clear-cut cases only — borderline shapes (model ties) are
-// deliberately not pinned so calibration can move them.
+// deliberately not pinned so a retuned crossover can move them.
 func TestNTTEligibleStair(t *testing.T) {
 	cases := []struct {
 		x, y int
 		want bool
 	}{
-		{1024, 1024, false}, // below the calibrated tie point
+		{1024, 1024, false}, // below the tie point
 		{1400, 1400, false},
 		{2048, 2048, true},  // full 4096-point transform
 		{2100, 2100, false}, // just past the boundary: N doubles
@@ -222,6 +222,43 @@ func TestNTTMulParallelAllocs(t *testing.T) {
 	}
 }
 
+// TestNTTMulSharedPoolContention is the -race gate for several goroutines
+// forking on the shared pool at once: eight NTT-rung multiplications run
+// through natMul together, each product must match math/big, and the
+// shared pool's peak of live workers must stay within its capacity.
+func TestNTTMulSharedPoolContention(t *testing.T) {
+	nttPoolMu.Lock() // nttPool stays nil, so every fork goes to the shared pool
+	defer nttPoolMu.Unlock()
+
+	const workers, limbs = 8, 2048
+	if !nttEligible(limbs, limbs) {
+		t.Fatalf("%d×%d limbs is not on the NTT rung", limbs, limbs)
+	}
+	rng := rand.New(rand.NewSource(29))
+	var xs, ys, got [workers]nat
+	for i := range xs {
+		xs[i], ys[i] = randNat(rng, limbs), randNat(rng, limbs)
+	}
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = natMul(xs[i], ys[i])
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if natToBig(got[i]).Cmp(mulViaBig(xs[i], ys[i])) != 0 {
+			t.Errorf("product %d mismatch at %d×%d limbs", i, limbs, limbs)
+		}
+	}
+	pool := workpool.Shared()
+	if peak, _, _ := pool.Stats(); peak > int64(pool.Capacity()) {
+		t.Fatalf("shared pool peak %d exceeds its capacity %d", peak, pool.Capacity())
+	}
+}
+
 // TestNTTMulGoldenSizes cross-checks the full dispatch ladder against
 // math/big at the paper-scale golden sizes 2^18–2^22 bits — the range the
 // PR's performance acceptance is measured over, so correctness is pinned at
@@ -278,12 +315,15 @@ func TestNTTMulAllocs(t *testing.T) {
 	}
 }
 
-// TestLadderValidateAndLoad covers the calibration profile plumbing: rejected
-// profiles leave the live ladder untouched, and LoadCalibration installs a
-// file profile (ignoring cmd/caltune's extra fields).
-func TestLadderValidateAndLoad(t *testing.T) {
+// TestSetLadderRejectsInvalid: the live ladder starts at the compiled-in
+// profile (no init moves it), and SetLadder rejects an invalid profile
+// without touching the live one.
+func TestSetLadderRejectsInvalid(t *testing.T) {
 	prev := CurrentLadder()
 	defer SetLadder(prev)
+	if want := DefaultLadder(); prev != want {
+		t.Fatalf("live ladder %+v, want the compiled-in %+v", prev, want)
+	}
 
 	if err := SetLadder(Ladder{KaratsubaLimbs: 1}); err == nil {
 		t.Error("SetLadder accepted karatsuba_limbs = 1")
@@ -293,26 +333,5 @@ func TestLadderValidateAndLoad(t *testing.T) {
 	}
 	if got := CurrentLadder(); got != prev {
 		t.Fatalf("rejected profile mutated the live ladder: %+v", got)
-	}
-
-	dir := t.TempDir()
-	path := dir + "/calibration.json"
-	if err := os.WriteFile(path, []byte(`{
-		"karatsuba_limbs": 48,
-		"ntt_limbs": 640,
-		"toom_ntt_bits": 40960,
-		"environment": {"cpu_model": "test"}
-	}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadCalibration(path); err != nil {
-		t.Fatalf("LoadCalibration: %v", err)
-	}
-	want := Ladder{KaratsubaLimbs: 48, NTTLimbs: 640, ToomNTTBits: 40960}
-	if got := CurrentLadder(); got != want {
-		t.Fatalf("LoadCalibration installed %+v, want %+v", got, want)
-	}
-	if err := LoadCalibration(dir + "/missing.json"); err == nil {
-		t.Error("LoadCalibration succeeded on a missing file")
 	}
 }

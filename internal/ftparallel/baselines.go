@@ -139,8 +139,6 @@ type CheckpointOptions struct {
 	// Faults: phase PhaseMul with hit h injects a fault at the end of the
 	// h-th computation attempt, forcing a rollback and full recomputation.
 	Faults []machine.Fault
-	// MaxRestarts bounds the retry loop (default 8).
-	MaxRestarts int
 }
 
 // CheckpointResult reports a checkpoint-restart run.
@@ -150,6 +148,9 @@ type CheckpointResult struct {
 	Restarts int
 }
 
+// maxRestarts bounds the checkpoint-restart baseline's retry loop.
+const maxRestarts = 8
+
 // MultiplyCheckpointRestart runs the checkpoint-restart baseline: inputs are
 // checkpointed to a buddy processor (diskless checkpointing), the whole
 // multiplication runs, and any fault rolls every processor back to the
@@ -158,10 +159,6 @@ type CheckpointResult struct {
 func MultiplyCheckpointRestart(a, b bigint.Int, opts CheckpointOptions) (*CheckpointResult, error) {
 	if opts.Alg == nil {
 		return nil, fmt.Errorf("ftparallel: CheckpointOptions.Alg is required")
-	}
-	maxRestarts := opts.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = 8
 	}
 	plan, err := parallel.NewPlan(a, b, parallel.Options{
 		Alg:      opts.Alg,

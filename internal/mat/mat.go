@@ -309,16 +309,6 @@ func (m *Matrix) ApplyIntExact(x []bigint.Int) []bigint.Int {
 	return z
 }
 
-// IsIntegerMatrix reports whether every entry of m is an integer.
-func (m *Matrix) IsIntegerMatrix() bool {
-	for _, v := range m.a {
-		if !v.IsInt() {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the matrix for debugging and for the figure harness.
 func (m *Matrix) String() string {
 	var b strings.Builder

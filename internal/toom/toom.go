@@ -10,9 +10,10 @@
 // integer matrix (multiply by d·W^T, then divide exactly by d), so no
 // rational arithmetic touches the big operands on the hot path.
 //
-// The same block primitives (EvalBlocks, InterpolateBlocks) are reused by
-// the parallel algorithm in internal/parallel, whose BFS steps are exactly
-// these block operations distributed across a processor grid.
+// The parallel algorithm in internal/parallel distributes the same bilinear
+// form: its BFS steps apply the rows of U and of the scaled W^T (U,
+// WScaled) to digit blocks spread across a processor grid, and its leaves
+// multiply through MulSharesTo.
 package toom
 
 import (
@@ -273,9 +274,6 @@ func (alg *Algorithm) K() int { return alg.k }
 func (alg *Algorithm) Points() []points.Point {
 	return append([]points.Point(nil), alg.pts...)
 }
-
-// NumProducts returns the number of pointwise sub-products, 2k-1.
-func (alg *Algorithm) NumProducts() int { return 2*alg.k - 1 }
 
 // ThresholdBits returns the base-case threshold in bits.
 func (alg *Algorithm) ThresholdBits() int { return alg.thresholdBits }

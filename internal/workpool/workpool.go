@@ -1,11 +1,10 @@
 // Package workpool provides the bounded worker pool that all host-level
-// parallelism in this repository routes through. It began life as
-// internal/toom's pool (PR 1), bounding MulConcurrent's recursive fan-out;
-// it is a package of its own so the bigint NTT kernels — which internal/toom
-// itself depends on — can parallelize their butterfly stages through the
-// same process-wide GOMAXPROCS slots without an import cycle and without
-// spawning raw goroutines (the ftlint poolspawn analyzer enforces that
-// statically for every governed package, this one included).
+// parallelism in this repository routes through: the bigint NTT kernel's
+// per-prime tasks and the butterfly stages they split. It is a package of
+// its own so bigint, beneath every other layer, can fork through
+// process-wide GOMAXPROCS slots without spawning raw goroutines (the ftlint
+// poolspawn analyzer enforces that statically for every governed package,
+// this one included).
 //
 // Submission never blocks: Fork runs the task inline when no slot is free.
 // That property is what makes the pool safe for *recursive* fan-out — a
@@ -31,7 +30,7 @@ type Pool struct {
 	// finds a record idle.
 	idle chan *worker
 
-	// Telemetry for the pool tests and the benchmark harness.
+	// Telemetry for the tests that assert the slot bound.
 	active  atomic.Int64 // workers currently running
 	peak    atomic.Int64 // high-water mark of active
 	spawned atomic.Int64 // total worker goroutines ever started
@@ -66,9 +65,8 @@ func New(size int) *Pool {
 var shared atomic.Pointer[Pool]
 
 // Shared returns the process-wide pool, with one slot per GOMAXPROCS: every
-// concurrent multiplication — Toom leaf fan-out and NTT butterfly stages
-// alike — draws from the same slots, so nested or simultaneous calls cannot
-// oversubscribe the host. A multiplication takes the pool once, when it
+// NTT multiplication's prime tasks and butterfly stages draw from the same
+// slots, so nested or simultaneous calls cannot oversubscribe the host. A multiplication takes the pool once, when it
 // starts. GOMAXPROCS can change after package init (go test -cpu does
 // that), so Shared makes a pool of the new size when it has changed; the
 // multiplications already running finish on the old one.
@@ -129,23 +127,9 @@ func (w *worker) start() {
 // Capacity returns the slot count (the bound on concurrently live workers).
 func (p *Pool) Capacity() int { return cap(p.slots) }
 
-// Idle reports whether a fork right now would run inline for lack of a free
-// slot. It is advisory (another submitter may take the slot first); kernels
-// use it to skip building parallel partitions when the pool is saturated.
-func (p *Pool) Idle() bool { return len(p.slots) < cap(p.slots) }
-
 // Stats reports the pool's telemetry: the peak number of concurrently live
 // workers, the total workers spawned, and how many tasks ran inline on
 // their submitter.
 func (p *Pool) Stats() (peak, spawned, inline int64) {
 	return p.peak.Load(), p.spawned.Load(), p.inline.Load()
-}
-
-// ResetStats zeroes the telemetry counters (test hook; racy against live
-// forks by design, so only call it while the pool is idle).
-func (p *Pool) ResetStats() {
-	p.active.Store(0)
-	p.peak.Store(0)
-	p.spawned.Store(0)
-	p.inline.Store(0)
 }
