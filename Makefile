@@ -121,12 +121,13 @@ matsmoke:
 	$(GO) run ./cmd/experiments -algo matmul -backend sim
 	$(GO) run ./cmd/experiments -algo matmul -backend wall
 
-# Short fuzz pass over the bigint kernels, the matrix tile kernels' count
-# identity and the Toom leaf's count identity (seed corpus always runs in
-# `make test`).
+# Short fuzz pass over the bigint kernels, the Toom-2 count walk's
+# word-length decisions, the matrix tile kernels' count identity and the
+# Toom leaf's count identity (seed corpus always runs in `make test`).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzNatMul -fuzztime 10s ./internal/bigint
 	$(GO) test -run '^$$' -fuzz FuzzIntArith -fuzztime 10s ./internal/bigint
+	$(GO) test -run '^$$' -fuzz FuzzToom2Lengths -fuzztime 10s ./internal/bigint
 	$(GO) test -run '^$$' -fuzz FuzzTileMulWork -fuzztime 10s ./internal/ftmatmul
 	$(GO) test -run '^$$' -fuzz FuzzToomMulStats -fuzztime 10s ./internal/toom
 
@@ -134,6 +135,7 @@ fuzz:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNatMul -fuzztime 10s ./internal/bigint
 	$(GO) test -run '^$$' -fuzz FuzzIntArith -fuzztime 10s ./internal/bigint
+	$(GO) test -run '^$$' -fuzz FuzzToom2Lengths -fuzztime 10s ./internal/bigint
 	$(GO) test -run '^$$' -fuzz FuzzTileMulWork -fuzztime 10s ./internal/ftmatmul
 	$(GO) test -run '^$$' -fuzz FuzzToomMulStats -fuzztime 10s ./internal/toom
 

@@ -3,6 +3,7 @@ package bigint
 import (
 	"bytes"
 	"math/big"
+	"math/rand"
 	"testing"
 )
 
@@ -132,6 +133,45 @@ func FuzzIntArith(f *testing.F) {
 		acc.AddProd(sum.Neg(), One())
 		if !acc.IsZero() || acc.Sign() != 0 {
 			t.Fatalf("AddProd(−sum, 1) left %v, want 0", acc.Value())
+		}
+	})
+}
+
+// FuzzToom2Lengths checks the Toom-2 count walk's word-length decisions
+// against math/big: w(a·b) of a product and w(x0·y1 + x1·y0) of a node's
+// c1, each through the leading-limb interval and, where that cannot
+// decide, the exact fallback. The operand lengths are pulled to the
+// doubtful ones, bl(x0)+bl(y1) ≡ 1 (mod 64) and bl(x1)+bl(y0) within a
+// bit or two of it, unless bias says otherwise; each operand takes one of
+// shapedBits' boundary shapes (random, all ones, a single bit, 2^a + 1,
+// alternating zero limbs), drawn from seed.
+func FuzzToom2Lengths(f *testing.F) {
+	f.Add(int64(1), uint16(64), uint16(65), uint16(1), uint16(1), uint8(0))
+	f.Add(int64(2), uint16(129), uint16(128), uint16(128), uint16(129), uint8(0))
+	f.Add(int64(3), uint16(8200), uint16(8185), uint16(8200), uint16(8121), uint8(0))
+	f.Add(int64(4), uint16(300), uint16(77), uint16(5), uint16(900), uint8(1))
+	// A c1 whose sum lies within the upper end's outward rounding of 2^M.
+	f.Add(int64(104), uint16(8064), uint16(8268), uint16(8214), uint16(8298), uint8(89))
+	f.Fuzz(func(t *testing.T, seed int64, n0, n1, n2, n3 uint16, bias uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		a, b, c, d := int(n0)%9000, int(n1)%9000, int(n2)%9000, int(n3)%9000
+		if bias&1 == 0 {
+			b += ((1-a-b)%64 + 64) % 64
+			d = max(0, a+b-int(bias>>1)%3-c)
+		}
+		x0, y1 := shapedBits(rng, a, rng.Intn(5)), shapedBits(rng, b, rng.Intn(5))
+		x1, y0 := shapedBits(rng, c, rng.Intn(5)), shapedBits(rng, d, rng.Intn(5))
+		ar := &arena{}
+		want := wordsBig(new(big.Int).Mul(bigOf(x0), bigOf(y1)))
+		if got := prodWords(x0, y1, natBitLen(x0), natBitLen(y1), ar); got != want {
+			t.Fatalf("%d×%d bits: product words %d, math/big %d", a, b, got, want)
+		}
+		want = wordsBig(crossBig(x0, x1, y0, y1))
+		if got := crossWords(x0, x1, y0, y1, natBitLen(x0), natBitLen(x1), natBitLen(y0), natBitLen(y1), ar); got != want {
+			t.Fatalf("%d×%d + %d×%d bits: c1 words %d, math/big %d", a, b, c, d, got, want)
+		}
+		if ar.off != 0 {
+			t.Fatalf("arena left at offset %d, want 0", ar.off)
 		}
 	})
 }

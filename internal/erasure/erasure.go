@@ -90,12 +90,11 @@ func (c *Code) Distance() int { return c.F + 1 }
 func (c *Code) Nodes() []int64 { return append([]int64(nil), c.nodes...) }
 
 // RedundancyRow returns code row i as weights over the K data letters:
-// redundancy letter i = Σ_l row[l]·data[l]. The fault-tolerant algorithm
-// uses these weights directly when a code processor accumulates its column's
-// reduce (Section 4.1, "Code creation").
-func (c *Code) RedundancyRow(i int) []int64 {
-	return append([]int64(nil), c.e[i]...)
-}
+// redundancy letter i = Σ_l row[l]·data[l] (shared storage; callers must
+// not modify). The fault-tolerant algorithm uses these weights directly
+// when a code processor accumulates its column's reduce (Section 4.1, "Code
+// creation").
+func (c *Code) RedundancyRow(i int) []int64 { return c.e[i] }
 
 // Encode returns the F redundancy letters for a data word of K letters,
 // each letter being a vector of big integers combined element-wise.

@@ -39,6 +39,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -278,6 +279,7 @@ func (m *Machine) RunContext(ctx context.Context, program func(*Proc) error) (*R
 		wg.Add(1)
 		//ftlint:allow poolspawn the machine runtime IS the pool: one goroutine per simulated processor, bounded by cfg.P, not algorithm fan-out
 		go func(p *Proc) {
+			growRankStack()
 			defer wg.Done()
 			defer func() {
 				p.st.Clock = p.clk.now()
@@ -315,6 +317,27 @@ func (m *Machine) RunContext(ctx context.Context, program func(*Proc) error) (*R
 		rep.Time = max(rep.Time, s.Clock)
 	}
 	return rep, first
+}
+
+// rankStackFrame is the frame growRankStack puts at the bottom of every
+// rank goroutine. A goroutine starts on a small stack (the runtime's start
+// size follows the average of all goroutines, which the many shallow ones
+// keep small) and doubles it on overflow, copying every frame each time.
+// The deepest frames a rank reaches are the Toom leaf's: its count walk and
+// the ladder's Karatsuba recursion, under the engine and the protocol
+// layers. 12 KiB makes the runtime grow the stack once, to 16 KiB, while it
+// holds a single frame, and 16 KiB holds that depth on both Toom workloads.
+const rankStackFrame = 12 << 10
+
+// growRankStack grows the calling goroutine's stack to fit rankStackFrame
+// in one step; call it first thing on a new goroutine.
+//
+//go:noinline
+func growRankStack() {
+	var frame [rankStackFrame]byte
+	// KeepAlive takes the frame's address without letting it escape, so the
+	// compiler must reserve it.
+	runtime.KeepAlive(&frame)
 }
 
 // StoreOf reads processor id's local store. It is intended for harness use

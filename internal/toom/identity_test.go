@@ -92,6 +92,12 @@ func FuzzToomMulStats(f *testing.F) {
 	f.Add(int64(2), uint16(257), uint16(63), uint8(7))
 	f.Add(int64(3), uint16(0), uint16(1000), uint8(13))
 	f.Add(int64(4), uint16(16385), uint16(16383), uint8(17))
+	// Doubtful lengths for the Toom-2 kernel's count walk: bit lengths
+	// summing to 1 (mod 64), at t256 (variant 0) and t64 (variant 3).
+	f.Add(int64(5), uint16(16385), uint16(16384), uint8(0))
+	f.Add(int64(6), uint16(257), uint16(256), uint8(0))
+	f.Add(int64(7), uint16(129), uint16(128), uint8(3))
+	f.Add(int64(8), uint16(65), uint16(64), uint8(3))
 	algs := identityVariants()
 	names := make([]string, 0, len(algs))
 	for name := range algs {
@@ -187,6 +193,88 @@ func TestToom2KernelMatchesGeneric(t *testing.T) {
 				}, want)
 			}
 		})
+	}
+}
+
+// structured returns a nonnegative operand of about n bits in one of the
+// shapes that put the Toom-2 kernel's product and c1 lengths next to a word
+// boundary: all ones (2^n − 1), a single bit (2^(n−1)), 2^(n−1) ± 1, and
+// random limbs with every other limb zero.
+func structured(rng *rand.Rand, n int, shape int) bigint.Int {
+	if n == 0 {
+		return bigint.Zero()
+	}
+	one := big.NewInt(1)
+	p := new(big.Int).Lsh(one, uint(n-1))
+	switch shape {
+	case 0:
+		return bigint.FromBig(p.Sub(p.Lsh(p, 1), one))
+	case 1:
+		return bigint.FromBig(p)
+	case 2:
+		return bigint.FromBig(p.Add(p, one))
+	case 3:
+		return bigint.FromBig(p.Sub(p, one))
+	}
+	words := bigint.Random(rng, n).ToBig().Bits()
+	for i := 1; i < len(words)-1; i += 2 {
+		words[i] = 0
+	}
+	return bigint.FromBig(new(big.Int).SetBits(words))
+}
+
+// structuredShapes is the number of shapes structured draws.
+const structuredShapes = 5
+
+// TestToom2KernelStructuredCensus runs the Toom-2 kernel against the
+// generic frame recursion and the Int-based reference on structured
+// operands, whose digits' products and c1 sums sit at or next to a word
+// boundary, so the count walk's exact fallbacks fire: every pair of shapes,
+// balanced and unbalanced, at thresholds 64 and 256, through MulWithStats
+// (kernel, generic and reference agree on the product and all five Stats
+// fields) and MulSharesTo (kernel and generic agree with each other and the
+// product with math/big).
+func TestToom2KernelStructuredCensus(t *testing.T) {
+	rng := rand.New(rand.NewSource(1406))
+	for _, th := range []int{64, 256} {
+		kern := toom.MustNew(2).WithThreshold(th)
+		gen := kern.Generic()
+		for _, n := range []int{64, 65, 129, 257, 513, 1025, 4097, 16385} {
+			for _, m := range []int{n, n - 1, 1 + n/3} {
+				for sa := 0; sa < structuredShapes; sa++ {
+					for sb := 0; sb < structuredShapes; sb++ {
+						a, b := structured(rng, n, sa), structured(rng, m, sb)
+						if rng.Intn(2) == 0 {
+							b = b.Neg()
+						}
+						checkIdentity(t, kern, a, b)
+						var got, ref toom.Stats
+						if z, zg := kern.MulWithStats(a, b, &got), gen.MulWithStats(a, b, &ref); !z.Equal(zg) || got != ref {
+							t.Fatalf("t%d, %d×%d bits, shapes %d×%d: kernel %+v, generic %+v", th, n, m, sa, sb, got, ref)
+						}
+					}
+				}
+			}
+			// Nine shares per operand of one shape each, as the parallel
+			// leaf recomposes them.
+			shift := 1 + n/9
+			for sa := 0; sa < structuredShapes; sa++ {
+				for sb := 0; sb < structuredShapes; sb++ {
+					sharesA, sharesB := make([]bigint.Int, 9), make([]bigint.Int, 9)
+					for i := range sharesA {
+						sharesA[i], sharesB[i] = structured(rng, shift, sa), structured(rng, shift-i%2, sb)
+					}
+					want := new(big.Int).Mul(bigRecompose(sharesA, shift), bigRecompose(sharesB, shift))
+					var got, ref toom.Stats
+					var z, zg bigint.Acc
+					kern.MulSharesTo(&z, sharesA, sharesB, shift, &got)
+					gen.MulSharesTo(&zg, sharesA, sharesB, shift, &ref)
+					if !z.Value().Equal(zg.Value()) || z.Value().ToBig().Cmp(want) != 0 || got != ref {
+						t.Fatalf("t%d, MulSharesTo 9×%d bits, shapes %d×%d: kernel %+v, generic %+v", th, shift, sa, sb, got, ref)
+					}
+				}
+			}
+		}
 	}
 }
 
