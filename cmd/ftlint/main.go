@@ -14,10 +14,10 @@
 // the framework's interval abstract interpretation — the NTT kernel's
 // lazy-arithmetic contracts (modbound: every lazy store provably in
 // [0, 2p), Shoup/REDC preconditions, no uint64 wraparound, strict
-// reduction before CRT recombination). Since PR 8, protomc extracts the communication skeleton of every
-// per-processor collective and of the fault-tolerant engine and
-// model-checks them explicitly for small worlds (n in [2,5], every legal
-// root, every tolerated single fail-stop fault plan), proving
+// reduction before CRT recombination). protomc runs every communicating
+// per-processor collective and the fault-tolerant engine in the shared
+// evaluator and model-checks them explicitly for small worlds (n in [2,5],
+// every legal root, every tolerated single fail-stop fault plan), proving
 // deadlock-freedom, send/recv matching, barrier phase consistency, and
 // fault-recovery completion — each violation reported with a concrete
 // counterexample interleaving. Since PR 9, costbound derives the F/BW/L

@@ -61,14 +61,6 @@ var Analyzer = &framework.Analyzer{
 // sim and wall clocks share.
 var governed = []string{"machine", "collective", "ftengine", "ftparallel", "ftmatmul"}
 
-// procComm names the methods that move messages; their tag is always the
-// second argument. Barrier's phase is its first.
-var procComm = map[string]bool{
-	"Send":         true,
-	"Recv":         true,
-	"RecvDeadline": true,
-}
-
 func run(pass *framework.Pass) error {
 	inScope := false
 	for _, seg := range governed {
@@ -100,28 +92,15 @@ type tagSite struct {
 	folded bool
 }
 
-// commCall classifies a call as Proc communication and returns its method
-// name and tag (or Barrier phase) site.
+// commCall classifies a call as Proc communication (framework.CommSiteAt)
+// and returns its method name and tag (or Barrier phase) site.
 func commCall(pass *framework.Pass, call *ast.CallExpr) (tagSite, bool) {
-	if framework.RecvTypeName(pass.Info, call) != "Proc" {
+	site, ok := framework.CommSiteAt(pass.Info, call)
+	if !ok {
 		return tagSite{}, false
 	}
-	callee := framework.CalleeIdent(call)
-	if callee == nil {
-		return tagSite{}, false
-	}
-	idx := 1
-	if callee.Name == "Barrier" {
-		idx = 0
-	} else if !procComm[callee.Name] {
-		return tagSite{}, false
-	}
-	if idx >= len(call.Args) {
-		return tagSite{}, false
-	}
-	arg := call.Args[idx]
-	s := tagSite{pos: call.Pos(), method: callee.Name, text: types.ExprString(arg)}
-	if tv, ok := pass.Info.Types[arg]; ok && tv.Value != nil {
+	s := tagSite{pos: call.Pos(), method: site.Method, text: types.ExprString(site.Tag)}
+	if tv, ok := pass.Info.Types[site.Tag]; ok && tv.Value != nil {
 		s.val, s.folded = tv.Value.ExactString(), true
 	}
 	return s, true
@@ -265,12 +244,8 @@ func setString(s map[string]bool) string {
 func checkShutdownOrder(pass *framework.Pass, fd *ast.FuncDecl) {
 	callsRun := false
 	framework.InspectShallow(fd.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if framework.RecvTypeName(pass.Info, call) == "Machine" {
-				if callee := framework.CalleeIdent(call); callee != nil && callee.Name == "Run" {
-					callsRun = true
-				}
-			}
+		if call, ok := n.(*ast.CallExpr); ok && isMachineRun(pass, call) {
+			callsRun = true
 		}
 		return true
 	})
@@ -290,19 +265,11 @@ func checkShutdownOrder(pass *framework.Pass, fd *ast.FuncDecl) {
 				if !ok {
 					return true
 				}
-				callee := framework.CalleeIdent(call)
-				if callee == nil {
-					return true
+				if site, isComm := framework.CommSiteAt(pass.Info, call); isComm && down && report {
+					pass.Reportf(call.Pos(), "Proc.%s reachable after Machine.Run has returned: the machine is shut down and the call can never complete", site.Method)
 				}
-				switch framework.RecvTypeName(pass.Info, call) {
-				case "Proc":
-					if down && report && (procComm[callee.Name] || callee.Name == "Barrier") {
-						pass.Reportf(call.Pos(), "Proc.%s reachable after Machine.Run has returned: the machine is shut down and the call can never complete", callee.Name)
-					}
-				case "Machine":
-					if callee.Name == "Run" {
-						down = true
-					}
+				if isMachineRun(pass, call) {
+					down = true
 				}
 				return true
 			})
@@ -322,6 +289,12 @@ func checkShutdownOrder(pass *framework.Pass, fd *ast.FuncDecl) {
 			walk(b, res.In[b], true)
 		}
 	}
+}
+
+// isMachineRun reports a call of Machine.Run.
+func isMachineRun(pass *framework.Pass, call *ast.CallExpr) bool {
+	callee := framework.CalleeIdent(call)
+	return callee != nil && callee.Name == "Run" && framework.RecvTypeName(pass.Info, call) == "Machine"
 }
 
 // checkHostSends flags raw channel sends on the host goroutine that are not

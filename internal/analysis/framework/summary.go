@@ -21,6 +21,9 @@ package framework
 //     transitively), does it handle fault events, does it spawn raw
 //     goroutines or allocate from a caller-held arena? recoverpath composes
 //     these into the Section-4 recovery invariants.
+//   - communication: can the callee reach a transport verb, or a call the
+//     call graph cannot follow? protomc picks its worlds by it
+//     (skeleton.go).
 //
 // Ownership effects are computed by running the existing CFG + dataflow
 // protocol machinery once per tracked parameter with the boundary state
@@ -30,7 +33,7 @@ package framework
 // partner is conservatively treated as escaping.
 //
 // Everything matches by name (type names "arena"/"Acc"/"Stats"/"Proc"/
-// "Machine"/"Code"/"Corrector"/"FaultEvent", kernel names), like the rest
+// "Code"/"Corrector"/"FaultEvent", kernel names), like the rest
 // of the framework, so the same summaries work on the real tree and on
 // import-free fixtures.
 
@@ -97,9 +100,6 @@ var chargePrimitives = map[string]map[string]bool{
 	},
 }
 
-// chargeCarrierTypes are the cost-model carrier types of a signature.
-var chargeCarrierTypes = map[string]bool{"Stats": true, "Proc": true, "Machine": true}
-
 // recoverySources lists the decode/verify entry points of the fault
 // recovery machinery, per receiver type name.
 var recoverySources = map[string]map[string]bool{
@@ -119,10 +119,12 @@ type Summary struct {
 	Variadic bool
 
 	// Charges: some path reaches a Stats/Proc charge primitive,
-	// transitively. ChargeCarrier: the signature itself carries a
-	// Stats/Proc/Machine receiver or parameter (the pre-summary witness).
-	Charges       bool
-	ChargeCarrier bool
+	// transitively.
+	Charges bool
+
+	// Communicates: some call in the body may communicate
+	// (MayCommunicate), transitively.
+	Communicates bool
 
 	// RecoverySource: the function is one of the decode/verify entry points
 	// (erasure.Decode, softfault.Correct/Verify) by name. RecoveryErr: the
@@ -293,9 +295,6 @@ func newSummary(n *CGNode) *Summary {
 	sum.Variadic = sig.Variadic()
 	if recv := sig.Recv(); recv != nil {
 		recvName := NamedTypeName(recv.Type())
-		if chargeCarrierTypes[recvName] {
-			sum.ChargeCarrier = true
-		}
 		if set := chargePrimitives[recvName]; set != nil && set[sum.Name] {
 			sum.Charges = true
 		}
@@ -307,11 +306,7 @@ func newSummary(n *CGNode) *Summary {
 	params := sig.Params()
 	sum.Params = make([]ParamEffect, params.Len())
 	for i := 0; i < params.Len(); i++ {
-		t := params.At(i).Type()
-		if chargeCarrierTypes[NamedTypeName(t)] {
-			sum.ChargeCarrier = true
-		}
-		if isFaultEventCarrier(t) {
+		if isFaultEventCarrier(params.At(i).Type()) {
 			sum.HandlesFaults = true
 		}
 	}
@@ -371,6 +366,7 @@ func (s *Summaries) compute(n *CGNode) bool {
 			sum.SpawnsGo = true
 		}
 	}
+	sum.Communicates = s.MayCommunicate(n.Pkg.Info, n.Decl.Body)
 	if hasErrorResult(sig) && sum.ReachesRecovery {
 		sum.RecoveryErr = true
 	}
@@ -391,6 +387,7 @@ func (s *Summaries) compute(n *CGNode) bool {
 		sum.ReachesRecovery != old.ReachesRecovery ||
 		sum.RecoveryErr != old.RecoveryErr ||
 		sum.SpawnsGo != old.SpawnsGo ||
+		sum.Communicates != old.Communicates ||
 		sum.AllocsArenaParam != old.AllocsArenaParam ||
 		!sum.Returns.Equal(old.Returns) ||
 		len(sum.KernelCalls) != oldKernels

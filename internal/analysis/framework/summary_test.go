@@ -116,9 +116,6 @@ func TestSummaryCharges(t *testing.T) {
 		if sum.Charges != want {
 			t.Errorf("%s.Charges = %v, want %v", fn, sum.Charges, want)
 		}
-		if !sum.ChargeCarrier {
-			t.Errorf("%s.ChargeCarrier = false, want true (takes *Stats)", fn)
-		}
 	}
 }
 

@@ -8,6 +8,10 @@
 // GOMAXPROCS, and this analyzer keeps new code from quietly reintroducing
 // unbounded spawns.
 //
+// internal/collective is governed too, with no sanctioned spawn, so raw
+// goroutines are statically forbidden in every package protomc models:
+// protomc's evaluator refuses one only on a path some world explores.
+//
 // The two legitimate spawn sites — the pool's own worker launch and the
 // machine simulator's one-goroutine-per-processor Run loop — carry explicit
 // `//ftlint:allow poolspawn <rationale>` comments.
@@ -27,7 +31,7 @@ var Analyzer = &framework.Analyzer{
 
 // governed lists the package path segments under the no-raw-goroutines rule.
 // The "machine" segment covers internal/machine.
-var governed = []string{"toom", "parallel", "ftengine", "ftparallel", "ftmatmul", "machine", "bigint", "workpool"}
+var governed = []string{"toom", "parallel", "ftengine", "ftparallel", "ftmatmul", "machine", "bigint", "workpool", "collective"}
 
 func run(pass *framework.Pass) error {
 	target := false

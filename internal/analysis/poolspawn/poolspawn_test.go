@@ -32,3 +32,9 @@ func TestPoolSpawnBigint(t *testing.T) {
 func TestPoolSpawnWorkpool(t *testing.T) {
 	analysistest.Run(t, poolspawn.Analyzer, "workpool")
 }
+
+// The collectives are governed: protomc's evaluator sees a raw goroutine
+// only on an explored path, so none may appear at all.
+func TestPoolSpawnCollective(t *testing.T) {
+	analysistest.Run(t, poolspawn.Analyzer, "collective")
+}

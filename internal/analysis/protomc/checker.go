@@ -142,9 +142,8 @@ type message struct {
 
 // checker explores one world.
 type checker struct {
-	sums  *framework.Summaries
-	skels *framework.SkeletonSet
-	w     *world
+	sums *framework.Summaries
+	w    *world
 
 	procs     []*modelProc
 	queues    map[qkey][]message
@@ -177,8 +176,8 @@ const (
 
 // explore runs the DFS over choice vectors and returns all distinct
 // findings plus the barrier-crossing census of the world's first run.
-func explore(sums *framework.Summaries, skels *framework.SkeletonSet, w *world) ([]Finding, []faultSpec) {
-	ck := &checker{sums: sums, skels: skels, w: w, seen: map[string]bool{}}
+func explore(sums *framework.Summaries, w *world) ([]Finding, []faultSpec) {
+	ck := &checker{sums: sums, w: w, seen: map[string]bool{}}
 	maxRuns := w.maxRuns
 	if maxRuns <= 0 {
 		maxRuns = defaultRuns
@@ -623,7 +622,7 @@ func (ck *checker) procMain(mp *modelProc) {
 		}
 	}()
 	mp.await() // parked until the scheduler starts this processor
-	errv := ck.w.run(newEval(ck.sums, ck.skels, &ck.fuel), mp)
+	errv := ck.w.run(newEval(ck.sums, &ck.fuel), mp)
 	o := op{proc: mp.id, kind: kExit}
 	if e, ok := errv.(framework.Err); ok {
 		o.isErr = true

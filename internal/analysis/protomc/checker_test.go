@@ -41,7 +41,7 @@ func TestCheckerCleanPingPong(t *testing.T) {
 			mp.opSend(0, "pong", framework.KnownInt(2), token.NoPos)
 		}
 	})
-	fs, _ := explore(nil, nil, w)
+	fs, _ := explore(nil, w)
 	if len(fs) != 0 {
 		t.Fatalf("clean ping-pong produced findings:\n%s", findingMsgs(fs))
 	}
@@ -53,7 +53,7 @@ func TestCheckerDeadlock(t *testing.T) {
 		mp.opRecv(1-mp.id, "m", token.NoPos)
 		mp.opSend(1-mp.id, "m", framework.KnownInt(1), token.NoPos)
 	})
-	fs, _ := explore(nil, nil, w)
+	fs, _ := explore(nil, w)
 	if len(fs) == 0 || !strings.Contains(fs[0].Msg, "deadlock") {
 		t.Fatalf("cyclic wait not reported as deadlock:\n%s", findingMsgs(fs))
 	}
@@ -68,7 +68,7 @@ func TestCheckerOrphanMessage(t *testing.T) {
 			mp.opSend(1, "extra", framework.KnownInt(1), token.NoPos)
 		}
 	})
-	fs, _ := explore(nil, nil, w)
+	fs, _ := explore(nil, w)
 	if len(fs) == 0 || !strings.Contains(fs[0].Msg, "never received") {
 		t.Fatalf("undrained queue not reported as orphan:\n%s", findingMsgs(fs))
 	}
@@ -83,7 +83,7 @@ func TestCheckerSendToTerminated(t *testing.T) {
 	})
 	// p1 blocks on a receive that can never be satisfied -> deadlock, since
 	// p0 exited cleanly without erroring.
-	fs, _ := explore(nil, nil, w)
+	fs, _ := explore(nil, w)
 	if len(fs) == 0 || !strings.Contains(fs[0].Msg, "deadlock") {
 		t.Fatalf("wait on exited peer not reported:\n%s", findingMsgs(fs))
 	}
@@ -95,7 +95,7 @@ func TestCheckerOutOfWorldSend(t *testing.T) {
 			mp.opSend(7, "m", framework.KnownInt(1), token.NoPos)
 		}
 	})
-	fs, _ := explore(nil, nil, w)
+	fs, _ := explore(nil, w)
 	if len(fs) == 0 || !strings.Contains(fs[0].Msg, "outside the world") {
 		t.Fatalf("out-of-world send not reported:\n%s", findingMsgs(fs))
 	}
@@ -109,7 +109,7 @@ func TestCheckerBarrierPhaseMismatch(t *testing.T) {
 			mp.opBarrier("mul", token.NoPos)
 		}
 	})
-	fs, _ := explore(nil, nil, w)
+	fs, _ := explore(nil, w)
 	if len(fs) == 0 || !strings.Contains(fs[0].Msg, "barrier phase mismatch") {
 		t.Fatalf("phase mismatch not reported:\n%s", findingMsgs(fs))
 	}
@@ -122,7 +122,7 @@ func TestCheckerCrossingsCensus(t *testing.T) {
 		mp.opBarrier("eval", token.NoPos)
 		mp.opBarrier("eval", token.NoPos)
 	})
-	fs, crossings := explore(nil, nil, w)
+	fs, crossings := explore(nil, w)
 	if len(fs) != 0 {
 		t.Fatalf("clean barrier pair produced findings:\n%s", findingMsgs(fs))
 	}
@@ -156,7 +156,7 @@ func TestCheckerFaultEventDelivery(t *testing.T) {
 	})
 	w.plan = []faultSpec{{Proc: 1, Phase: "eval", Hit: 0}}
 	w.faultTolerant = true
-	fs, _ := explore(nil, nil, w)
+	fs, _ := explore(nil, w)
 	if len(fs) != 0 {
 		t.Fatalf("tolerated fault produced findings:\n%s", findingMsgs(fs))
 	}
@@ -181,7 +181,7 @@ func TestCheckerStaleCrossFaultDelivery(t *testing.T) {
 		}
 	})
 	w.plan = []faultSpec{{Proc: 1, Phase: "sync", Hit: 0}}
-	fs, _ := explore(nil, nil, w)
+	fs, _ := explore(nil, w)
 	if len(fs) == 0 || !strings.Contains(fs[0].Msg, "sent to its predecessor") {
 		t.Fatalf("stale cross-fault delivery not reported:\n%s", findingMsgs(fs))
 	}
@@ -199,7 +199,7 @@ func TestCheckerFaultTolerantAbortIsFinding(t *testing.T) {
 			return framework.Nil{}
 		},
 	}
-	fs, _ := explore(nil, nil, w)
+	fs, _ := explore(nil, w)
 	if len(fs) == 0 || !strings.Contains(fs[0].Msg, "aborts with") {
 		t.Fatalf("abort under tolerated plan not reported:\n%s", findingMsgs(fs))
 	}
@@ -217,7 +217,7 @@ func TestCheckerDeadlineNoSender(t *testing.T) {
 			}
 		}
 	})
-	fs, _ := explore(nil, nil, w)
+	fs, _ := explore(nil, w)
 	if len(fs) != 0 {
 		t.Fatalf("deadline receive with no sender produced findings:\n%s", findingMsgs(fs))
 	}
@@ -239,7 +239,7 @@ func TestCheckerDeadlineBothBranches(t *testing.T) {
 			}
 		}
 	})
-	fs, _ := explore(nil, nil, w)
+	fs, _ := explore(nil, w)
 	if len(fs) != 0 {
 		t.Fatalf("deadline receive with sender produced findings:\n%s", findingMsgs(fs))
 	}
@@ -275,8 +275,8 @@ func TestCheckerExhaustiveAgreesWithDeterministic(t *testing.T) {
 		}
 	}
 	for _, broken := range []bool{false, true} {
-		det, _ := explore(nil, nil, build(false, broken))
-		exh, _ := explore(nil, nil, build(true, broken))
+		det, _ := explore(nil, build(false, broken))
+		exh, _ := explore(nil, build(true, broken))
 		if (len(det) == 0) != (len(exh) == 0) {
 			t.Fatalf("broken=%v: deterministic (%d findings) and exhaustive (%d findings) disagree:\n--- det:\n%s\n--- exh:\n%s",
 				broken, len(det), len(exh), findingMsgs(det), findingMsgs(exh))

@@ -20,7 +20,11 @@ package protomc
 //     assumed not taken (the local-failure-free assumption: arithmetic
 //     invariants are other analyzers' jobs), and when both arms are
 //     communication-free the branch is skipped, with every variable either
-//     arm assigns smeared to unknown;
+//     arm assigns smeared to unknown. An arm is communication-free when no
+//     call under it may communicate (framework.Summaries.MayCommunicate),
+//     which counts every call the call graph cannot follow: a call through
+//     a func-typed value, a method of an interface declared outside the
+//     model boundary;
 //   - a loop whose trip count is unknown cannot be modeled.
 //
 // Anything else aborts the run with a framework.EvalError, which the
@@ -59,13 +63,13 @@ type Native struct{ V any }
 // the checker.
 type ProcVal struct{ mp *modelProc }
 
-// domain is protomc's evaluator domain; the skeletons answer which calls
-// can communicate. Model processors are reached through their ProcVal
-// handles, so host-side world construction uses the same domain.
-type domain struct{ skels *framework.SkeletonSet }
+// domain is protomc's evaluator domain. Model processors are reached
+// through their ProcVal handles, so host-side world construction uses the
+// same domain.
+type domain struct{}
 
-func newEval(sums *framework.Summaries, skels *framework.SkeletonSet, fuel *int64) *framework.Eval {
-	return &framework.Eval{Sums: sums, D: &domain{skels: skels}, Fuel: fuel}
+func newEval(sums *framework.Summaries, fuel *int64) *framework.Eval {
+	return &framework.Eval{Sums: sums, D: &domain{}, Fuel: fuel}
 }
 
 // The zero bigint.Int (and fixture stand-ins named Int) is the known
@@ -207,27 +211,10 @@ func (d *domain) errorArm(ev *framework.Eval, stmt ast.Stmt) bool {
 	return d.commFree(ev, blk)
 }
 
-// commFree reports that no communication can happen under stmt, directly
-// or through any statically resolved callee.
+// commFree reports that no call under stmt can communicate
+// (Summaries.MayCommunicate).
 func (d *domain) commFree(ev *framework.Eval, stmt ast.Stmt) bool {
-	if stmt == nil {
-		return true
-	}
-	info := ev.Pkg().Info
-	free := true
-	ast.Inspect(stmt, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok || !free {
-			return free
-		}
-		if _, isComm := framework.CommSiteAt(info, call); isComm {
-			free = false
-		} else if key := framework.FuncKey(framework.CalleeFunc(info, call)); key != "" && d.skels.CommReach(key) {
-			free = false
-		}
-		return free
-	})
-	return free
+	return stmt == nil || !ev.Sums.MayCommunicate(ev.Pkg().Info, stmt)
 }
 
 // smearAssigned sets every variable a skipped arm assigns to the unknown

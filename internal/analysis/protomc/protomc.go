@@ -1,16 +1,16 @@
-// Package protomc extracts communication skeletons from per-processor SPMD
-// functions and model-checks them explicitly for concrete small worlds.
+// Package protomc model-checks per-processor SPMD protocols explicitly for
+// concrete small worlds.
 //
 // The analyzer targets packages that implement collectives or fault-tolerant
 // recovery on top of the machine transport (the collective and ftparallel
 // packages, plus fixture packages declaring their own Proc stand-in). Each
-// package-level function taking a *machine.Proc first is compiled — via the
-// shared abstract interpreter — into a process network and run to
-// quiescence for every world size n in [2,5] and every legal root. The
-// fault-tolerant engine is additionally instantiated exactly as
-// ftparallel.Multiply builds it and re-explored under every single
-// fail-stop fault plan its layout claims to tolerate (one fault per barrier
-// crossing observed in the fault-free run, mirroring machine.Proc's
+// package-level function taking a *machine.Proc first that can communicate
+// (framework.Summary.Communicates) is run by the shared evaluator as a
+// process network to quiescence for every world size n in [2,5] and every
+// legal root. The fault-tolerant engine is additionally instantiated
+// exactly as ftparallel.Multiply builds it and re-explored under every
+// single fail-stop fault plan its layout claims to tolerate (one fault per
+// barrier crossing observed in the fault-free run, mirroring machine.Proc's
 // per-rank, phase-keyed hit counting).
 //
 // Properties checked, each reported with a counterexample interleaving and
@@ -26,10 +26,13 @@
 //     plan, no processor aborts with an error and no replacement consumes
 //     a message addressed to its failed predecessor.
 //
-// Functions whose call tree the interpreter cannot model soundly (goroutine
-// spawns, selects, raw channel operations, unbounded comm loops) are
-// themselves findings — the checker never silently skips, so a clean report
-// really means the protocol space was explored.
+// The shared evaluator is the only modelability gate: a construct it does
+// not model (a goroutine spawn, a select, a channel, a loop whose trip count
+// depends on opaque data, an opaque branch that guards communication) fails
+// the world at the construct, as a finding. The checker never silently
+// skips, so a clean report really means the protocol space was explored. A
+// construct on a path no world explores is not seen; poolspawn forbids raw
+// goroutines in every package protomc models.
 package protomc
 
 import (
@@ -41,12 +44,12 @@ import (
 
 var Analyzer = &framework.Analyzer{
 	Name: "protomc",
-	Doc:  "model-check communication skeletons of collectives and FT recovery under fail-stop faults",
+	Doc:  "model-check the collectives and FT recovery under fail-stop faults by running them over small worlds",
 	Run:  run,
 }
 
 func run(pass *framework.Pass) error {
-	worlds, skels := buildWorlds(pass)
+	worlds := buildWorlds(pass)
 
 	// The same violation recurs across world sizes and fault plans (with
 	// processor numbers baked into the message); report one diagnostic per
@@ -63,7 +66,7 @@ func run(pass *framework.Pass) error {
 	}
 
 	for _, w := range worlds {
-		findings, crossings := explore(pass.Summaries, skels, w)
+		findings, crossings := explore(pass.Summaries, w)
 		emit(findings)
 		if !w.faultTolerant {
 			continue
@@ -75,7 +78,7 @@ func run(pass *framework.Pass) error {
 			fw := *w
 			fw.plan = []faultSpec{c}
 			fw.name = w.name + " " + c.String()
-			f2, _ := explore(pass.Summaries, skels, &fw)
+			f2, _ := explore(pass.Summaries, &fw)
 			emit(f2)
 		}
 	}
@@ -84,20 +87,19 @@ func run(pass *framework.Pass) error {
 
 // buildWorlds instantiates every world of the pass's package, reporting
 // the functions it could not instantiate.
-func buildWorlds(pass *framework.Pass) ([]*world, *framework.SkeletonSet) {
+func buildWorlds(pass *framework.Pass) []*world {
 	if framework.ModelBoundaryPkg(pass.Path) {
-		return nil, nil // machine/arithmetic layers are modeled natively, not checked
+		return nil // machine/arithmetic layers are modeled natively, not checked
 	}
 	if !inScope(pass) {
-		return nil, nil
+		return nil
 	}
-	skels := framework.ExtractSkeletons(pass.Summaries, framework.DefaultWorldAxioms())
-	worlds, errs := collectiveWorlds(pass, pass.Summaries, skels)
-	ew, eerrs := engineWorlds(pass, pass.Summaries, skels)
+	worlds, errs := collectiveWorlds(pass, pass.Summaries)
+	ew, eerrs := engineWorlds(pass, pass.Summaries)
 	for _, ie := range append(errs, eerrs...) {
 		pass.Reportf(ie.pos, "%s: %s", shortKey(ie.key), ie.msg)
 	}
-	return append(worlds, ew...), skels
+	return append(worlds, ew...)
 }
 
 // inScope: the collective, ftengine, and ftparallel packages, plus any

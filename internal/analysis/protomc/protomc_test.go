@@ -19,6 +19,12 @@ func TestBadBroadcastFixture(t *testing.T)    { analysistest.Run(t, Analyzer, "b
 func TestBadReduceFixture(t *testing.T)       { analysistest.Run(t, Analyzer, "badreduce") }
 func TestBadRecoverFixture(t *testing.T)      { analysistest.Run(t, Analyzer, "badrecover") }
 
+// TestHiddenSendFixture pins that "can this call communicate?" is answered
+// soundly: a send through a closure or an interface method guards an
+// opaque branch as an inline send does, and a protocol that sends only
+// through an interface method is still a world.
+func TestHiddenSendFixture(t *testing.T) { analysistest.Run(t, Analyzer, "hiddensend") }
+
 // TestRealTreeClean is the headline guarantee: the production collectives
 // and the fault-tolerant engine are deadlock-free and orphan-free for every
 // world size in [2,5], every legal root, and every single fail-stop fault
@@ -109,6 +115,47 @@ func TestNonVacuity(t *testing.T) {
 	t.Fatalf("mutated broadcast (receive tag skewed) produced no deadlock finding; got %d diagnostics: %+v", len(diags), diags)
 }
 
+// TestEvaluatorGate pins that the shared evaluator is protomc's only
+// modelability gate: each construct put on Broadcast's non-root path in the
+// clean fixture yields its finding at the construct, and no finding
+// elsewhere. The evaluator refuses what it does not model; a deferred send
+// it models, so the finding is the message nobody receives. (Under
+// AllReduce the non-root v is Reduce's nil result, so the loop case also
+// reports its index into a nil slice, on the same line.)
+func TestEvaluatorGate(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "src", "collective", "collective.go"))
+	if err != nil {
+		t.Fatalf("reading clean fixture: %v", err)
+	}
+	const orig = `return p.Recv(g[root], tag)`
+	at := strings.Index(string(raw), orig)
+	if at < 0 {
+		t.Fatalf("clean fixture no longer contains %q; update this test's mutation", orig)
+	}
+	line := strings.Count(string(raw[:at]), "\n") + 1
+	for _, tc := range []struct{ name, construct, want string }{
+		{"go statement", `go func() {}()`, "statement *ast.GoStmt is not modeled"},
+		{"select", `select {}`, "statement *ast.SelectStmt is not modeled"},
+		{"raw channel", "c := make(chan int, 1)\n\tc <- 1\n\t<-c", "make of chan int is not modeled"},
+		{"opaque loop bound", "for i := 0; i < int(v[0]); i++ {\n\t\tp.Send(g[root], tag, v)\n\t}", "loop condition not concretely decidable"},
+		{"deferred send", `defer p.Send(g[0], tag+"/d", v)`, `message tag "t/d" from p1 to p0 is never received`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mutated := strings.Replace(string(raw), orig, tc.construct+"\n\t"+orig, 1)
+			found := false
+			for _, d := range runOnSource(t, "collective", mutated) {
+				if d.Position.Line != line {
+					t.Errorf("finding off the construct's line %d: %s: %s", line, d.Position, d.Message)
+				}
+				found = found || strings.Contains(d.Message, tc.want)
+			}
+			if !found {
+				t.Errorf("no finding containing %q", tc.want)
+			}
+		})
+	}
+}
+
 // TestCounterexampleTrace checks the shape of a reported counterexample:
 // the dirty broadcast's deadlock carries the world it was found in and a
 // non-empty interleaving ending in concrete scheduler events.
@@ -161,7 +208,7 @@ func TestRealTreeCensus(t *testing.T) {
 	for _, pkg := range pkgs {
 		pass := &framework.Pass{Analyzer: Analyzer, Path: pkg.Path, Fset: pkg.Fset,
 			Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, Summaries: sums}
-		worlds, skels := buildWorlds(pass)
+		worlds := buildWorlds(pass)
 		for _, w := range worlds {
 			if !strings.HasPrefix(w.name, "ftparallel.Multiply ") {
 				if pkg.Path != "repro/internal/collective" {
@@ -172,7 +219,7 @@ func TestRealTreeCensus(t *testing.T) {
 			}
 			c := census{n: w.n}
 			if w.faultTolerant {
-				ck := &checker{sums: sums, skels: skels, w: w, seen: map[string]bool{}}
+				ck := &checker{sums: sums, w: w, seen: map[string]bool{}}
 				ck.runOnce(nil)
 				c.plans = len(ck.crossings)
 			}

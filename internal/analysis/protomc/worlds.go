@@ -3,10 +3,11 @@ package protomc
 // worlds.go instantiates concrete model worlds. Two families exist:
 //
 //   - generic collective worlds: every package-level function whose first
-//     parameter is a *Proc and that transitively communicates is
-//     instantiated for n in [2,5] processors, with every legal root when a
-//     root parameter exists. Groups become the identity group [0..n),
-//     payload vectors become small opaque vectors, tags become "t".
+//     parameter is a *Proc and that can communicate
+//     (framework.Summary.Communicates) is instantiated for n in [2,5]
+//     processors, with every legal root when a root parameter exists.
+//     Groups become the identity group [0..n), payload vectors become small
+//     opaque vectors, tags become "t".
 //
 //   - engine worlds: the fault-tolerant worlds of the shared
 //     multiplication world list (framework.MultiplyWorlds), built by
@@ -51,9 +52,10 @@ type instError struct {
 
 // collectiveWorlds builds the generic worlds for every communicating
 // package-level Proc-first function declared in the pass's package, in
-// source order. Functions with unmodelable call trees are the analyzer's
-// job to report; they are not returned here.
-func collectiveWorlds(pass *framework.Pass, sums *framework.Summaries, skels *framework.SkeletonSet) ([]*world, []instError) {
+// source order. Whether a world's call tree can be modeled is decided by
+// running it: the evaluator fails visibly at the first construct it does
+// not model.
+func collectiveWorlds(pass *framework.Pass, sums *framework.Summaries) ([]*world, []instError) {
 	var worlds []*world
 	var errs []instError
 	framework.FuncDecls(pass.Files, func(fd *ast.FuncDecl) {
@@ -72,18 +74,10 @@ func collectiveWorlds(pass *framework.Pass, sums *framework.Summaries, skels *fr
 			return
 		}
 		key := framework.FuncKey(fn)
-		if !skels.CommReach(key) {
-			return
-		}
-		if ok, bl := skels.Modelable(key); !ok {
-			errs = append(errs, instError{key: key, pos: fd.Pos(),
-				msg: "cannot model communication skeleton: " + skels.DescribeBlockers(pass.Fset, bl)})
+		if sum := sums.Lookup(key); sum == nil || !sum.Communicates {
 			return
 		}
 		node := sums.Graph.Nodes[key]
-		if node == nil {
-			return
-		}
 		ws, ie := funcWorlds(node, sig)
 		worlds = append(worlds, ws...)
 		if ie != nil {
@@ -245,21 +239,17 @@ func lastResult(out []Value) Value {
 // program becomes the per-processor body. The engine state is shared by
 // all ranks and runs: the scheduler executes one processor at a time, and
 // the real engine is likewise shared read-only across goroutines.
-func engineWorlds(pass *framework.Pass, sums *framework.Summaries, skels *framework.SkeletonSet) ([]*world, []instError) {
+func engineWorlds(pass *framework.Pass, sums *framework.Summaries) ([]*world, []instError) {
 	ws := framework.MultiplyWorldsFor(pass.Path)
 	entry := framework.MultiplyEntry(sums, pass.Pkg)
 	if len(ws) == 0 || entry == nil {
 		return nil, nil
 	}
-	if ok, bl := skels.Modelable(entry.Key); !ok {
-		return nil, []instError{{key: entry.Key, pos: entry.Decl.Pos(),
-			msg: "cannot model communication skeleton: " + skels.DescribeBlockers(pass.Fset, bl)}}
-	}
 	var worlds []*world
 	var errs []instError
 	for _, w := range ws {
 		var fuel int64 = defaultFuel
-		host := newEval(sums, skels, &fuel)
+		host := newEval(sums, &fuel)
 		alg, err := toom.New(w.K)
 		if err != nil {
 			return nil, []instError{{key: entry.Key, pos: entry.Decl.Pos(), msg: err.Error()}}
