@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmtcheck test race vet allocs procs benchtest bench benchjson benchgate fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke loc census ci
+.PHONY: build fmtcheck test race vet allocs procs arch benchtest bench benchjson benchgate fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke loc census ci
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,15 @@ allocs:
 # only run where the worker pool has more slots than CPUs.
 procs:
 	$(GO) test -count=1 -cpu 8 ./...
+
+# Other word sizes and byte orders: the whole suite on 386 (32-bit
+# big.Word; an amd64 host runs it natively), then build-only arm64 and
+# s390x (big-endian), which are built, not run, because no emulator may be
+# downloaded.
+arch:
+	GOARCH=386 $(GO) test ./...
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=s390x $(GO) build ./...
 
 # The repository benchmark's own tests (bench/ is a module of its own, so
 # ./... never reaches it): workload cycles, metric definitions and their
@@ -157,4 +166,4 @@ census:
 	@bash scripts/census.sh
 
 # ci mirrors .github/workflows/ci.yml locally: everything a PR must pass.
-ci: build fmtcheck census test vet allocs procs benchtest race fuzz-smoke wallsmoke matsmoke examples lint
+ci: build fmtcheck census test vet allocs procs arch benchtest race fuzz-smoke wallsmoke matsmoke examples lint

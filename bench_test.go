@@ -65,6 +65,26 @@ func BenchmarkTable1FaultTolerant(b *testing.B) {
 	reportCosts(b, last)
 }
 
+// BenchmarkTable1FaultTolerantK3 is the Toom-3 row beside the Toom-2 one:
+// 2k−1 = 5 evaluation points, so P = 5 is one BFS step and P = 25 two.
+func BenchmarkTable1FaultTolerantK3(b *testing.B) {
+	a, x := benchOperands(1 << 16)
+	alg := toom.MustNew(3)
+	for _, p := range []int{5, 25} {
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+			var last *machine.Report
+			for i := 0; i < b.N; i++ {
+				res, err := ftparallel.Multiply(a, x, ftparallel.Options{Alg: alg, P: p, F: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = res.Report
+			}
+			reportCosts(b, last)
+		})
+	}
+}
+
 func BenchmarkTable1Replication(b *testing.B) {
 	a, x := benchOperands(1 << 16)
 	alg := toom.MustNew(2)

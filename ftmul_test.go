@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bigint"
 )
 
 func randBig(rng *rand.Rand, bits int) *big.Int {
@@ -170,7 +172,10 @@ func TestTwoFaultCensus(t *testing.T) {
 // same outcome on both backends, and the split is pinned.
 func TestThreeFaultCensus(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	a, b := randBig(rng, 1<<12), randBig(rng, 1<<12)
+	// bigint.Random draws one uint64 per limb on every platform, where
+	// big.Int.Rand draws one per big.Word, so the plans drawn after the
+	// operands are the same on 32- and 64-bit hosts.
+	a, b := bigint.Random(rng, 1<<12).ToBig(), bigint.Random(rng, 1<<12).ToBig()
 	want := new(big.Int).Mul(a, b)
 	lay, err := GridLayout(9, 2, 2)
 	if err != nil {
@@ -214,8 +219,8 @@ func TestThreeFaultCensus(t *testing.T) {
 			n++
 		}
 	}
-	if n != 354 {
-		t.Errorf("%d exact, %d ToleranceErrors; want 354 and 46", n, len(plans)-n)
+	if n != 365 {
+		t.Errorf("%d exact, %d ToleranceErrors; want 365 and 35", n, len(plans)-n)
 	}
 }
 

@@ -6,6 +6,9 @@
 //     conditional-subtract reduction;
 //   - every shoupMul/shoupOf call satisfies the Shoup precondition w < p,
 //     and every redc call feeds operands below 2p;
+//   - every twiddle stored into a twiddle table (fillTwiddles' w and iw) is
+//     below p, and a kernel that reads a table passes only its twiddles, not
+//     their Shoup constants, where a twiddle belongs;
 //   - no unsigned add/sub/mul in a kernel can wrap around 2^64;
 //   - reductions are present before CRT recombination: the residues
 //     nttCRTCombine consumes are strictly below their primes, which is
@@ -25,11 +28,15 @@
 // Helper kernels are axiomatized by name rather than inlined — shoupMul,
 // redc, mulMod, powMod, invMod, shoupOf carry the pre/postconditions their
 // doc comments state — and everything else flows through the
-// interprocedural summary return bounds. Three assumptions are trusted
+// interprocedural summary return bounds. Four assumptions are trusted
 // rather than proved here, each pinned elsewhere:
 //
-//   - pr.rate/pr.irate elements and pr.r are below p (precompute reduces
-//     them mod p; TestNTTPrimeProperties pins the tables);
+//   - pr.root/pr.iroot elements and pr.r are below p (precompute reduces
+//     them mod p; TestNTTPrimeProperties pins them);
+//   - a twiddle table a kernel reads (its w/iw parameters) holds values
+//     below p: fillTwiddles' stores are proved, but the table reaches the
+//     transforms through nttTwiddles and an atomic pointer, which the
+//     engine does not follow (TestNTTTwiddleTable pins every entry);
 //   - a lazy buffer is filled (nttLoad) before it is read — the element
 //     contract is flow-insensitive;
 //   - prime-table p fields are never reassigned after their literal.
@@ -63,9 +70,10 @@ var Analyzer = &framework.Analyzer{
 type bufKind int
 
 const (
-	bufRaw    bufKind = iota // arbitrary limbs: loads are unconstrained, stores unchecked
-	bufLazy                  // lazy domain: loads assume [0, 2p), stores must prove < 2p
-	bufStrict                // CRT residues: loads assume [0, p_k), stores must prove < p_k
+	bufRaw     bufKind = iota // arbitrary limbs: loads are unconstrained, stores unchecked
+	bufLazy                   // lazy domain: loads assume [0, 2p), stores must prove < 2p
+	bufStrict                 // CRT residues: loads assume [0, p_k), stores must prove < p_k
+	bufTwiddle                // twiddle table: loads assume [0, p), stores must prove < p
 )
 
 type bufSpec struct {
@@ -88,8 +96,12 @@ type kernelSpec struct {
 }
 
 var kernels = map[string]*kernelSpec{
-	"forward":      {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, perPrime: true},
-	"inverse":      {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, perPrime: true},
+	"forward": {bufs: map[string]bufSpec{"a": {kind: bufLazy}, "w": {kind: bufTwiddle}, "ws": {kind: bufRaw}}, perPrime: true},
+	"inverse": {bufs: map[string]bufSpec{"a": {kind: bufLazy}, "iw": {kind: bufTwiddle}, "iws": {kind: bufRaw}}, perPrime: true},
+	"fillTwiddles": {
+		bufs:     map[string]bufSpec{"w": {kind: bufTwiddle}, "ws": {kind: bufRaw}, "iw": {kind: bufTwiddle}, "iws": {kind: bufRaw}},
+		perPrime: true,
+	},
 	"forwardRange": {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, ltP: map[string]bool{"rot": true}, perPrime: true},
 	"inverseRange": {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, ltP: map[string]bool{"irot": true}, perPrime: true},
 	"splitBlock":   {bufs: map[string]bufSpec{"a": {kind: bufLazy}}, ltP: map[string]bool{"rot": true}, perPrime: true},
@@ -456,10 +468,10 @@ func (c *proofCtx) bufOf(base ast.Expr) (bufSpec, string, bool) {
 }
 
 func (c *proofCtx) elemContract(base ast.Expr, site *ast.IndexExpr) (framework.Interval, bool) {
-	// Twiddle tables: pr.rate[i]/pr.irate[i] are below p (established by
+	// Root tables: pr.root[i]/pr.iroot[i] are below p (established by
 	// precompute, pinned by the prime-property tests).
 	if sel, ok := ast.Unparen(base).(*ast.SelectorExpr); ok && c.prime != 0 {
-		if sel.Sel.Name == "rate" || sel.Sel.Name == "irate" {
+		if sel.Sel.Name == "root" || sel.Sel.Name == "iroot" {
 			return framework.NewInterval(0, c.prime-1), true
 		}
 	}
@@ -471,6 +483,10 @@ func (c *proofCtx) elemContract(base ast.Expr, site *ast.IndexExpr) (framework.I
 	case bufLazy:
 		if c.prime != 0 {
 			return framework.NewInterval(0, 2*c.prime-1), true
+		}
+	case bufTwiddle:
+		if c.prime != 0 {
+			return framework.NewInterval(0, c.prime-1), true
 		}
 	case bufStrict:
 		if spec.prime < len(c.m.primes) {
@@ -498,6 +514,10 @@ func (c *proofCtx) storeElem(site *ast.IndexExpr, v framework.Interval, env *fra
 		}
 		if v.Hi >= 2*c.prime {
 			c.m.reportOnce(site.Pos(), "store:"+name, fmt.Sprintf("store into lazy buffer %s not provably below 2p: proved %v, need [0, %d)%s", name, v, 2*c.prime, c.primeNote()))
+		}
+	case bufTwiddle:
+		if c.prime != 0 && (v.IsEmpty() || v.Hi >= c.prime) {
+			c.m.reportOnce(site.Pos(), "store:"+name, fmt.Sprintf("store into twiddle table %s not provably below p: proved %v, need [0, %d)%s", name, v, c.prime, c.primeNote()))
 		}
 	case bufStrict:
 		if spec.prime >= len(c.m.primes) {

@@ -1,13 +1,18 @@
 // Clean fixture: a trimmed, import-free mirror of the real NTT kernels.
 // Every store, Shoup/REDC call, and CRT constant here must be machine-
 // provable — this package expects zero findings. Mul64/Add64/
-// TrailingZeros64 are local stand-ins matched by name, like the real
+// Len are local stand-ins matched by name, like the real
 // math/bits calls.
 package bigint
 
 type nttPrime struct {
 	p, twoP, g, s, pInv, r uint64
-	rate, irate            []uint64
+	root, iroot            []uint64
+	tw                     *nttTwiddles
+}
+
+type nttTwiddles struct {
+	w, ws, iw, iws []uint64
 }
 
 var nttPrimes = [3]nttPrime{
@@ -39,7 +44,7 @@ func init() {
 // Stand-ins for math/bits, matched by name.
 func Mul64(a, b uint64) (hi, lo uint64)         { return 0, 0 }
 func Add64(a, b, carry uint64) (uint64, uint64) { return 0, 0 }
-func TrailingZeros64(x uint64) int              { return 0 }
+func Len(x uint) int                            { return 0 }
 
 // Axiomatized helpers: modbound trusts their doc contracts by name, so the
 // fixture bodies are stubs.
@@ -112,39 +117,59 @@ func (pr *nttPrime) runChunk(c *nttChunk) {
 	}
 }
 
-func (pr *nttPrime) forward(a []uint64) {
+func (pr *nttPrime) twiddles(n int) *nttTwiddles {
+	if pr.tw != nil && 2*len(pr.tw.w) >= n {
+		return pr.tw
+	}
+	m := n / 2
+	t := &nttTwiddles{w: make([]uint64, m), ws: make([]uint64, m), iw: make([]uint64, m), iws: make([]uint64, m)}
+	pr.fillTwiddles(t.w, t.ws, t.iw, t.iws)
+	pr.tw = t
+	return t
+}
+
+func (pr *nttPrime) fillTwiddles(w, ws, iw, iws []uint64) {
 	p := pr.p
-	n := len(a)
-	rot := uint64(1)
-	rotShoup := shoupOf(rot, p)
-	for half := n >> 1; half >= 1; half >>= 1 {
-		for off := 0; off < n; off += half << 1 {
-			if half >= 1024 {
-				pr.splitBlock(a, off, half, rot, rotShoup, false)
-			} else {
-				pr.forwardRange(a, off, off+half, half, rot, rotShoup)
-			}
+	for s := range w {
+		if s == 0 {
+			w[0], iw[0] = 1, 1
+		} else {
+			k := Len(uint(s)) - 1
+			w[s] = mulMod(w[s-1<<k], pr.root[k+2], p)
+			iw[s] = mulMod(iw[s-1<<k], pr.iroot[k+2], p)
 		}
-		rot = mulMod(rot, pr.rate[TrailingZeros64(^rot)], p)
-		rotShoup = shoupOf(rot, p)
+		ws[s] = shoupOf(w[s], p)
+		iws[s] = shoupOf(iw[s], p)
 	}
 }
 
-func (pr *nttPrime) inverse(a []uint64) {
-	p := pr.p
-	n := len(a)
-	irot := uint64(1)
-	irotShoup := shoupOf(irot, p)
-	for half := 1; half < n; half <<= 1 {
-		for off := 0; off < n; off += half << 1 {
+func (pr *nttPrime) forward(a, w, ws []uint64) {
+	h := Len(uint(len(a))) - 1
+	for st := 0; st < h; st++ {
+		half := 1 << (h - st - 1)
+		for s := 0; s < 1<<st; s++ {
+			offset := s << (h - st)
 			if half >= 1024 {
-				pr.splitBlock(a, off, half, irot, irotShoup, true)
+				pr.splitBlock(a, offset, half, w[s], ws[s], false)
 			} else {
-				pr.inverseRange(a, off, off+half, half, irot, irotShoup)
+				pr.forwardRange(a, offset, offset+half, half, w[s], ws[s])
 			}
 		}
-		irot = mulMod(irot, pr.irate[TrailingZeros64(^irot)], p)
-		irotShoup = shoupOf(irot, p)
+	}
+}
+
+func (pr *nttPrime) inverse(a, iw, iws []uint64) {
+	h := Len(uint(len(a))) - 1
+	for st := h; st >= 1; st-- {
+		half := 1 << (h - st)
+		for s := 0; s < 1<<(st-1); s++ {
+			offset := s << (h - st + 1)
+			if half >= 1024 {
+				pr.splitBlock(a, offset, half, iw[s], iws[s], true)
+			} else {
+				pr.inverseRange(a, offset, offset+half, half, iw[s], iws[s])
+			}
+		}
 	}
 }
 
@@ -164,11 +189,12 @@ func nttLoad(dst, x []uint64, pr *nttPrime) {
 
 func nttProductInto(dst, work, x, y []uint64, pr *nttPrime) {
 	p, pInv := pr.p, pr.pInv
+	tw := pr.twiddles(len(dst))
 	nttLoad(dst, x, pr)
-	pr.forward(dst)
+	pr.forward(dst, tw.w, tw.ws)
 	if !sameNat(x, y) {
 		nttLoad(work, y, pr)
-		pr.forward(work)
+		pr.forward(work, tw.w, tw.ws)
 		for i, v := range work {
 			dst[i] = redc(dst[i], v, p, pInv)
 		}
@@ -177,7 +203,7 @@ func nttProductInto(dst, work, x, y []uint64, pr *nttPrime) {
 			dst[i] = redc(v, v, p, pInv)
 		}
 	}
-	pr.inverse(dst)
+	pr.inverse(dst, tw.iw, tw.iws)
 	scale := mulMod(invMod(uint64(len(dst))%p, p), pr.r, p)
 	scaleShoup := shoupOf(scale, p)
 	for i, v := range dst {

@@ -1,6 +1,7 @@
 // Dirty fixture: each kernel carries one seeded lazy-arithmetic defect the
 // interval engine must catch — a dropped conditional subtract, swapped
-// Shoup arguments, an unreduced twiddle update, a missing pre-load
+// Shoup arguments, an unreduced value stored into the twiddle table, a
+// table's Shoup constant handed over as the twiddle, a missing pre-load
 // reduction, a REDC operand outside [0, 2p), a split chunk's twiddle
 // filed and read from the wrong field, a dropped final reduction
 // before CRT, an out-of-contract Garner constant, and a subtraction that
@@ -9,7 +10,7 @@ package bigint
 
 type nttPrime struct {
 	p, twoP, g, s, pInv, r uint64
-	rate, irate            []uint64
+	root, iroot            []uint64
 }
 
 var nttPrimes = [3]nttPrime{
@@ -40,7 +41,7 @@ func init() {
 
 func Mul64(a, b uint64) (hi, lo uint64)         { return 0, 0 }
 func Add64(a, b, carry uint64) (uint64, uint64) { return 0, 0 }
-func TrailingZeros64(x uint64) int              { return 0 }
+func Len(x uint) int                            { return 0 }
 
 func mulMod(a, b, p uint64) uint64           { return 0 }
 func invMod(a, p uint64) uint64              { return 0 }
@@ -79,20 +80,31 @@ func (pr *nttPrime) inverseRange(a []uint64, i0, i1, half int, irot, irotShoup u
 	}
 }
 
-// forward updates the twiddle with a bare multiply instead of mulMod: the
-// product can wrap, and the unreduced rot breaks the callee's precondition
-// and the Shoup precomputation.
-func (pr *nttPrime) forward(a []uint64) {
+// fillTwiddles grows the table with a bare multiply instead of mulMod:
+// the product can wrap, and the unreduced twiddle breaks the table's < p
+// contract and the Shoup precomputation.
+func (pr *nttPrime) fillTwiddles(w, ws, iw, iws []uint64) {
 	p := pr.p
-	n := len(a)
-	rot := uint64(1)
-	rotShoup := shoupOf(rot, p)
-	for half := n >> 1; half >= 1; half >>= 1 {
-		for off := 0; off < n; off += half << 1 {
-			pr.forwardRange(a, off, off+half, half, rot, rotShoup) // want "twiddle argument not provably below p"
+	for s := range w {
+		k := Len(uint(s)) - 1
+		rot := w[s-1<<k] * pr.root[k+2] // want "possible uint64 wraparound"
+		w[s] = rot                      // want "store into twiddle table w not provably below p"
+		ws[s] = shoupOf(rot, p)         // want "Shoup precomputation input w not provably below p"
+		iw[s] = mulMod(iw[s-1<<k], pr.iroot[k+2], p)
+		iws[s] = shoupOf(iw[s], p)
+	}
+}
+
+// forward hands each block the table's Shoup constant where the twiddle
+// belongs: only w's entries are below p.
+func (pr *nttPrime) forward(a, w, ws []uint64) {
+	h := Len(uint(len(a))) - 1
+	for st := 0; st < h; st++ {
+		half := 1 << (h - st - 1)
+		for s := 0; s < 1<<st; s++ {
+			offset := s << (h - st)
+			pr.forwardRange(a, offset, offset+half, half, ws[s], w[s]) // want "twiddle argument not provably below p"
 		}
-		rot = rot * pr.rate[TrailingZeros64(^rot)] // want "possible uint64 wraparound"
-		rotShoup = shoupOf(rot, p)                 // want "Shoup precomputation input w not provably below p"
 	}
 }
 
@@ -133,10 +145,10 @@ func nttLoad(dst, x []uint64, pr *nttPrime) {
 
 // nttProductInto feeds a raw operand to redc and drops the strict final
 // reduction, leaving dst in [0, 2p) instead of [0, p) for the CRT step.
-func nttProductInto(dst, work, x, y []uint64, pr *nttPrime) {
+func nttProductInto(dst, work, x, y, w, ws []uint64, pr *nttPrime) {
 	p, pInv := pr.p, pr.pInv
 	nttLoad(dst, x, pr)
-	pr.forward(dst)
+	pr.forward(dst, w, ws)
 	for i, v := range work {
 		dst[i] = redc(x[i], v, p, pInv) // want "redc operand a not provably below 2p"
 	}

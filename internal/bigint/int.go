@@ -303,18 +303,28 @@ func (x Int) String() string {
 	return b.String()
 }
 
+// BigWordsPerLimb is the number of math/big words one 64-bit limb takes:
+// 1 where a big.Word has 64 bits, 2 where it has 32.
+const BigWordsPerLimb = 64 / bits.UintSize
+
 // ToBig converts x to a *math/big.Int (test oracle and public-API bridge).
 func (x Int) ToBig() *big.Int {
-	return x.ToBigOn(new(big.Int), make([]big.Word, len(x.abs)))
+	return x.ToBigOn(new(big.Int), make([]big.Word, len(x.abs)*BigWordsPerLimb))
 }
 
-// ToBigOn sets z to x over words, which must hold exactly x.WordLen()
-// entries and becomes z's limb storage, and returns z. Cap words (a
-// three-index slice) when it is cut from a larger slab: z then reallocates
-// instead of growing into its neighbours.
+// ToBigOn sets z to x over words, which must hold exactly
+// x.WordLen()·BigWordsPerLimb entries and becomes z's limb storage, and
+// returns z. Cap words (a three-index slice) when it is cut from a larger
+// slab: z then reallocates instead of growing into its neighbours.
 func (x Int) ToBigOn(z *big.Int, words []big.Word) *big.Int {
-	for i, l := range x.abs {
-		words[i] = big.Word(l)
+	if bits.UintSize == 32 {
+		for i, l := range x.abs {
+			words[2*i], words[2*i+1] = big.Word(l), big.Word(l>>32)
+		}
+	} else {
+		for i, l := range x.abs {
+			words[i] = big.Word(l)
+		}
 	}
 	z.SetBits(words)
 	if x.neg {
@@ -325,7 +335,7 @@ func (x Int) ToBigOn(z *big.Int, words []big.Word) *big.Int {
 
 // FromBig converts a *math/big.Int to an Int.
 func FromBig(v *big.Int) Int {
-	z, _ := AppendBig(make([]uint64, 0, len(v.Bits())), v)
+	z, _ := AppendBig(make([]uint64, 0, (len(v.Bits())+BigWordsPerLimb-1)/BigWordsPerLimb), v)
 	return z
 }
 
@@ -334,8 +344,19 @@ func FromBig(v *big.Int) Int {
 // values through one reserved slab costs one allocation.
 func AppendBig(slab []uint64, v *big.Int) (Int, []uint64) {
 	off := len(slab)
-	for _, w := range v.Bits() {
-		slab = append(slab, uint64(w))
+	words := v.Bits()
+	if bits.UintSize == 32 {
+		for i := 0; i < len(words); i += 2 {
+			l := uint64(words[i])
+			if i+1 < len(words) {
+				l |= uint64(words[i+1]) << 32
+			}
+			slab = append(slab, l)
+		}
+	} else {
+		for _, w := range words {
+			slab = append(slab, uint64(w))
+		}
 	}
 	abs := nat(slab[off:]).norm()
 	slab = slab[:off+len(abs)]

@@ -418,3 +418,53 @@ func itoa(v int) string {
 	}
 	return string(buf[i:])
 }
+
+// TestBigBridgeRoundTrip pins the math/big bridge at the limb and word
+// boundaries, signed and multi-limb: ToBig and ToBigOn give the value the
+// limbs denote, and FromBig and AppendBig give back exactly those limbs,
+// whatever the width of big.Word. The reference is built from the limbs
+// with math/big alone.
+func TestBigBridgeRoundTrip(t *testing.T) {
+	cases := []struct {
+		neg   bool
+		limbs []uint64
+	}{
+		{false, nil},
+		{false, []uint64{1}},
+		{true, []uint64{1}},
+		{false, []uint64{1<<32 - 1}},
+		{false, []uint64{1 << 32}},
+		{true, []uint64{1<<32 + 1}},
+		{false, []uint64{^uint64(0)}},
+		{false, []uint64{0, 1}},
+		{true, []uint64{0, 1}},
+		{false, []uint64{5, 1 << 32, 1<<63 | 1}},
+		{true, []uint64{0x0123456789abcdef, 0, ^uint64(0), 0xfedcba9876543210, 7}},
+	}
+	for _, c := range cases {
+		want := new(big.Int)
+		for i := len(c.limbs) - 1; i >= 0; i-- {
+			want.Lsh(want, 64).Add(want, new(big.Int).SetUint64(c.limbs[i]))
+		}
+		if c.neg {
+			want.Neg(want)
+		}
+		x := FromLimbs(c.neg, c.limbs)
+		if got := x.ToBig(); got.Cmp(want) != 0 {
+			t.Errorf("ToBig(%v) = %v, want %v", x, got, want)
+		}
+		words := make([]big.Word, x.WordLen()*BigWordsPerLimb)
+		if got := x.ToBigOn(new(big.Int), words[:len(words):len(words)]); got.Cmp(want) != 0 {
+			t.Errorf("ToBigOn(%v) = %v, want %v", x, got, want)
+		}
+		back := FromBig(want)
+		if !back.Equal(x) || back.Sign() != want.Sign() || back.WordLen() != len(c.limbs) {
+			t.Errorf("FromBig(%v) = %v (%d limbs), want %v", want, back, back.WordLen(), x)
+		}
+		slab := []uint64{42}
+		got, slab := AppendBig(slab, want)
+		if !got.Equal(x) || len(slab) != 1+len(c.limbs) || slab[0] != 42 {
+			t.Errorf("AppendBig(%v) = %v over slab %v, want %v", want, got, slab, x)
+		}
+	}
+}

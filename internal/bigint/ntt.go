@@ -14,17 +14,21 @@ package bigint
 // forward+pointwise+inverse is a cyclic convolution with both passes walking
 // memory sequentially.
 //
-// Twiddle factors are not tabulated: each stage walks its per-block twiddle
-// `rot` by multiplying with one of ~s precomputed "rate" constants (the
-// AtCoder-library scheme), so the whole precomputation per prime is a few
-// dozen words computed once at package init — no per-size caches, no
-// steady-state allocations, no synchronization.
+// Twiddle factors are looked up, not computed in the transform loops. Block
+// s of a stage (the run of butterflies that share one twiddle) multiplies by
+// w(s) = Π root[j+2]^(bit j of s), the same value at every stage and every
+// transform size, so one table per prime of m entries serves every transform
+// of up to 2m points (nttTwiddles). The table holds each twiddle with its
+// Shoup constant, forward and inverse, and is grown inside the first product
+// that needs a longer one: readers load the published table through an
+// atomic pointer without a lock, and growth, which builds a whole new table,
+// is serialized per prime.
 //
 // Arithmetic is lazy modular arithmetic in [0, 2p) (Harvey):
 //
-//   - twiddle multiplies use Shoup's trick — the per-block precomputed
-//     ⌊rot·2^64/p⌋ turns x·rot mod p into two multiplies and one subtract,
-//     with the result in [0, 2p) for any 64-bit x;
+//   - twiddle multiplies use Shoup's trick — the tabulated ⌊w·2^64/p⌋
+//     turns x·w mod p into two multiplies and one subtract, with the
+//     result in [0, 2p) for any 64-bit x;
 //   - the pointwise stage uses Montgomery REDC without ever entering the
 //     Montgomery domain: REDC(a·b) = a·b·R⁻¹ mod p, and the stray R⁻¹ is
 //     folded into the final N⁻¹ scaling constant;
@@ -35,13 +39,15 @@ package bigint
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/workpool"
 )
 
-// nttPrime is one CRT modulus with its precomputed transform constants. All
-// fields are written once during package init and read-only afterwards, so a
-// value is safe for concurrent use by parallel butterfly workers.
+// nttPrime is one CRT modulus with its transform constants. The constants
+// are written once during package init and read-only afterwards; the
+// twiddle table is published through tw and never written once published,
+// so a value is safe for concurrent use by parallel butterfly workers.
 type nttPrime struct {
 	p     uint64   // modulus, c·2^s + 1, p < 2^62
 	twoP  uint64   // 2p, the lazy-domain bound
@@ -49,8 +55,11 @@ type nttPrime struct {
 	s     uint     // 2-adic valuation of p−1 (max log2 transform size)
 	pInv  uint64   // −p⁻¹ mod 2^64 (Montgomery REDC constant)
 	r     uint64   // 2^64 mod p (the Montgomery R)
-	rate  []uint64 // forward twiddle-rotation constants (rate[i] advances rot at block 0b0…01…1 with i ones)
-	irate []uint64 // inverse counterparts
+	root  []uint64 // root[i] is a primitive 2^i-th root of unity, i ≤ s
+	iroot []uint64 // iroot[i] = root[i]⁻¹
+
+	tw   atomic.Pointer[nttTwiddles] // the block twiddle table, nil until first use
+	twMu sync.Mutex                  // serializes growth of tw
 }
 
 // nttPrimes are the three CRT moduli. Their product is ≈2^184.3, so CRT
@@ -108,30 +117,69 @@ func (pr *nttPrime) precompute() {
 	}
 	pr.pInv = 0 - inv
 
-	// root[i] is a primitive 2^i-th root of unity; the rate arrays advance a
-	// stage's block twiddle in O(1): walking blocks in order, the twiddle of
-	// block s+1 is rot(s)·rate[ctz(^s)] (the AtCoder-library recurrence).
-	root := make([]uint64, pr.s+1)
-	iroot := make([]uint64, pr.s+1)
-	root[pr.s] = powMod(pr.g, (p-1)>>pr.s, p)
-	iroot[pr.s] = invMod(root[pr.s], p)
+	// root[i] is a primitive 2^i-th root of unity: the square of root[i+1].
+	pr.root = make([]uint64, pr.s+1)
+	pr.iroot = make([]uint64, pr.s+1)
+	pr.root[pr.s] = powMod(pr.g, (p-1)>>pr.s, p)
+	pr.iroot[pr.s] = invMod(pr.root[pr.s], p)
 	for i := int(pr.s) - 1; i >= 0; i-- {
-		root[i] = mulMod(root[i+1], root[i+1], p)
-		iroot[i] = mulMod(iroot[i+1], iroot[i+1], p)
-	}
-	pr.rate = make([]uint64, pr.s-1)
-	pr.irate = make([]uint64, pr.s-1)
-	prod, iprod := uint64(1), uint64(1)
-	for i := uint(0); i+2 <= pr.s; i++ {
-		pr.rate[i] = mulMod(root[i+2], prod, p)
-		pr.irate[i] = mulMod(iroot[i+2], iprod, p)
-		prod = mulMod(prod, iroot[i+2], p)
-		iprod = mulMod(iprod, root[i+2], p)
+		pr.root[i] = mulMod(pr.root[i+1], pr.root[i+1], p)
+		pr.iroot[i] = mulMod(pr.iroot[i+1], pr.iroot[i+1], p)
 	}
 }
 
-// mulMod returns a·b mod p exactly (init and twiddle-walk path; the hot
-// loops use shoupMul/redc instead of the hardware divide).
+// nttTwiddles is one prime's table of block twiddles. Block s of every
+// forward stage multiplies by w[s] = Π root[j+2]^(bit j of s), and block s
+// of every inverse stage by iw[s] = w[s]⁻¹; ws and iws hold their Shoup
+// constants. A table of m entries serves every transform of up to 2m
+// points, and a published table is never written again.
+type nttTwiddles struct {
+	w, ws, iw, iws []uint64
+}
+
+// twiddles returns pr's twiddle table for an n-point transform (n ≥ 2 a
+// power of two within the prime's root range), first growing it to n/2
+// entries if it is shorter. The published table is read without a lock;
+// growth, once per doubling of the largest transform seen, builds a new
+// table under pr.twMu (so all growth together costs at most twice the
+// final table's fill).
+func (pr *nttPrime) twiddles(n int) *nttTwiddles {
+	if t := pr.tw.Load(); t != nil && 2*len(t.w) >= n {
+		return t
+	}
+	pr.twMu.Lock()
+	defer pr.twMu.Unlock()
+	if t := pr.tw.Load(); t != nil && 2*len(t.w) >= n {
+		return t
+	}
+	m := n / 2
+	slab := make([]uint64, 4*m)
+	t := &nttTwiddles{w: slab[:m:m], ws: slab[m : 2*m : 2*m], iw: slab[2*m : 3*m : 3*m], iws: slab[3*m:]}
+	pr.fillTwiddles(t.w, t.ws, t.iw, t.iws)
+	pr.tw.Store(t)
+	return t
+}
+
+// fillTwiddles computes every entry of a twiddle table. Entry 0 is 1;
+// entry s with top bit 2^k is entry s − 2^k times root[k+2] (iroot for the
+// inverse), one mulMod and one shoupOf per twiddle.
+func (pr *nttPrime) fillTwiddles(w, ws, iw, iws []uint64) {
+	p := pr.p
+	for s := range w {
+		if s == 0 {
+			w[0], iw[0] = 1, 1
+		} else {
+			k := bits.Len(uint(s)) - 1
+			w[s] = mulMod(w[s-1<<k], pr.root[k+2], p)
+			iw[s] = mulMod(iw[s-1<<k], pr.iroot[k+2], p)
+		}
+		ws[s] = shoupOf(w[s], p)
+		iws[s] = shoupOf(iw[s], p)
+	}
+}
+
+// mulMod returns a·b mod p exactly (init and table-growth path; the
+// transform loops use shoupMul/redc instead of the hardware divide).
 func mulMod(a, b, p uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
 	_, rem := bits.Div64(hi, lo, p)
@@ -182,28 +230,23 @@ func redc(a, b, p, pInv uint64) uint64 {
 // across pool workers: below it the fork/join overhead dominates the work.
 const nttParMinHalf = 1 << 13
 
-// forward runs the in-place forward transform of a (length a power of two)
-// in the no-bit-reversal order. Input values must be in [0, 2p); output
-// values are in [0, 2p). When sp is non-nil, the long early-stage blocks
-// are partitioned across its pool's workers (the twiddle is constant within
-// a block, so chunks of the half-block range are independent).
-func (pr *nttPrime) forward(a []uint64, sp *nttSplit) {
-	p := pr.p
-	n := len(a)
-	h := bits.Len(uint(n)) - 1
+// forward runs the in-place forward transform of a (length n a power of
+// two) in the no-bit-reversal order, with twiddles from w and their Shoup
+// constants ws (a table of at least n/2 entries). Input values must be in
+// [0, 2p); output values are in [0, 2p). When sp is non-nil, the long
+// early-stage blocks are partitioned across its pool's workers (the twiddle
+// is constant within a block, so chunks of the half-block range are
+// independent).
+func (pr *nttPrime) forward(a, w, ws []uint64, sp *nttSplit) {
+	h := bits.Len(uint(len(a))) - 1
 	for st := 0; st < h; st++ {
 		half := 1 << (h - st - 1)
-		rot := uint64(1)
 		for s := 0; s < 1<<st; s++ {
 			offset := s << (h - st)
-			rotShoup := shoupOf(rot, p)
 			if sp != nil && half >= nttParMinHalf {
-				pr.splitBlock(a, offset, half, rot, rotShoup, false, sp)
+				pr.splitBlock(a, offset, half, w[s], ws[s], false, sp)
 			} else {
-				pr.forwardRange(a, offset, offset+half, half, rot, rotShoup)
-			}
-			if s+1 != 1<<st {
-				rot = mulMod(rot, pr.rate[bits.TrailingZeros64(^uint64(s))], p)
+				pr.forwardRange(a, offset, offset+half, half, w[s], ws[s])
 			}
 		}
 	}
@@ -293,24 +336,19 @@ func (pr *nttPrime) runChunk(c *nttChunk) {
 }
 
 // inverse runs the in-place inverse transform (unscaled: the result is N
-// times the inverse DFT), consuming the forward pass's order. Values stay in
+// times the inverse DFT), consuming the forward pass's order, with the
+// inverse twiddles iw and their Shoup constants iws. Values stay in
 // [0, 2p).
-func (pr *nttPrime) inverse(a []uint64, sp *nttSplit) {
-	n := len(a)
-	h := bits.Len(uint(n)) - 1
+func (pr *nttPrime) inverse(a, iw, iws []uint64, sp *nttSplit) {
+	h := bits.Len(uint(len(a))) - 1
 	for st := h; st >= 1; st-- {
 		half := 1 << (h - st)
-		irot := uint64(1)
 		for s := 0; s < 1<<(st-1); s++ {
 			offset := s << (h - st + 1)
-			irotShoup := shoupOf(irot, pr.p)
 			if sp != nil && half >= nttParMinHalf {
-				pr.splitBlock(a, offset, half, irot, irotShoup, true, sp)
+				pr.splitBlock(a, offset, half, iw[s], iws[s], true, sp)
 			} else {
-				pr.inverseRange(a, offset, offset+half, half, irot, irotShoup)
-			}
-			if s+1 != 1<<(st-1) {
-				irot = mulMod(irot, pr.irate[bits.TrailingZeros64(^uint64(s))], pr.p)
+				pr.inverseRange(a, offset, offset+half, half, iw[s], iws[s])
 			}
 		}
 	}

@@ -49,6 +49,21 @@ func TestNTTPrimeProperties(t *testing.T) {
 			}
 		}
 
+		// Root tables: root[i] is below p with order exactly 2^i, the square
+		// of root[i+1], and iroot[i] is its inverse.
+		for j := uint(0); j <= pr.s; j++ {
+			w, iw := pr.root[j], pr.iroot[j]
+			if w >= p || iw >= p || mulMod(w, iw, p) != 1 {
+				t.Errorf("prime %d: root[%d] = %d, iroot[%d] = %d are not inverses below p", i, j, w, j, iw)
+			}
+			if j < pr.s && mulMod(pr.root[j+1], pr.root[j+1], p) != w {
+				t.Errorf("prime %d: root[%d] is not the square of root[%d]", i, j, j+1)
+			}
+		}
+		if pr.root[0] != 1 || powMod(pr.root[pr.s], 1<<(pr.s-1), p) != p-1 {
+			t.Errorf("prime %d: root[%d] is not a primitive 2^%d-th root of unity", i, pr.s, pr.s)
+		}
+
 		// Montgomery constants: p·pInv ≡ −1 (mod 2^64) and r = 2^64 mod p.
 		if p*pr.pInv != ^uint64(0) {
 			t.Errorf("prime %d: pInv is not −p⁻¹ mod 2^64", i)
@@ -72,6 +87,63 @@ func TestNTTPrimeProperties(t *testing.T) {
 	}
 }
 
+// rateWalk returns the twiddles that the rate walk (the AtCoder-library
+// recurrence the transforms ran before the table) gives blocks 0 … 2^st − 1
+// of stage st: block s+1 gets block s's twiddle times rate[ctz(^s)], where
+// rate[i] = root[i+2]·Π_{j<i} root[j+2]⁻¹. With the roots swapped for
+// their inverses it walks the inverse transform's twiddles.
+func rateWalk(root, iroot []uint64, st int, p uint64) []uint64 {
+	rate := make([]uint64, st+1)
+	prod := uint64(1)
+	for i := range rate {
+		rate[i] = mulMod(root[i+2], prod, p)
+		prod = mulMod(prod, iroot[i+2], p)
+	}
+	out := make([]uint64, 1<<st)
+	rot := uint64(1)
+	for s := range out {
+		out[s] = rot
+		if s+1 < len(out) {
+			rot = mulMod(rot, rate[bits.TrailingZeros64(^uint64(s))], p)
+		}
+	}
+	return out
+}
+
+// TestNTTTwiddleTable pins each prime's twiddle table up to the largest
+// transform the tests run (2^17 points): entry s is the twiddle the rate
+// walk gives block s at every stage that has a block s, forward and
+// inverse, below p, with its Shoup constant beside it.
+func TestNTTTwiddleTable(t *testing.T) {
+	const maxLog = 17
+	for i := range nttPrimes {
+		pr := &nttPrimes[i]
+		p := pr.p
+		tw := pr.twiddles(1 << maxLog)
+		if len(tw.w) < 1<<(maxLog-1) || len(tw.ws) != len(tw.w) || len(tw.iw) != len(tw.w) || len(tw.iws) != len(tw.w) {
+			t.Fatalf("prime %d: table lengths %d/%d/%d/%d, want at least %d each", i, len(tw.w), len(tw.ws), len(tw.iw), len(tw.iws), 1<<(maxLog-1))
+		}
+		for s := range tw.w {
+			w, iw := tw.w[s], tw.iw[s]
+			if w >= p || iw >= p {
+				t.Fatalf("prime %d: entry %d: twiddle %d or inverse %d not below p", i, s, w, iw)
+			}
+			if tw.ws[s] != shoupOf(w, p) || tw.iws[s] != shoupOf(iw, p) {
+				t.Fatalf("prime %d: entry %d: Shoup constants %d/%d, want %d/%d", i, s, tw.ws[s], tw.iws[s], shoupOf(w, p), shoupOf(iw, p))
+			}
+		}
+		for st := 0; st < maxLog; st++ {
+			fwd := rateWalk(pr.root, pr.iroot, st, p)
+			inv := rateWalk(pr.iroot, pr.root, st, p)
+			for s := range fwd {
+				if tw.w[s] != fwd[s] || tw.iw[s] != inv[s] {
+					t.Fatalf("prime %d: stage %d block %d: table %d/%d, rate walk %d/%d", i, st, s, tw.w[s], tw.iw[s], fwd[s], inv[s])
+				}
+			}
+		}
+	}
+}
+
 // TestNTTRoundTrip checks forward∘inverse = N·identity for each prime across
 // transform sizes, including sizes large enough to hit the parallel block
 // splitting when run with a multi-slot pool (TestNTTMulParallel covers that
@@ -87,8 +159,9 @@ func TestNTTRoundTrip(t *testing.T) {
 				a[j] = rng.Uint64() % pr.p
 				orig[j] = a[j]
 			}
-			pr.forward(a, nil)
-			pr.inverse(a, nil)
+			tw := pr.twiddles(n)
+			pr.forward(a, tw.w, tw.ws, nil)
+			pr.inverse(a, tw.iw, tw.iws, nil)
 			nModP := uint64(n) % pr.p
 			for j := range a {
 				got := a[j]

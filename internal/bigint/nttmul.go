@@ -190,16 +190,19 @@ func (t *nttTask) work() {
 // nttProductInto computes the cyclic convolution of x and y modulo pr.p into
 // dst (length N, the transform size): load+forward both operands, multiply
 // pointwise with REDC, inverse-transform, and scale by N⁻¹·R (the R undoes
-// REDC's R⁻¹). work is a second N-limb buffer; when x and y are the same
-// slice (squaring) only one forward transform runs and work stays untouched.
-// sp, when non-nil, splits long butterfly blocks across its pool.
+// REDC's R⁻¹). The transforms read pr's twiddle table, which the first
+// N-point product grows. work is a second N-limb buffer; when x and y are
+// the same slice (squaring) only one forward transform runs and work stays
+// untouched. sp, when non-nil, splits long butterfly blocks across its
+// pool.
 func nttProductInto(dst, work nat, x, y nat, pr *nttPrime, sp *nttSplit) {
 	p, pInv := pr.p, pr.pInv
+	tw := pr.twiddles(len(dst))
 	nttLoad(dst, x, pr)
-	pr.forward(dst, sp)
+	pr.forward(dst, tw.w, tw.ws, sp)
 	if !sameNat(x, y) {
 		nttLoad(work, y, pr)
-		pr.forward(work, sp)
+		pr.forward(work, tw.w, tw.ws, sp)
 		for i, v := range work {
 			dst[i] = redc(dst[i], v, p, pInv)
 		}
@@ -208,7 +211,7 @@ func nttProductInto(dst, work nat, x, y nat, pr *nttPrime, sp *nttSplit) {
 			dst[i] = redc(v, v, p, pInv)
 		}
 	}
-	pr.inverse(dst, sp)
+	pr.inverse(dst, tw.iw, tw.iws, sp)
 
 	// Scale by N⁻¹·R mod p and reduce strictly below p for the CRT.
 	scale := mulMod(invMod(uint64(len(dst))%p, p), pr.r, p)

@@ -190,6 +190,130 @@ func TestNTTMulParallel(t *testing.T) {
 	}
 }
 
+// withNTTPool runs f with a pool of the given capacity swapped into
+// nttPool.
+func withNTTPool(capacity int, f func()) {
+	nttPoolMu.Lock()
+	prev := nttPool
+	nttPool = workpool.New(capacity)
+	defer func() {
+		nttPool = prev
+		nttPoolMu.Unlock()
+	}()
+	f()
+}
+
+// drainNTTFanouts drops every idle fan-out record.
+func drainNTTFanouts() {
+	for {
+		select {
+		case <-nttFanouts:
+		default:
+			return
+		}
+	}
+}
+
+// TestNTTMulTransformSizes cross-checks the NTT kernel against math/big at
+// every transform size from 2 to 2^17 points, products and squares, on
+// pools of one to four slots: one slot runs the three primes in turn, more
+// fork them, and from 2^14 points on the long blocks split across the
+// pool. The all-ones square maximizes every coefficient and carry.
+func TestNTTMulTransformSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	type shape struct {
+		x, y, ones     nat
+		prod, sqr, max *big.Int
+		points         int
+	}
+	var shapes []shape
+	for lg := 1; lg <= 17; lg++ {
+		x, y, ones := randNat(rng, 1<<lg/2), randNat(rng, 1<<lg/2), make(nat, 1<<lg/2)
+		for i := range ones {
+			ones[i] = ^uint64(0)
+		}
+		if n := nttSize(len(x) + len(y)); n != 1<<lg {
+			t.Fatalf("%d×%d limbs give a %d-point transform, want 2^%d", len(x), len(y), n, lg)
+		}
+		shapes = append(shapes, shape{x, y, ones, mulViaBig(x, y), mulViaBig(x, x), mulViaBig(ones, ones), 1 << lg})
+	}
+	for capacity := 1; capacity <= 4; capacity++ {
+		withNTTPool(capacity, func() {
+			for _, sh := range shapes {
+				if got := natToBig(nttMulDirect(sh.x, sh.y)); got.Cmp(sh.prod) != 0 {
+					t.Errorf("pool %d, %d points: product mismatch", capacity, sh.points)
+				}
+				if got := natToBig(nttMulDirect(sh.x, sh.x)); got.Cmp(sh.sqr) != 0 {
+					t.Errorf("pool %d, %d points: square mismatch", capacity, sh.points)
+				}
+				if got := natToBig(nttMulDirect(sh.ones, sh.ones)); got.Cmp(sh.max) != 0 {
+					t.Errorf("pool %d, %d points: all-ones square mismatch", capacity, sh.points)
+				}
+			}
+		})
+	}
+}
+
+// TestNTTTwiddleFirstUse empties every prime's twiddle table and then has
+// goroutines multiply at growing transform sizes at once, so the first
+// products race to grow the tables while others read them; every product
+// must match math/big. Under -race this is the data-race gate for the
+// lock-free table reads.
+func TestNTTTwiddleFirstUse(t *testing.T) {
+	var saved [len(nttPrimes)]*nttTwiddles
+	for i := range nttPrimes {
+		saved[i] = nttPrimes[i].tw.Load()
+	}
+	defer func() {
+		// Leave the package as the test found it: the tables it emptied
+		// back, and none of the fan-out records its concurrent products
+		// made, sized to their small transforms, left idle.
+		for i := range nttPrimes {
+			nttPrimes[i].tw.Store(saved[i])
+		}
+		drainNTTFanouts()
+	}()
+	withNTTPool(2, func() {
+		for i := range nttPrimes {
+			nttPrimes[i].tw.Store(nil)
+		}
+		const workers = 6
+		rng := rand.New(rand.NewSource(37))
+		var xs, ys [workers][]nat
+		for g := range xs {
+			for lg := 2; lg <= 13; lg++ {
+				n := 1 << lg / 2
+				xs[g] = append(xs[g], randNat(rng, n))
+				ys[g] = append(ys[g], randNat(rng, n-g%2))
+			}
+		}
+		var got [workers][]nat
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range xs[g] {
+					got[g] = append(got[g], nttMulDirect(xs[g][k], ys[g][k]))
+				}
+			}()
+		}
+		wg.Wait()
+		for g := range got {
+			for k := range got[g] {
+				if natToBig(got[g][k]).Cmp(mulViaBig(xs[g][k], ys[g][k])) != 0 {
+					t.Errorf("worker %d: product %d (%d×%d limbs) mismatch", g, k, len(xs[g][k]), len(ys[g][k]))
+				}
+			}
+		}
+	})
+	for i := range nttPrimes {
+		if tw := nttPrimes[i].tw.Load(); tw == nil || len(tw.w) < 1<<12 {
+			t.Errorf("prime %d: table not grown to the 2^13-point transforms", i)
+		}
+	}
+}
+
 // TestNTTMulParallelAllocs pins the butterfly fan-out's allocation
 // contract at the TestNTTMulParallel shape (8200-limb operands, 2^13-point
 // halves, a pool of 4): splitting long blocks across the pool forks pooled

@@ -75,7 +75,7 @@ func toIntMat(rows [][]*big.Int) (*mat.IntMat, error) {
 			if v == nil {
 				return nil, fmt.Errorf("ftmul: nil entry at (%d,%d)", i, j)
 			}
-			words += len(v.Bits())
+			words += (len(v.Bits()) + bigint.BigWordsPerLimb - 1) / bigint.BigWordsPerLimb
 		}
 	}
 	m := mat.NewIntMat(len(rows), cols)
@@ -99,7 +99,7 @@ func fromIntMat(m *mat.IntMat) [][]*big.Int {
 	words := 0
 	for i := 0; i < r; i++ {
 		for j := 0; j < c; j++ {
-			words += m.At(i, j).WordLen()
+			words += m.At(i, j).WordLen() * bigint.BigWordsPerLimb
 		}
 	}
 	vals := make([]big.Int, r*c)
@@ -111,7 +111,7 @@ func fromIntMat(m *mat.IntMat) [][]*big.Int {
 		out[i] = ptrs[i*c : (i+1)*c : (i+1)*c]
 		for j := range out[i] {
 			x := m.At(i, j)
-			n := off + x.WordLen()
+			n := off + x.WordLen()*bigint.BigWordsPerLimb
 			out[i][j] = x.ToBigOn(&vals[i*c+j], slab[off:n:n])
 			off = n
 		}
