@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmtcheck test race vet allocs procs arch benchtest bench benchjson benchgate fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke loc census ci
+.PHONY: build fmtcheck test expcheck race vet allocs procs arch benchtest fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke loc census ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,13 @@ fmtcheck:
 
 test:
 	$(GO) test ./...
+
+# The committed experiment tables are a gate: every -exp table, figure and
+# sweep (Tables 1-2, the headline, the ablations, ...) regenerated on the sim
+# backend must match experiments_output.txt byte for byte. A change that
+# moves a count regenerates the file and says why in CHANGES.md.
+expcheck:
+	$(GO) run ./cmd/experiments -exp all -bits 65536 | diff -u experiments_output.txt -
 
 # Machine-checked invariants: the eleven ftlint analyzers (arenasafe, accown,
 # poolspawn, natalias, costcharge, chanproto, statsrace, recoverpath,
@@ -72,24 +79,6 @@ arch:
 # agreement with BENCHMARK.json, and a smoke run of every workload.
 benchtest:
 	cd bench && $(GO) test ./...
-
-bench:
-	$(GO) test -run '^$$' -bench 'Benchmark(Table1|Alloc)' -benchmem -benchtime 1x .
-
-# Regenerate the committed benchmark snapshot for the current PR (the
-# BENCH_PR*.json trajectory is append-only; see cmd/benchjson).
-BENCH_OUT ?= BENCH_PR10.json
-benchjson:
-	$(GO) run ./cmd/benchjson -count 3 -out $(BENCH_OUT)
-
-# Advisory perf gate: take a fresh interleaved snapshot of the alloc
-# benchmarks and diff it against the newest committed BENCH_PR*.json.
-# Fails on a >25% ns/op regression at stable allocs/op; the CI job that
-# runs this is continue-on-error because shared runners are noisy.
-BENCH_BASE ?= $(shell ls BENCH_PR*.json 2>/dev/null | sort -V | tail -1)
-benchgate:
-	@test -n "$(BENCH_BASE)" || { echo "benchgate: no committed BENCH_PR*.json baseline"; exit 1; }
-	$(GO) run ./cmd/benchjson -bench BenchmarkAlloc -count 3 -out '' -gate $(BENCH_BASE)
 
 # Wall-clock backend smoke: the whole machine suite (its table-driven tests
 # run every receive, deadline, barrier, cancellation, timeout and allocation
@@ -166,4 +155,4 @@ census:
 	@bash scripts/census.sh
 
 # ci mirrors .github/workflows/ci.yml locally: everything a PR must pass.
-ci: build fmtcheck census test vet allocs procs arch benchtest race fuzz-smoke wallsmoke matsmoke examples lint
+ci: build fmtcheck census test expcheck vet allocs procs arch benchtest race fuzz-smoke wallsmoke matsmoke examples lint

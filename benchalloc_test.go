@@ -3,9 +3,8 @@ package ftmul
 // Allocation-focused microbenchmarks for the multiplication hot path.
 // These track the perf-trajectory quantities that the machine-model
 // benchmarks in bench_test.go deliberately ignore: wall-clock ns/op and
-// allocs/op of the *sequential* kernels beneath the Toom-Cook stack.
-// cmd/benchjson collects them (with -benchmem) into BENCH_PR1.json so
-// future PRs can diff against the recorded trajectory.
+// allocs/op of the *sequential* kernels beneath the Toom-Cook stack
+// (run them with -benchmem).
 
 import (
 	"fmt"

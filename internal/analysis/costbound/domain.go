@@ -765,7 +765,7 @@ func (d *deriver) Call(ev *framework.Eval, fn *types.Func, recv Value, args []Va
 			return d.algContract(ev, fn.Name(), recv, args, pos)
 		case "Int":
 			switch fn.Name() {
-			case "WordLen":
+			case "WordLen", "Words":
 				// Unit-word model: every digit occupies one machine word
 				// (crosscheck worlds use small entries for exactly this reason).
 				return []Value{framework.KnownInt(1)}, true

@@ -24,9 +24,10 @@
 // QuoRemWord, RemWord, AddMul, DivExact, the dot-product step AddProd, the
 // Acc-to-Acc AddMulAcc, AddShl, SetMul, SetSum, SetDiff, and the counted
 // Toom-2 kernel SetToom2Mul). Cheap structural
-// accessors (Sign, Abs, Neg, IsZero, BitLen, WordLen, Extract, Cmp, the Acc
-// loads SetInt, SetBits and the copy-out AppendValue) are deliberately
-// excluded — the model charges word-touching arithmetic, not bookkeeping.
+// accessors (Sign, Abs, Neg, IsZero, BitLen, WordLen, Words, Extract, Cmp,
+// the Acc loads SetInt, SetBits and the copy-out AppendValue) are
+// deliberately excluded — the model charges word-touching arithmetic, not
+// bookkeeping.
 //
 // Primitives whose cost is charged by their callers (toom.ApplyRows via the
 // recursion's rowsWork, toom.Recompose via its recomposition charge) and

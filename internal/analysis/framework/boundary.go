@@ -26,7 +26,7 @@ import (
 func ModelBoundaryPkg(path string) bool {
 	switch path[strings.LastIndex(path, "/")+1:] {
 	case "machine", "bigint", "toom", "points", "erasure", "mat", "rat",
-		"costmodel", "multistep", "toomgraph", "softfault", "workpool",
+		"multistep", "toomgraph", "softfault", "workpool",
 		"crosscheck", "benchenv":
 		return true
 	}

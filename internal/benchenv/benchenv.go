@@ -1,6 +1,6 @@
 // Package benchenv collects the environment provenance recorded alongside
-// benchmark results (cmd/benchjson and the bench/ module): enough machine
-// context to judge whether two measurements are comparable.
+// benchmark results (the bench/ module): enough machine context to judge
+// whether two measurements are comparable.
 // Every probe is best-effort — on platforms without /proc or cpufreq the
 // corresponding fields are simply empty.
 package benchenv

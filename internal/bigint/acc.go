@@ -54,6 +54,15 @@ func (a *Acc) IsZero() bool { return len(a.abs) == 0 }
 // measure as Int.WordLen, used by the cost model's F accounting.
 func (a *Acc) WordLen() int { return len(a.abs) }
 
+// Words is Int.Words for the accumulated value: the cost model's charge for
+// touching it once.
+func (a *Acc) Words() int64 {
+	if l := int64(len(a.abs)); l > 0 {
+		return l
+	}
+	return 1
+}
+
 // add combines a signed magnitude into the accumulator in place.
 func (a *Acc) add(x nat, xneg bool) {
 	if len(x) != 0 {

@@ -96,6 +96,18 @@ func (x Int) Bit(i int) uint { return natBit(x.abs, i) }
 // fit within the hardware threshold, expressed here in limbs.
 func (x Int) WordLen() int { return len(x.abs) }
 
+// Words is x's size in the cost model's word units, what F and BW charge
+// for touching or sending it once: its limb count, and one word for zero.
+// It is a branch, not max(1, n), so that inlined after an IsZero test the
+// compiler drops it; with max the matrix tile loop kept two CMOVs per
+// product.
+func (x Int) Words() int64 {
+	if l := int64(len(x.abs)); l > 0 {
+		return l
+	}
+	return 1
+}
+
 // Neg returns -x.
 func (x Int) Neg() Int {
 	if len(x.abs) == 0 {

@@ -5,8 +5,7 @@ import "math/bits"
 // The schoolbook → Karatsuba crossover lives in the crossover ladder
 // (ladder.go, karatsubaThresholdLimbs) with the other rungs, so tests can
 // move it and this file and the docs cannot drift apart. Tuning history:
-// 40 measured fastest on 32768-bit operands on amd64 (see cmd/benchjson and
-// EXPERIMENTS.md).
+// 40 measured fastest on 32768-bit operands on amd64 (see EXPERIMENTS.md).
 
 // basicMulTo adds x*y into z using the schoolbook algorithm. z must have
 // length >= len(x)+len(y); the product is accumulated (z += x*y), so callers

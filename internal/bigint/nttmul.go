@@ -143,19 +143,28 @@ type nttTask struct {
 	split     nttSplit
 }
 
-// nttFanouts holds idle fan-out records, buffers included. A buffered
-// channel, unlike a sync.Pool, keeps them under the race detector too.
-// Eight covers the NTT products that overlap in practice (one per concurrent
-// multiply); a record returned to a full list is left to the garbage
-// collector.
-var nttFanouts = make(chan *nttFanout, 8)
+// nttFanouts holds idle fan-out records, buffers included, newest on top:
+// a sequential caller takes back the record its last product returned,
+// whose buffers already fit, rather than cycling through records sized by
+// earlier, smaller products. A mutex-guarded stack, unlike a sync.Pool,
+// keeps them under the race detector too. Eight covers the NTT products
+// that overlap in practice (one per concurrent multiply); a record returned
+// to a full stack is left to the garbage collector.
+var nttFanouts = struct {
+	mu   sync.Mutex
+	idle []*nttFanout
+}{idle: make([]*nttFanout, 0, 8)}
 
 func getNTTFanout() *nttFanout {
-	select {
-	case f := <-nttFanouts:
+	nttFanouts.mu.Lock()
+	if n := len(nttFanouts.idle); n > 0 {
+		f := nttFanouts.idle[n-1]
+		nttFanouts.idle[n-1] = nil
+		nttFanouts.idle = nttFanouts.idle[:n-1]
+		nttFanouts.mu.Unlock()
 		return f
-	default:
 	}
+	nttFanouts.mu.Unlock()
 	f := new(nttFanout)
 	for i := range f.tasks {
 		f.tasks[i].run = f.tasks[i].work
@@ -170,10 +179,11 @@ func putNTTFanout(f *nttFanout) {
 		t := &f.tasks[i]
 		t.dst, t.x, t.y = nil, nil, nil
 	}
-	select {
-	case nttFanouts <- f:
-	default:
+	nttFanouts.mu.Lock()
+	if len(nttFanouts.idle) < cap(nttFanouts.idle) {
+		nttFanouts.idle = append(nttFanouts.idle, f)
 	}
+	nttFanouts.mu.Unlock()
 }
 
 // work is one prime's transform task on the worker pool: it grows the

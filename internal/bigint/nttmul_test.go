@@ -203,17 +203,6 @@ func withNTTPool(capacity int, f func()) {
 	f()
 }
 
-// drainNTTFanouts drops every idle fan-out record.
-func drainNTTFanouts() {
-	for {
-		select {
-		case <-nttFanouts:
-		default:
-			return
-		}
-	}
-}
-
 // TestNTTMulTransformSizes cross-checks the NTT kernel against math/big at
 // every transform size from 2 to 2^17 points, products and squares, on
 // pools of one to four slots: one slot runs the three primes in turn, more
@@ -266,12 +255,10 @@ func TestNTTTwiddleFirstUse(t *testing.T) {
 	}
 	defer func() {
 		// Leave the package as the test found it: the tables it emptied
-		// back, and none of the fan-out records its concurrent products
-		// made, sized to their small transforms, left idle.
+		// back.
 		for i := range nttPrimes {
 			nttPrimes[i].tw.Store(saved[i])
 		}
-		drainNTTFanouts()
 	}()
 	withNTTPool(2, func() {
 		for i := range nttPrimes {
@@ -344,6 +331,36 @@ func TestNTTMulParallelAllocs(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("parallel nttMulTo steady state allocates %.1f times per op, want 0", got)
 	}
+}
+
+// TestNTTFanoutReuse pins the order in which idle fan-out records are
+// taken: with eight records idle, most of them with no buffers yet, a
+// sequential caller must keep taking back the record its last product
+// returned, whose buffers fit, so one warm product brings the fan-out to
+// steady state whatever ran before it.
+func TestNTTFanoutReuse(t *testing.T) {
+	var taken [8]*nttFanout
+	for i := range taken {
+		taken[i] = getNTTFanout()
+	}
+	for _, f := range taken {
+		putNTTFanout(f)
+	}
+	withNTTPool(4, func() {
+		rng := rand.New(rand.NewSource(15))
+		x, y := randNat(rng, 8200), randNat(rng, 8200)
+		z := make(nat, len(x)+len(y))
+		ar := getArena()
+		defer putArena(ar)
+		ar.ensure(nttScratchFor(len(x) + len(y)))
+		nttMulTo(z, x, y, ar)
+		if got := testing.AllocsPerRun(5, func() {
+			clear(z)
+			nttMulTo(z, x, y, ar)
+		}); got != 0 {
+			t.Errorf("nttMulTo after one warm product allocates %.1f times per op, want 0", got)
+		}
+	})
 }
 
 // TestNTTMulSharedPoolContention is the -race gate for several goroutines

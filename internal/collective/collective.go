@@ -36,16 +36,11 @@ func (g Group) Index(id int) int {
 func SumWork(a, b machine.Ints) int64 {
 	var w int64
 	for i := range a {
-		la := int64(a[i].WordLen())
+		l := a[i].Words()
 		if i < len(b) {
-			if lb := int64(b[i].WordLen()); lb > la {
-				la = lb
-			}
+			l = max(l, b[i].Words())
 		}
-		if la == 0 {
-			la = 1
-		}
-		w += la
+		w += l
 	}
 	return w
 }
@@ -207,11 +202,7 @@ func WeightedReduce(p *machine.Proc, g Group, rootIdx int, tag string, mine mach
 		acc.Reset()
 		acc.AddMul(mine[i], weight)
 		scaled[i], slab = acc.AppendEntry(slab, len(mine)-i, 1, mine[i], weight)
-		l := int64(mine[i].WordLen())
-		if l == 0 {
-			l = 1
-		}
-		work += l
+		work += mine[i].Words()
 	}
 	p.Work(work)
 	return Reduce(p, g, rootIdx, tag, scaled)

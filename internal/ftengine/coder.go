@@ -328,7 +328,7 @@ func (c *Coder) solveMinor(p *machine.Proc, codeRows, deadRows []int, residuals 
 					continue
 				}
 				acc = acc.Add(coef.MulInt(residuals[i][t]))
-				work += wordsOf(residuals[i][t])
+				work += residuals[i][t].Words()
 			}
 			if !acc.IsInt() {
 				return nil, fmt.Errorf("ftengine: non-integral decode (corrupted data?)")
@@ -370,11 +370,4 @@ func containsInt(xs []int, v int) bool {
 		}
 	}
 	return false
-}
-
-func wordsOf(x bigint.Int) int64 {
-	if l := int64(x.WordLen()); l > 0 {
-		return l
-	}
-	return 1
 }

@@ -291,9 +291,9 @@ func tileMul(m int, a, b []bigint.Int) ([]bigint.Int, int64) {
 				if aik.IsZero() || bkj.IsZero() {
 					continue
 				}
-				work += wordsOf(aik) * wordsOf(bkj)
+				work += aik.Words() * bkj.Words()
 				acc.AddProd(aik, bkj)
-				work += max(1, int64(acc.WordLen()))
+				work += acc.Words()
 			}
 			out[i*m+j], slab = acc.AppendValue(slab)
 		}
@@ -347,18 +347,11 @@ func sumTiles(n int, terms ...signedTile) ([]bigint.Int, int64) {
 			} else {
 				acc.Add(t.vals[i])
 			}
-			work += max(1, int64(acc.WordLen()))
+			work += acc.Words()
 		}
 		out[i], slab = acc.AppendValue(slab)
 	}
 	return out, work
-}
-
-func wordsOf(x bigint.Int) int64 {
-	if l := int64(x.WordLen()); l > 0 {
-		return l
-	}
-	return 1
 }
 
 // maxWords is the widest entry's word length (0 for an all-zero tile).

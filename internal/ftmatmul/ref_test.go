@@ -26,9 +26,9 @@ func refTileMul(m int, a, b []bigint.Int) ([]bigint.Int, int64) {
 				if bkj.IsZero() {
 					continue
 				}
-				work += wordsOf(aik) * wordsOf(bkj)
+				work += aik.Words() * bkj.Words()
 				out[i*m+j] = out[i*m+j].Add(aik.Mul(bkj))
-				work += wordsOf(out[i*m+j])
+				work += out[i*m+j].Words()
 			}
 		}
 	}
@@ -52,7 +52,7 @@ func refComboEval(n int, terms []term, have *[numTiles][]bigint.Int) ([]bigint.I
 				v = v.Neg()
 			}
 			out[i] = out[i].Add(v)
-			work += wordsOf(out[i])
+			work += out[i].Words()
 		}
 	}
 	return out, work

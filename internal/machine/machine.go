@@ -144,11 +144,7 @@ type Ints []bigint.Int
 func (v Ints) Words() int64 {
 	var w int64
 	for _, x := range v {
-		l := int64(x.WordLen())
-		if l == 0 {
-			l = 1
-		}
-		w += l
+		w += x.Words()
 	}
 	return w
 }

@@ -281,7 +281,7 @@ func EvalRowBlocks(p *machine.Proc, row []int64, share []bigint.Int, k int) []bi
 			}
 			acc.AddMul(v, c)
 			lone, loneC, terms = v, c, terms+1
-			work += 2 * WordsOf(v)
+			work += 2 * v.Words()
 		}
 		out[t], slab = acc.AppendEntry(slab, lb-t, terms, lone, loneC)
 	}
@@ -336,7 +336,7 @@ func (pl *Plan) Fold(p *machine.Proc, w [][]int64, scale int64, slices [][]bigin
 				}
 				acc.AddMul(v, c)
 				lone, loneC, terms = v, c, terms+1
-				work += 2 * WordsOf(v)
+				work += 2 * v.Words()
 			}
 		}
 		if scale != 1 {
@@ -345,7 +345,7 @@ func (pl *Plan) Fold(p *machine.Proc, w [][]int64, scale int64, slices [][]bigin
 		}
 		out[t], slab = acc.AppendEntry(slab, len(out)-t, terms, lone, loneC)
 		if scale != 1 && !out[t].IsZero() {
-			work += WordsOf(out[t])
+			work += out[t].Words()
 		}
 	}
 	p.Work(work)
@@ -386,7 +386,7 @@ func (pl *Plan) AddColumn(p *machine.Proc, j int, child, out []bigint.Int, lenTo
 			}
 			acc.AddMul(v, c)
 			lone, loneC, terms = v, c, terms+1
-			work += 2 * WordsOf(v)
+			work += 2 * v.Words()
 		}
 		if terms == 0 {
 			continue // column j does not reach position t
@@ -512,10 +512,10 @@ func (pl *Plan) leaf(p *machine.Proc, shareA, shareB []bigint.Int) ([]bigint.Int
 	pl.alg.MulSharesTo(z, shareA, shareB, pl.shift, &stats)
 	var rw int64
 	for _, d := range shareA {
-		rw += WordsOf(d)
+		rw += d.Words()
 	}
 	for _, d := range shareB {
-		rw += WordsOf(d)
+		rw += d.Words()
 	}
 	p.Work(rw + stats.WordOps)
 	return splitSigned(z, 2*len(shareA), pl.shift), nil
@@ -652,13 +652,4 @@ func Pow(base, exp int) int {
 		out *= base
 	}
 	return out
-}
-
-// WordsOf is the word count the cost model charges for one digit: its
-// limb length, and one word for zero.
-func WordsOf(x bigint.Int) int64 {
-	if l := int64(x.WordLen()); l > 0 {
-		return l
-	}
-	return 1
 }

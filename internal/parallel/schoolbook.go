@@ -95,7 +95,7 @@ func MultiplySchoolbook(a, b bigint.Int, opts SchoolbookOptions) (*SchoolbookRes
 
 		// Local schoolbook block product.
 		x, y := gotA[0], gotB[0]
-		p.Work(WordsOf(x) * WordsOf(y))
+		p.Work(x.Words() * y.Words())
 		part := x.Mul(y)
 
 		// Anti-diagonal reduce: all (i, j) with the same d = i+j share the

@@ -67,7 +67,7 @@ func (alg *Algorithm) lazyRecurse(da, db []bigint.Int, depth int, stats *Stats) 
 		// the scalars here are digit-sized, i.e. "hardware" operations.
 		if stats != nil {
 			stats.BaseMuls++
-			stats.chargeWords(wordsOf(da[0]) * wordsOf(db[0]))
+			stats.chargeWords(da[0].Words() * db[0].Words())
 		}
 		return []bigint.Int{da[0].Mul(db[0])}
 	}
@@ -98,7 +98,7 @@ func (alg *Algorithm) lazyRecurse(da, db []bigint.Int, depth int, stats *Stats) 
 		var w int64
 		for _, blk := range prodBlocks {
 			for _, v := range blk {
-				w += 2 * wordsOf(v)
+				w += 2 * v.Words()
 			}
 		}
 		stats.chargeWords(w * int64(2*k-1)) // each product feeds 2k-1 rows
@@ -107,7 +107,7 @@ func (alg *Algorithm) lazyRecurse(da, db []bigint.Int, depth int, stats *Stats) 
 	for _, blk := range out {
 		for _, v := range blk {
 			if stats != nil {
-				stats.chargeWords(wordsOf(v))
+				stats.chargeWords(v.Words())
 			}
 			flat = append(flat, v.DivExactInt64(alg.wDen))
 		}
@@ -119,7 +119,7 @@ func (alg *Algorithm) lazyRecurse(da, db []bigint.Int, depth int, stats *Stats) 
 func blocksWork(rows [][]int64, vec []bigint.Int, k, blockLen int) int64 {
 	var w int64
 	for _, v := range vec {
-		w += 2 * wordsOf(v)
+		w += 2 * v.Words()
 	}
 	// Each of the k blocks feeds 2k-1 output rows.
 	return w * int64(len(rows)) / int64(k)

@@ -33,7 +33,7 @@ func (alg *Algorithm) refMulAbs(a, b bigint.Int, stats *Stats) bigint.Int {
 	if maxBits <= alg.thresholdBits {
 		if stats != nil {
 			stats.BaseMuls++
-			stats.chargeWords(wordsOf(a) * wordsOf(b))
+			stats.chargeWords(a.Words() * b.Words())
 		}
 		return a.Mul(b)
 	}
@@ -51,7 +51,7 @@ func (alg *Algorithm) refMulAbs(a, b bigint.Int, stats *Stats) bigint.Int {
 	coeffs := alg.refInterpolate(prods, stats)
 	if stats != nil {
 		for _, c := range coeffs {
-			stats.chargeWords(wordsOf(c))
+			stats.chargeWords(c.Words())
 		}
 	}
 	return Recompose(coeffs, shift)
@@ -69,7 +69,7 @@ func (alg *Algorithm) refEvalDigits(digits []bigint.Int, stats *Stats) []bigint.
 			if c == 0 || digits[m].IsZero() {
 				continue
 			}
-			work += 2 * wordsOf(digits[m])
+			work += 2 * digits[m].Words()
 			if m%2 == 0 {
 				even = even.Add(digits[m].MulInt64(c))
 			} else {
@@ -78,7 +78,7 @@ func (alg *Algorithm) refEvalDigits(digits []bigint.Int, stats *Stats) []bigint.
 		}
 		out[pr.pos] = even.Add(odd)
 		out[pr.neg] = even.Sub(odd)
-		work += 2 * wordsOf(even)
+		work += 2 * even.Words()
 		stats.chargeWords(work)
 	}
 	for _, i := range alg.evalSingles {
@@ -89,7 +89,7 @@ func (alg *Algorithm) refEvalDigits(digits []bigint.Int, stats *Stats) []bigint.
 				continue
 			}
 			sum = sum.Add(digits[m].MulInt64(c))
-			work += 2 * wordsOf(digits[m])
+			work += 2 * digits[m].Words()
 		}
 		out[i] = sum
 		stats.chargeWords(work)
@@ -104,7 +104,7 @@ func (alg *Algorithm) refInterpolate(prods []bigint.Int, stats *Stats) []bigint.
 				stats.Interpolations++
 				var w int64
 				for _, v := range out {
-					w += 2 * wordsOf(v)
+					w += 2 * v.Words()
 				}
 				stats.chargeWords(w)
 			}
@@ -116,7 +116,7 @@ func (alg *Algorithm) refInterpolate(prods []bigint.Int, stats *Stats) []bigint.
 		for _, row := range alg.wNum {
 			for j, c := range row {
 				if c != 0 {
-					stats.chargeWords(2 * wordsOf(prods[j]))
+					stats.chargeWords(2 * prods[j].Words())
 				}
 			}
 		}
@@ -131,7 +131,7 @@ func (alg *Algorithm) refInterpolate(prods []bigint.Int, stats *Stats) []bigint.
 			sum = sum.Add(prods[j].MulInt64(c))
 		}
 		// The charge reads the accumulator before the exact division.
-		stats.chargeWords(wordsOf(sum))
+		stats.chargeWords(sum.Words())
 		out[i] = sum.DivExactInt64(alg.wDen)
 	}
 	return out
@@ -146,7 +146,7 @@ func (alg *Algorithm) refSquareWithStats(a bigint.Int, stats *Stats) bigint.Int 
 	if maxBits <= alg.thresholdBits {
 		if stats != nil {
 			stats.BaseMuls++
-			stats.chargeWords(wordsOf(a) * wordsOf(a))
+			stats.chargeWords(a.Words() * a.Words())
 		}
 		return a.Mul(a)
 	}
@@ -163,7 +163,7 @@ func (alg *Algorithm) refSquareWithStats(a bigint.Int, stats *Stats) bigint.Int 
 	coeffs := alg.refInterpolate(prods, stats)
 	if stats != nil {
 		for _, c := range coeffs {
-			stats.chargeWords(wordsOf(c))
+			stats.chargeWords(c.Words())
 		}
 	}
 	return Recompose(coeffs, shift)

@@ -32,7 +32,7 @@ func (alg *Algorithm) square(ws *workspace, depth int, dst, x *bigint.Acc, stats
 	if maxBits <= alg.thresholdBits {
 		if stats != nil {
 			stats.BaseMuls++
-			stats.chargeWords(accWords(x) * accWords(x))
+			stats.chargeWords(x.Words() * x.Words())
 		}
 		dst.SetMul(x, x)
 		return

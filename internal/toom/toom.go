@@ -63,14 +63,6 @@ func (s *Stats) addToom2(c bigint.Toom2Counts) {
 	s.chargeWords(c.WordOps)
 }
 
-// wordsOf returns the F-charge for touching x once (at least one word).
-func wordsOf(x bigint.Int) int64 {
-	if l := int64(x.WordLen()); l > 0 {
-		return l
-	}
-	return 1
-}
-
 // Algorithm is a ready-to-run Toom-Cook-k multiplier. It is immutable after
 // construction and safe for concurrent use.
 type Algorithm struct {
@@ -350,7 +342,7 @@ func (alg *Algorithm) mul(ws *workspace, depth int, dst, x, y *bigint.Acc, stats
 		if stats != nil {
 			stats.BaseMuls++
 			// Schoolbook word cost of the base case.
-			stats.chargeWords(accWords(x) * accWords(y))
+			stats.chargeWords(x.Words() * y.Words())
 		}
 		dst.SetMul(x, y)
 		return
@@ -393,7 +385,7 @@ func (alg *Algorithm) interpRecompose(f *frame, dst *bigint.Acc, shift int, stat
 	alg.interpStep(f.prods, f.coeffs, f.coef, stats)
 	dst.Reset()
 	for i, c := range f.coef {
-		stats.chargeWords(accWords(c))
+		stats.chargeWords(c.Words())
 		dst.AddShl(c, uint(i*shift))
 	}
 }
@@ -434,7 +426,7 @@ func (alg *Algorithm) evalStep(f *frame, digits, out []bigint.Acc, ops []*bigint
 			if c == 0 || d.IsZero() {
 				continue
 			}
-			work += 2 * accWords(d)
+			work += 2 * d.Words()
 			if m%2 == 0 {
 				even.AddMulAcc(d, c)
 			} else {
@@ -445,14 +437,14 @@ func (alg *Algorithm) evalStep(f *frame, digits, out []bigint.Acc, ops []*bigint
 		ops[pr.pos], ops[pr.neg] = pos, neg
 		pos.SetSum(even, odd)
 		neg.SetDiff(even, odd)
-		work += 2 * accWords(even)
+		work += 2 * even.Words()
 		stats.chargeWords(work)
 	}
 	for _, i := range alg.evalSingles {
 		if m := alg.evalUnit[i]; m >= 0 {
 			d := &digits[m]
 			if !d.IsZero() {
-				stats.chargeWords(2 * accWords(d))
+				stats.chargeWords(2 * d.Words())
 			}
 			ops[i] = d
 			continue
@@ -460,7 +452,7 @@ func (alg *Algorithm) evalStep(f *frame, digits, out []bigint.Acc, ops []*bigint
 		var work int64
 		for m, c := range alg.u[i] {
 			if c != 0 && !digits[m].IsZero() {
-				work += 2 * accWords(&digits[m])
+				work += 2 * digits[m].Words()
 			}
 		}
 		stats.chargeWords(work)
@@ -500,7 +492,7 @@ func (alg *Algorithm) interpStep(prods, coeffs []bigint.Acc, cs []*bigint.Acc, s
 				// which is the point of the Toom-Graph optimization).
 				var w int64
 				for _, v := range out {
-					w += 2 * wordsOf(v)
+					w += 2 * v.Words()
 				}
 				stats.chargeWords(w)
 			}
@@ -518,7 +510,7 @@ func (alg *Algorithm) interpStep(prods, coeffs []bigint.Acc, cs []*bigint.Acc, s
 	for i, row := range alg.wNum {
 		if j := alg.interpUnit[i]; j >= 0 {
 			// The pre-division accumulator would be 1·prods[j].
-			stats.chargeWords(accWords(&prods[j]))
+			stats.chargeWords(prods[j].Words())
 			cs[i] = &prods[j]
 			continue
 		}
@@ -535,7 +527,7 @@ func applyRowScaled(row []int64, x []bigint.Acc, den int64, out *bigint.Acc, sta
 		panic("toom: applyRowScaled width mismatch")
 	}
 	combine(out, row, x)
-	stats.chargeWords(accWords(out))
+	stats.chargeWords(out.Words())
 	out.DivExact(den)
 }
 
@@ -589,7 +581,7 @@ func rowsWork(rows [][]int64, x []bigint.Acc) int64 {
 			if c == 0 {
 				continue
 			}
-			work += 2 * accWords(&x[j])
+			work += 2 * x[j].Words()
 		}
 	}
 	return work
@@ -612,7 +604,7 @@ func splitDigits(a bigint.Int, k, shift int) []bigint.Int {
 // whose sum is taken at the end, so the cost is linear in the coefficients'
 // total size.
 //
-//ftlint:allow costcharge recomposition is charged by the callers: the recursion charges wordsOf(c) per coefficient as it recomposes, and AssembleFrom runs host-side outside the model
+//ftlint:allow costcharge recomposition is charged by the callers: the recursion charges c.Words() per coefficient as it recomposes, and AssembleFrom runs host-side outside the model
 func Recompose(coeffs []bigint.Int, shift int) bigint.Int {
 	pos, neg, c := bigint.NewAcc(), bigint.NewAcc(), bigint.NewAcc()
 	defer pos.Release()

@@ -91,11 +91,3 @@ func accValues(xs []bigint.Acc) []bigint.Int {
 	}
 	return out
 }
-
-// accWords is wordsOf for an accumulator: the F charge for touching it once.
-func accWords(x *bigint.Acc) int64 {
-	if l := int64(x.WordLen()); l > 0 {
-		return l
-	}
-	return 1
-}
