@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmtcheck test expcheck race vet allocs procs arch benchtest fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke loc census ci
+.PHONY: build fmtcheck test expcheck race vet allocs procs arch benchtest lint lint-json fuzz-smoke wallsmoke examples matsmoke loc census ci
 
 build:
 	$(GO) build ./...
@@ -119,17 +119,10 @@ matsmoke:
 	$(GO) run ./cmd/experiments -algo matmul -backend sim
 	$(GO) run ./cmd/experiments -algo matmul -backend wall
 
-# Short fuzz pass over the bigint kernels, the Toom-2 count walk's
-# word-length decisions, the matrix tile kernels' count identity and the
-# Toom leaf's count identity (seed corpus always runs in `make test`).
-fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzNatMul -fuzztime 10s ./internal/bigint
-	$(GO) test -run '^$$' -fuzz FuzzIntArith -fuzztime 10s ./internal/bigint
-	$(GO) test -run '^$$' -fuzz FuzzToom2Lengths -fuzztime 10s ./internal/bigint
-	$(GO) test -run '^$$' -fuzz FuzzTileMulWork -fuzztime 10s ./internal/ftmatmul
-	$(GO) test -run '^$$' -fuzz FuzzToomMulStats -fuzztime 10s ./internal/toom
-
-# The 10-second-per-target smoke slice of `fuzz` that CI runs on every push.
+# Ten seconds of randomized fuzzing per target, run by CI on every push:
+# the bigint kernels and accumulators against math/big, the Toom-2 count
+# walk's word-length decisions, the matrix tile kernels' count identity and
+# the Toom leaf's count identity (the seed corpora run in `make test`).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNatMul -fuzztime 10s ./internal/bigint
 	$(GO) test -run '^$$' -fuzz FuzzIntArith -fuzztime 10s ./internal/bigint

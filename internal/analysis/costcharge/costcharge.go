@@ -23,11 +23,13 @@
 // or bigint.Acc (Add, Sub, Mul, MulInt64, Shl, Shr, DivExactInt64,
 // QuoRemWord, RemWord, AddMul, DivExact, the dot-product step AddProd, the
 // Acc-to-Acc AddMulAcc, AddShl, SetMul, SetSum, SetDiff, and the counted
-// Toom-2 kernel SetToom2Mul). Cheap structural
+// Toom-2 kernel SetToom2Mul), or the dot-product step AddProd on the
+// fixed-width bigint.Dot, which the matrix tile kernel runs for word-size
+// entries. Cheap structural
 // accessors (Sign, Abs, Neg, IsZero, BitLen, WordLen, Words, Extract, Cmp,
-// the Acc loads SetInt, SetBits and the copy-out AppendValue) are
-// deliberately excluded — the model charges word-touching arithmetic, not
-// bookkeeping.
+// the Acc loads SetInt, SetBits, the resets and the copy-out AppendValue)
+// are deliberately excluded — the model charges word-touching arithmetic,
+// not bookkeeping.
 //
 // Primitives whose cost is charged by their callers (toom.ApplyRows via the
 // recursion's rowsWork, toom.Recompose via its recomposition charge) and
@@ -64,6 +66,7 @@ var arithMethods = map[string]map[string]bool{
 		"AddMulAcc": true, "AddShl": true, "SetMul": true,
 		"SetSum": true, "SetDiff": true, "SetToom2Mul": true,
 	},
+	"Dot": {"AddProd": true},
 }
 
 // witnessTypes are the cost-model carrier types: a call into a function that

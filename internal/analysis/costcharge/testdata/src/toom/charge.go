@@ -1,6 +1,6 @@
 // Fixture for the costcharge analyzer, named "toom" so its synthetic import
 // path falls under the cost-accounting rule. Miniature stand-ins for Int,
-// Acc, Stats, and Proc are matched by name.
+// Acc, Dot, Stats, and Proc are matched by name.
 package toom
 
 type Int struct{ v int }
@@ -20,6 +20,14 @@ func (a *Acc) AddMul(x Int, c int64) {}
 func (a *Acc) AddProd(x, y Int)      {}
 func (a *Acc) WordLen() int          { return a.v }
 func (a *Acc) Take() Int             { return Int{} }
+
+type Dot struct{ v int }
+
+func (d *Dot) AddProd(x, y Int) {}
+func (d *Dot) Words() int64     { return int64(d.v) }
+func (d *Dot) AppendValue(slab []int) (Int, []int) {
+	return Int{}, slab
+}
 
 // Toom2Counts stands in for the counted Toom-2 kernel's returned counts.
 type Toom2Counts struct{ WordOps int64 }
@@ -70,6 +78,28 @@ func ChargedDot(p *Proc, xs, ys []Int) Int {
 		p.Work(int64(xs[i].WordLen()*ys[i].WordLen() + a.WordLen()))
 	}
 	return a.Take()
+}
+
+// UnchargedFixedDot is the same dot product on the fixed-width
+// accumulator's step, with no channel to the cost model.
+func UnchargedFixedDot(xs, ys []Int) Int { // want "no channel to the F/BW/L cost model"
+	var d Dot
+	for i := range xs {
+		d.AddProd(xs[i], ys[i])
+	}
+	v, _ := d.AppendValue(nil)
+	return v
+}
+
+// ChargedFixedDot charges each product and partial sum to the processor.
+func ChargedFixedDot(p *Proc, xs, ys []Int) Int {
+	var d Dot
+	for i := range xs {
+		d.AddProd(xs[i], ys[i])
+		p.Work(int64(xs[i].WordLen()*ys[i].WordLen()) + d.Words())
+	}
+	v, _ := d.AppendValue(nil)
+	return v
 }
 
 // UnchargedKernel runs the counted Toom-2 kernel and drops its counts: the

@@ -15,9 +15,10 @@ import (
 // Toom-Cook workspace keeps Accs as long-lived frame slots instead: the
 // Acc-to-Acc operations (SetBits, SetSum, AddMulAcc, SetMul, AddShl, ...)
 // combine them in place, and Value copies a result out without giving up
-// the buffer. A matrix tile runs every entry's dot product through one Acc
-// (AddProd) and copies each finished entry out with AppendValue, so a whole
-// tile of values shares one limb slab.
+// the buffer. A matrix tile with an entry wider than five limbs runs every
+// entry's dot product through one Acc (AddProd) and copies each finished
+// entry out with AppendValue, so a whole tile of values shares one limb
+// slab; narrower tiles run on the fixed-width Dot (dot.go) the same way.
 //
 // The zero value is ready to use; NewAcc/Release additionally recycle the
 // internal buffers through a sync.Pool. An Acc is not safe for concurrent
@@ -109,17 +110,12 @@ func (a *Acc) addMul(x nat, xneg bool, c int64) {
 	}
 }
 
-// AddProd accumulates a += x·y — one step of a dot product; no Int is
-// materialized. When both operands have at most five limbs the product is
-// formed and accumulated by the fused word-size kernels (dot.go); longer
-// ones go through the kernel ladder into internal scratch and are added in
-// place.
+// AddProd accumulates a += x·y — one step of a dot product of any operand
+// length; no Int is materialized. The product goes through the kernel
+// ladder into internal scratch and is added in place. Dot.AddProd is the
+// fixed-width step for operands of at most five limbs.
 func (a *Acc) AddProd(x, y Int) {
 	if len(x.abs) == 0 || len(y.abs) == 0 {
-		return
-	}
-	if len(x.abs) <= maxFusedLimbs && len(y.abs) <= maxFusedLimbs {
-		a.addProdFused(x.abs, y.abs, x.neg != y.neg)
 		return
 	}
 	a.tmp = natMulTo(a.tmp, x.abs, y.abs)

@@ -3,6 +3,7 @@ package bigint
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -367,82 +368,20 @@ func TestAccAddProd(t *testing.T) {
 		}
 	}
 
-	// The fused word-size path: every pairing of the limb-boundary values
-	// below (up to five limbs, so the 4×4 and 5×5 kernels run, with short
-	// operands zero-extended), in all four sign pairings, onto running sums
-	// that take every branch of the in-place add and subtract: zero, the
-	// exact negation of the product, one off it either way (the subtraction
-	// borrows out and the sign flips), all-ones and power-of-two sums that
-	// carry or borrow through every limb, and sums shorter and longer than
-	// the product.
-	pow := func(e uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), e) }
-	boundary := []*big.Int{
-		big.NewInt(1),
-		new(big.Int).Sub(pow(64), big.NewInt(1)),
-		pow(64),
-		Random(rng, 255).ToBig(),
-		Random(rng, 256).ToBig(),
-		Random(rng, 257).ToBig(),
-		Random(rng, 319).ToBig(),
-		Random(rng, 320).ToBig(),
-		new(big.Int).Sub(pow(256), big.NewInt(1)),
-		pow(256),
-		new(big.Int).Sub(pow(320), big.NewInt(1)),
-	}
-	one := big.NewInt(1)
-	for _, bx := range boundary {
-		for _, by := range boundary {
-			for signs := 0; signs < 4; signs++ {
-				x, y := new(big.Int).Set(bx), new(big.Int).Set(by)
-				if signs&1 != 0 {
-					x.Neg(x)
-				}
-				if signs&2 != 0 {
-					y.Neg(y)
-				}
-				prod := new(big.Int).Mul(x, y)
-				negProd := new(big.Int).Neg(prod)
-				sums := []*big.Int{
-					new(big.Int),
-					negProd,
-					new(big.Int).Add(negProd, one),
-					new(big.Int).Sub(negProd, one),
-					prod,
-					new(big.Int).Sub(pow(768), one),
-					new(big.Int).Neg(new(big.Int).Sub(pow(768), one)),
-					pow(768),
-					new(big.Int).Neg(pow(768)),
-					Random(rng, 150).ToBig(),
-					Random(rng, 150).Neg().ToBig(),
-					Random(rng, 1000).ToBig(),
-					Random(rng, 1000).Neg().ToBig(),
-				}
-				for si, sum := range sums {
-					acc.SetInt(FromBig(sum))
-					acc.AddProd(FromBig(x), FromBig(y))
-					want := new(big.Int).Add(sum, prod)
-					if got := acc.Value().ToBig(); got.Cmp(want) != 0 {
-						t.Fatalf("%d-bit × %d-bit, signs %d, sum %d: acc=%v want %v", bx.BitLen(), by.BitLen(), signs, si, got, want)
-					}
-					if acc.Sign() != want.Sign() || acc.WordLen() != (want.BitLen()+63)/64 {
-						t.Fatalf("%d-bit × %d-bit, signs %d, sum %d: sign/WordLen %d/%d, want %d/%d", bx.BitLen(), by.BitLen(), signs, si,
-							acc.Sign(), acc.WordLen(), want.Sign(), (want.BitLen()+63)/64)
-					}
-				}
-			}
-		}
-	}
 }
 
-// fusedShapes are the operand shapes of the FT matmul's entry products:
+// dotShapes are the operand shapes of the FT matmul's entry products:
 // 256-bit tile entries and 257-bit Strassen sums and differences.
-var fusedShapes = []struct {
+var dotShapes = []dotShape{{"4x4", 256, 256}, {"4x5", 256, 257}, {"5x5", 257, 257}}
+
+// dotShape names a pair of operand bit lengths.
+type dotShape struct {
 	name   string
 	xb, yb int
-}{{"4x4", 256, 256}, {"4x5", 256, 257}, {"5x5", 257, 257}}
+}
 
-// fusedOperands draws n signed operand pairs of the given bit lengths.
-func fusedOperands(rng *rand.Rand, n, xb, yb int) (xs, ys []Int) {
+// dotOperands draws n signed operand pairs of the given bit lengths.
+func dotOperands(rng *rand.Rand, n, xb, yb int) (xs, ys []Int) {
 	for i := 0; i < n; i++ {
 		x, y := Random(rng, xb), Random(rng, yb)
 		if rng.Intn(2) == 0 {
@@ -456,13 +395,14 @@ func fusedOperands(rng *rand.Rand, n, xb, yb int) (xs, ys []Int) {
 	return xs, ys
 }
 
-// TestAccAddProdAllocs requires the fused path to allocate nothing once the
-// accumulator has grown: the operand and product arrays stay on the stack.
-// The Acc is not pooled, so the contract holds under the race detector too.
+// TestAccAddProdAllocs requires the ladder step to allocate nothing once
+// the accumulator's sum and scratch have grown, at the word-size shapes
+// and at six limbs, the narrowest operand Dot does not take. The Acc is
+// not pooled, so the contract holds under the race detector too.
 func TestAccAddProdAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1305))
-	for _, sh := range fusedShapes {
-		xs, ys := fusedOperands(rng, 32, sh.xb, sh.yb)
+	for _, sh := range slices.Concat(dotShapes, []dotShape{{"6x4", 384, 256}}) {
+		xs, ys := dotOperands(rng, 32, sh.xb, sh.yb)
 		var acc Acc
 		dot := func() {
 			acc.Reset()
@@ -476,31 +416,6 @@ func TestAccAddProdAllocs(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkAccAddProd times one AddProd at each fused shape, on signed
-// operands, over 32-term dot products like a 32×32 tile entry's.
-func BenchmarkAccAddProd(b *testing.B) {
-	rng := rand.New(rand.NewSource(1306))
-	for _, sh := range fusedShapes {
-		b.Run(sh.name, func(b *testing.B) {
-			xs, ys := fusedOperands(rng, 1024, sh.xb, sh.yb)
-			var acc Acc
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := i % len(xs)
-				if k%32 == 0 {
-					acc.Reset()
-				}
-				acc.AddProd(xs[k], ys[k])
-			}
-			accSink = acc.WordLen()
-		})
-	}
-}
-
-// accSink keeps the benchmarked accumulation live.
-var accSink int
 
 // TestAccAppendValue checks that values copied into a shared slab keep
 // their value while the slab grows and the accumulator moves on, and that

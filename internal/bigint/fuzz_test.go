@@ -77,7 +77,8 @@ func FuzzIntArith(f *testing.F) {
 	f.Add([]byte{3}, []byte{5}, false, true, int64(7), uint(3))
 	f.Add([]byte{0xff, 0xff}, []byte{}, true, false, int64(-12345), uint(70))
 	f.Add(bytes.Repeat([]byte{0x5a}, 400), bytes.Repeat([]byte{0xc3}, 399), true, true, int64(1)<<40, uint(129))
-	// Four- and five-limb operands: AddProd's fused word-size kernels.
+	// Four- and five-limb operands: Dot's two kernels, and Acc.AddProd on
+	// the ladder at the same shapes.
 	f.Add(bytes.Repeat([]byte{0xff}, 32), bytes.Repeat([]byte{0x9e}, 33), false, true, int64(-3), uint(17))
 	f.Add(bytes.Repeat([]byte{0xff}, 40), bytes.Repeat([]byte{0xab}, 40), true, false, int64(5), uint(64))
 	f.Fuzz(func(t *testing.T, ab, bb []byte, an, bn bool, c int64, s uint) {
@@ -111,9 +112,8 @@ func FuzzIntArith(f *testing.F) {
 			t.Fatalf("Cmp mismatch")
 		}
 
-		// Acc chain: ±x ± y·c, shifted, plus the dot-product step x·y —
-		// against the same chain in math/big. Operands of at most five limbs
-		// take AddProd's fused kernels, longer ones the ladder.
+		// Acc chain: ±x ± y·c, shifted, plus the dot-product step x·y on
+		// the ladder — against the same chain in math/big.
 		acc := NewAcc()
 		defer acc.Release()
 		acc.Add(xi)
@@ -133,6 +133,33 @@ func FuzzIntArith(f *testing.F) {
 		acc.AddProd(sum.Neg(), One())
 		if !acc.IsZero() || acc.Sign() != 0 {
 			t.Fatalf("AddProd(−sum, 1) left %v, want 0", acc.Value())
+		}
+
+		// Dot chain on x and y cut to their low five limbs, signs kept:
+		// x5·y5 + x5·c, its read-out and copy-out, then the same two
+		// products negated, which cancel it exactly.
+		mask := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 64*maxDotLimbs), big.NewInt(1))
+		low := func(v *big.Int) *big.Int {
+			l := new(big.Int).And(new(big.Int).Abs(v), mask)
+			if v.Sign() < 0 {
+				l.Neg(l)
+			}
+			return l
+		}
+		x5, y5 := low(x), low(y)
+		xd, yd, cd := FromBig(x5), FromBig(y5), FromInt64(c)
+		var d Dot
+		d.AddProd(xd, yd)
+		d.AddProd(xd, cd)
+		want = new(big.Int).Mul(x5, new(big.Int).Add(y5, big.NewInt(c)))
+		got, _ := d.AppendValue(nil)
+		if got.ToBig().Cmp(want) != 0 || d.Words() != int64(max(1, (want.BitLen()+63)/64)) {
+			t.Fatalf("Dot chain: %v with Words %d, want %v", got, d.Words(), want)
+		}
+		d.AddProd(xd.Neg(), yd)
+		d.AddProd(cd, xd.Neg())
+		if got, _ := d.AppendValue(nil); !got.IsZero() || d.Words() != 1 {
+			t.Fatalf("Dot chain cancelled to %v with Words %d, want 0 and 1", got, d.Words())
 		}
 	})
 }

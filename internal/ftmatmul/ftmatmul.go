@@ -267,21 +267,45 @@ func (w *workload) refetch(p *machine.Proc, ev []machine.FaultEvent, myA, myB *[
 }
 
 // tileMul is the classical m×m block product over flattened tiles. Each
-// output entry is one dot product on a single pooled accumulator, and the
-// finished entries are copied into one limb slab for the tile. It returns
-// the product and the word-ops the cost model charges for it, word for word
-// like the schoolbook tier: each scalar product costs the product of the
-// operands' word lengths, each accumulation the words of the partial sum it
-// leaves. Adding a_ik·b_kj for k ascending gives every entry the same
-// partial sums, zero skips and charges as a row-by-row (i, k, j) loop.
+// output entry is one dot product on a single accumulator, and the finished
+// entries are copied into one limb slab for the tile. When no entry of
+// either tile is wider than five limbs (every tile of ft_matmul_faults) the
+// accumulator is a fixed-width bigint.Dot on the stack; otherwise every
+// entry runs on a pooled Acc, whose steps go through the kernel ladder. It
+// returns the product and the word-ops the cost model charges for it, word
+// for word like the schoolbook tier: each scalar product costs the product
+// of the operands' word lengths, each accumulation the words of the partial
+// sum it leaves. Adding a_ik·b_kj for k ascending gives every entry the
+// same partial sums, zero skips and charges as a row-by-row (i, k, j) loop.
 func tileMul(m int, a, b []bigint.Int) ([]bigint.Int, int64) {
 	out := make([]bigint.Int, m*m)
+	wa, wb := maxWords(a), maxWords(b)
 	// An entry is a sum of m products, so it fits in one limb more than
 	// the widest product.
-	slab := make([]uint64, 0, m*m*(maxWords(a)+maxWords(b)+1))
+	slab := make([]uint64, 0, m*m*(wa+wb+1))
+	var work int64
+	if wa <= dotMaxWords && wb <= dotMaxWords {
+		var dot bigint.Dot
+		for i := 0; i < m; i++ {
+			row := a[i*m : i*m+m]
+			for j := 0; j < m; j++ {
+				dot.Reset()
+				for k, aik := range row {
+					bkj := b[k*m+j]
+					if aik.IsZero() || bkj.IsZero() {
+						continue
+					}
+					work += aik.Words() * bkj.Words()
+					dot.AddProd(aik, bkj)
+					work += dot.Words()
+				}
+				out[i*m+j], slab = dot.AppendValue(slab)
+			}
+		}
+		return out, work
+	}
 	acc := bigint.NewAcc()
 	defer acc.Release()
-	var work int64
 	for i := 0; i < m; i++ {
 		row := a[i*m : i*m+m]
 		for j := 0; j < m; j++ {
@@ -300,6 +324,9 @@ func tileMul(m int, a, b []bigint.Int) ([]bigint.Int, int64) {
 	}
 	return out, work
 }
+
+// dotMaxWords is the widest operand bigint.Dot.AddProd takes.
+const dotMaxWords = 5
 
 // comboEval forms a signed sum of tiles (a Strassen operand) and returns it
 // with its word-op charge. A single positive term aliases the tile and

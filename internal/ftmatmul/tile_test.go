@@ -185,9 +185,14 @@ func FuzzTileMulWork(f *testing.F) {
 	f.Add(int64(3), uint8(8), uint16(512), uint8(10))
 	f.Add(int64(4), uint8(5), uint16(65), uint8(255))
 	// Entries up to 256 and 257 bits: the workload's tile entries and
-	// Strassen sums, on both sides of the fused kernels' 4×4/5×5 split.
+	// Strassen sums, on both sides of Dot's 4×4/5×5 split.
 	f.Add(int64(5), uint8(7), uint16(255), uint8(6))
 	f.Add(int64(6), uint8(11), uint16(256), uint8(19))
+	// Widest entry exactly 320 bits in both tiles (the whole tile on Dot,
+	// 5×5 products) and exactly 321 bits (six limbs: the whole tile on the
+	// Acc ladder).
+	f.Add(int64(7), uint8(7), uint16(319), uint8(6))
+	f.Add(int64(8), uint8(7), uint16(320), uint8(12))
 	f.Fuzz(func(t *testing.T, seed int64, m uint8, maxBits uint16, signs uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		dim := 1 + int(m)%12
@@ -225,48 +230,106 @@ func workloadTiles() (a, b []bigint.Int) {
 	return a, b
 }
 
-// TestTileMulAllocs pins the tile kernel's allocation discipline at the
-// workload's shape: in steady state a tile costs its output slice and its
-// limb slab, at GOMAXPROCS 1 and 2.
-func TestTileMulAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop pooled accumulators at random")
+// strassenTiles draws the 32×32 operands of a Strassen rank, formed by
+// ComboEval: entrywise sums and differences of two tiles of signed 256-bit
+// entries. An entry is five limbs wide where its two terms add, about
+// half of them.
+func strassenTiles() (a, b []bigint.Int) {
+	a1, b1 := workloadTiles()
+	rng := rand.New(rand.NewSource(1306))
+	a2, b2 := make([]bigint.Int, len(a1)), make([]bigint.Int, len(b1))
+	for i := range a2 {
+		a2[i], b2[i] = bigint.Random(rng, 256), bigint.Random(rng, 256)
+		if rng.Intn(2) == 0 {
+			a2[i] = a2[i].Neg()
+		}
+		if rng.Intn(2) == 0 {
+			b2[i] = b2[i].Neg()
+		}
 	}
-	a, b := workloadTiles()
+	a, _ = ftmatmul.ComboEval(len(a1), [][]bigint.Int{a1, a2}, []int{1, 1})
+	b, _ = ftmatmul.ComboEval(len(b1), [][]bigint.Int{b1, b2}, []int{1, -1})
+	return a, b
+}
+
+// mixedTiles is a workload tile pair with one six-limb entry in each row
+// of a: the shape that leaves Dot, so every entry of the tile runs on the
+// Acc ladder.
+func mixedTiles() (a, b []bigint.Int) {
+	a, b = workloadTiles()
+	rng := rand.New(rand.NewSource(1307))
+	const m = 32
+	for i := 0; i < m; i++ {
+		a[i*m+rng.Intn(m)] = bigint.Random(rng, 384).Neg()
+	}
+	return a, b
+}
+
+// TestTileMulAllocs pins the tile kernel's allocation discipline: in
+// steady state a tile costs its output slice and its limb slab, at
+// GOMAXPROCS 1 and 2, on the workload's tile (Dot, on the stack) and on a
+// mixed-width tile (a pooled Acc on the ladder). Only the pooled path
+// skips under the race detector, which makes sync.Pool drop pooled values
+// at random.
+func TestTileMulAllocs(t *testing.T) {
+	wa, wb := workloadTiles()
+	ma, mb := mixedTiles()
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			// Steady state is the best of several batches: the first
-			// batch sizes the pooled accumulator, and a later one may
-			// rebuild it once after a GC or a move to another P.
-			best := math.Inf(1)
-			for batch := 0; batch < 5; batch++ {
-				const runs = 4
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				for i := 0; i < runs; i++ {
-					ftmatmul.TileMul(32, a, b)
-				}
-				runtime.ReadMemStats(&m1)
-				best = min(best, float64(m1.Mallocs-m0.Mallocs)/runs)
-			}
-			if best > 2 {
-				t.Errorf("tileMul allocates %.2f times per 32x32 tile in steady state, want <= 2", best)
+			for _, tc := range []struct {
+				name   string
+				a, b   []bigint.Int
+				pooled bool
+			}{{"dot", wa, wb, false}, {"ladder", ma, mb, true}} {
+				t.Run(tc.name, func(t *testing.T) {
+					if tc.pooled && raceEnabled {
+						t.Skip("the race detector makes sync.Pool drop pooled accumulators at random")
+					}
+					// Steady state is the best of several batches: the
+					// first batch sizes a pooled accumulator, and a later
+					// one may rebuild it once after a GC or a move to
+					// another P.
+					best := math.Inf(1)
+					for batch := 0; batch < 5; batch++ {
+						const runs = 4
+						var m0, m1 runtime.MemStats
+						runtime.ReadMemStats(&m0)
+						for i := 0; i < runs; i++ {
+							ftmatmul.TileMul(32, tc.a, tc.b)
+						}
+						runtime.ReadMemStats(&m1)
+						best = min(best, float64(m1.Mallocs-m0.Mallocs)/runs)
+					}
+					if best > 2 {
+						t.Errorf("tileMul allocates %.2f times per 32x32 tile in steady state, want <= 2", best)
+					}
+				})
 			}
 		})
 	}
 }
 
-// BenchmarkTileMul and BenchmarkTileMulRef time one 32×32 tile of signed
-// 256-bit entries through the accumulator kernel and through the Int-based
-// reference: the per-layer before and after of the matmul workload's
-// hottest function, from one binary.
+// BenchmarkTileMul and BenchmarkTileMulRef time one 32×32 tile through the
+// accumulator kernel and through the Int-based reference: the per-layer
+// before and after of the matmul workload's hottest function, from one
+// binary. The tile kernel runs three shapes: a standard rank's tile of
+// signed 256-bit entries (4×4 products), a Strassen rank's 257-bit operand
+// sums (4×4, 4×5 and 5×5 products), and a mixed-width tile with one
+// six-limb entry per row, which runs on the Acc ladder.
 func BenchmarkTileMul(b *testing.B) {
-	x, y := workloadTiles()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tileSink, _ = ftmatmul.TileMul(32, x, y)
+	for _, bc := range []struct {
+		name  string
+		tiles func() (a, b []bigint.Int)
+	}{{"workload", workloadTiles}, {"strassen", strassenTiles}, {"mixed", mixedTiles}} {
+		b.Run(bc.name, func(b *testing.B) {
+			x, y := bc.tiles()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tileSink, _ = ftmatmul.TileMul(32, x, y)
+			}
+		})
 	}
 }
 
