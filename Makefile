@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmtcheck test expcheck race vet allocs procs arch benchtest lint lint-json fuzz-smoke wallsmoke examples matsmoke loc census ci
+.PHONY: build fmtcheck test expcheck race vet allocs procs arch benchtest lint lint-json fuzz-smoke wallsmoke examples matsmoke loc census mutants mutants-check ci
 
 build:
 	$(GO) build ./...
@@ -21,10 +21,9 @@ test:
 expcheck:
 	$(GO) run ./cmd/experiments -exp all -bits 65536 | diff -u experiments_output.txt -
 
-# Machine-checked invariants: the eleven ftlint analyzers (arenasafe, accown,
-# poolspawn, natalias, costcharge, chanproto, statsrace, recoverpath,
-# modbound, protomc, costbound) plus
-# the stale-suppression audit, over the whole tree — including
+# Machine-checked invariants: the seven ftlint analyzers (accown, poolspawn,
+# statsrace, recoverpath, modbound, protomc, costbound) plus the
+# stale-suppression audit, over the whole tree — including
 # internal/analysis itself. See DESIGN.md "Machine-checked invariants".
 # Fixture packages under testdata are not go-list packages, so ./... never
 # analyzes them.
@@ -147,5 +146,17 @@ loc:
 census:
 	@bash scripts/census.sh
 
+# The seeded-defect catalogue (scripts/mutants.sh, scripts/mutants/*.patch):
+# per patch, which tests fail and which ftlint analyzers report, on a temp
+# copy of the tracked tree. Fails when a patch no longer applies or nothing
+# catches its defect. About half a minute per entry, so it stays out of ci.
+mutants:
+	@bash scripts/mutants.sh
+
+# Seconds: every catalogue patch still applies (git apply --check), so an
+# edit that moves a seeded line fails in the change that moved it.
+mutants-check:
+	@bash scripts/mutants.sh check
+
 # ci mirrors .github/workflows/ci.yml locally: everything a PR must pass.
-ci: build fmtcheck census test expcheck vet allocs procs arch benchtest race fuzz-smoke wallsmoke matsmoke examples lint
+ci: build fmtcheck census mutants-check test expcheck vet allocs procs arch benchtest race fuzz-smoke wallsmoke matsmoke examples lint

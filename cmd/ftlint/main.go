@@ -1,34 +1,28 @@
 // Command ftlint machine-checks the invariants that keep the hot path and
-// the paper's accounting honest: arena ownership (arenasafe), pooled
-// accumulator ownership (accown) — both path-sensitive over the framework's
-// CFG and, since PR 4, interprocedural via call-graph summaries —
-// bounded-pool-only concurrency (poolspawn), kernel destination aliasing
-// (natalias, including through forwarding wrappers), F/BW/L cost charging
-// (costcharge, with charge reachability verified through helpers),
-// simulator channel discipline (chanproto, including value-level tag
-// safety: constant-folded send/recv pairing both ways and branch-divergent
-// barrier phases), Stats-counter races from
-// workers (statsrace), the Section-4 fault-recovery path (recoverpath:
-// recovery errors must be checked, recovery handlers must not spawn raw
-// goroutines or allocate from caller-held arenas), and — since PR 7, on
-// the framework's interval abstract interpretation — the NTT kernel's
-// lazy-arithmetic contracts (modbound: every lazy store provably in
-// [0, 2p), Shoup/REDC preconditions, no uint64 wraparound, strict
-// reduction before CRT recombination). protomc runs every communicating
-// per-processor collective and the fault-tolerant engine in the shared
-// evaluator and model-checks them explicitly for small worlds (n in [2,5],
-// every legal root, every tolerated single fail-stop fault plan), proving
-// deadlock-freedom, send/recv matching, barrier phase consistency, and
-// fault-recovery completion — each violation reported with a concrete
-// counterexample interleaving. Since PR 9, costbound derives the F/BW/L
+// the paper's accounting honest: pooled accumulator ownership (accown,
+// path-sensitive over the framework's CFG and interprocedural via
+// call-graph summaries), bounded-pool-only concurrency (poolspawn),
+// Stats-counter races from workers (statsrace), the Section-4
+// fault-recovery path (recoverpath: recovery errors must be checked,
+// recovery handlers must not spawn raw goroutines or allocate from
+// caller-held arenas), and, on the framework's interval abstract
+// interpretation, the NTT kernel's lazy-arithmetic contracts (modbound:
+// every lazy store provably in [0, 2p), Shoup/REDC preconditions, no
+// uint64 wraparound, strict reduction before CRT recombination). protomc
+// runs every communicating per-processor collective and the fault-tolerant
+// engine in the shared evaluator and model-checks them explicitly for small
+// worlds (n in [2,5], every legal root, every tolerated single fail-stop
+// fault plan), proving deadlock-freedom, send/recv matching, barrier phase
+// consistency, and fault-recovery completion — each violation reported
+// with a concrete counterexample interleaving. costbound derives the F/BW/L
 // cost polynomials of the binomial-tree collectives (symbolic in g and W)
 // and of both multiplication tiers (exactly, over the finite crosscheck
 // worlds) from the real ASTs and certifies them against the paper's Table
 // 1/2 closed forms — a divergence carries both formulas and a concrete
-// witness world. The run also audits the
-// //ftlint:allow comments themselves: an allow that names an unknown
-// analyzer or no longer suppresses anything is a finding (allowaudit). See
-// DESIGN.md "Machine-checked invariants".
+// witness world. The run also audits the //ftlint:allow comments
+// themselves: an allow that names an unknown analyzer or no longer
+// suppresses anything is a finding (allowaudit). See DESIGN.md
+// "Machine-checked invariants".
 //
 // Usage:
 //
@@ -51,13 +45,9 @@ import (
 	"os"
 
 	"repro/internal/analysis/accown"
-	"repro/internal/analysis/arenasafe"
-	"repro/internal/analysis/chanproto"
 	"repro/internal/analysis/costbound"
-	"repro/internal/analysis/costcharge"
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/modbound"
-	"repro/internal/analysis/natalias"
 	"repro/internal/analysis/poolspawn"
 	"repro/internal/analysis/protomc"
 	"repro/internal/analysis/recoverpath"
@@ -65,12 +55,8 @@ import (
 )
 
 var analyzers = []*framework.Analyzer{
-	arenasafe.Analyzer,
 	accown.Analyzer,
 	poolspawn.Analyzer,
-	natalias.Analyzer,
-	costcharge.Analyzer,
-	chanproto.Analyzer,
 	statsrace.Analyzer,
 	recoverpath.Analyzer,
 	modbound.Analyzer,

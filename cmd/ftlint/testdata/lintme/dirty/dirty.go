@@ -1,6 +1,6 @@
-// Package dirty seeds two unsuppressed findings — an accumulator leak
-// (accown) and a partially-aliased kernel destination (natalias) — so the
-// CLI test can pin the exit-1 path and the -json findings schema.
+// Package dirty seeds one unsuppressed finding — an accumulator leak
+// (accown) — so the CLI test can pin the exit-1 path and the -json findings
+// schema.
 package dirty
 
 type Int struct{ v int }
@@ -18,12 +18,4 @@ func leak(xs []Int) Int {
 		acc.Add(x)
 	}
 	return acc.Take()
-}
-
-type nat []uint
-
-func natAddTo(dst, x, y nat) nat { return dst }
-
-func shiftAdd(a nat) nat {
-	return natAddTo(a[1:], a, a)
 }

@@ -1,12 +1,12 @@
 package framework
 
 // cfg.go builds an intraprocedural control-flow graph over go/ast statement
-// lists. The analyzers that enforce lifecycle protocols (arenasafe's
-// getArena/putArena, accown's NewAcc/Release, chanproto's no-Send-after-Run)
-// need to know what *must* and what *may* have executed before a program
-// point; a lexical position comparison cannot see that a Release inside one
-// branch of an if does not cover the other branch, or that a loop back edge
-// carries a released state into the next iteration's uses. The CFG plus the
+// lists. The lifecycle protocols (accown's NewAcc/Release, and the
+// ownership summaries of Acc and arena parameters) need to know what *must*
+// and what *may* have executed before a program point; a lexical position
+// comparison cannot see that a Release inside one branch of an if does not
+// cover the other branch, or that a loop back edge carries a released state
+// into the next iteration's uses. The CFG plus the
 // iterative solver in dataflow.go turns those questions into fixpoint facts.
 //
 // Granularity: a Block holds whole statements (and the condition/tag

@@ -352,7 +352,7 @@ func parseAllow(text string) []string {
 		return nil
 	}
 	// The name list may carry spaces after its commas ("allow accown,
-	// natalias rationale"): keep consuming fields while the accumulated
+	// poolspawn rationale"): keep consuming fields while the accumulated
 	// list still ends in a comma, so the rationale proper starts at the
 	// first field that completes the list.
 	list := fields[0]

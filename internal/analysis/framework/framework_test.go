@@ -10,9 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/analysis/accown"
-	"repro/internal/analysis/arenasafe"
 	"repro/internal/analysis/framework"
-	"repro/internal/analysis/natalias"
+	"repro/internal/analysis/poolspawn"
 )
 
 // TestLoadAndRun exercises the `go list -export` loader against the real
@@ -26,7 +25,7 @@ func TestLoadAndRun(t *testing.T) {
 	if len(pkgs) != 1 || pkgs[0].Path != "repro/internal/bigint" {
 		t.Fatalf("Load returned %d packages, want exactly repro/internal/bigint", len(pkgs))
 	}
-	for _, a := range []*framework.Analyzer{arenasafe.Analyzer, natalias.Analyzer} {
+	for _, a := range []*framework.Analyzer{accown.Analyzer, poolspawn.Analyzer} {
 		diags, err := framework.Run(a, pkgs[0])
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
@@ -60,7 +59,7 @@ func loadStaleFixture(t *testing.T) *framework.Package {
 func TestAllowAudit(t *testing.T) {
 	pkg := loadStaleFixture(t)
 	diags, err := framework.RunAll(
-		[]*framework.Analyzer{accown.Analyzer, natalias.Analyzer},
+		[]*framework.Analyzer{accown.Analyzer, poolspawn.Analyzer},
 		[]*framework.Package{pkg})
 	if err != nil {
 		t.Fatalf("RunAll: %v", err)
@@ -76,14 +75,14 @@ func TestAllowAudit(t *testing.T) {
 			unknown++
 		case strings.Contains(d.Message, "stale ftlint:allow for \"accown\""):
 			stale++
-		case strings.Contains(d.Message, "stale ftlint:allow for \"natalias\""):
+		case strings.Contains(d.Message, "stale ftlint:allow for \"poolspawn\""):
 			staleComma++
 		default:
 			t.Errorf("unexpected audit finding: %s: %s", d.Position, d.Message)
 		}
 	}
 	if unknown != 1 || stale != 1 || staleComma != 1 {
-		t.Errorf("audit found %d unknown-analyzer, %d stale accown, %d stale natalias allows, want 1 each (the natalias one requires parsing past the comma's space)",
+		t.Errorf("audit found %d unknown-analyzer, %d stale accown, %d stale poolspawn allows, want 1 each (the poolspawn one requires parsing past the comma's space)",
 			unknown, stale, staleComma)
 	}
 }

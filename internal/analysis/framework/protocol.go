@@ -1,11 +1,11 @@
 package framework
 
 // protocol.go is the shared acquire/release lifecycle checker built on the
-// CFG and the dataflow solver. arenasafe (getArena/putArena, mark/release)
-// and accown (NewAcc/Release) enforce the same shape of protocol: an object
-// acquired at one call site must be released on every path out of the
-// function, must not be used after its release, and must not be released
-// twice. The checker runs one forward powerset-lattice analysis per object:
+// CFG and the dataflow solver. accown (NewAcc/Release) enforces it, and the
+// ownership summaries (summary.go) solve the same lifecycle for parameters:
+// an object acquired at one call site must be released on every path out of
+// the function, must not be used after its release, and must not be
+// released twice. The checker runs one forward powerset-lattice analysis per object:
 // the fact is the set of lifecycle states the object may be in at a program
 // point, so "released on one branch only" shows up as {Live, Released} at
 // the merge and a loop back edge carries {Released} into the next
@@ -118,9 +118,9 @@ const (
 type ProtoEventKind int
 
 const (
-	// ProtoAcquire (re)initializes the object: NewAcc(), getArena(), mark().
+	// ProtoAcquire (re)initializes the object: NewAcc().
 	ProtoAcquire ProtoEventKind = iota
-	// ProtoRelease ends the obligation: Release(), putArena(), release(m).
+	// ProtoRelease ends the obligation: Release().
 	ProtoRelease
 	// ProtoUse is any other operation that requires the object to be live.
 	ProtoUse

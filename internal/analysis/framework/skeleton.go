@@ -8,9 +8,8 @@ package framework
 // cannot decide).
 //
 // A transport verb is a method call whose receiver's named type is Proc
-// and whose name is one of the communication verbs; chanproto classifies
-// its sites with the same CommSiteAt. The name-based match lets the same
-// classifier work on the real machine.Proc and on the miniature stand-ins
+// and whose name is one of the communication verbs (commVerb). The
+// name-based match lets the same classifier work on the real machine.Proc and on the miniature stand-ins
 // the self-contained test fixtures declare. Whether a declared function
 // can communicate is the summary bit Summary.Communicates (summary.go):
 // MayCommunicate over its body, with callees answered by their summaries.
@@ -20,32 +19,20 @@ import (
 	"go/types"
 )
 
-// commTagArg maps each communication verb to the index of its tag (or
-// barrier phase) argument.
-var commTagArg = map[string]int{"Send": 1, "Recv": 1, "RecvDeadline": 1, "Barrier": 0}
+// commVerbs are the communication verbs of a Proc.
+var commVerbs = map[string]bool{"Send": true, "Recv": true, "RecvDeadline": true, "Barrier": true}
 
-// CommSite is one communication operation: its verb and its tag expression
-// (the phase expression for barriers).
-type CommSite struct {
-	Method string
-	Tag    ast.Expr
-}
-
-// CommSiteAt returns the comm site for a call expression, if the call is
-// communication.
-func CommSiteAt(info *types.Info, call *ast.CallExpr) (CommSite, bool) {
+// commVerb returns the verb of a call that communicates: a method named
+// after a communication verb on a receiver whose named type is Proc.
+func commVerb(info *types.Info, call *ast.CallExpr) (string, bool) {
 	if RecvTypeName(info, call) != "Proc" {
-		return CommSite{}, false
+		return "", false
 	}
 	id := CalleeIdent(call)
-	if id == nil {
-		return CommSite{}, false
+	if id == nil || !commVerbs[id.Name] {
+		return "", false
 	}
-	i, ok := commTagArg[id.Name]
-	if !ok || len(call.Args) <= i {
-		return CommSite{}, false
-	}
-	return CommSite{Method: id.Name, Tag: call.Args[i]}, true
+	return id.Name, true
 }
 
 // unfollowedMethod reports a method of an interface declared outside the
@@ -85,7 +72,7 @@ func (s *Summaries) MayCommunicate(info *types.Info, root ast.Node) bool {
 		if !ok || found {
 			return !found
 		}
-		if _, isComm := CommSiteAt(info, call); isComm {
+		if _, isComm := commVerb(info, call); isComm {
 			found = true
 		} else if fn := CalleeFunc(info, call); fn == nil {
 			found = funcValueCall(info, call)

@@ -62,8 +62,7 @@ func skeletonSums(t *testing.T) *Summaries {
 }
 
 // TestSkeletonCommSites pins verb classification: each communication verb
-// is a site whose tag expression sits at the verb's tag index (the phase
-// for barriers), and other Proc methods are not sites.
+// on a Proc is a site, and other Proc methods are not.
 func TestSkeletonCommSites(t *testing.T) {
 	sums := skeletonSums(t)
 	n := sums.Graph.Nodes["p.verbs"]
@@ -73,13 +72,8 @@ func TestSkeletonCommSites(t *testing.T) {
 		if !ok {
 			return true
 		}
-		site, ok := CommSiteAt(n.Pkg.Info, call)
-		if !ok {
-			return true
-		}
-		got = append(got, site.Method)
-		if id, ok := site.Tag.(*ast.Ident); !ok || id.Name != "tag" {
-			t.Errorf("%s: tag expression %v, want the tag parameter", site.Method, site.Tag)
+		if verb, ok := commVerb(n.Pkg.Info, call); ok {
+			got = append(got, verb)
 		}
 		return true
 	})

@@ -5,17 +5,13 @@ package framework
 // for one declared function, the questions the ftlint analyzers previously
 // had to assume an answer to at every call boundary:
 //
-//   - ownership: what does the callee do to an arena/Acc-typed parameter —
-//     use it, release it (on every path? some?), or let it escape? accown
-//     and arenasafe turn "release via helper" from a stand-down into a
-//     checked protocol event, and "helper only uses it" from a stand-down
-//     into a live obligation the caller still owes.
-//   - cost charging: does any path through the callee reach a Stats/Proc
-//     charge? costcharge stops trusting a *Stats parameter that the callee
-//     provably ignores.
-//   - kernel aliasing: does the callee forward its parameters into the
-//     dst/src positions of a destination-reuse nat kernel? natalias checks
-//     aliasing through such wrappers.
+//   - ownership: what does the callee do to an Acc-typed parameter — use
+//     it, release it (on every path? some?), or let it escape? accown turns
+//     "release via helper" from a stand-down into a checked protocol event,
+//     and "helper only uses it" from a stand-down into a live obligation
+//     the caller still owes. Arena-typed parameters are tracked the same
+//     way, for the one arena fact recoverpath reads: does the callee
+//     allocate from its caller's arena?
 //   - recovery paths: can the callee return an erasure/softfault error or
 //     erasure-index result (erasure.Decode, softfault.Correct/Verify,
 //     transitively), does it handle fault events, does it spawn raw
@@ -32,16 +28,14 @@ package framework
 // local fixpoint; a parameter handed to a not-yet-analyzed mutual-recursion
 // partner is conservatively treated as escaping.
 //
-// Everything matches by name (type names "arena"/"Acc"/"Stats"/"Proc"/
-// "Code"/"Corrector"/"FaultEvent", kernel names), like the rest
-// of the framework, so the same summaries work on the real tree and on
-// import-free fixtures.
+// Everything matches by name (type names "arena"/"Acc"/"Code"/"Corrector"/
+// "FaultEvent"), like the rest of the framework, so the same summaries work
+// on the real tree and on import-free fixtures.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 )
 
 // ParamEffect is a bitset describing a callee's effect on one tracked
@@ -64,41 +58,9 @@ const (
 	EffEscapes
 )
 
-// KernelCall records that a function forwards some of its parameters, as
-// plain unsliced identifiers, into a destination-reuse nat kernel call
-// (directly or through another wrapper). Indices are the wrapper's own
-// parameter positions; -1 marks a kernel operand that is not a plain
-// parameter of the wrapper.
-type KernelCall struct {
-	Kernel    string
-	DstParam  int
-	SrcParams []int
-}
-
-// NatKernels maps the destination-reuse nat kernels to the argument indices
-// of their source operands (index 0 is always dst). Shared source of truth
-// for natalias and for the wrapper-forwarding summaries.
-var NatKernels = map[string][]int{
-	"natAddTo":     {1, 2},
-	"natSubTo":     {1, 2},
-	"natMulWordTo": {1},
-	"natShlTo":     {1},
-	"natDivWordTo": {1},
-}
-
 // trackedOwnershipTypes are the type names whose values follow an
 // acquire/release ownership protocol.
 var trackedOwnershipTypes = map[string]bool{"arena": true, "Acc": true}
-
-// chargePrimitives lists the methods that ARE the cost model, per receiver
-// type name: reaching one of these is what "can charge" means.
-var chargePrimitives = map[string]map[string]bool{
-	"Stats": {"chargeWords": true},
-	"Proc": {
-		"Work": true, "Send": true, "Recv": true,
-		"RecvDeadline": true, "Barrier": true,
-	},
-}
 
 // recoverySources lists the decode/verify entry points of the fault
 // recovery machinery, per receiver type name.
@@ -117,10 +79,6 @@ type Summary struct {
 	// parameters of untracked types). Variadic reports a trailing ...T.
 	Params   []ParamEffect
 	Variadic bool
-
-	// Charges: some path reaches a Stats/Proc charge primitive,
-	// transitively.
-	Charges bool
 
 	// Communicates: some call in the body may communicate
 	// (MayCommunicate), transitively.
@@ -151,9 +109,6 @@ type Summary struct {
 	// FTReach: reachable from (or in) a package with path segment
 	// "ftparallel" — the scope of the recovery-handler rules.
 	FTReach bool
-
-	// KernelCalls records nat-kernel operand forwarding for natalias.
-	KernelCalls []KernelCall
 
 	// Returns bounds the function's single unsigned-integer result, derived
 	// bottom-up over the condensation by abstractly evaluating every return
@@ -295,9 +250,6 @@ func newSummary(n *CGNode) *Summary {
 	sum.Variadic = sig.Variadic()
 	if recv := sig.Recv(); recv != nil {
 		recvName := NamedTypeName(recv.Type())
-		if set := chargePrimitives[recvName]; set != nil && set[sum.Name] {
-			sum.Charges = true
-		}
 		if set := recoverySources[recvName]; set != nil && set[sum.Name] {
 			sum.RecoverySource = true
 			sum.ReachesRecovery = true
@@ -337,7 +289,6 @@ func (s *Summaries) compute(n *CGNode) bool {
 	sum := s.byKey[n.Key]
 	old := *sum
 	oldParams := append([]ParamEffect(nil), sum.Params...)
-	oldKernels := len(sum.KernelCalls)
 
 	sig, _ := n.Fn.Type().(*types.Signature)
 	if sig == nil || n.Decl.Body == nil {
@@ -356,9 +307,6 @@ func (s *Summaries) compute(n *CGNode) bool {
 		if c == nil {
 			continue
 		}
-		if c.Charges {
-			sum.Charges = true
-		}
 		if c.ReachesRecovery {
 			sum.ReachesRecovery = true
 		}
@@ -372,7 +320,6 @@ func (s *Summaries) compute(n *CGNode) bool {
 	}
 
 	s.computeOwnership(n, sum, sig)
-	s.computeKernelForwarding(n, sum, sig)
 	sum.Returns = s.computeReturns(n, sig)
 
 	if len(sum.Params) != len(oldParams) {
@@ -383,14 +330,12 @@ func (s *Summaries) compute(n *CGNode) bool {
 			return true
 		}
 	}
-	return sum.Charges != old.Charges ||
-		sum.ReachesRecovery != old.ReachesRecovery ||
+	return sum.ReachesRecovery != old.ReachesRecovery ||
 		sum.RecoveryErr != old.RecoveryErr ||
 		sum.SpawnsGo != old.SpawnsGo ||
 		sum.Communicates != old.Communicates ||
 		sum.AllocsArenaParam != old.AllocsArenaParam ||
-		!sum.Returns.Equal(old.Returns) ||
-		len(sum.KernelCalls) != oldKernels
+		!sum.Returns.Equal(old.Returns)
 }
 
 // computeReturns derives the Returns bound: the join of the abstract values
@@ -513,19 +458,6 @@ func (s *Summaries) computeOwnership(n *CGNode, sum *Summary, sig *types.Signatu
 				}
 			}
 		}
-		// putArena(p) releases an arena parameter.
-		if callee != nil && callee.Name == "putArena" && len(call.Args) == 1 {
-			if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok {
-				if obj := info.Uses[id]; obj != nil {
-					if _, isTracked := tracked[obj]; isTracked {
-						ps := st[obj]
-						ps.consumed[id.Pos()] = true
-						place(ps, call.Pos(), ProtoRelease, "putArena")
-						return true
-					}
-				}
-			}
-		}
 		// Tracked parameter passed on as an argument: classify through the
 		// callee's summary.
 		for i, arg := range call.Args {
@@ -631,98 +563,6 @@ func solveParamExit(g *CFG, events map[token.Pos]ProtoEvent) ObjState {
 		exit |= res.Out[p]
 	}
 	return exit
-}
-
-// computeKernelForwarding records which parameters flow, unmodified, into
-// nat-kernel operand positions — directly or through another wrapper.
-func (s *Summaries) computeKernelForwarding(n *CGNode, sum *Summary, sig *types.Signature) {
-	info := n.Pkg.Info
-	params := sig.Params()
-	paramIdx := map[types.Object]int{}
-	for i := 0; i < params.Len(); i++ {
-		if p := params.At(i); p.Name() != "" && p.Name() != "_" {
-			paramIdx[p] = i
-		}
-	}
-	asParam := func(e ast.Expr) int {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return -1
-		}
-		if obj := info.Uses[id]; obj != nil {
-			if i, ok := paramIdx[obj]; ok {
-				return i
-			}
-		}
-		return -1
-	}
-
-	sum.KernelCalls = sum.KernelCalls[:0]
-	seen := map[string]bool{}
-	record := func(kc KernelCall) {
-		if kc.DstParam < 0 {
-			return
-		}
-		srcOK := false
-		for _, si := range kc.SrcParams {
-			if si >= 0 {
-				srcOK = true
-			}
-		}
-		if !srcOK {
-			return
-		}
-		sig := kernelCallKey(kc)
-		if !seen[sig] {
-			seen[sig] = true
-			sum.KernelCalls = append(sum.KernelCalls, kc)
-		}
-	}
-
-	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := CalleeIdent(call)
-		if callee == nil {
-			return true
-		}
-		if srcIdxs, isKernel := NatKernels[callee.Name]; isKernel && len(call.Args) > srcIdxs[len(srcIdxs)-1] {
-			kc := KernelCall{Kernel: callee.Name, DstParam: asParam(call.Args[0])}
-			for _, si := range srcIdxs {
-				kc.SrcParams = append(kc.SrcParams, asParam(call.Args[si]))
-			}
-			record(kc)
-			return true
-		}
-		// Wrapper-of-wrapper: compose the callee's forwarding.
-		if cs := s.Callee(info, call); cs != nil && len(cs.KernelCalls) > 0 {
-			for _, inner := range cs.KernelCalls {
-				kc := KernelCall{Kernel: inner.Kernel, DstParam: -1}
-				if inner.DstParam >= 0 && inner.DstParam < len(call.Args) && !cs.Variadic {
-					kc.DstParam = asParam(call.Args[inner.DstParam])
-				}
-				for _, si := range inner.SrcParams {
-					mapped := -1
-					if si >= 0 && si < len(call.Args) && !cs.Variadic {
-						mapped = asParam(call.Args[si])
-					}
-					kc.SrcParams = append(kc.SrcParams, mapped)
-				}
-				record(kc)
-			}
-		}
-		return true
-	})
-}
-
-func kernelCallKey(kc KernelCall) string {
-	key := kc.Kernel + ":" + strconv.Itoa(kc.DstParam)
-	for _, s := range kc.SrcParams {
-		key += "," + strconv.Itoa(s)
-	}
-	return key
 }
 
 // markFTReach flags every summary reachable from a function living in a

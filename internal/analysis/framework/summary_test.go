@@ -92,73 +92,6 @@ func TestSummaryOwnershipEffects(t *testing.T) {
 	}
 }
 
-const chargeSrc = `package p
-
-type Stats struct{ n int }
-
-func (s *Stats) chargeWords(n int) { s.n += n }
-
-func direct(s *Stats)   { s.chargeWords(1) }
-func viaHelper(s *Stats) { direct(s) }
-func ignores(s *Stats)  { _ = s.n }
-`
-
-func TestSummaryCharges(t *testing.T) {
-	pkg := typeCheckPkg(t, "p", chargeSrc)
-	sums := ComputeSummaries([]*Package{pkg})
-	for fn, want := range map[string]bool{
-		"direct": true, "viaHelper": true, "ignores": false,
-	} {
-		sum := sums.Lookup("p." + fn)
-		if sum == nil {
-			t.Fatalf("no summary for %s", fn)
-		}
-		if sum.Charges != want {
-			t.Errorf("%s.Charges = %v, want %v", fn, sum.Charges, want)
-		}
-	}
-}
-
-const kernelSrc = `package p
-
-type Word uint
-
-func natAddTo(dst, x, y []Word) []Word { return dst }
-
-func wrapper(dst, x []Word) { natAddTo(dst, dst, x) }
-func outer(d, s []Word)     { wrapper(d, s) }
-func slicing(dst, x []Word) { natAddTo(dst[1:], dst, x) }
-`
-
-func TestSummaryKernelForwarding(t *testing.T) {
-	pkg := typeCheckPkg(t, "p", kernelSrc)
-	sums := ComputeSummaries([]*Package{pkg})
-
-	w := sums.Lookup("p.wrapper")
-	if len(w.KernelCalls) != 1 {
-		t.Fatalf("wrapper.KernelCalls = %v, want 1 entry", w.KernelCalls)
-	}
-	kc := w.KernelCalls[0]
-	if kc.Kernel != "natAddTo" || kc.DstParam != 0 || len(kc.SrcParams) != 2 || kc.SrcParams[0] != 0 || kc.SrcParams[1] != 1 {
-		t.Errorf("wrapper forwarding = %+v, want natAddTo dst=0 srcs=[0 1]", kc)
-	}
-
-	// outer -> wrapper -> natAddTo composes.
-	o := sums.Lookup("p.outer")
-	if len(o.KernelCalls) != 1 {
-		t.Fatalf("outer.KernelCalls = %v, want 1 composed entry", o.KernelCalls)
-	}
-	kc = o.KernelCalls[0]
-	if kc.DstParam != 0 || kc.SrcParams[0] != 0 || kc.SrcParams[1] != 1 {
-		t.Errorf("outer composed forwarding = %+v, want dst=0 srcs=[0 1]", kc)
-	}
-
-	// A sliced dst is not identity forwarding: no entry.
-	if s := sums.Lookup("p.slicing"); len(s.KernelCalls) != 0 {
-		t.Errorf("slicing.KernelCalls = %v, want none (dst is re-sliced)", s.KernelCalls)
-	}
-}
-
 const recoverySrc = `package ftparallel
 
 type errImpl struct{}

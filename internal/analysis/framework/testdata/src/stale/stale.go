@@ -1,6 +1,7 @@
 // Fixture for the framework's allow audit: a used allow, a stale allow, an
 // allow naming an unknown analyzer, and a func-doc allow covering several
-// findings. Analyzed by TestAllowAudit with RunAll and the accown analyzer.
+// findings. Analyzed by TestAllowAudit with RunAll and the accown and
+// poolspawn analyzers.
 package stale
 
 type Int struct{ v int }
@@ -50,11 +51,11 @@ func docAllow(x Int) {
 }
 
 // commaList's allow names two analyzers with a space after the comma. Both
-// names must parse: the accown leak below stays suppressed, and the natalias
+// names must parse: the accown leak below stays suppressed, and the poolspawn
 // entry — which suppresses nothing — must surface as stale instead of being
 // swallowed into the rationale.
 func commaList(x Int) Int {
-	//ftlint:allow accown, natalias fixture: list with a space after the comma
+	//ftlint:allow accown, poolspawn fixture: list with a space after the comma
 	acc := NewAcc()
 	acc.Add(x)
 	return acc.Take()

@@ -26,7 +26,7 @@
 //     during recovery outlives the repair) and must not allocate from an
 //     arena its caller may still hold allocations on (the faulty path's
 //     scratch could be handed to the next renter mid-repair; composes the
-//     poolspawn and arenasafe ownership facts).
+//     SpawnsGo and AllocsArenaParam summary facts).
 //
 // Matching is by name (types named Code/Corrector/FaultEvent/arena), so the
 // analyzer covers the real tree and import-free fixtures alike.

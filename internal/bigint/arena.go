@@ -38,8 +38,7 @@ func (a *arena) alloc(n int) nat {
 // the arena is empty (no outstanding allocations), since growth replaces the
 // backing array — live allocations would silently keep pointing at the old
 // slab while new ones come from the new slab. Misuse panics instead of
-// no-op'ing: the ftlint arenasafe analyzer enforces the call order
-// statically, and this check backs it at run time.
+// no-op'ing.
 func (a *arena) ensure(n int) {
 	if a.off != 0 {
 		panic("bigint: arena.ensure called with outstanding allocations (ensure must precede all alloc calls)")

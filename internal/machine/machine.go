@@ -246,7 +246,8 @@ func New(cfg Config, plan []Fault) (*Machine, error) {
 // which becomes an error naming the rank so that it does not take the
 // caller down. The run's context is then canceled, so peers blocked on the
 // failed rank unwind at once, and Run returns that first failure ahead of
-// the cancellation errors it causes.
+// the cancellation errors it causes. Once Run has returned, a Proc kept
+// past the run gets an error from Send, Recv, RecvDeadline and Barrier.
 func (m *Machine) Run(program func(*Proc) error) (*Report, error) {
 	return m.RunContext(context.Background(), program)
 }
@@ -511,9 +512,15 @@ func (p *Proc) MemoryWords() int64 { return p.memWords }
 // a processor that appears in the list is the *replacement* of the failed
 // rank: its store has been wiped and it continues with empty memory.
 //
+// Every rank crosses a barrier at the same phase: a rank that arrives at a
+// phase other than the one the barrier's first arrival crossed gets an
+// error naming both, which aborts the run like any rank error, since a
+// fault planned at one of the phases would miss the ranks at the other.
+//
 // The barrier charges ⌈log₂P⌉ messages of one word (a tree barrier) and
-// synchronizes clocks to the barrier's completion time. It fails only when
-// the run is canceled or RecvTimeout passes first.
+// synchronizes clocks to the barrier's completion time. Besides a phase
+// mismatch, it fails when the run is canceled, when RecvTimeout passes
+// first, or when Run has already returned.
 func (p *Proc) Barrier(phase string) ([]FaultEvent, error) {
 	p.st.Barriers++
 	p.st.Messages += p.m.logP

@@ -29,8 +29,11 @@ type message struct {
 // fault-tolerant multiply touches about a hundred pairs, and back-to-back
 // runs would otherwise allocate a fresh buffer for each of them every time.
 //
-// The barrier is a generation rendezvous: the phase name matters to fault
-// injection only. A rank that retires stops counting toward it, releasing a
+// The barrier is a generation rendezvous, and every rank crosses one
+// generation at one phase: the phase picks the faults, so a rank that
+// arrives at another phase than the generation's first arrival gets a
+// protocol error instead of a release that would silently miss its faults.
+// A rank that retires stops counting toward the rendezvous, releasing a
 // barrier in progress (a rank that exits its program early must not
 // deadlock the others).
 type network struct {
@@ -46,6 +49,8 @@ type network struct {
 	cur    *barrier     // the generation ranks are arriving at
 	idle   *barrier     // a fully read generation, reused by the next
 	faults []FaultEvent // every fault injected, in arrival order
+
+	closed atomic.Bool // set by close, once Run has returned
 }
 
 // barrier is one generation of the rendezvous. Waiters hold the pointer;
@@ -58,6 +63,7 @@ type network struct {
 // it; if RecvTimeout passes first, that rank expires the generation and
 // wakes the others with the same timeout.
 type barrier struct {
+	phase   string // the phase of the generation's first arrival
 	arrived int
 	readers int // released waiters yet to read the generation
 	events  []FaultEvent
@@ -91,9 +97,10 @@ func (n *network) pair(from, to int) chan message {
 
 // close returns every empty FIFO to the free list. A FIFO still holding
 // messages — a straggler's late report that nobody received — is dropped,
-// never reused. Call it only once no rank can send or receive again; a
-// second call does nothing.
+// never reused. Call it only once every rank's program has returned; from
+// then on send, recv and barrier fail. A second call does nothing.
 func (n *network) close() {
+	n.closed.Store(true)
 	for i := range n.slots {
 		if c := n.slots[i].Swap(nil); c != nil && len(*c) == 0 {
 			n.free.put(c)
@@ -104,6 +111,9 @@ func (n *network) close() {
 // send enqueues msg for rank `to`. A full FIFO fails the send on the sim
 // clock and waits for the receiver, under cancellation, on the wall clock.
 func (n *network) send(p *Proc, to int, msg message) error {
+	if n.closed.Load() {
+		return fmt.Errorf("machine: proc %d send to %d after Run returned", p.id, to)
+	}
 	ch := n.pair(p.id, to)
 	select {
 	case ch <- msg:
@@ -125,6 +135,9 @@ func (n *network) send(p *Proc, to int, msg message) error {
 // waiting at most wait. A wait that runs out is a miss (ok false, no
 // error) when missOK and a protocol timeout otherwise.
 func (n *network) recv(p *Proc, from int, tag string, wait time.Duration, missOK bool) (message, bool, error) {
+	if n.closed.Load() {
+		return message{}, false, fmt.Errorf("machine: proc %d recv from %d after Run returned", p.id, from)
+	}
 	msg, expired, err := await(p, n.pair(from, p.id), wait)
 	switch {
 	case err != nil:
@@ -143,8 +156,12 @@ func (n *network) recv(p *Proc, from int, tag string, wait time.Duration, missOK
 // this crossing, its fault event; waits until every active rank arrives,
 // the run is canceled or RecvTimeout declares the protocol dead; then moves
 // p's clock to the generation's latest arrival and returns the merged,
-// rank-sorted events.
+// rank-sorted events. An arrival at another phase than the generation's
+// first does not join it: it fails with both phases named.
 func (n *network) barrier(p *Proc, phase string, died bool) ([]FaultEvent, error) {
+	if n.closed.Load() {
+		return nil, fmt.Errorf("machine: proc %d barrier %q after Run returned", p.id, phase)
+	}
 	n.mu.Lock()
 	first := n.cur == nil
 	if first {
@@ -152,8 +169,13 @@ func (n *network) barrier(p *Proc, phase string, died bool) ([]FaultEvent, error
 		if n.cur == nil {
 			n.cur = &barrier{release: make(chan struct{}, n.p)}
 		}
+		n.cur.phase = phase
 	}
 	b := n.cur
+	if b.phase != phase {
+		n.mu.Unlock()
+		return nil, fmt.Errorf("machine: proc %d crossed barrier %q while the generation crossed %q (protocol error)", p.id, phase, b.phase)
+	}
 	b.arrived++
 	b.latest = max(b.latest, p.clk.now())
 	if died {

@@ -281,6 +281,86 @@ func TestTimeoutsAbortRecvAndBarrier(t *testing.T) {
 	})
 }
 
+// TestBarrierPhaseMismatch: every rank crosses one barrier generation at
+// one phase. A rank that arrives at another phase than the generation's
+// first arrival fails at once with both phases named and does not join the
+// generation, which a later arrival at the right phase then completes;
+// under Run the mismatch aborts the run.
+func TestBarrierPhaseMismatch(t *testing.T) {
+	eachBackend(t, func(t *testing.T, b Backend) {
+		t.Run("direct", func(t *testing.T) {
+			_, ps := ranks(t, Config{P: 2, Backend: b}, nil)
+			first := make(chan error, 1)
+			go func() {
+				_, err := ps[0].Barrier("mul")
+				first <- err
+			}()
+			time.Sleep(5 * time.Millisecond) // rank 0 arrives first
+			blocked(t, `crossed barrier "interp" while the generation crossed "mul"`,
+				func() error { _, err := ps[1].Barrier("interp"); return err })
+			if _, err := ps[1].Barrier("mul"); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-first; err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Run("run", func(t *testing.T) {
+			m, err := New(Config{P: 3, Backend: b}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			_, err = m.Run(func(p *Proc) error {
+				phase := "mul"
+				if p.ID() == 2 {
+					phase = "interp"
+				}
+				_, err := p.Barrier(phase)
+				return err
+			})
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Errorf("Run returned after %v, want under 1s", elapsed)
+			}
+			if err == nil || !strings.Contains(err.Error(), `"mul"`) || !strings.Contains(err.Error(), `"interp"`) {
+				t.Fatalf("err = %v, want a protocol error naming both phases", err)
+			}
+		})
+	})
+}
+
+// TestTrafficAfterRunFails: a Proc kept past Run can no longer send,
+// receive or cross a barrier. Each call fails at once instead of queueing
+// into a FIFO the run has handed back, succeeding alone at a barrier, or
+// waiting out RecvTimeout.
+func TestTrafficAfterRunFails(t *testing.T) {
+	eachBackend(t, func(t *testing.T, b Backend) {
+		m, err := New(Config{P: 2, Backend: b}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := make([]*Proc, 2)
+		if _, err := m.Run(func(p *Proc) error {
+			kept[p.ID()] = p
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		p := kept[0]
+		for _, tc := range []struct {
+			name string
+			call func() error
+		}{
+			{"Send", func() error { return p.Send(1, "late", words(1)) }},
+			{"Recv", func() error { _, err := p.Recv(1, "late"); return err }},
+			{"RecvDeadline", func() error { _, _, err := p.RecvDeadline(1, "late", p.Clock()+1); return err }},
+			{"Barrier", func() error { _, err := p.Barrier("late"); return err }},
+		} {
+			t.Run(tc.name, func(t *testing.T) { blocked(t, "after Run returned", tc.call) })
+		}
+	})
+}
+
 // TestCloseRecyclesOnlyEmptyChannels: closing a run's network hands a
 // drained pair channel to the next network and drops one still holding an
 // unreceived message (a late straggler report, say); the closed network

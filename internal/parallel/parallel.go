@@ -542,9 +542,7 @@ func splitSigned(z *bigint.Acc, n, shift int) []bigint.Int {
 // shares carry one deferred interpolation denominator per level: den for
 // the top BFS level's fold and wDen for every other. It is unmetered: the
 // algorithm's final state leaves the product distributed, and this models
-// reading it out.
-//
-//ftlint:allow costcharge assembly runs host-side after the simulated machine finishes; Theorems 5.1-5.3 do not charge result reassembly to the processors
+// reading it out (Theorems 5.1-5.3 charge no reassembly).
 func (pl *Plan) AssembleFrom(den int64, share func(q int) ([]bigint.Int, error)) (bigint.Int, error) {
 	var full []bigint.Int
 	for q := 0; q < pl.p; q++ {

@@ -602,9 +602,8 @@ func splitDigits(a bigint.Int, k, shift int) []bigint.Int {
 // place at its offset, highest first so the accumulator is sized once: the
 // nonnegative ones into one accumulator and the negative ones into another,
 // whose sum is taken at the end, so the cost is linear in the coefficients'
-// total size.
-//
-//ftlint:allow costcharge recomposition is charged by the callers: the recursion charges c.Words() per coefficient as it recomposes, and AssembleFrom runs host-side outside the model
+// total size. It charges nothing: the recursion charges c.Words() per
+// coefficient as it recomposes, and AssembleFrom runs outside the model.
 func Recompose(coeffs []bigint.Int, shift int) bigint.Int {
 	pos, neg, c := bigint.NewAcc(), bigint.NewAcc(), bigint.NewAcc()
 	defer pos.Release()
@@ -626,9 +625,9 @@ func Recompose(coeffs []bigint.Int, shift int) bigint.Int {
 
 // ApplyRows computes M·x for an integer matrix given as int64 rows. It is
 // the workhorse of both evaluation and (scaled) interpolation: each output
-// is a small-scalar combination of big integers.
-//
-//ftlint:allow costcharge a context-free primitive: the recursion charges the same row work via rowsWork, and its other callers (softfault, multistep) run outside the cost model
+// is a small-scalar combination of big integers. It charges nothing: the
+// recursion charges the same row work via rowsWork, and its other callers
+// (softfault, multistep) run outside the cost model.
 func ApplyRows(rows [][]int64, x []bigint.Int) []bigint.Int {
 	out := make([]bigint.Int, len(rows))
 	acc := bigint.NewAcc()
@@ -652,9 +651,9 @@ func ApplyRows(rows [][]int64, x []bigint.Int) []bigint.Int {
 // blocks[j] is a digit vector and the matrix acts block-wise
 // (out[i] = Σ_j M[i][j]·blocks[j], element-wise over the block). This is
 // the "multiplication between a matrix and a block vector" of Algorithm 2,
-// and the local computation of a parallel BFS step.
-//
-//ftlint:allow costcharge a context-free primitive: lazy-interpolation callers charge via blocksWork and the parallel layers charge the same work to their Proc
+// and the local computation of a parallel BFS step. It charges nothing:
+// lazy-interpolation callers charge via blocksWork, and the parallel layers
+// charge the same work to their Proc.
 func ApplyRowsToBlocks(rows [][]int64, blocks [][]bigint.Int) [][]bigint.Int {
 	if len(blocks) == 0 {
 		return nil
