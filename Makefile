@@ -21,10 +21,9 @@ test:
 expcheck:
 	$(GO) run ./cmd/experiments -exp all -bits 65536 | diff -u experiments_output.txt -
 
-# Machine-checked invariants: the seven ftlint analyzers (accown, poolspawn,
-# statsrace, recoverpath, modbound, protomc, costbound) plus the
-# stale-suppression audit, over the whole tree — including
-# internal/analysis itself. See DESIGN.md "Machine-checked invariants".
+# Machine-checked invariants: the four ftlint analyzers (accown, poolspawn,
+# recoverpath, modbound) plus the stale-suppression audit, over the whole
+# tree — including internal/analysis itself. See DESIGN.md "Machine-checked invariants".
 # Fixture packages under testdata are not go-list packages, so ./... never
 # analyzes them.
 lint:
@@ -140,16 +139,16 @@ loc:
 
 # Linker census of unreached code (scripts/census.sh): every non-test
 # function no binary reaches must be on scripts/census.keep, and every entry
-# there must still be unreached. Runtime packages are rooted at every main
-# but cmd/ftlint, plus bench/; internal/analysis at cmd/ftlint alone, whose
-# reflection bridge keeps every exported method of the types it bridges.
+# there must still be unreached. Every main under cmd/ and examples/, plus
+# bench/, roots the census in one pass.
 census:
 	@bash scripts/census.sh
 
 # The seeded-defect catalogue (scripts/mutants.sh, scripts/mutants/*.patch):
-# per patch, which tests fail and which ftlint analyzers report, on a temp
-# copy of the tracked tree. Fails when a patch no longer applies or nothing
-# catches its defect. About half a minute per entry, so it stays out of ci.
+# per patch, which tests fail and which ftlint analyzers report (and, when
+# neither does, which tests fail under -race), on a temp copy of the
+# tracked tree. Fails when a patch no longer applies or nothing catches its
+# defect. About half a minute per entry, so it stays out of ci.
 mutants:
 	@bash scripts/mutants.sh
 

@@ -1,27 +1,18 @@
 // Command ftlint machine-checks the invariants that keep the hot path and
 // the paper's accounting honest: pooled accumulator ownership (accown,
 // path-sensitive over the framework's CFG and interprocedural via
-// call-graph summaries), bounded-pool-only concurrency (poolspawn),
-// Stats-counter races from workers (statsrace), the Section-4
-// fault-recovery path (recoverpath: recovery errors must be checked,
-// recovery handlers must not spawn raw goroutines or allocate from
+// call-graph summaries), bounded-pool-only concurrency (poolspawn), the
+// Section-4 fault-recovery path (recoverpath: recovery errors must be
+// checked, recovery handlers must not spawn raw goroutines or allocate from
 // caller-held arenas), and, on the framework's interval abstract
 // interpretation, the NTT kernel's lazy-arithmetic contracts (modbound:
 // every lazy store provably in [0, 2p), Shoup/REDC preconditions, no
-// uint64 wraparound, strict reduction before CRT recombination). protomc
-// runs every communicating per-processor collective and the fault-tolerant
-// engine in the shared evaluator and model-checks them explicitly for small
-// worlds (n in [2,5], every legal root, every tolerated single fail-stop
-// fault plan), proving deadlock-freedom, send/recv matching, barrier phase
-// consistency, and fault-recovery completion — each violation reported
-// with a concrete counterexample interleaving. costbound derives the F/BW/L
-// cost polynomials of the binomial-tree collectives (symbolic in g and W)
-// and of both multiplication tiers (exactly, over the finite crosscheck
-// worlds) from the real ASTs and certifies them against the paper's Table
-// 1/2 closed forms — a divergence carries both formulas and a concrete
-// witness world. The run also audits the //ftlint:allow comments
-// themselves: an allow that names an unknown analyzer or no longer
-// suppresses anything is a finding (allowaudit). See DESIGN.md
+// uint64 wraparound, strict reduction before CRT recombination). The run
+// also audits the //ftlint:allow comments themselves: an allow that names
+// an unknown analyzer or no longer suppresses anything is a finding
+// (allowaudit). The message protocol is not an analyzer's: the machine
+// checks it on every run (internal/machine), and internal/crosscheck's
+// tests compare the cost accounting with the paper's table. See DESIGN.md
 // "Machine-checked invariants".
 //
 // Usage:
@@ -45,23 +36,17 @@ import (
 	"os"
 
 	"repro/internal/analysis/accown"
-	"repro/internal/analysis/costbound"
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/modbound"
 	"repro/internal/analysis/poolspawn"
-	"repro/internal/analysis/protomc"
 	"repro/internal/analysis/recoverpath"
-	"repro/internal/analysis/statsrace"
 )
 
 var analyzers = []*framework.Analyzer{
 	accown.Analyzer,
 	poolspawn.Analyzer,
-	statsrace.Analyzer,
 	recoverpath.Analyzer,
 	modbound.Analyzer,
-	protomc.Analyzer,
-	costbound.Analyzer,
 }
 
 // jsonFinding is one entry of the -json report. The schema is covered by
@@ -74,16 +59,6 @@ type jsonFinding struct {
 	Analyzer     string `json:"analyzer"`
 	Message      string `json:"message"`
 	SuppressedBy string `json:"suppressed_by,omitempty"`
-	// World and Trace carry a model-checker counterexample: the concrete
-	// world the violation was proved in and its interleaving, one scheduler
-	// event per entry. Only protomc findings populate them.
-	World string   `json:"world,omitempty"`
-	Trace []string `json:"trace,omitempty"`
-	// Formula and Witness carry a cost-certification divergence: the
-	// derived-vs-expected polynomial pair and the concrete assignment that
-	// separates them. Only costbound findings populate them.
-	Formula string `json:"formula,omitempty"`
-	Witness string `json:"witness,omitempty"`
 }
 
 // jsonReport is the top-level -json payload.
@@ -102,10 +77,6 @@ func toJSON(ds []framework.Diagnostic) []jsonFinding {
 			Analyzer:     d.Analyzer,
 			Message:      d.Message,
 			SuppressedBy: d.SuppressedBy,
-			World:        d.World,
-			Trace:        d.Trace,
-			Formula:      d.Formula,
-			Witness:      d.Witness,
 		})
 	}
 	return out

@@ -12,6 +12,7 @@ func (a *Acc) Reset()                {}
 func (a *Acc) Add(x Int)             {}
 func (a *Acc) AddMul(x Int, c int64) {}
 func (a *Acc) Take() Int             { return Int{} }
+func (a *Acc) AddShl(x *Acc, s uint) { a.v += x.v << s }
 
 // ok is the canonical pattern: deferred Release, Take mid-stream is fine.
 func ok(xs []Int) Int {
@@ -140,6 +141,18 @@ func deferThenExplicit(x Int) {
 	acc.Add(x)
 	acc.Release()
 } // want "defer releases it a second time"
+
+// shlThenExplicit hands c to AddShl, which only reads c's fields (a use,
+// not an escape), then releases c explicitly while its defer is armed.
+func shlThenExplicit(x Int) Int {
+	pos, c := NewAcc(), NewAcc()
+	defer pos.Release()
+	defer c.Release()
+	c.Add(x)
+	pos.AddShl(c, 3)
+	c.Release()
+	return pos.Take() // want "defer releases it a second time"
+}
 
 // conditionalDefer arms the release in one branch only; the other path
 // falls off the end still live.

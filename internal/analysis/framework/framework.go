@@ -73,19 +73,6 @@ type Diagnostic struct {
 	// suppressed this finding ("" for active findings). Only populated on
 	// the suppressed list of RunAllDetail.
 	SuppressedBy string
-	// World names the model-checker world a protocol finding was proved in
-	// (processor count, root, fault plan); empty for local analyses.
-	World string
-	// Trace is the counterexample interleaving exhibiting the violation,
-	// one scheduler event per entry; nil for local analyses.
-	Trace []string
-	// Formula states a symbolic-cost divergence: the derived polynomial
-	// versus the certified closed form ("derived ≠ expected"); empty for
-	// non-cost analyses.
-	Formula string
-	// Witness is a concrete parameter assignment under which Formula's two
-	// sides evaluate to different numbers; empty when Formula is.
-	Witness string
 }
 
 // Reportf records a finding at pos.
@@ -98,32 +85,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportTrace records a model-checker finding with its world and
-// counterexample interleaving.
-func (p *Pass) ReportTrace(pos token.Pos, world string, trace []string, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Pos:      pos,
-		Position: p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		World:    world,
-		Trace:    trace,
-	})
-}
-
-// ReportFormula records a symbolic-cost finding: the diverging polynomials
-// and a concrete witness assignment separating them.
-func (p *Pass) ReportFormula(pos token.Pos, formula, witness string, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Pos:      pos,
-		Position: p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Formula:  formula,
-		Witness:  witness,
-	})
-}
-
 // Run applies one analyzer to one package and returns its findings with
 // //ftlint:allow suppressions already applied, sorted by position. Single-
 // analyzer runs do not audit the allow comments (an allow aimed at another
@@ -131,14 +92,6 @@ func (p *Pass) ReportFormula(pos token.Pos, formula, witness string, format stri
 func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	out, _, err := runFiltered(a, pkg, buildAllowIndex(pkg), ComputeSummaries([]*Package{pkg}))
 	return out, err
-}
-
-// RunShared applies one analyzer to one package against caller-provided
-// whole-program summaries, so interprocedural analyzers (protomc) can see
-// across package boundaries without running the full registry. Suppressions
-// apply; the allow comments are not audited (see Run).
-func RunShared(a *Analyzer, pkg *Package, sums *Summaries) (active, suppressed []Diagnostic, err error) {
-	return runFiltered(a, pkg, buildAllowIndex(pkg), sums)
 }
 
 func runFiltered(a *Analyzer, pkg *Package, allowed *allowIndex, sums *Summaries) ([]Diagnostic, []Diagnostic, error) {

@@ -75,9 +75,6 @@ func (iv Interval) IsFull() bool { return iv.Lo == 0 && iv.Hi == maxUint64 }
 // Single returns the interval's value when it is a singleton.
 func (iv Interval) Single() (uint64, bool) { return iv.Lo, iv.Lo == iv.Hi }
 
-// Contains reports whether v lies in the interval.
-func (iv Interval) Contains(v uint64) bool { return iv.Lo <= v && v <= iv.Hi }
-
 // Join is the lattice least upper bound (interval hull).
 func (iv Interval) Join(o Interval) Interval {
 	if iv.IsEmpty() {

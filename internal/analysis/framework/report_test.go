@@ -21,8 +21,8 @@ func TestSortDiagsTieBreaks(t *testing.T) {
 	ds := []Diagnostic{
 		diag("b.go", 1, 1, "accown", "x"),
 		diag("a.go", 2, 1, "tagflow", "z"),
-		diag("a.go", 2, 1, "protomc", "z"),
-		diag("a.go", 2, 1, "protomc", "a"),
+		diag("a.go", 2, 1, "recoverpath", "z"),
+		diag("a.go", 2, 1, "recoverpath", "a"),
 		diag("a.go", 1, 9, "accown", "x"),
 		diag("a.go", 1, 2, "accown", "x"),
 	}
@@ -30,8 +30,8 @@ func TestSortDiagsTieBreaks(t *testing.T) {
 	want := []Diagnostic{
 		diag("a.go", 1, 2, "accown", "x"),
 		diag("a.go", 1, 9, "accown", "x"),
-		diag("a.go", 2, 1, "protomc", "a"),
-		diag("a.go", 2, 1, "protomc", "z"),
+		diag("a.go", 2, 1, "recoverpath", "a"),
+		diag("a.go", 2, 1, "recoverpath", "z"),
 		diag("a.go", 2, 1, "tagflow", "z"),
 		diag("b.go", 1, 1, "accown", "x"),
 	}

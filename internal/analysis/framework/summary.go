@@ -17,9 +17,6 @@ package framework
 //     transitively), does it handle fault events, does it spawn raw
 //     goroutines or allocate from a caller-held arena? recoverpath composes
 //     these into the Section-4 recovery invariants.
-//   - communication: can the callee reach a transport verb, or a call the
-//     call graph cannot follow? protomc picks its worlds by it
-//     (skeleton.go).
 //
 // Ownership effects are computed by running the existing CFG + dataflow
 // protocol machinery once per tracked parameter with the boundary state
@@ -79,10 +76,6 @@ type Summary struct {
 	// parameters of untracked types). Variadic reports a trailing ...T.
 	Params   []ParamEffect
 	Variadic bool
-
-	// Communicates: some call in the body may communicate
-	// (MayCommunicate), transitively.
-	Communicates bool
 
 	// RecoverySource: the function is one of the decode/verify entry points
 	// (erasure.Decode, softfault.Correct/Verify) by name. RecoveryErr: the
@@ -314,7 +307,6 @@ func (s *Summaries) compute(n *CGNode) bool {
 			sum.SpawnsGo = true
 		}
 	}
-	sum.Communicates = s.MayCommunicate(n.Pkg.Info, n.Decl.Body)
 	if hasErrorResult(sig) && sum.ReachesRecovery {
 		sum.RecoveryErr = true
 	}
@@ -333,7 +325,6 @@ func (s *Summaries) compute(n *CGNode) bool {
 	return sum.ReachesRecovery != old.ReachesRecovery ||
 		sum.RecoveryErr != old.RecoveryErr ||
 		sum.SpawnsGo != old.SpawnsGo ||
-		sum.Communicates != old.Communicates ||
 		sum.AllocsArenaParam != old.AllocsArenaParam ||
 		!sum.Returns.Equal(old.Returns)
 }
@@ -432,6 +423,17 @@ func (s *Summaries) computeOwnership(n *CGNode, sum *Summary, sig *types.Signatu
 	}
 
 	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
+		// A field of a tracked parameter read or written (x.abs) is a use:
+		// the parameter itself is not stored, returned or captured.
+		if sel, ok := m.(*ast.SelectorExpr); ok {
+			id, ok := ast.Unparen(sel.X).(*ast.Ident)
+			field := info.Selections[sel]
+			if ps := st[info.Uses[id]]; ok && ps != nil && field != nil && field.Kind() == types.FieldVal {
+				ps.consumed[id.Pos()] = true
+				place(ps, sel.Pos(), ProtoUse, sel.Sel.Name)
+			}
+			return true
+		}
 		call, ok := m.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -493,8 +495,9 @@ func (s *Summaries) computeOwnership(n *CGNode, sum *Summary, sig *types.Signatu
 		return true
 	})
 
-	// Any reference outside the classified call contexts — returned,
-	// assigned, address-taken, stored in a composite — is an escape.
+	// Any reference outside the classified call and field contexts —
+	// returned, assigned, address-taken, stored in a composite — is an
+	// escape.
 	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
 		id, ok := m.(*ast.Ident)
 		if !ok {

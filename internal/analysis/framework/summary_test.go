@@ -29,7 +29,10 @@ const ownershipSrc = `package p
 
 type Int struct{ w []uint }
 
-type Acc struct{ dead bool }
+type Acc struct {
+	dead bool
+	abs  []uint
+}
 
 func NewAcc() *Acc          { return &Acc{} }
 func (a *Acc) Release()     { a.dead = true }
@@ -46,6 +49,7 @@ func maybeRelease(a *Acc, c bool) {
 	}
 }
 func escapeHelper(a *Acc)  { sink = a }
+func fieldHelper(x *Acc) int { return len(x.abs) }
 func deferHelper(a *Acc) {
 	defer a.Release()
 	a.Add(Int{})
@@ -72,6 +76,7 @@ func TestSummaryOwnershipEffects(t *testing.T) {
 		{"escapeHelper", EffTracked | EffEscapes},
 		{"deferHelper", EffTracked | EffUses | EffReleasesAll},
 		{"wrapRelease", EffTracked | EffReleasesAll},
+		{"fieldHelper", EffTracked | EffUses},
 	}
 	for _, c := range cases {
 		sum := sums.Lookup("p." + c.fn)

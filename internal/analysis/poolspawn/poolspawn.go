@@ -8,9 +8,9 @@
 // GOMAXPROCS, and this analyzer keeps new code from quietly reintroducing
 // unbounded spawns.
 //
-// internal/collective is governed too, with no sanctioned spawn, so raw
-// goroutines are statically forbidden in every package protomc models:
-// protomc's evaluator refuses one only on a path some world explores.
+// internal/collective is governed too, with no sanctioned spawn: a
+// collective runs on its rank's goroutine, the only one that may call the
+// rank's Proc.
 //
 // The two legitimate spawn sites — the pool's own worker launch and the
 // machine simulator's one-goroutine-per-processor Run loop — carry explicit

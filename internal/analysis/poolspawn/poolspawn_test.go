@@ -33,8 +33,8 @@ func TestPoolSpawnWorkpool(t *testing.T) {
 	analysistest.Run(t, poolspawn.Analyzer, "workpool")
 }
 
-// The collectives are governed: protomc's evaluator sees a raw goroutine
-// only on an explored path, so none may appear at all.
+// The collectives are governed: a collective runs on its rank's goroutine,
+// the only one that may call the rank's Proc, so none may spawn at all.
 func TestPoolSpawnCollective(t *testing.T) {
 	analysistest.Run(t, poolspawn.Analyzer, "collective")
 }

@@ -1,6 +1,6 @@
 // Fixture for the poolspawn analyzer, named "collective" so its synthetic
-// import path falls under the rule: protomc models the collectives, and
-// its evaluator refuses a raw goroutine only on a path a world explores.
+// import path falls under the rule: a collective runs on its rank's
+// goroutine, the only one that may call the rank's Proc.
 package collective
 
 type Proc struct{}

@@ -3,6 +3,7 @@ package collective
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/bigint"
 	"repro/internal/machine"
@@ -16,9 +17,11 @@ func ints(vals ...int64) machine.Ints {
 	return out
 }
 
+// run runs program on a p-rank machine whose receives give up after two
+// seconds, so that a collective that deadlocks fails fast.
 func run(t *testing.T, p int, program func(*machine.Proc) error) *machine.Report {
 	t.Helper()
-	m, err := machine.New(machine.Config{P: p}, nil)
+	m, err := machine.New(machine.Config{P: p, RecvTimeout: 2 * time.Second}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,30 +32,123 @@ func run(t *testing.T, p int, program func(*machine.Proc) error) *machine.Report
 	return rep
 }
 
+// expect checks one rank's result vector against want.
+func expect(p *machine.Proc, got machine.Ints, want ...int64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("proc %d got %v, want %v", p.ID(), got, want)
+	}
+	for i, w := range want {
+		if !got[i].Equal(bigint.FromInt64(w)) {
+			return fmt.Errorf("proc %d got %v, want %v", p.ID(), got, want)
+		}
+	}
+	return nil
+}
+
+// collectiveCase runs one collective on rank p of group g (root is a group
+// index, ignored by Exchange) and checks that rank's result.
+type collectiveCase struct {
+	name   string
+	rooted bool
+	run    func(p *machine.Proc, g Group, root int) error
+}
+
+var collectiveCases = []collectiveCase{
+	{"Broadcast", true, func(p *machine.Proc, g Group, root int) error {
+		var v machine.Ints
+		if g.Index(p.ID()) == root {
+			v = ints(7, -3)
+		}
+		got, err := Broadcast(p, g, root, "bc", v)
+		if err != nil {
+			return err
+		}
+		return expect(p, got, 7, -3)
+	}},
+	{"Reduce", true, func(p *machine.Proc, g Group, root int) error {
+		me := g.Index(p.ID())
+		got, err := Reduce(p, g, root, "rd", ints(int64(me+1), 1))
+		if err != nil {
+			return err
+		}
+		if me != root {
+			return expect(p, got) // a non-root gets nil
+		}
+		n := int64(len(g))
+		return expect(p, got, n*(n+1)/2, n)
+	}},
+	{"WeightedReduce", true, func(p *machine.Proc, g Group, root int) error {
+		me := g.Index(p.ID())
+		got, err := WeightedReduce(p, g, root, "wr", ints(int64(me+1)), 1<<me)
+		if err != nil {
+			return err
+		}
+		if me != root {
+			return expect(p, got) // a non-root gets nil
+		}
+		var sum int64 // Σ (i+1)·2^i over the members
+		for i := range g {
+			sum += int64(i+1) << i
+		}
+		return expect(p, got, sum)
+	}},
+	{"Exchange", false, func(p *machine.Proc, g Group, _ int) error {
+		me := g.Index(p.ID())
+		out := make([]machine.Ints, len(g))
+		for i := range out {
+			out[i] = ints(int64(me*100 + i)) // tagged: sender*100 + dest
+		}
+		in, err := Exchange(p, g, "xc", out)
+		if err != nil {
+			return err
+		}
+		for src := range g {
+			if err := expect(p, in[src], int64(src*100+me)); err != nil {
+				return fmt.Errorf("from %d: %w", src, err)
+			}
+		}
+		return nil
+	}},
+}
+
+// replay runs c SPMD over the identity group of n ranks.
+func (c collectiveCase) replay(t *testing.T, n, root int) {
+	t.Helper()
+	g := make(Group, n)
+	for i := range g {
+		g[i] = i
+	}
+	run(t, n, func(p *machine.Proc) error { return c.run(p, g, root) })
+}
+
 func TestBroadcastAllSizesAndRoots(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 9} {
 		for root := 0; root < n; root += 2 {
-			n, root := n, root
 			t.Run(fmt.Sprintf("n=%d root=%d", n, root), func(t *testing.T) {
-				g := make(Group, n)
-				for i := range g {
-					g[i] = i
-				}
-				run(t, n, func(p *machine.Proc) error {
-					var v machine.Ints
-					if g.Index(p.ID()) == root {
-						v = ints(7, -3)
-					}
-					got, err := Broadcast(p, g, root, "bc", v)
-					if err != nil {
-						return err
-					}
-					if len(got) != 2 || !got[0].Equal(bigint.FromInt64(7)) || !got[1].Equal(bigint.FromInt64(-3)) {
-						return fmt.Errorf("proc %d got %v", p.ID(), got)
-					}
-					return nil
-				})
+				collectiveCases[0].replay(t, n, root)
 			})
+		}
+	}
+}
+
+// TestCollectivesAllSizesAndRoots replays every collective on every group
+// of 2 to 5 ranks, at every root of the rooted ones, and checks every
+// member's result. The machine fails a run on a tag mismatch, a send to a
+// rank outside it or a message nobody received, and run's timeout turns a
+// deadlock into an error, so a tree that misroutes at one root or one size
+// fails here.
+func TestCollectivesAllSizesAndRoots(t *testing.T) {
+	for _, c := range collectiveCases {
+		for n := 2; n <= 5; n++ {
+			roots := 1
+			if c.rooted {
+				roots = n
+			}
+			for root := range roots {
+				t.Run(fmt.Sprintf("%s/n=%d root=%d", c.name, n, root), func(t *testing.T) {
+					c.replay(t, n, root)
+				})
+			}
 		}
 	}
 }

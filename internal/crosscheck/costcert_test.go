@@ -1,22 +1,15 @@
-// costcert_test.go closes the three-way cost-certification loop:
-//
-//	paper table  ==  abstract interpretation  ==  runtime accounting
-//
-// costbound's own tests pin interpreter == table over the real ASTs; this
-// file pins table == the machine's runtime Stats on the same worlds, so
-// a drift in any one of the three representations breaks a test somewhere.
-// S (sent words), R (received words) and L (messages) must agree exactly;
-// the static F is a worst-case word-operation bound (the recurrence never
-// takes the structural-zero shortcuts the kernels do), so it must dominate
-// the runtime F without falling to zero.
+// costcert_test.go pins the paper's cost table (table_test.go) to the
+// machine's runtime accounting on the same worlds, so a drift on either
+// side breaks a test. S (sent words), R (received words) and L (messages)
+// must agree exactly; the table's F is a worst-case word-operation bound
+// (the recurrence never takes the structural-zero shortcuts the kernels
+// do), so it must dominate the runtime F without falling to zero.
 package crosscheck
 
 import (
 	"math/big"
 	"testing"
 
-	"repro/internal/analysis/costbound"
-	"repro/internal/analysis/framework"
 	"repro/internal/bigint"
 	"repro/internal/collective"
 	"repro/internal/ftparallel"
@@ -47,50 +40,53 @@ func unitPayload(w int64) machine.Ints {
 }
 
 // TestCollectiveCostsMatchRuntime replays Broadcast and Reduce on the real
-// simulated machine over the costbound witness grid and checks all four
-// counters against the Table 1 closed forms, exactly.
+// simulated machine for every group of 2 to 5 ranks, every root and a grid
+// of payload sizes, and checks all four counters against the Table 1
+// closed forms, exactly.
 func TestCollectiveCostsMatchRuntime(t *testing.T) {
 	for g := int64(2); g <= 5; g++ {
 		group := make(collective.Group, g)
 		for i := range group {
 			group[i] = i
 		}
-		for _, w := range []int64{1, 2, 3, 5, 8} {
-			run := func(name string, op func(p *machine.Proc) error) *machine.Report {
-				t.Helper()
-				m, err := machine.New(machine.Config{P: int(g)}, nil)
-				if err != nil {
-					t.Fatalf("g=%d W=%d %s: machine: %v", g, w, name, err)
+		for root := range int(g) {
+			for _, w := range []int64{1, 2, 3, 5, 8} {
+				run := func(name string, op func(p *machine.Proc) error) *machine.Report {
+					t.Helper()
+					m, err := machine.New(machine.Config{P: int(g)}, nil)
+					if err != nil {
+						t.Fatalf("g=%d root=%d W=%d %s: machine: %v", g, root, w, name, err)
+					}
+					rep, err := m.Run(op)
+					if err != nil {
+						t.Fatalf("g=%d root=%d W=%d %s: run: %v", g, root, w, name, err)
+					}
+					return rep
 				}
-				rep, err := m.Run(op)
-				if err != nil {
-					t.Fatalf("g=%d W=%d %s: run: %v", g, w, name, err)
+				check := func(name string, rep *machine.Report, exp Counts) {
+					t.Helper()
+					got := Counts{F: rep.F, S: rep.BW, R: maxRecvWords(rep), L: rep.L}
+					if got != exp {
+						t.Errorf("g=%d root=%d W=%d %s: runtime %+v, closed form %+v", g, root, w, name, got, exp)
+					}
 				}
-				return rep
-			}
-			check := func(name string, rep *machine.Report, exp costbound.Counts) {
-				t.Helper()
-				got := costbound.Counts{F: rep.F, S: rep.BW, R: maxRecvWords(rep), L: rep.L}
-				if got != exp {
-					t.Errorf("g=%d W=%d %s: runtime %+v, closed form %+v", g, w, name, got, exp)
-				}
-			}
 
-			rep := run("Broadcast", func(p *machine.Proc) error {
-				var v machine.Ints
-				if p.ID() == 0 {
-					v = unitPayload(w)
-				}
-				_, err := collective.Broadcast(p, group, 0, "bc", v)
-				return err
-			})
-			check("Broadcast", rep, costbound.ExpectedBroadcast(g, w))
+				rep := run("Broadcast", func(p *machine.Proc) error {
+					var v machine.Ints
+					if p.ID() == root {
+						v = unitPayload(w)
+					}
+					_, err := collective.Broadcast(p, group, root, "bc", v)
+					return err
+				})
+				check("Broadcast", rep, expectedBroadcast(g, w))
 
-			rep = run("Reduce", func(p *machine.Proc) error {
-				_, err := collective.Reduce(p, group, 0, "rd", unitPayload(w))
-				return err
-			})
-			check("Reduce", rep, costbound.ExpectedReduce(g, w))
+				rep = run("Reduce", func(p *machine.Proc) error {
+					_, err := collective.Reduce(p, group, root, "rd", unitPayload(w))
+					return err
+				})
+				check("Reduce", rep, expectedReduce(g, w))
+			}
 		}
 	}
 }
@@ -104,12 +100,10 @@ func allOnes(digits int) bigint.Int {
 	return bigint.FromBig(v)
 }
 
-// TestWorldCostsMatchRuntime runs both multiplication tiers on every
-// certified costbound world and compares the recurrence values (already
-// proven equal to the interpreter's derivation by costbound's tests)
-// against the runtime accounting.
+// TestWorldCostsMatchRuntime runs both multiplication tiers on every table
+// world and compares the recurrence values against the runtime accounting.
 func TestWorldCostsMatchRuntime(t *testing.T) {
-	for _, w := range costbound.Worlds() {
+	for _, w := range Worlds() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			a := allOnes(w.Digits)
@@ -151,40 +145,5 @@ func TestWorldCostsMatchRuntime(t *testing.T) {
 				t.Errorf("word ops: runtime %d must be positive and dominated by the static bound %d", rep.F, exp.F)
 			}
 		})
-	}
-}
-
-// TestWorldDerivationMatchesTable re-derives every world through the
-// abstract interpreter from inside this package, making the three-way
-// agreement explicit rather than transitive across test suites.
-func TestWorldDerivationMatchesTable(t *testing.T) {
-	pkgs, err := framework.LoadCached("../..",
-		"./internal/collective", "./internal/parallel", "./internal/ftparallel",
-		"./internal/ftengine")
-	if err != nil {
-		t.Fatalf("loading tiers: %v", err)
-	}
-	sums := framework.ComputeSummaries(pkgs)
-	byPath := map[string]*framework.Package{}
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-	for _, w := range costbound.Worlds() {
-		path := "repro/internal/parallel"
-		if w.FT {
-			path = "repro/internal/ftparallel"
-		}
-		pkg := byPath[path]
-		if pkg == nil {
-			t.Fatalf("package %s not loaded", path)
-		}
-		got, err := costbound.DeriveWorldCounts(sums, pkg, w)
-		if err != nil {
-			t.Errorf("world %s: %v", w.Name, err)
-			continue
-		}
-		if got != w.Expected {
-			t.Errorf("world %s: interpreter derives %+v, recurrence says %+v", w.Name, got, w.Expected)
-		}
 	}
 }

@@ -1,100 +1,16 @@
-package costbound
+package crosscheck
 
-import (
-	"fmt"
+import "testing"
 
-	"repro/internal/analysis/framework"
-)
+// table_test.go is the paper side of the cost crosscheck: the closed forms
+// of Table 1 (collectives) and the cost recurrences behind Tables 1/2 and
+// Theorems 5.1-5.3 (multiplication tiers), written down independently of
+// the runtime. costcert_test.go compares the machine's runtime accounting
+// against them.
 
-// This file is the *paper* side of the certification: the closed forms of
-// Table 1 (collectives) and the cost recurrences behind Tables 1/2 and
-// Theorems 5.1-5.3 (multiplication tiers), encoded independently of the
-// abstract interpreter. costbound.go compares what the interpreter derives
-// from the real ASTs against these.
-
-// ---------------------------------------------------------------------------
-// Table 1: binomial-tree collectives, symbolic in g (group size) and W
-// (payload words). Components are the per-counter maxima over participants,
-// matching machine.Report.
-
-// expectedCollective returns the paper's closed form for a top-level
-// collective, or false if the name carries no certified formula.
-func expectedCollective(name string) (costVec, bool) {
-	g := framework.SymVar("g")
-	w := framework.SymVar("W")
-	lg := framework.SymLog2Ceil(g)
-	zero := framework.SymConst(0)
-	one := framework.SymConst(1)
-	switch name {
-	case "Broadcast":
-		// Root relays down the binomial tree: ⌈log₂ g⌉ sends of W words;
-		// every non-root receives the payload once.
-		return costVec{F: zero, S: w.Mul(lg), R: w, L: lg}, true
-	case "Reduce":
-		// Root combines ⌈log₂ g⌉ child contributions (W word-ops each);
-		// every non-root sends its partial once.
-		return costVec{F: w.Mul(lg), S: w, R: w.Mul(lg), L: one}, true
-	}
-	return costVec{}, false
-}
-
-// witnessGrid is the protomc-style world grid the witness search walks:
-// every certified collective formula is over g and W only.
-var witnessGrid = struct {
-	g []int64
-	w []int64
-}{
-	g: []int64{2, 3, 4, 5},
-	w: []int64{1, 2, 3, 5, 8},
-}
-
-// findWitness searches the world grid for a concrete assignment separating
-// the two cost polynomials. It returns the environment, a parseable
-// rendering ("g=2 W=4: S derived=.. expected=.."), and whether one exists.
-// Polynomials that agree on the whole grid but differ syntactically are
-// reported without a witness (the diagnostic still fires on the formulas).
-func findWitness(derived, expected costVec) (map[string]int64, string, bool) {
-	for _, g := range witnessGrid.g {
-		for _, w := range witnessGrid.w {
-			env := map[string]int64{"g": g, "W": w}
-			df, ds, dr, dl, err := derived.eval(env)
-			if err != nil {
-				continue
-			}
-			ef, es, er, el, err := expected.eval(env)
-			if err != nil {
-				continue
-			}
-			var counter string
-			var got, want int64
-			switch {
-			case df != ef:
-				counter, got, want = "F", df, ef
-			case ds != es:
-				counter, got, want = "S", ds, es
-			case dr != er:
-				counter, got, want = "R", dr, er
-			case dl != el:
-				counter, got, want = "L", dl, el
-			default:
-				continue
-			}
-			return env, fmt.Sprintf("g=%d W=%d: %s derived=%d expected=%d",
-				g, w, counter, got, want), true
-		}
-	}
-	return nil, "", false
-}
-
-// ---------------------------------------------------------------------------
-// Tables 1/2 recurrences for the finite crosscheck worlds. These evaluate
-// the paper's per-level cost sums exactly (unit-word model, worst-case F:
-// no structural-zero or zero-entry skips), so S/R/L match the runtime
-// Stats exactly and F dominates them.
-
-// Counts is an exact four-counter tally for one finite world: F word
-// operations, S sent words, R received words, L messages — per-processor
-// maxima, mirroring machine.Report.
+// Counts is an exact four-counter tally: F word operations, S sent words,
+// R received words, L messages — per-processor maxima, mirroring
+// machine.Report.
 type Counts struct {
 	F, S, R, L int64
 }
@@ -104,34 +20,69 @@ func (c Counts) add(d Counts) Counts {
 }
 
 func maxCounts(a, b Counts) Counts {
-	return Counts{max64(a.F, b.F), max64(a.S, b.S), max64(a.R, b.R), max64(a.L, b.L)}
+	return Counts{max(a.F, b.F), max(a.S, b.S), max(a.R, b.R), max(a.L, b.L)}
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
+// ceilLog2 returns ⌈log₂ p⌉, at least 1: the depth of a binomial tree over
+// p members, and the message count of the machine's tree barrier.
+func ceilLog2(p int64) int64 {
+	l := int64(0)
+	for v := int64(1); v < p; v <<= 1 {
+		l++
 	}
-	return b
+	return max(l, 1)
 }
 
-// World is one certified multiplication world of the shared list together
-// with the paper's expected cost maxima.
+// ---------------------------------------------------------------------------
+// Table 1: binomial-tree collectives over g members with W payload words.
+
+// expectedBroadcast is the Table 1 Broadcast form: the root relays down the
+// binomial tree, ⌈log₂ g⌉ sends of W words; every non-root receives the
+// payload once.
+func expectedBroadcast(g, w int64) Counts {
+	lg := ceilLog2(g)
+	return Counts{F: 0, S: w * lg, R: w, L: lg}
+}
+
+// expectedReduce is the Table 1 Reduce form: the root combines ⌈log₂ g⌉
+// child contributions (W word-ops each); every non-root sends its partial
+// once.
+func expectedReduce(g, w int64) Counts {
+	lg := ceilLog2(g)
+	return Counts{F: w * lg, S: w, R: w * lg, L: 1}
+}
+
+// ---------------------------------------------------------------------------
+// Tables 1/2 recurrences for finite worlds. These evaluate the paper's
+// per-level cost sums exactly (unit-word model, worst-case F: no
+// structural-zero or zero-entry skips), so S/R/L match the runtime Stats
+// exactly and F dominates them.
+
+// World is one multiplication world: a tier (ftparallel.Multiply when FT,
+// else parallel.Multiply) on a finite grid, with the paper's expected cost
+// maxima at zero faults.
 type World struct {
-	framework.MultiplyWorld
+	Name     string
+	FT       bool
+	P        int // worker processors
+	K        int // Toom-Cook parameter
+	Faults   int // FT redundancy F
+	DFSSteps int
 	Digits   int // total digit count the plan derives
 	Expected Counts
 }
 
-// Worlds returns the certified crosscheck worlds: the shared world list's
-// zero-fault worlds (the straggler variant's deadline receives are
-// model-checked, not cost-certified).
+// Worlds returns the crosschecked worlds: both tiers, with and without a
+// DFS level, on the smallest legal grid.
 func Worlds() []World {
-	var ws []World
-	for _, mw := range framework.MultiplyWorlds() {
-		if mw.Straggler {
-			continue
-		}
-		w := World{MultiplyWorld: mw}
+	ws := []World{
+		{Name: "parallel/P3k2", P: 3, K: 2},
+		{Name: "parallel/P3k2+dfs", P: 3, K: 2, DFSSteps: 1},
+		{Name: "ftparallel/P3k2F1", FT: true, P: 3, K: 2, Faults: 1},
+		{Name: "ftparallel/P3k2F1+dfs", FT: true, P: 3, K: 2, Faults: 1, DFSSteps: 1},
+	}
+	for i := range ws {
+		w := &ws[i]
 		cols := 2*w.K - 1
 		levels := w.DFSSteps + intLog(w.P, cols)
 		w.Digits = ipow(w.K, levels) * w.P
@@ -140,7 +91,6 @@ func Worlds() []World {
 		} else {
 			w.Expected = parallelCounts(w.P, w.K, w.DFSSteps, w.Digits)
 		}
-		ws = append(ws, w)
 	}
 	return ws
 }
@@ -199,7 +149,7 @@ func ftCounts(p, k, faults, ldfs, digits int) Counts {
 	cols := 2*k - 1
 	gP := p / cols
 	total := 2*p + faults*gP
-	logT := int64(ceilLog2(int64(total)))
+	logT := ceilLog2(int64(total))
 
 	var worker, linear, poly Counts
 
@@ -262,8 +212,8 @@ func ftNode(worker, linear, poly *Counts, p, k, faults, gP int, logT int64, lenT
 	*poly = poly.add(barrier)
 
 	// Column subtree: plain parallel leaf over per·(2k-1) digits (gP = 1 in
-	// the certified worlds; larger grids would recurse parallelNode here).
-	sub := int64(per) * int64(cols)
+	// these worlds; larger grids would recurse parallelNode here).
+	sub := per * int64(cols)
 	worker.F += 2*sub + sub*sub
 	poly.F += 2*sub + sub*sub
 
@@ -291,33 +241,6 @@ func ftNode(worker, linear, poly *Counts, p, k, faults, gP int, logT int64, lenT
 	worker.F += 2*int64(cols)*int64(cols)*perUp + int64(2*lenTotal/p)
 }
 
-// ---------------------------------------------------------------------------
-// Exact evaluation of the collective closed forms, exported for the
-// crosscheck suite (static table vs. machine.Proc's runtime charges).
-
-// ExpectedBroadcast evaluates the Table 1 Broadcast form at g, w.
-func ExpectedBroadcast(g, w int64) Counts {
-	return evalCollective("Broadcast", g, w)
-}
-
-// ExpectedReduce evaluates the Table 1 Reduce form at g, w.
-func ExpectedReduce(g, w int64) Counts {
-	return evalCollective("Reduce", g, w)
-}
-
-func evalCollective(name string, g, w int64) Counts {
-	form, ok := expectedCollective(name)
-	if !ok {
-		panic("costbound: no formula for " + name)
-	}
-	env := map[string]int64{"g": g, "W": w}
-	f, s, r, l, err := form.eval(env)
-	if err != nil {
-		panic("costbound: " + err.Error())
-	}
-	return Counts{f, s, r, l}
-}
-
 // intLog returns log_b(v) for exact powers, -1 otherwise.
 func intLog(v, b int) int {
 	if v < 1 || b < 2 {
@@ -340,4 +263,39 @@ func ipow(base, exp int) int {
 		out *= base
 	}
 	return out
+}
+
+// TestTableCounts pins the recurrence evaluations to hand-derived values, so
+// a table-side regression cannot silently track a runtime-side one.
+func TestTableCounts(t *testing.T) {
+	want := map[string]Counts{
+		"parallel/P3k2":         {F: 75, S: 8, R: 8, L: 6},
+		"parallel/P3k2+dfs":     {F: 345, S: 24, R: 24, L: 18},
+		"ftparallel/P3k2F1":     {F: 97, S: 29, R: 10, L: 16},
+		"ftparallel/P3k2F1+dfs": {F: 407, S: 77, R: 26, L: 40},
+	}
+	ws := Worlds()
+	if len(ws) != len(want) {
+		t.Fatalf("got %d worlds, want %d", len(ws), len(want))
+	}
+	for _, w := range ws {
+		exp, ok := want[w.Name]
+		if !ok {
+			t.Errorf("unexpected world %s", w.Name)
+			continue
+		}
+		if w.Expected != exp {
+			t.Errorf("world %s: table gives %+v, hand derivation gives %+v", w.Name, w.Expected, exp)
+		}
+	}
+	// Collective closed forms at spot points: ⌈log₂4⌉ = 2, ⌈log₂5⌉ = 3.
+	if got := expectedBroadcast(4, 3); got != (Counts{F: 0, S: 6, R: 3, L: 2}) {
+		t.Errorf("expectedBroadcast(4,3) = %+v", got)
+	}
+	if got := expectedBroadcast(5, 2); got != (Counts{F: 0, S: 6, R: 2, L: 3}) {
+		t.Errorf("expectedBroadcast(5,2) = %+v", got)
+	}
+	if got := expectedReduce(4, 3); got != (Counts{F: 6, S: 3, R: 6, L: 1}) {
+		t.Errorf("expectedReduce(4,3) = %+v", got)
+	}
 }

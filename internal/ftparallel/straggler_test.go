@@ -3,6 +3,7 @@ package ftparallel
 import (
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -151,7 +152,8 @@ func TestStragglerSlackTooSmall(t *testing.T) {
 	lay, _ := NewLayout(9, 2, 1)
 	a, b := randOperand(rng, 1<<13), randOperand(rng, 1<<13)
 	// Two slow columns against f=1 redundancy, with a slack too small for
-	// either: the run must fail loudly.
+	// either: the run must fail loudly, with the straggler abort (the
+	// decider's or a row-mate's), not some other error.
 	sf := slowColumn(lay, 1, 200)
 	for r := 0; r < lay.GPrime; r++ {
 		sf[lay.ColumnRank(r, 2)] = 200
@@ -161,8 +163,8 @@ func TestStragglerSlackTooSmall(t *testing.T) {
 		StragglerSlack: 1, // essentially zero slack
 		Machine:        machine.Config{SpeedFactors: sf},
 	})
-	if err == nil {
-		t.Fatal("two stragglers against f=1 with tiny slack must fail")
+	if err == nil || !strings.Contains(err.Error(), "straggler slack") {
+		t.Fatalf("err = %v, want the straggler abort: two stragglers against f=1 with tiny slack must fail", err)
 	}
 }
 

@@ -246,8 +246,12 @@ func New(cfg Config, plan []Fault) (*Machine, error) {
 // which becomes an error naming the rank so that it does not take the
 // caller down. The run's context is then canceled, so peers blocked on the
 // failed rank unwind at once, and Run returns that first failure ahead of
-// the cancellation errors it causes. Once Run has returned, a Proc kept
-// past the run gets an error from Send, Recv, RecvDeadline and Barrier.
+// the cancellation errors it causes. A run whose ranks all returned nil
+// still fails if a message was sent and never received: the error names
+// its sender, receiver and tag. A message that a deadline receive gave up
+// waiting for (on the wall clock, a straggler's late report) is exempt, one
+// per receive that gave up. Once Run has returned, a Proc kept past the run
+// gets an error from Send, Recv, RecvDeadline and Barrier.
 func (m *Machine) Run(program func(*Proc) error) (*Report, error) {
 	return m.RunContext(context.Background(), program)
 }
@@ -293,7 +297,9 @@ func (m *Machine) RunContext(ctx context.Context, program func(*Proc) error) (*R
 		}(p)
 	}
 	wg.Wait()
-	m.net.close()
+	if err := m.net.close(); first == nil {
+		first = err
+	}
 
 	rep := &Report{
 		PerProc: make([]Stats, m.cfg.P),

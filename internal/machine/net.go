@@ -51,6 +51,10 @@ type network struct {
 	faults []FaultEvent // every fault injected, in arrival order
 
 	closed atomic.Bool // set by close, once Run has returned
+	// missed counts the deadline receives that gave up before their
+	// message came (the wall clock's miss): each such message may arrive
+	// later and stay queued.
+	missed atomic.Int64
 }
 
 // barrier is one generation of the rendezvous. Waiters hold the pointer;
@@ -98,14 +102,34 @@ func (n *network) pair(from, to int) chan message {
 // close returns every empty FIFO to the free list. A FIFO still holding
 // messages — a straggler's late report that nobody received — is dropped,
 // never reused. Call it only once every rank's program has returned; from
-// then on send, recv and barrier fail. A second call does nothing.
-func (n *network) close() {
+// then on send, recv and barrier fail. It returns an error naming one
+// undelivered message when more messages are left than deadline receives
+// gave up waiting for. A second call does nothing.
+func (n *network) close() error {
 	n.closed.Store(true)
+	var left int64
+	from, to, tag := 0, 0, ""
 	for i := range n.slots {
-		if c := n.slots[i].Swap(nil); c != nil && len(*c) == 0 {
+		c := n.slots[i].Swap(nil)
+		switch {
+		case c == nil:
+		case len(*c) == 0:
 			n.free.put(c)
+		default:
+			if left == 0 {
+				// Read the head's tag and queue it again: no sender is
+				// left, so the dropped FIFO keeps its count.
+				msg := <-*c
+				*c <- msg
+				from, to, tag = i/n.p, i%n.p, msg.tag
+			}
+			left += int64(len(*c))
 		}
 	}
+	if left <= n.missed.Load() {
+		return nil
+	}
+	return fmt.Errorf("machine: proc %d sent %q to proc %d, which never received it (protocol error)", from, tag, to)
 }
 
 // send enqueues msg for rank `to`. A full FIFO fails the send on the sim
@@ -143,6 +167,7 @@ func (n *network) recv(p *Proc, from int, tag string, wait time.Duration, missOK
 	case err != nil:
 		return msg, false, fmt.Errorf("machine: proc %d recv from %d canceled: %w", p.id, from, err)
 	case expired && missOK:
+		n.missed.Add(1)
 		return msg, false, nil
 	case expired:
 		return msg, false, fmt.Errorf("machine: proc %d timed out waiting for tag %q from %d", p.id, tag, from)

@@ -361,6 +361,83 @@ func TestTrafficAfterRunFails(t *testing.T) {
 	})
 }
 
+// TestUndeliveredMessageFailsRun: a run whose ranks all return nil fails
+// when a message was sent and never received, naming its sender, receiver
+// and tag. A deadline receive that gave up (wall: the late report arrives
+// after the receiver stopped waiting; sim: the late report is taken and
+// dropped) exempts one message, not more.
+func TestUndeliveredMessageFailsRun(t *testing.T) {
+	eachBackend(t, func(t *testing.T, b Backend) {
+		// lateReport has rank 0 report to rank 1 after rank 1's deadline
+		// receive gave up on it (on sim the receive waits for the report);
+		// with stray, rank 2 also sends rank 0 a message nobody receives.
+		lateReport := func(stray bool) func(p *Proc) error {
+			gaveUp := make(chan struct{})
+			return func(p *Proc) error {
+				switch p.ID() {
+				case 0:
+					if b == BackendWall {
+						<-gaveUp
+					}
+					p.Work(10) // sim: stamp the report past the deadline
+					return p.Send(1, "late", words(1))
+				case 1:
+					_, ok, err := p.RecvDeadline(0, "late", 5)
+					if ok {
+						t.Error("late report accepted")
+					}
+					close(gaveUp)
+					return err
+				case 2:
+					if stray {
+						return p.Send(0, "/y", words(1))
+					}
+				}
+				return nil
+			}
+		}
+		for _, tc := range []struct {
+			name    string
+			program func(p *Proc) error
+			want    string // "" for a clean run
+		}{
+			{"delivered", func(p *Proc) error {
+				if p.ID() == 0 {
+					return p.Send(2, "x", words(1))
+				}
+				if p.ID() == 2 {
+					_, err := p.Recv(0, "x")
+					return err
+				}
+				return nil
+			}, ""},
+			{"stray send", func(p *Proc) error {
+				if p.ID() == 1 {
+					return p.Send(2, "/x", words(1))
+				}
+				return nil
+			}, `proc 1 sent "/x" to proc 2, which never received it (protocol error)`},
+			{"late report", lateReport(false), ""},
+			// On wall, either leftover message may be the one named.
+			{"stray after late report", lateReport(true), "which never received it (protocol error)"},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				m, err := New(Config{P: 3, Backend: b, Alpha: 1e-9, Beta: 1e-9, Gamma: 1, WallTimeDilation: time.Millisecond}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = m.Run(tc.program)
+				switch {
+				case tc.want == "" && err != nil:
+					t.Fatalf("err = %v, want a clean run", err)
+				case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+					t.Fatalf("err = %v, want %q", err, tc.want)
+				}
+			})
+		}
+	})
+}
+
 // TestCloseRecyclesOnlyEmptyChannels: closing a run's network hands a
 // drained pair channel to the next network and drops one still holding an
 // unreceived message (a late straggler report, say); the closed network

@@ -2,16 +2,7 @@
 # Linker census of unreached code: every non-test function and method
 # declared outside cmd/, examples/, bench/ and testdata fixtures is looked up
 # in the linker's dependency dump (-ldflags=-dumpdep, inlining off, so every
-# call is a symbol) of the binaries that may reach it.
-#
-#   - Runtime packages (the root package and internal/ minus
-#     internal/analysis) are rooted at every main under cmd/ and examples/
-#     except cmd/ftlint, plus bench/.
-#   - internal/analysis/... is rooted at cmd/ftlint alone. protomc's native
-#     bridge calls reflect.Value.MethodByName, so the linker keeps every
-#     exported method of each type ftlint bridges (toom.Algorithm,
-#     mat.Matrix, erasure.Code, workpool.Pool, bigint.Int); rooting the
-#     runtime packages there too would hide whatever only the bridge reaches.
+# call is a symbol) of every main under cmd/ and examples/, plus bench/.
 #
 # An unreached function must be on the keep list (census.keep beside this
 # script: one linker symbol per line, # comments), and every entry on the
@@ -58,9 +49,8 @@ reached() {
 	}' | sort -u
 }
 
-mains=$(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./cmd/... ./examples/... | grep -vx 'repro/cmd/ftlint')
-{ dump $mains; (cd bench && dump .); } | reached >"$tmp/runtime.reached"
-dump ./cmd/ftlint | reached >"$tmp/analysis.reached"
+mains=$(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./cmd/... ./examples/...)
+{ dump $mains; (cd bench && dump .); } | reached >"$tmp/reached"
 
 # Declarations: "symbol file:line", named as the linker names them
 # (pkg.F, pkg.T.M, pkg.(*T).M; a generic receiver drops its type
@@ -85,15 +75,13 @@ git ls-files --cached --others --exclude-standard '*.go' ':!:*_test.go' ':!:*/te
 			}' "$f"
 	done | sort >"$tmp/decls"
 
-awk -v rt="$tmp/runtime.reached" -v an="$tmp/analysis.reached" -v keep="$keep" '
+awk -v rc="$tmp/reached" -v keep="$keep" '
 	BEGIN {
-		while ((getline s <rt) > 0) runtime[s] = 1
-		while ((getline s <an) > 0) analysis[s] = 1
+		while ((getline s <rc) > 0) reached[s] = 1
 		while ((getline s <keep) > 0) if (s !~ /^[[:space:]]*(#|$)/) listed[s] = 1
 	}
 	{
-		if ($2 ~ /^internal\/analysis\//) { if ($1 in analysis) next }
-		else if ($1 in runtime) next
+		if ($1 in reached) next
 		seen[$1] = 1; n++
 		if (!($1 in listed)) extra = extra "\n  " $0
 	}

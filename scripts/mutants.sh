@@ -12,12 +12,14 @@
 # and, for each patch: applies it, builds the tree, runs the tests of every
 # package outside internal/analysis and cmd/ftlint (a failing test, build or
 # 5-minute timeout counts as caught), runs ftlint over the tree and collects
-# the analyzers that report, then reverses the patch. It prints one row per
-# patch and exits non-zero when a patch no longer applies or when neither a
-# test nor an analyzer catches it. "sole" names an analyzer that caught a
-# defect no test caught and no other analyzer reported. Expect about half
-# a minute per entry on two cores; the blocking-send entry waits out the
-# machine suite's timeout.
+# the analyzers that report; when neither catches the defect, it runs the
+# tests of the packages the patch touches under the race detector, as CI's
+# `make race` does ("race:" row); then it reverses the patch. It prints one
+# row per patch and exits non-zero when a patch no longer applies or when
+# nothing catches it. "sole" names an analyzer that caught a defect no test
+# caught and no other analyzer reported. Expect about half a minute per
+# entry on two cores; the blocking-send entry waits out the machine suite's
+# timeout.
 set -euo pipefail
 root=$(git rev-parse --show-toplevel)
 cd "$root"
@@ -88,16 +90,24 @@ for p in "${patches[@]}"; do
 		tests="build failed"
 	fi
 	lint=$("$tmp/ftlint" ./... 2>/dev/null | sed -n 's/.*(\([a-z]*\))$/\1/p' | sort -u | paste -sd, - || true)
+	race=""
+	if [ -z "$tests" ] && [ -z "$lint" ]; then
+		dirs=$(sed -n 's|^diff --git a/\([^ ]*\) b/.*|\1|p' "$root/$p" | xargs -n1 dirname | sed 's|^|./|' | sort -u)
+		go test -race -count=1 -timeout 5m $dirs >"$tmp/race.log" 2>&1 || true
+		race=$(failed "$tmp/race.log")
+		race="race: ${race:-none}"
+	fi
 	git apply -R "$root/$p"
 
 	sole=""
 	if [ -z "$tests" ] && [ -n "$lint" ] && [ "${lint#*,}" = "$lint" ]; then
 		sole="  sole: $lint"
 	fi
-	if [ -z "$tests" ] && [ -z "$lint" ]; then
-		sole="  UNCAUGHT"
+	if [ -z "$tests" ] && [ -z "$lint" ] && [ "$race" = "race: none" ]; then
+		race="$race  UNCAUGHT"
 		status=1
 	fi
 	printf '%s [%s]\n    tests: %s\n    ftlint: %s%s\n' "$name" "$target" "${tests:-none}" "${lint:-none}" "$sole"
+	[ -z "$race" ] || printf '    %s\n' "$race"
 done
 exit "$status"
