@@ -332,31 +332,27 @@ func BenchmarkAblationLazyInterpolation(b *testing.B) {
 
 // --- Public API ------------------------------------------------------------
 
+// BenchmarkPublicMul times the public Mul and Square, which run on the
+// kernel ladder at every size, from one word to just below ToomNTTBits.
 func BenchmarkPublicMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	lim := new(big.Int).Lsh(big.NewInt(1), 1<<16)
-	a := new(big.Int).Rand(rng, lim)
-	x := new(big.Int).Rand(rng, lim)
-	for i := 0; i < b.N; i++ {
-		_ = Mul(a, x)
+	for _, bits := range []int{64, 1 << 10, 1 << 14, 1 << 16, 131071} {
+		lim := new(big.Int).Lsh(big.NewInt(1), uint(bits))
+		a := new(big.Int).Rand(rng, lim)
+		x := new(big.Int).Rand(rng, lim)
+		b.Run(fmt.Sprintf("mul/bits=%d", bits), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = Mul(a, x)
+			}
+		})
+		b.Run(fmt.Sprintf("square/bits=%d", bits), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = Square(a)
+			}
+		})
 	}
-}
-
-// --- Squaring specialization -----------------------------------------------
-
-func BenchmarkSquareVsMul(b *testing.B) {
-	a, _ := benchOperands(1 << 16)
-	alg := toom.MustNew(3)
-	b.Run("square", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = alg.Square(a)
-		}
-	})
-	b.Run("mul-self", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = alg.Mul(a, a)
-		}
-	})
 }
 
 // --- Delay faults: straggler mitigation ------------------------------------

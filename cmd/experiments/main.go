@@ -291,9 +291,7 @@ func softFault(a, b bigint.Int) error {
 	}
 	vals := make([]bigint.Int, 2*3-1+1)
 	shift := (a.BitLen() + 2) / 3
-	da := []bigint.Int{a.Extract(0, shift), a.Extract(shift, shift), a.Extract(2*shift, shift)}
-	db := []bigint.Int{b.Extract(0, shift), b.Extract(shift, shift), b.Extract(2*shift, shift)}
-	copy(vals, c1.Products(da, db))
+	copy(vals, c1.Products(toom.SplitDigits(a, 3, shift), toom.SplitDigits(b, 3, shift)))
 	vals[0] = vals[0].Add(bigint.One())
 	ok, err := c1.Verify(vals)
 	if err != nil {

@@ -1,10 +1,10 @@
 // Command ftlint machine-checks the invariants that keep the hot path and
 // the paper's accounting honest: pooled accumulator ownership (accown,
 // path-sensitive over the framework's CFG and interprocedural via
-// call-graph summaries), bounded-pool-only concurrency (poolspawn), the
-// Section-4 fault-recovery path (recoverpath: recovery errors must be
-// checked, recovery handlers must not spawn raw goroutines or allocate from
-// caller-held arenas), and, on the framework's interval abstract
+// call-graph summaries), bounded-pool-only concurrency in every package
+// (poolspawn), the Section-4 fault-recovery path (recoverpath: recovery
+// errors, the runtime repair's erasure.Code.Solve included, must be
+// checked), and, on the framework's interval abstract
 // interpretation, the NTT kernel's lazy-arithmetic contracts (modbound:
 // every lazy store provably in [0, 2p), Shoup/REDC preconditions, no
 // uint64 wraparound, strict reduction before CRT recombination). The run

@@ -60,7 +60,7 @@ func main() {
 	packedB := pack(b, slot)
 	fmt.Printf("packed operands: %d and %d bits\n", packedA.BitLen(), packedB.BitLen())
 
-	// One big multiplication — Toom-Cook-3 under the hood.
+	// One big multiplication — the kernel ladder under the hood.
 	product := ftmul.Mul(packedA, packedB)
 	got := unpack(product, 2*deg-1, slot)
 

@@ -18,9 +18,9 @@ func main() {
 	a := new(big.Int).Rand(rng, lim)
 	b := new(big.Int).Rand(rng, lim)
 
-	// 1. Sequential Toom-Cook-3 — a drop-in multiplier.
+	// 1. Sequential, on the kernel ladder — a drop-in multiplier.
 	product := ftmul.Mul(a, b)
-	fmt.Printf("sequential Toom-3:  %d-bit product\n", product.BitLen())
+	fmt.Printf("sequential ladder:  %d-bit product\n", product.BitLen())
 
 	// 2. Parallel Toom-Cook on a simulated 9-processor machine (Karatsuba
 	//    grid: P must be a power of 2k-1).

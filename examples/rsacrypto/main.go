@@ -57,9 +57,9 @@ func main() {
 	message := new(big.Int).SetBytes([]byte("fault tolerance with negligible overhead"))
 	fmt.Printf("modulus: %d bits\n", n.BitLen())
 
-	// Encrypt with the sequential Toom-Cook-3 kernel.
+	// Encrypt with the sequential kernel ladder.
 	cipher := modExp(message, e, n, ftmul.Mul)
-	fmt.Printf("ciphertext (Toom-3 kernel): …%x\n", cipher.Bytes()[len(cipher.Bytes())-8:])
+	fmt.Printf("ciphertext (sequential ladder): …%x\n", cipher.Bytes()[len(cipher.Bytes())-8:])
 
 	// Cross-check against math/big's own modular exponentiation.
 	if want := new(big.Int).Exp(message, e, n); cipher.Cmp(want) != 0 {

@@ -43,61 +43,46 @@ import (
 // with errors.As.
 type ToleranceError = ftengine.ToleranceError
 
-// DefaultK is the Toom-Cook split number used by the convenience functions:
-// Toom-3, the variant most commonly deployed in practice (GMP et al.).
-const DefaultK = 3
-
-// pastToomNTT reports whether the sequential API should bypass Toom-Cook and
-// multiply through the kernel crossover ladder directly (schoolbook →
-// Karatsuba → NTT; internal/bigint). The crossover is the ladder's
-// compiled-in ToomNTTBits (bigint.ToomNTTThresholdBits; <= 0 disables the
-// bypass). Only the sequential convenience API dispatches on it — the
-// parallel and fault-tolerant paths are the object of study and stay on
-// Toom-Cook regardless, so their F/BW/L accounting is unaffected.
+// pastToomNTT reports whether MulToom should bypass Toom-Cook and multiply
+// through the kernel crossover ladder directly (schoolbook → Karatsuba →
+// NTT; internal/bigint). The crossover is the ladder's compiled-in
+// ToomNTTBits (bigint.ToomNTTThresholdBits; <= 0 disables the bypass). Only
+// the sequential convenience API dispatches on it — the parallel and
+// fault-tolerant paths are the object of study and stay on Toom-Cook
+// regardless, so their F/BW/L accounting is unaffected.
 func pastToomNTT(a, b *big.Int) bool {
 	t := bigint.ToomNTTThresholdBits()
 	return t > 0 && a.BitLen() >= t && b.BitLen() >= t
 }
 
-// Mul multiplies two integers sequentially. It never fails: any size, any
-// sign. Below the ladder's Toom → NTT crossover it runs Toom-Cook-3; at
-// and above it, the operands are large enough that the NTT tier of the
-// kernel ladder beats the Toom recursion outright, so it dispatches straight
-// to the kernel (which climbs schoolbook → Karatsuba → NTT internally).
+// Mul multiplies two integers sequentially on the kernel crossover ladder
+// (schoolbook → Karatsuba → NTT, climbed by operand size), the fastest
+// multiplier in this library at every size. It never fails: any size, any
+// sign.
 func Mul(a, b *big.Int) *big.Int {
-	if pastToomNTT(a, b) {
-		return bigint.FromBig(a).Mul(bigint.FromBig(b)).ToBig()
-	}
-	alg := toom.MustNew(DefaultK)
-	return alg.Mul(bigint.FromBig(a), bigint.FromBig(b)).ToBig()
+	return bigint.FromBig(a).Mul(bigint.FromBig(b)).ToBig()
 }
 
 // MulToom multiplies with sequential Toom-Cook-k over the standard
-// evaluation points (0, ±1, ±2, …, ∞); k must be at least 2. Like Mul, it
-// dispatches past the Toom recursion to the kernel ladder above the
-// Toom → NTT crossover.
+// evaluation points (0, ±1, ±2, …, ∞); k must be at least 2. Above the
+// ladder's Toom → NTT crossover it dispatches past the Toom recursion to the
+// kernel ladder, as Mul does at every size.
 func MulToom(a, b *big.Int, k int) (*big.Int, error) {
 	alg, err := toom.New(k)
 	if err != nil {
 		return nil, err
 	}
 	if pastToomNTT(a, b) {
-		return bigint.FromBig(a).Mul(bigint.FromBig(b)).ToBig(), nil
+		return Mul(a, b), nil
 	}
 	return alg.Mul(bigint.FromBig(a), bigint.FromBig(b)).ToBig(), nil
 }
 
-// Square returns a² sequentially. Below the Toom → NTT crossover it uses the
-// squaring specialization of Toom-Cook-3 (one evaluation pass instead of
-// two); above it, the kernel ladder — whose NTT tier has its own
-// one-transform squaring fast path.
+// Square returns a² sequentially on the kernel ladder, whose NTT tier has
+// its own one-transform squaring fast path.
 func Square(a *big.Int) *big.Int {
-	if pastToomNTT(a, a) {
-		ai := bigint.FromBig(a)
-		return ai.Mul(ai).ToBig()
-	}
-	alg := toom.MustNew(DefaultK)
-	return alg.Square(bigint.FromBig(a)).ToBig()
+	ai := bigint.FromBig(a)
+	return ai.Mul(ai).ToBig()
 }
 
 // Fault phases for fault injection (see the package-level documentation of

@@ -18,7 +18,7 @@ import (
 // tree: internal/bigint must load, type-check, and come out clean under the
 // analyzers that police it (it is the package whose invariants they encode).
 func TestLoadAndRun(t *testing.T) {
-	pkgs, err := framework.LoadCached(".", "repro/internal/bigint")
+	pkgs, err := framework.Load(".", "repro/internal/bigint")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

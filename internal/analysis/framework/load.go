@@ -13,9 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
 )
 
 // listPackage is the subset of `go list -json` output the loader consumes.
@@ -49,47 +46,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
 	return loadList(out)
-}
-
-var loadCache = struct {
-	sync.Mutex
-	pkgs map[string][]*Package
-	hits int
-}{pkgs: map[string][]*Package{}}
-
-// LoadCached is Load memoized on (absolute dir, sorted patterns). Analyzer
-// test suites in one test binary all load the same module root; go list +
-// type-checking dominates their runtime, and the loaded packages are
-// read-only for analysis, so one shared load serves every suite.
-func LoadCached(dir string, patterns ...string) ([]*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	sorted := append([]string(nil), patterns...)
-	sort.Strings(sorted)
-	key := abs + "\x00" + strings.Join(sorted, "\x00")
-
-	loadCache.Lock()
-	defer loadCache.Unlock()
-	if pkgs, ok := loadCache.pkgs[key]; ok {
-		loadCache.hits++
-		return pkgs, nil
-	}
-	pkgs, err := Load(dir, patterns...)
-	if err != nil {
-		return nil, err // errors are not cached: a fixed tree should reload
-	}
-	loadCache.pkgs[key] = pkgs
-	return pkgs, nil
-}
-
-// loadCacheHits reports how many LoadCached calls were served from cache
-// (test observability).
-func loadCacheHits() int {
-	loadCache.Lock()
-	defer loadCache.Unlock()
-	return loadCache.hits
 }
 
 // loadList turns raw `go list -e -export -deps -json` output into parsed,

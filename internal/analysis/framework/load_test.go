@@ -90,50 +90,6 @@ func TestLoadBadPattern(t *testing.T) {
 	}
 }
 
-// TestLoadCachedMemoizes pins the memoization contract: a second LoadCached
-// call with the same target — even spelled with a different relative dir —
-// is served from cache (observable via loadCacheHits) and returns the very
-// same packages, so fixture suites sharing one test binary pay for `go list
-// -export` once.
-func TestLoadCachedMemoizes(t *testing.T) {
-	root, err := filepath.Abs("../../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := LoadCached(root, "./internal/bigint")
-	if err != nil {
-		t.Fatalf("LoadCached (cold): %v", err)
-	}
-	if len(first) == 0 {
-		t.Fatal("LoadCached returned no packages for ./internal/bigint")
-	}
-	before := loadCacheHits()
-	// A relative dir spelling the same directory must normalize to the
-	// same cache key.
-	second, err := LoadCached("../../..", "./internal/bigint")
-	if err != nil {
-		t.Fatalf("LoadCached (warm): %v", err)
-	}
-	if got := loadCacheHits(); got != before+1 {
-		t.Errorf("cache hits went %d -> %d across a repeat load, want exactly one new hit", before, got)
-	}
-	if len(second) != len(first) || second[0] != first[0] {
-		t.Errorf("warm load returned different packages: %p vs %p", second[0], first[0])
-	}
-	// Errors must not be cached: a bad pattern fails on every call rather
-	// than poisoning the cache, and does not count as a hit.
-	before = loadCacheHits()
-	if _, err := LoadCached(root, "./no-such-dir"); err == nil {
-		t.Error("LoadCached succeeded for a nonexistent pattern")
-	}
-	if _, err := LoadCached(root, "./no-such-dir"); err == nil {
-		t.Error("LoadCached (repeat) succeeded for a nonexistent pattern")
-	}
-	if got := loadCacheHits(); got != before {
-		t.Errorf("failed loads counted as cache hits: %d -> %d", before, got)
-	}
-}
-
 func TestLoadListSkipsEmptyTargets(t *testing.T) {
 	out := pkgJSON(t, map[string]any{
 		"ImportPath": "tmp/empty",

@@ -9,14 +9,10 @@ package framework
 //     it, release it (on every path? some?), or let it escape? accown turns
 //     "release via helper" from a stand-down into a checked protocol event,
 //     and "helper only uses it" from a stand-down into a live obligation
-//     the caller still owes. Arena-typed parameters are tracked the same
-//     way, for the one arena fact recoverpath reads: does the callee
-//     allocate from its caller's arena?
-//   - recovery paths: can the callee return an erasure/softfault error or
-//     erasure-index result (erasure.Decode, softfault.Correct/Verify,
-//     transitively), does it handle fault events, does it spawn raw
-//     goroutines or allocate from a caller-held arena? recoverpath composes
-//     these into the Section-4 recovery invariants.
+//     the caller still owes.
+//   - recovery errors: can the callee return an erasure/softfault error
+//     (erasure.Code.Decode/Solve, softfault.Correct/Verify, transitively)?
+//     recoverpath holds every caller to checking it.
 //
 // Ownership effects are computed by running the existing CFG + dataflow
 // protocol machinery once per tracked parameter with the boundary state
@@ -25,9 +21,9 @@ package framework
 // local fixpoint; a parameter handed to a not-yet-analyzed mutual-recursion
 // partner is conservatively treated as escaping.
 //
-// Everything matches by name (type names "arena"/"Acc"/"Code"/"Corrector"/
-// "FaultEvent"), like the rest of the framework, so the same summaries work
-// on the real tree and on import-free fixtures.
+// Everything matches by name (type names "Acc"/"Code"/"Corrector"), like
+// the rest of the framework, so the same summaries work on the real tree and
+// on import-free fixtures.
 
 import (
 	"go/ast"
@@ -36,7 +32,7 @@ import (
 )
 
 // ParamEffect is a bitset describing a callee's effect on one tracked
-// (arena/Acc-typed) parameter.
+// (Acc-typed) parameter.
 type ParamEffect uint8
 
 const (
@@ -57,12 +53,14 @@ const (
 
 // trackedOwnershipTypes are the type names whose values follow an
 // acquire/release ownership protocol.
-var trackedOwnershipTypes = map[string]bool{"arena": true, "Acc": true}
+var trackedOwnershipTypes = map[string]bool{"Acc": true}
 
 // recoverySources lists the decode/verify entry points of the fault
-// recovery machinery, per receiver type name.
+// recovery machinery, per receiver type name. Code.Solve is the one
+// Vandermonde-minor solve: Code.Decode and the FT runtime's repair
+// (ftengine.Coder.repair) both call it.
 var recoverySources = map[string]map[string]bool{
-	"Code":      {"Decode": true},
+	"Code":      {"Decode": true, "Solve": true},
 	"Corrector": {"Correct": true, "Verify": true},
 }
 
@@ -78,30 +76,13 @@ type Summary struct {
 	Variadic bool
 
 	// RecoverySource: the function is one of the decode/verify entry points
-	// (erasure.Decode, softfault.Correct/Verify) by name. RecoveryErr: the
-	// function has an error result and reaches a recovery source, so its
-	// error may report an undecodable erasure. ReachesRecovery: some call
-	// path reaches a recovery source. HandlesFaults: a parameter carries
-	// fault events (type name FaultEvent), marking the recovery handlers.
+	// (erasure.Code.Decode/Solve, softfault.Correct/Verify) by name.
+	// RecoveryErr: the function has an error result and reaches a recovery
+	// source, so its error may report an undecodable erasure.
+	// ReachesRecovery: some call path reaches a recovery source.
 	RecoverySource  bool
 	RecoveryErr     bool
 	ReachesRecovery bool
-	HandlesFaults   bool
-
-	// SpawnsGo: the function contains an unsanctioned raw go statement,
-	// transitively. A spawn covered by an `//ftlint:allow poolspawn`
-	// comment — the bounded pool's own audited worker launch — is the
-	// sanctioned concurrency the recovery rules point callers to, so it
-	// does not set this bit (otherwise every kernel that fans out through
-	// the pool would poison the recovery handlers above it).
-	// AllocsArenaParam: it allocates from an arena-typed parameter (its
-	// caller may still hold allocations on that arena), transitively.
-	SpawnsGo         bool
-	AllocsArenaParam bool
-
-	// FTReach: reachable from (or in) a package with path segment
-	// "ftparallel" — the scope of the recovery-handler rules.
-	FTReach bool
 
 	// Returns bounds the function's single unsigned-integer result, derived
 	// bottom-up over the condensation by abstractly evaluating every return
@@ -222,7 +203,6 @@ func ComputeSummaries(pkgs []*Package) *Summaries {
 			}
 		}
 	}
-	s.markFTReach()
 	return s
 }
 
@@ -248,23 +228,8 @@ func newSummary(n *CGNode) *Summary {
 			sum.ReachesRecovery = true
 		}
 	}
-	params := sig.Params()
-	sum.Params = make([]ParamEffect, params.Len())
-	for i := 0; i < params.Len(); i++ {
-		if isFaultEventCarrier(params.At(i).Type()) {
-			sum.HandlesFaults = true
-		}
-	}
+	sum.Params = make([]ParamEffect, sig.Params().Len())
 	return sum
-}
-
-// isFaultEventCarrier reports whether t is (a slice of) a type named
-// FaultEvent — the signature marker of a fault-recovery handler.
-func isFaultEventCarrier(t types.Type) bool {
-	if sl, ok := t.Underlying().(*types.Slice); ok {
-		t = sl.Elem()
-	}
-	return NamedTypeName(t) == "FaultEvent"
 }
 
 // hasErrorResult reports whether the signature's last result is an error.
@@ -288,23 +253,10 @@ func (s *Summaries) compute(n *CGNode) bool {
 		return false
 	}
 
-	// Transitive boolean facts from direct statements and call edges.
-	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
-		if g, ok := m.(*ast.GoStmt); ok && !sanctionedSpawn(n.Pkg, n.Decl, g.Pos()) {
-			sum.SpawnsGo = true
-		}
-		return true
-	})
+	// Transitive recovery facts along call edges.
 	for key := range n.Calls {
-		c := s.byKey[key]
-		if c == nil {
-			continue
-		}
-		if c.ReachesRecovery {
+		if c := s.byKey[key]; c != nil && c.ReachesRecovery {
 			sum.ReachesRecovery = true
-		}
-		if c.SpawnsGo {
-			sum.SpawnsGo = true
 		}
 	}
 	if hasErrorResult(sig) && sum.ReachesRecovery {
@@ -324,8 +276,6 @@ func (s *Summaries) compute(n *CGNode) bool {
 	}
 	return sum.ReachesRecovery != old.ReachesRecovery ||
 		sum.RecoveryErr != old.RecoveryErr ||
-		sum.SpawnsGo != old.SpawnsGo ||
-		sum.AllocsArenaParam != old.AllocsArenaParam ||
 		!sum.Returns.Equal(old.Returns)
 }
 
@@ -439,9 +389,8 @@ func (s *Summaries) computeOwnership(n *CGNode, sum *Summary, sig *types.Signatu
 			return true
 		}
 		callee := CalleeIdent(call)
-		// Method call on a tracked parameter: Release on an Acc releases;
-		// alloc on an arena parameter additionally marks the caller-held-
-		// arena allocation fact; everything else is a use.
+		// Method call on a tracked parameter: Release releases; everything
+		// else is a use.
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && callee != nil {
 			if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
 				if obj := info.Uses[id]; obj != nil {
@@ -449,11 +398,8 @@ func (s *Summaries) computeOwnership(n *CGNode, sum *Summary, sig *types.Signatu
 						ps := st[obj]
 						ps.consumed[id.Pos()] = true
 						kind := ProtoUse
-						if callee.Name == "Release" && NamedTypeName(obj.Type()) == "Acc" {
+						if callee.Name == "Release" {
 							kind = ProtoRelease
-						}
-						if callee.Name == "alloc" && NamedTypeName(obj.Type()) == "arena" {
-							sum.AllocsArenaParam = true
 						}
 						place(ps, call.Pos(), kind, callee.Name)
 					}
@@ -482,12 +428,6 @@ func (s *Summaries) computeOwnership(n *CGNode, sum *Summary, sig *types.Signatu
 				place(ps, call.Pos(), ProtoRelease, calleeName(callee))
 			case ArgUse:
 				place(ps, call.Pos(), ProtoUse, calleeName(callee))
-				if cs := s.Callee(info, call); cs != nil {
-					ci := cs.paramIndex(call, i)
-					if ci >= 0 && cs.Params[ci]&EffTracked != 0 && NamedTypeName(obj.Type()) == "arena" && cs.AllocsArenaParam {
-						sum.AllocsArenaParam = true
-					}
-				}
 			default:
 				ps.escaped = true
 			}
@@ -568,31 +508,6 @@ func solveParamExit(g *CFG, events map[token.Pos]ProtoEvent) ObjState {
 	return exit
 }
 
-// markFTReach flags every summary reachable from a function living in a
-// package with path segment "ftparallel" (the roots included).
-func (s *Summaries) markFTReach() {
-	var stack []*Summary
-	for _, sum := range s.byKey {
-		if (PathHasSegment(sum.PkgPath, "ftparallel") || PathHasSegment(sum.PkgPath, "ftengine") || PathHasSegment(sum.PkgPath, "ftmatmul")) && !sum.FTReach {
-			sum.FTReach = true
-			stack = append(stack, sum)
-		}
-	}
-	for len(stack) > 0 {
-		sum := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if sum.node == nil {
-			continue
-		}
-		for key := range sum.node.Calls {
-			if c := s.byKey[key]; c != nil && !c.FTReach {
-				c.FTReach = true
-				stack = append(stack, c)
-			}
-		}
-	}
-}
-
 // ClosureSpans are the spans of function literals that are not the
 // immediate body of a defer statement (a `defer func(){...}()` closure is
 // handled by the defer rules instead). A tracked object referenced inside
@@ -630,46 +545,4 @@ func CollectBareClosures(root ast.Node) ClosureSpans {
 		return true
 	})
 	return spans
-}
-
-// sanctionedSpawn reports whether the go statement at pos is covered by an
-// `//ftlint:allow poolspawn` comment — on its own line, the line above, or
-// in the enclosing function's doc comment, mirroring the suppression scopes
-// of the allow index. Such a spawn is the bounded pool's audited worker
-// launch, so it does not count as a raw spawn in SpawnsGo summaries.
-func sanctionedSpawn(pkg *Package, fd *ast.FuncDecl, pos token.Pos) bool {
-	allowsPoolspawn := func(c *ast.Comment) bool {
-		for _, name := range parseAllow(c.Text) {
-			if name == "poolspawn" {
-				return true
-			}
-		}
-		return false
-	}
-	if fd.Doc != nil {
-		for _, c := range fd.Doc.List {
-			if allowsPoolspawn(c) {
-				return true
-			}
-		}
-	}
-	p := pkg.Fset.Position(pos)
-	for _, f := range pkg.Files {
-		if f.Pos() > pos || pos > f.End() {
-			continue
-		}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !allowsPoolspawn(c) {
-					continue
-				}
-				cp := pkg.Fset.Position(c.Pos())
-				if cp.Filename == p.Filename && (cp.Line == p.Line || cp.Line == p.Line-1) {
-					return true
-				}
-			}
-		}
-		break
-	}
-	return false
 }

@@ -105,15 +105,10 @@ func (errImpl) Error() string { return "" }
 
 type Int struct{}
 type Code struct{}
-type FaultEvent struct{ Index int }
 
 func (c *Code) Decode(m map[int][]Int) (map[int][]Int, error) { return m, nil }
 
 func decodeVia(c *Code, m map[int][]Int) (map[int][]Int, error) { return c.Decode(m) }
-
-func spawnHelper() { go func() {}() }
-
-func handler(ev []FaultEvent) { spawnHelper() }
 
 func plain() {}
 `
@@ -130,18 +125,8 @@ func TestSummaryRecoveryAndSpawn(t *testing.T) {
 	if !via.ReachesRecovery || !via.RecoveryErr {
 		t.Errorf("decodeVia = %+v, want transitive ReachesRecovery and RecoveryErr", via)
 	}
-	h := sums.Lookup("ftparallel.handler")
-	if !h.HandlesFaults {
-		t.Errorf("handler.HandlesFaults = false, want true ([]FaultEvent param)")
-	}
-	if !h.SpawnsGo {
-		t.Errorf("handler.SpawnsGo = false, want true (via spawnHelper)")
-	}
-	if !h.FTReach {
-		t.Errorf("handler.FTReach = false, want true (lives in ftparallel)")
-	}
-	if sums.Lookup("ftparallel.plain").SpawnsGo {
-		t.Errorf("plain.SpawnsGo = true, want false")
+	if plain := sums.Lookup("ftparallel.plain"); plain.ReachesRecovery || plain.RecoveryErr {
+		t.Errorf("plain = %+v, want no recovery facts", plain)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestModBoundDirty(t *testing.T) {
 // TestModBoundRealTree is the acceptance proof: the real NTT implementation
 // must verify with zero findings and zero allow comments.
 func TestModBoundRealTree(t *testing.T) {
-	pkgs, err := framework.LoadCached("../../..", "./internal/bigint")
+	pkgs, err := framework.Load("../../..", "./internal/bigint")
 	if err != nil {
 		t.Fatalf("loading internal/bigint: %v", err)
 	}

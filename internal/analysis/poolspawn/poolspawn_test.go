@@ -11,30 +11,32 @@ func TestPoolSpawnGoverned(t *testing.T) {
 	analysistest.Run(t, poolspawn.Analyzer, "toom")
 }
 
-func TestPoolSpawnUngoverned(t *testing.T) {
+// Every package is governed, not only the kernel and runtime ones: a spawn
+// in a package no earlier list named is a finding too.
+func TestPoolSpawnEveryPackage(t *testing.T) {
 	analysistest.Run(t, poolspawn.Analyzer, "other")
 }
 
-// The machine runtime is governed: its one sanctioned spawn, the
-// per-processor launch, carries an allow comment.
+// The machine runtime's one sanctioned spawn, the per-processor launch,
+// carries an allow comment.
 func TestPoolSpawnTransportBackend(t *testing.T) {
 	analysistest.Run(t, poolspawn.Analyzer, "machine")
 }
 
-// The NTT tier's home package is governed: butterfly fan-out goes through
-// the bounded pool, not raw goroutines.
+// The NTT tier's butterfly fan-out goes through the bounded pool, not raw
+// goroutines.
 func TestPoolSpawnBigint(t *testing.T) {
 	analysistest.Run(t, poolspawn.Analyzer, "bigint")
 }
 
-// The pool package itself is governed; only its annotated worker-launch
-// site may spawn.
+// The pool package itself may spawn only at its annotated worker-launch
+// site.
 func TestPoolSpawnWorkpool(t *testing.T) {
 	analysistest.Run(t, poolspawn.Analyzer, "workpool")
 }
 
-// The collectives are governed: a collective runs on its rank's goroutine,
-// the only one that may call the rank's Proc, so none may spawn at all.
+// A collective runs on its rank's goroutine, the only one that may call the
+// rank's Proc, so none may spawn at all.
 func TestPoolSpawnCollective(t *testing.T) {
 	analysistest.Run(t, poolspawn.Analyzer, "collective")
 }

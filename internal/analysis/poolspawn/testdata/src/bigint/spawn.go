@@ -1,7 +1,6 @@
-// Fixture for the poolspawn analyzer, named "bigint" so its synthetic
-// import path falls under the pool-governed rule: the NTT tier's per-prime
-// and butterfly fan-out must route through the bounded worker pool, never
-// raw goroutines.
+// Fixture for the poolspawn analyzer, named after the NTT tier's package:
+// its per-prime and butterfly fan-out must route through the bounded worker
+// pool, never raw goroutines.
 package bigint
 
 type pool struct{}

@@ -1,5 +1,5 @@
-// Fixture for the poolspawn analyzer, named "toom" so its synthetic import
-// path falls under the pool-governed rule.
+// Fixture for the poolspawn analyzer, named after the Toom-Cook package:
+// raw spawns are findings, an annotated one is suppressed.
 package toom
 
 type waitGroup struct{ n int }

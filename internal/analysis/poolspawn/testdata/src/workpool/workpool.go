@@ -1,6 +1,6 @@
-// Fixture for the poolspawn analyzer, named "workpool" so its synthetic
-// import path falls under the pool-governed rule: even the pool package
-// itself may only launch goroutines at its audited worker-spawn site.
+// Fixture for the poolspawn analyzer, named after the pool package: even
+// the pool itself may only launch goroutines at its audited worker-spawn
+// site.
 package workpool
 
 type token struct{}

@@ -1,7 +1,5 @@
-// Fixture for the recoverpath analyzer, named "ftparallel" so every
-// function is inside the fault-tolerance envelope (FTReach). Miniature
-// stand-ins for erasure.Code, softfault.Corrector, machine.FaultEvent, and
-// the bigint arena are matched by name.
+// Fixture for the recoverpath analyzer. Miniature stand-ins for
+// erasure.Code and softfault.Corrector are matched by name.
 package ftparallel
 
 type Int struct{ v int }
@@ -9,20 +7,14 @@ type Int struct{ v int }
 type Code struct{ r int }
 
 func (c *Code) Decode(m map[int][]Int) (map[int][]Int, error) { return m, nil }
+func (c *Code) Solve(rows, erased []int, rhs [][]Int) ([][]Int, int64, error) {
+	return rhs, 0, nil
+}
 
 type Corrector struct{ t int }
 
 func (c *Corrector) Correct(vals []Int) ([]Int, []int, error) { return vals, nil, nil }
 func (c *Corrector) Verify(vals []Int) (bool, error)          { return true, nil }
-
-type FaultEvent struct{ P int }
-
-type arena struct{ off int }
-
-func (a *arena) alloc(n int) []Int { return make([]Int, n) }
-
-func getArena() *arena  { return new(arena) }
-func putArena(a *arena) {}
 
 // checked is the correct shape: every recovery error is looked at.
 func checked(c *Code, m map[int][]Int) (map[int][]Int, error) {
@@ -54,6 +46,24 @@ func discardedDecode(c *Code, m map[int][]Int) map[int][]Int {
 	return rec
 }
 
+// repairChecked is the runtime repair's shape: the solve's shares, its
+// work and its error, all looked at.
+func repairChecked(c *Code, rows, dead []int, res [][]Int) ([][]Int, error) {
+	shares, work, err := c.Solve(rows, dead, res)
+	if err != nil {
+		return nil, err
+	}
+	_ = work
+	return shares, nil
+}
+
+// repairDiscarded drops the solve's error: a non-integral or singular
+// repair would hand the victims garbage shards.
+func repairDiscarded(c *Code, rows, dead []int, res [][]Int) [][]Int {
+	shares, _, _ := c.Solve(rows, dead, res) // want "discarded with _"
+	return shares
+}
+
 // discardedViaHelper: the same discard one call away — only the summary
 // knows decodeVia's error is a recovery error.
 func discardedViaHelper(c *Code, m map[int][]Int) map[int][]Int {
@@ -76,50 +86,4 @@ func droppedVerify(cr *Corrector, vals []Int) {
 // goroutineDecode launches the decode with go: the error can never be seen.
 func goroutineDecode(c *Code, m map[int][]Int) {
 	go c.Decode(m) // want "launched with go"
-}
-
-// spawningHandler is a fault-recovery handler (takes []FaultEvent, lives in
-// ftparallel) that spawns a raw goroutine mid-repair.
-func spawningHandler(ev []FaultEvent, c *Code, m map[int][]Int) {
-	done := make(chan struct{})
-	go func() { // want "spawns a raw goroutine"
-		close(done)
-	}()
-	<-done
-}
-
-// indirectSpawner hides the goroutine behind a helper; the helper's
-// summary carries SpawnsGo back to the handler's call site.
-func indirectSpawner(ev []FaultEvent) {
-	fanOut() // want "spawns raw goroutines"
-}
-
-func fanOut() {
-	go func() {}()
-}
-
-// arenaHandler allocates repair scratch from the arena its (faulty) caller
-// still holds.
-func arenaHandler(ev []FaultEvent, a *arena) []Int {
-	return a.alloc(len(ev)) // want "arena the faulty path may still hold"
-}
-
-// arenaViaHelper does the same one call away.
-func arenaViaHelper(ev []FaultEvent, a *arena) {
-	scratch(a, len(ev)) // want "passes its caller's arena"
-}
-
-func scratch(a *arena, n int) { _ = a.alloc(n) }
-
-// freshArenaHandler rents its own arena for the repair: allowed.
-func freshArenaHandler(ev []FaultEvent) {
-	a := getArena()
-	defer putArena(a)
-	_ = a.alloc(len(ev))
-}
-
-// notAHandler spawns a goroutine but handles no fault events; poolspawn,
-// not recoverpath, owns that rule.
-func notAHandler() {
-	go func() {}()
 }

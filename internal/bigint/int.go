@@ -146,20 +146,16 @@ func (x Int) Add(y Int) Int {
 		return y
 	}
 	if x.neg == y.neg {
-		z := natAdd(x.abs, y.abs)
-		if len(z) == 0 {
-			return Int{}
-		}
-		return Int{neg: x.neg, abs: z}
+		return Int{neg: x.neg, abs: natAddTo(make(nat, max(len(x.abs), len(y.abs))+1), x.abs, y.abs)}
 	}
 	// Signs differ: subtract the smaller magnitude from the larger.
 	switch natCmp(x.abs, y.abs) {
 	case 0:
 		return Int{}
 	case 1:
-		return Int{neg: x.neg, abs: natSub(x.abs, y.abs)}
+		return Int{neg: x.neg, abs: natSubTo(make(nat, len(x.abs)), x.abs, y.abs)}
 	default:
-		return Int{neg: y.neg, abs: natSub(y.abs, x.abs)}
+		return Int{neg: y.neg, abs: natSubTo(make(nat, len(y.abs)), y.abs, x.abs)}
 	}
 }
 
@@ -196,14 +192,14 @@ func (x Int) MulInt64(v int64) Int {
 	} else {
 		u = uint64(v)
 	}
-	return Int{neg: neg, abs: natMulWord(x.abs, u)}
+	return Int{neg: neg, abs: natMulWordTo(make(nat, len(x.abs)+1), x.abs, u)}
 }
 
 // QuoRemWord returns (q, r) with x = q*w + r and 0 <= r < w, for positive x.
 // For negative x it returns the quotient and remainder of |x| with q negated
 // (truncated division). It panics if w == 0.
 func (x Int) QuoRemWord(w uint64) (Int, uint64) {
-	q, r := natDivWord(x.abs, w)
+	q, r := natDivWordTo(make(nat, len(x.abs)), x.abs, w)
 	if len(q) == 0 {
 		return Int{}, r
 	}
@@ -241,7 +237,7 @@ func (x Int) DivExactInt64(v int64) Int {
 	if u == 1 {
 		return Int{neg: neg && len(x.abs) != 0, abs: x.abs} // Ints are immutable: sharing the limbs is safe
 	}
-	q, r := natDivWord(x.abs, u)
+	q, r := natDivWordTo(make(nat, len(x.abs)), x.abs, u)
 	if r != 0 {
 		panic(fmt.Sprintf("bigint: DivExactInt64: %v not divisible by %d", x, v))
 	}
@@ -251,13 +247,12 @@ func (x Int) DivExactInt64(v int64) Int {
 	return Int{neg: neg, abs: q}
 }
 
-// Shl returns x << s.
+// Shl returns x << s. A zero shift or a zero x returns x, limbs shared.
 func (x Int) Shl(s uint) Int {
-	z := natShl(x.abs, s)
-	if len(z) == 0 {
-		return Int{}
+	if s == 0 || len(x.abs) == 0 {
+		return x
 	}
-	return Int{neg: x.neg, abs: z}
+	return Int{neg: x.neg, abs: natShlTo(make(nat, len(x.abs)+int(s/64)+1), x.abs, s)}
 }
 
 // Extract returns bits [lo, lo+width) of |x| as a non-negative Int.
@@ -298,10 +293,10 @@ func (x Int) String() string {
 	// Repeatedly divide by 10^19 (largest power of ten in a uint64).
 	const chunk = 10000000000000000000 // 10^19
 	var groups []uint64
-	n := x.abs
+	n := append(nat(nil), x.abs...) // divided in place
 	for len(n) > 0 {
 		var r uint64
-		n, r = natDivWord(n, chunk)
+		n, r = natDivWordTo(n, n, chunk)
 		groups = append(groups, r)
 	}
 	var b strings.Builder

@@ -54,47 +54,6 @@ func natCmp(x, y nat) int {
 	return 0
 }
 
-// natAdd returns x + y.
-func natAdd(x, y nat) nat {
-	if len(x) < len(y) {
-		x, y = y, x
-	}
-	z := make(nat, len(x)+1)
-	var carry uint64
-	i := 0
-	for ; i < len(y); i++ {
-		var c1, c2 uint64
-		z[i], c1 = bits.Add64(x[i], y[i], 0)
-		z[i], c2 = bits.Add64(z[i], carry, 0)
-		carry = c1 + c2
-	}
-	for ; i < len(x); i++ {
-		z[i], carry = bits.Add64(x[i], carry, 0)
-	}
-	z[len(x)] = carry
-	return z.norm()
-}
-
-// natSub returns x - y; it panics if x < y (callers handle signs).
-func natSub(x, y nat) nat {
-	if natCmp(x, y) < 0 {
-		panic("bigint: natSub underflow")
-	}
-	z := make(nat, len(x))
-	var borrow uint64
-	i := 0
-	for ; i < len(y); i++ {
-		z[i], borrow = bits.Sub64(x[i], y[i], borrow)
-	}
-	for ; i < len(x); i++ {
-		z[i], borrow = bits.Sub64(x[i], 0, borrow)
-	}
-	if borrow != 0 {
-		panic("bigint: natSub borrow out")
-	}
-	return z.norm()
-}
-
 // natMul returns x * y, climbing the crossover ladder (ladder.go). Small
 // operands use the schoolbook kernel — the paper's Θ(n²) "hardware multiply"
 // and the base case beneath the Toom-Cook recursion; mid-size operands use
@@ -109,63 +68,6 @@ func natMul(x, y nat) nat {
 		x, y = y, x
 	}
 	return mulLadder(make(nat, len(x)+len(y)), x, y)
-}
-
-// natMulWord returns x * w.
-func natMulWord(x nat, w uint64) nat {
-	if len(x) == 0 || w == 0 {
-		return nil
-	}
-	z := make(nat, len(x)+1)
-	var carry uint64
-	for i, xi := range x {
-		hi, lo := bits.Mul64(xi, w)
-		var c uint64
-		lo, c = bits.Add64(lo, carry, 0)
-		z[i] = lo
-		carry = hi + c
-	}
-	z[len(x)] = carry
-	return z.norm()
-}
-
-// natDivWord returns (q, r) with x = q*w + r, 0 <= r < w. It panics if w==0.
-func natDivWord(x nat, w uint64) (nat, uint64) {
-	if w == 0 {
-		panic("bigint: division by zero word")
-	}
-	if len(x) == 0 {
-		return nil, 0
-	}
-	q := make(nat, len(x))
-	var r uint64
-	for i := len(x) - 1; i >= 0; i-- {
-		q[i], r = bits.Div64(r, x[i], w)
-	}
-	return q.norm(), r
-}
-
-// natShl returns x << s for s >= 0.
-func natShl(x nat, s uint) nat {
-	if len(x) == 0 || s == 0 {
-		z := make(nat, len(x))
-		copy(z, x)
-		return z.norm()
-	}
-	limbs := s / 64
-	bitsOff := s % 64
-	z := make(nat, len(x)+int(limbs)+1)
-	if bitsOff == 0 {
-		copy(z[limbs:], x)
-		return z.norm()
-	}
-	var carry uint64
-	for i, xi := range x {
-		z[int(limbs)+i] = xi<<bitsOff | carry
-		carry = xi >> (64 - bitsOff)
-	}
-	z[int(limbs)+len(x)] = carry
-	return z.norm()
 }
 
 // natBitLen returns the number of bits needed to represent x (0 for 0).

@@ -140,8 +140,8 @@ func (c *Code) Encode(data [][]bigint.Int) ([][]bigint.Int, error) {
 //	r_i − Σ_{l intact} η_i^l·d_l = Σ_{l erased} η_i^l·d_l,
 //
 // an s×s Vandermonde-minor system (s = number of erased data letters) that
-// is invertible by the MDS property and solved exactly over ℚ; the solution
-// is integral because the true data is.
+// is invertible by the MDS property and solved exactly over ℚ by Solve; the
+// solution is integral because the true data is.
 func (c *Code) Decode(surviving map[int][]bigint.Int, redundancy map[int][]bigint.Int) (map[int][]bigint.Int, error) {
 	var erased []int
 	for l := 0; l < c.K; l++ {
@@ -175,22 +175,9 @@ func (c *Code) Decode(surviving map[int][]bigint.Int, redundancy map[int][]bigin
 		width = len(redundancy[rows[0]])
 	}
 
-	// Build the s×s system matrix A with A[r][j] = η_{rows[r]}^{erased[j]}.
-	s := len(erased)
-	a := mat.New(s, s)
-	for r, ri := range rows {
-		for j, l := range erased {
-			a.Set(r, j, rat.FromInt64(c.e[ri][l]))
-		}
-	}
-	ainv, err := a.Inverse()
-	if err != nil {
-		return nil, fmt.Errorf("erasure: decode system singular (nodes not distinct?): %w", err)
-	}
-
 	// Right-hand side: b_r = redundancy[rows[r]] − Σ_{intact l} η^l·d_l,
 	// element-wise over the letter width.
-	b := make([][]bigint.Int, s)
+	b := make([][]bigint.Int, len(rows))
 	for r, ri := range rows {
 		letter := redundancy[ri]
 		if len(letter) != width {
@@ -219,29 +206,70 @@ func (c *Code) Decode(surviving map[int][]bigint.Int, redundancy map[int][]bigin
 		}
 		b[r] = row
 	}
-
-	// x = A⁻¹·b, element-wise across the letter width; results must be
-	// integers.
-	out := make(map[int][]bigint.Int, s)
+	letters, _, err := c.Solve(rows, erased, b)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[int][]bigint.Int, len(erased))
 	for j, l := range erased {
-		letter := make([]bigint.Int, width)
-		for col := 0; col < width; col++ {
-			acc := rat.Zero()
-			for r := 0; r < s; r++ {
-				entry := ainv.At(j, r)
-				if entry.IsZero() || b[r][col].IsZero() {
-					continue
-				}
-				acc = acc.Add(entry.MulInt(b[r][col]))
-			}
-			if !acc.IsInt() {
-				return nil, fmt.Errorf("erasure: non-integral decode (corrupted letters?)")
-			}
-			letter[col] = acc.Int()
-		}
-		out[l] = letter
+		out[l] = letters[j]
 	}
 	return out, nil
+}
+
+// Solve solves the Vandermonde-minor system of a repair: given, for each
+// redundancy row rows[r], the residual rhs[r] = Σ_v η_{rows[r]}^{erased[v]}·x_v
+// (element-wise over the letter width), it returns the erased data letters
+// x_v in the order of erased, and the solve's word work: one term per
+// nonzero inverse entry times nonzero residual element, at that element's
+// length in words. The minor is invertible by the MDS property, and the
+// solution is exactly integral when the residuals are consistent.
+func (c *Code) Solve(rows, erased []int, rhs [][]bigint.Int) ([][]bigint.Int, int64, error) {
+	s := len(erased)
+	if s == 0 {
+		return nil, 0, nil
+	}
+	if len(rows) != s || len(rhs) != s {
+		return nil, 0, fmt.Errorf("erasure: %d erased letters need %d redundancy rows and residuals, got %d and %d", s, s, len(rows), len(rhs))
+	}
+	a := mat.New(s, s)
+	for r, ri := range rows {
+		for v, l := range erased {
+			a.Set(r, v, rat.FromInt64(c.e[ri][l]))
+		}
+	}
+	inv, err := a.Inverse()
+	if err != nil {
+		return nil, 0, fmt.Errorf("erasure: decode minor singular: %w", err)
+	}
+	width := len(rhs[0])
+	for r := range rhs {
+		if len(rhs[r]) != width {
+			return nil, 0, fmt.Errorf("erasure: ragged residual %d", r)
+		}
+	}
+	out := make([][]bigint.Int, s)
+	var work int64
+	for v := range erased {
+		letter := make([]bigint.Int, width)
+		for t := range letter {
+			acc := rat.Zero()
+			for r := 0; r < s; r++ {
+				coef := inv.At(v, r)
+				if coef.IsZero() || rhs[r][t].IsZero() {
+					continue
+				}
+				acc = acc.Add(coef.MulInt(rhs[r][t]))
+				work += rhs[r][t].Words()
+			}
+			if !acc.IsInt() {
+				return nil, 0, fmt.Errorf("erasure: non-integral decode (corrupted letters?)")
+			}
+			letter[t] = acc.Int()
+		}
+		out[v] = letter
+	}
+	return out, work, nil
 }
 
 // GeneratorMatrix returns the full (K+F)×K generator (I_K ; E) as a rational

@@ -213,3 +213,30 @@ func TestLinearity(t *testing.T) {
 		}
 	}
 }
+
+// TestSolve: Solve, the repair's minor solve, returns the erased letters
+// and charges one word term per nonzero inverse entry and residual, and
+// refuses residual systems no codeword produces. On nodes 1, 2 the minor
+// for letters 1, 2 is [[1, 1], [2, 4]], of determinant 2.
+func TestSolve(t *testing.T) {
+	c, _ := New(3, 2)
+	rows, erased := []int{0, 1}, []int{1, 2}
+	col := func(v int64) []bigint.Int { return []bigint.Int{bigint.FromInt64(v)} }
+	// x1 = 1, x2 = 2: residuals 1 + 2 = 3 and 2 + 8 = 10.
+	got, work, err := c.Solve(rows, erased, [][]bigint.Int{col(3), col(10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got[0][0].Equal(bigint.FromInt64(1)) || !got[1][0].Equal(bigint.FromInt64(2)) {
+		t.Errorf("Solve = %v, %v, want 1, 2", got[0][0], got[1][0])
+	}
+	if work != 4 { // a dense 2×2 inverse times two one-word residuals
+		t.Errorf("work = %d, want 4", work)
+	}
+	if _, _, err := c.Solve(rows, erased, [][]bigint.Int{col(0), col(1)}); err == nil {
+		t.Error("non-integral solution should fail")
+	}
+	if _, _, err := c.Solve(rows, erased, [][]bigint.Int{col(3)}); err == nil {
+		t.Error("one residual for two erasures should fail")
+	}
+}

@@ -8,8 +8,6 @@ import (
 	"repro/internal/collective"
 	"repro/internal/erasure"
 	"repro/internal/machine"
-	"repro/internal/mat"
-	"repro/internal/rat"
 )
 
 // Ctx is the per-processor durable context: the data the linear code
@@ -190,8 +188,8 @@ func (c *Coder) encode(p *machine.Proc, vec []bigint.Int, zeroLen int, admit fun
 // column the lowest dead worker leads: for as many live code rows i as the
 // column lost shards, it reduces Σ_{alive r} η_i^r·vec_r from the survivors
 // and subtracts it from code row i's codeword (cw on the code processor),
-// solves the Vandermonde minor for the lost shards, and sends each victim
-// its own. It returns this rank's vec, restored on a victim, and the dead
+// solves the Vandermonde minor for the lost shards (erasure.Code.Solve,
+// charged as its word work), and sends each victim its own. It returns this rank's vec, restored on a victim, and the dead
 // code cells (code row, column).
 func (c *Coder) repair(p *machine.Proc, ev []machine.FaultEvent, skip map[int]bool, vec, cw []bigint.Int, zeroLen int, tag func(i, j int) string, shareTag func(j int) string) ([]bigint.Int, map[[2]int]bool, error) {
 	lay := c.lay
@@ -273,10 +271,11 @@ func (c *Coder) repair(p *machine.Proc, ev []machine.FaultEvent, skip map[int]bo
 
 		// Leader solves the Vandermonde minor and distributes the shards.
 		if amLeader {
-			shares, err := c.solveMinor(p, codeRows, dead, residuals)
+			shares, work, err := c.code.Solve(codeRows, dead, residuals)
 			if err != nil {
 				return nil, nil, err
 			}
+			p.Work(work)
 			for vi, r := range dead {
 				target := lay.Worker(r, j)
 				if target == leader {
@@ -296,49 +295,6 @@ func (c *Coder) repair(p *machine.Proc, ev []machine.FaultEvent, skip map[int]bo
 		}
 	}
 	return vec, deadCode, nil
-}
-
-// solveMinor solves the s×s Vandermonde-minor system: given residuals
-// residual_i = Σ_{v} η_i^{r_v}·x_v for the live code rows i and dead rows
-// r_v, it returns the x_v vectors. The minor is invertible by the MDS
-// property (Definition 2.7) and the solution is exactly integral.
-func (c *Coder) solveMinor(p *machine.Proc, codeRows, deadRows []int, residuals [][]bigint.Int) ([][]bigint.Int, error) {
-	s := len(deadRows)
-	a := mat.New(s, s)
-	for i := 0; i < s; i++ {
-		row := c.code.RedundancyRow(codeRows[i])
-		for v := 0; v < s; v++ {
-			a.Set(i, v, rat.FromInt64(row[deadRows[v]]))
-		}
-	}
-	inv, err := a.Inverse()
-	if err != nil {
-		return nil, fmt.Errorf("ftengine: decode minor singular: %w", err)
-	}
-	width := len(residuals[0])
-	out := make([][]bigint.Int, s)
-	var work int64
-	for v := 0; v < s; v++ {
-		vec := make([]bigint.Int, width)
-		for t := 0; t < width; t++ {
-			acc := rat.Zero()
-			for i := 0; i < s; i++ {
-				coef := inv.At(v, i)
-				if coef.IsZero() || residuals[i][t].IsZero() {
-					continue
-				}
-				acc = acc.Add(coef.MulInt(residuals[i][t]))
-				work += residuals[i][t].Words()
-			}
-			if !acc.IsInt() {
-				return nil, fmt.Errorf("ftengine: non-integral decode (corrupted data?)")
-			}
-			vec[t] = acc.Int()
-		}
-		out[v] = vec
-	}
-	p.Work(work)
-	return out, nil
 }
 
 func seq(n int) []int {

@@ -501,7 +501,7 @@ func (e *engine) computeDenLCM() error {
 			if err != nil {
 				return err
 			}
-			l = lcm64(l, w.den)
+			l = toom.LCM64(l, w.den)
 			if l <= 0 {
 				return fmt.Errorf("ftparallel: interpolation denominator lcm overflows int64")
 			}
@@ -519,26 +519,6 @@ func (e *engine) computeDenLCM() error {
 	}
 	e.denLCM = l
 	return nil
-}
-
-func gcd64(a, b int64) int64 {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcm64(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	return a / gcd64(a, b) * b
 }
 
 // interpFor returns the scaled interpolation matrix for a surviving column

@@ -49,12 +49,13 @@ type network struct {
 	cur    *barrier     // the generation ranks are arriving at
 	idle   *barrier     // a fully read generation, reused by the next
 	faults []FaultEvent // every fault injected, in arrival order
+	// misses counts, per pair slot, the deadline receives that gave up
+	// before their message came (the wall clock's miss): each such message
+	// may arrive later and stay queued in that pair's FIFO. Made on the
+	// first miss.
+	misses map[int]int
 
 	closed atomic.Bool // set by close, once Run has returned
-	// missed counts the deadline receives that gave up before their
-	// message came (the wall clock's miss): each such message may arrive
-	// later and stay queued.
-	missed atomic.Int64
 }
 
 // barrier is one generation of the rendezvous. Waiters hold the pointer;
@@ -102,34 +103,30 @@ func (n *network) pair(from, to int) chan message {
 // close returns every empty FIFO to the free list. A FIFO still holding
 // messages — a straggler's late report that nobody received — is dropped,
 // never reused. Call it only once every rank's program has returned; from
-// then on send, recv and barrier fail. It returns an error naming one
-// undelivered message when more messages are left than deadline receives
-// gave up waiting for. A second call does nothing.
+// then on send, recv and barrier fail. It returns an error naming the first
+// pair, in slot order, whose FIFO holds more messages than that pair's
+// deadline receives gave up waiting for, and the tag at its head. A second
+// call does nothing.
 func (n *network) close() error {
 	n.closed.Store(true)
-	var left int64
-	from, to, tag := 0, 0, ""
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var stray error
 	for i := range n.slots {
 		c := n.slots[i].Swap(nil)
 		switch {
 		case c == nil:
 		case len(*c) == 0:
 			n.free.put(c)
-		default:
-			if left == 0 {
-				// Read the head's tag and queue it again: no sender is
-				// left, so the dropped FIFO keeps its count.
-				msg := <-*c
-				*c <- msg
-				from, to, tag = i/n.p, i%n.p, msg.tag
-			}
-			left += int64(len(*c))
+		case stray == nil && len(*c) > n.misses[i]:
+			// Read the head's tag and queue it again: no sender is left,
+			// so the dropped FIFO keeps its count.
+			msg := <-*c
+			*c <- msg
+			stray = fmt.Errorf("machine: proc %d sent %q to proc %d, which never received it (protocol error)", i/n.p, msg.tag, i%n.p)
 		}
 	}
-	if left <= n.missed.Load() {
-		return nil
-	}
-	return fmt.Errorf("machine: proc %d sent %q to proc %d, which never received it (protocol error)", from, tag, to)
+	return stray
 }
 
 // send enqueues msg for rank `to`. A full FIFO fails the send on the sim
@@ -167,7 +164,12 @@ func (n *network) recv(p *Proc, from int, tag string, wait time.Duration, missOK
 	case err != nil:
 		return msg, false, fmt.Errorf("machine: proc %d recv from %d canceled: %w", p.id, from, err)
 	case expired && missOK:
-		n.missed.Add(1)
+		n.mu.Lock()
+		if n.misses == nil {
+			n.misses = map[int]int{}
+		}
+		n.misses[from*n.p+p.id]++
+		n.mu.Unlock()
 		return msg, false, nil
 	case expired:
 		return msg, false, fmt.Errorf("machine: proc %d timed out waiting for tag %q from %d", p.id, tag, from)

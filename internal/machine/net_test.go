@@ -418,8 +418,7 @@ func TestUndeliveredMessageFailsRun(t *testing.T) {
 				return nil
 			}, `proc 1 sent "/x" to proc 2, which never received it (protocol error)`},
 			{"late report", lateReport(false), ""},
-			// On wall, either leftover message may be the one named.
-			{"stray after late report", lateReport(true), "which never received it (protocol error)"},
+			{"stray after late report", lateReport(true), `proc 2 sent "/y" to proc 0, which never received it (protocol error)`},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
 				m, err := New(Config{P: 3, Backend: b, Alpha: 1e-9, Beta: 1e-9, Gamma: 1, WallTimeDilation: time.Millisecond}, nil)

@@ -140,8 +140,8 @@ func (alg *Algorithm) MulWithErasures(a, b bigint.Int, dead []int) (bigint.Int, 
 		maxBits = b.BitLen()
 	}
 	shift := (maxBits + kl - 1) / kl
-	da := digitsOf(a, kl, shift)
-	db := digitsOf(b, kl, shift)
+	da := toom.SplitDigits(a, kl, shift)
+	db := toom.SplitDigits(b, kl, shift)
 
 	// Evaluation at all (2k-1)^l + f points.
 	ea := toom.ApplyRows(alg.u, da)
@@ -179,7 +179,7 @@ func (alg *Algorithm) MulWithErasures(a, b bigint.Int, dead []int) (bigint.Int, 
 
 	// Recompose the multivariate product polynomial at the base tower
 	// (Claim 2.1's variable assignment y_j = 2^{shift·k^{l-j}}).
-	z := evalBase2Tower(coeffs, alg.K, alg.L, shift)
+	z := toom.RecomposeTower(coeffs, alg.K, alg.L, shift)
 	if neg {
 		z = z.Neg()
 	}
@@ -217,42 +217,6 @@ func (alg *Algorithm) interpFor(surv []int) (cachedW, error) {
 // position (exponential check; intended for tests and setup validation).
 func (alg *Algorithm) GeneralPosition() bool {
 	return points.InGeneralPosition(alg.pts, 2*alg.K-1, alg.L)
-}
-
-// evalBase2Tower evaluates the product polynomial of Poly_{2k-1,l} whose
-// coefficients are coeffs, in the monomial order of points.Monomials, with
-// variable y_j set to 2^{shift·k^{l-j}}: the final recomposition of
-// lazy-interpolation Toom-Cook, where the digits were split in base
-// 2^shift and the tower of variables stands for the nested digit bases.
-func evalBase2Tower(coeffs []bigint.Int, k, l, shift int) bigint.Int {
-	// Weight of variable d (0-based, most significant first): k^{l-1-d}·shift bits.
-	weights := make([]int, l)
-	w := 1
-	for d := l - 1; d >= 0; d-- {
-		weights[d] = w * shift
-		w *= k
-	}
-	acc := bigint.Zero()
-	for idx, e := range points.Monomials(2*k-1, l) {
-		c := coeffs[idx]
-		if c.IsZero() {
-			continue
-		}
-		bits := 0
-		for d := 0; d < l; d++ {
-			bits += e[d] * weights[d]
-		}
-		acc = acc.Add(c.Shl(uint(bits)))
-	}
-	return acc
-}
-
-func digitsOf(v bigint.Int, n, shift int) []bigint.Int {
-	out := make([]bigint.Int, n)
-	for i := 0; i < n; i++ {
-		out[i] = v.Extract(i*shift, shift)
-	}
-	return out
 }
 
 func pow(b, e int) int {

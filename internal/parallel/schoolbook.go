@@ -6,6 +6,7 @@ import (
 	"repro/internal/bigint"
 	"repro/internal/collective"
 	"repro/internal/machine"
+	"repro/internal/toom"
 )
 
 // SchoolbookOptions configures a parallel schoolbook multiplication.
@@ -53,12 +54,8 @@ func MultiplySchoolbook(a, b bigint.Int, opts SchoolbookOptions) (*SchoolbookRes
 
 	// Pre-distributed inputs: the diagonal processor (i, i) holds blocks
 	// a_i and b_i (unmetered starting state, as in the Toom-Cook engines).
-	aBlocks := make([]bigint.Int, s)
-	bBlocks := make([]bigint.Int, s)
-	for i := 0; i < s; i++ {
-		aBlocks[i] = aAbs.Extract(i*shift, shift)
-		bBlocks[i] = bAbs.Extract(i*shift, shift)
-	}
+	aBlocks := toom.SplitDigits(aAbs, s, shift)
+	bBlocks := toom.SplitDigits(bAbs, s, shift)
 
 	cfg := opts.Machine
 	cfg.P = opts.P

@@ -217,13 +217,7 @@ func (c *Corrector) MulWithSoftFaults(a, b bigint.Int, corrupt map[int]bigint.In
 		maxBits = b.BitLen()
 	}
 	shift := (maxBits + c.K - 1) / c.K
-	da := make([]bigint.Int, c.K)
-	db := make([]bigint.Int, c.K)
-	for i := 0; i < c.K; i++ {
-		da[i] = a.Extract(i*shift, shift)
-		db[i] = b.Extract(i*shift, shift)
-	}
-	vals := c.Products(da, db)
+	vals := c.Products(toom.SplitDigits(a, c.K, shift), toom.SplitDigits(b, c.K, shift))
 	for idx, delta := range corrupt {
 		if idx < 0 || idx >= len(vals) {
 			return bigint.Int{}, nil, fmt.Errorf("softfault: corruption index %d out of range", idx)

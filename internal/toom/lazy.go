@@ -14,8 +14,8 @@ import (
 //
 // By Claim 2.1 this computes a product of two l-variable polynomials in
 // Poly_{k,l}; the block-wise structure is exactly what the parallel BFS
-// steps distribute, which is why the parallel engine in internal/parallel
-// calls the same block primitives.
+// steps distribute, where internal/parallel's EvalRowBlocks and Fold apply
+// the same evaluation and interpolation rows to blocks spread over ranks.
 func (alg *Algorithm) MulLazy(a, b bigint.Int, depth int) (bigint.Int, error) {
 	return alg.MulLazyWithStats(a, b, depth, nil)
 }
@@ -44,15 +44,15 @@ func (alg *Algorithm) MulLazyWithStats(a, b bigint.Int, depth int, stats *Stats)
 	// One shared base for the entire recursion (Algorithm 2, line 4).
 	shift := (maxBits + numDigits - 1) / numDigits
 
-	da := splitDigitVector(a, numDigits, shift)
-	db := splitDigitVector(b, numDigits, shift)
+	da := SplitDigits(a, numDigits, shift)
+	db := SplitDigits(b, numDigits, shift)
 
 	coeffs := alg.lazyRecurse(da, db, depth, stats)
 
 	// Postponed carry computation: coefficients are indexed by base-(2k-1)
 	// tuples; coefficient at tuple e contributes at bit offset
 	// shift·Σ e_i·k^{l-1-i}.
-	z := recomposeTower(coeffs, alg.k, 2*alg.k-1, depth, shift)
+	z := RecomposeTower(coeffs, alg.k, depth, shift)
 	if neg {
 		z = z.Neg()
 	}
@@ -137,19 +137,14 @@ func toBlocks(v []bigint.Int, n, blockLen int) [][]bigint.Int {
 	return blocks
 }
 
-// splitDigitVector returns the n digits of |a| in base 2^shift.
-func splitDigitVector(a bigint.Int, n, shift int) []bigint.Int {
-	d := make([]bigint.Int, n)
-	for i := 0; i < n; i++ {
-		d[i] = a.Extract(i*shift, shift)
-	}
-	return d
-}
-
-// recomposeTower evaluates coefficients indexed by base-r exponent tuples
-// (most significant variable first, matching the block recursion) at the
-// base tower y_j = 2^{shift·k^{l-1-j}}.
-func recomposeTower(coeffs []bigint.Int, k, r, depth, shift int) bigint.Int {
+// RecomposeTower evaluates a product polynomial of Poly_{2k-1,depth} at the
+// base tower y_j = 2^{shift·k^{depth-1-j}}: the final carry propagation of
+// lazy-interpolation Toom-Cook, where the digits were split in base 2^shift
+// and the tower of variables stands for the nested digit bases. The
+// coefficients are indexed by base-(2k-1) exponent tuples, first variable
+// most significant (the block recursion's order, and points.Monomials').
+func RecomposeTower(coeffs []bigint.Int, k, depth, shift int) bigint.Int {
+	r := 2*k - 1
 	// weights[j] = bits contributed per unit exponent of variable j.
 	weights := make([]int, depth)
 	w := 1

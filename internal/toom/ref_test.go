@@ -42,8 +42,8 @@ func (alg *Algorithm) refMulAbs(a, b bigint.Int, stats *Stats) bigint.Int {
 	}
 	k := alg.k
 	shift := (maxBits + k - 1) / k
-	ea := alg.refEvalDigits(splitDigits(a, k, shift), stats)
-	eb := alg.refEvalDigits(splitDigits(b, k, shift), stats)
+	ea := alg.refEvalDigits(SplitDigits(a, k, shift), stats)
+	eb := alg.refEvalDigits(SplitDigits(b, k, shift), stats)
 	prods := make([]bigint.Int, 2*k-1)
 	for i := range prods {
 		prods[i] = alg.refMulWithStats(ea[i], eb[i], stats)
@@ -137,41 +137,9 @@ func (alg *Algorithm) refInterpolate(prods []bigint.Int, stats *Stats) []bigint.
 	return out
 }
 
-func (alg *Algorithm) refSquareWithStats(a bigint.Int, stats *Stats) bigint.Int {
-	a = a.Abs()
-	if a.IsZero() {
-		return bigint.Zero()
-	}
-	maxBits := a.BitLen()
-	if maxBits <= alg.thresholdBits {
-		if stats != nil {
-			stats.BaseMuls++
-			stats.chargeWords(a.Words() * a.Words())
-		}
-		return a.Mul(a)
-	}
-	if stats != nil {
-		stats.RecursiveCalls++
-	}
-	k := alg.k
-	shift := (maxBits + k - 1) / k
-	ea := alg.refEvalDigits(splitDigits(a, k, shift), stats)
-	prods := make([]bigint.Int, 2*k-1)
-	for i := range prods {
-		prods[i] = alg.refSquareWithStats(ea[i], stats)
-	}
-	coeffs := alg.refInterpolate(prods, stats)
-	if stats != nil {
-		for _, c := range coeffs {
-			stats.chargeWords(c.Words())
-		}
-	}
-	return Recompose(coeffs, shift)
-}
-
 // TestStepWrappersMatchReference: the exported one-step wrappers (which run
-// the recursion's own step routines on a pooled frame) and SquareWithStats
-// return what the Int-based reference returns and charge what it charges.
+// the recursion's own step routines on a pooled frame) return what the
+// Int-based reference returns and charge what it charges.
 func TestStepWrappersMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1204))
 	for _, k := range []int{2, 3, 4} {
@@ -203,10 +171,6 @@ func TestStepWrappersMatchReference(t *testing.T) {
 					if !co[i].Equal(coRef[i]) {
 						t.Fatalf("k=%d: Interpolate[%d] differs from the reference", k, i)
 					}
-				}
-				a := randOperand(rng, 6000)
-				if !alg.SquareWithStats(a, &got).Equal(alg.refSquareWithStats(a, &want)) {
-					t.Fatalf("k=%d: SquareWithStats differs from the reference", k)
 				}
 				if got != want {
 					t.Fatalf("k=%d: stats %+v, reference %+v", k, got, want)

@@ -587,10 +587,12 @@ func rowsWork(rows [][]int64, x []bigint.Acc) int64 {
 	return work
 }
 
-// splitDigits returns the k digits of |a| in base 2^shift (low digit first).
-func splitDigits(a bigint.Int, k, shift int) []bigint.Int {
-	d := make([]bigint.Int, k)
-	for i := 0; i < k; i++ {
+// SplitDigits returns the n digits of |a| in base 2^shift (low digit
+// first), the one digit split of every algorithm here that splits an
+// operand outside the Acc-based recursion.
+func SplitDigits(a bigint.Int, n, shift int) []bigint.Int {
+	d := make([]bigint.Int, n)
+	for i := range d {
 		d[i] = a.Extract(i*shift, shift)
 	}
 	return d
@@ -734,7 +736,7 @@ func scaledIntMatrix(m *mat.Matrix) ([][]int64, int64, error) {
 			if !ok {
 				return nil, 0, fmt.Errorf("denominator at (%d,%d) overflows int64", i, j)
 			}
-			den = lcm64(den, dv)
+			den = LCM64(den, dv)
 			if den <= 0 {
 				return nil, 0, fmt.Errorf("common denominator overflows int64")
 			}
@@ -774,7 +776,10 @@ func gcd64(a, b int64) int64 {
 	return a
 }
 
-func lcm64(a, b int64) int64 {
+// LCM64 returns the least common multiple of positive a and b (0 when
+// either is 0). It does not detect overflow: callers that fold many
+// denominators check that the running value stays positive.
+func LCM64(a, b int64) int64 {
 	if a == 0 || b == 0 {
 		return 0
 	}

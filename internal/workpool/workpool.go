@@ -3,8 +3,8 @@
 // per-prime tasks and the butterfly stages they split. It is a package of
 // its own so bigint, beneath every other layer, can fork through
 // process-wide GOMAXPROCS slots without spawning raw goroutines (the ftlint
-// poolspawn analyzer enforces that statically for every governed package,
-// this one included).
+// poolspawn analyzer enforces that statically for every package, this one
+// included).
 //
 // Submission never blocks: Fork runs the task inline when no slot is free.
 // That property is what makes the pool safe for *recursive* fan-out — a

@@ -6,8 +6,8 @@ import (
 )
 
 // ModExp computes base^exp mod m (exp ≥ 0, m > 0) by square-and-multiply
-// with this library's Toom-Cook multiplier as the product kernel — the
-// cryptographic use the paper's introduction motivates. Reductions use
+// with this library's Mul and Square (the kernel ladder) as the product
+// kernel — the cryptographic use the paper's introduction motivates. Reductions use
 // math/big's division (division is not this library's subject).
 func ModExp(base, exp, m *big.Int) (*big.Int, error) {
 	if m.Sign() <= 0 {
