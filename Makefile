@@ -152,8 +152,10 @@ census:
 mutants:
 	@bash scripts/mutants.sh
 
-# Seconds: every catalogue patch still applies (git apply --check), so an
-# edit that moves a seeded line fails in the change that moved it.
+# Seconds: every catalogue patch still applies, so an edit that moves a
+# seeded line fails in the change that moved it, and each patch aimed at an
+# analyzer (accown, poolspawn, recoverpath, modbound) is applied to a temp
+# copy of the tracked tree and must be reported by that analyzer.
 mutants-check:
 	@bash scripts/mutants.sh check
 

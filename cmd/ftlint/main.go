@@ -1,19 +1,19 @@
 // Command ftlint machine-checks the invariants that keep the hot path and
-// the paper's accounting honest: pooled accumulator ownership (accown,
-// path-sensitive over the framework's CFG and interprocedural via
-// call-graph summaries), bounded-pool-only concurrency in every package
-// (poolspawn), the Section-4 fault-recovery path (recoverpath: recovery
-// errors, the runtime repair's erasure.Code.Solve included, must be
-// checked), and, on the framework's interval abstract
-// interpretation, the NTT kernel's lazy-arithmetic contracts (modbound:
-// every lazy store provably in [0, 2p), Shoup/REDC preconditions, no
-// uint64 wraparound, strict reduction before CRT recombination). The run
-// also audits the //ftlint:allow comments themselves: an allow that names
-// an unknown analyzer or no longer suppresses anything is a finding
-// (allowaudit). The message protocol is not an analyzer's: the machine
-// checks it on every run (internal/machine), and internal/crosscheck's
-// tests compare the cost accounting with the paper's table. See DESIGN.md
-// "Machine-checked invariants".
+// the paper's accounting honest: pooled accumulator ownership (accown: every
+// NewAcc is `acc := NewAcc()` with `defer acc.Release()` right after it, and
+// the Acc never escapes), bounded-pool-only concurrency in every package
+// (poolspawn), the Section-4 fault-recovery path (recoverpath, through
+// call-graph summaries: recovery errors, the runtime repair's
+// erasure.Code.Solve included, must be checked), and, on the framework's CFG
+// and interval abstract interpretation, the NTT kernel's lazy-arithmetic
+// contracts (modbound: every lazy store provably in [0, 2p), Shoup/REDC
+// preconditions, no uint64 wraparound, strict reduction before CRT
+// recombination). The run also audits the //ftlint:allow comments
+// themselves: an allow that names an unknown analyzer or no longer
+// suppresses anything is a finding (allowaudit). The message protocol is not
+// an analyzer's: the machine checks it on every run (internal/machine), and
+// internal/crosscheck's tests compare the cost accounting with the paper's
+// table. See DESIGN.md "Machine-checked invariants".
 //
 // Usage:
 //

@@ -1,38 +1,33 @@
-// Package accown enforces the pooled-accumulator ownership protocol of
-// bigint.Acc:
+// Package accown checks that every pooled bigint.Acc follows the one
+// idiom the tree uses for it:
 //
-//   - every Acc obtained from NewAcc() must reach Release() in the same
-//     function (typically `defer acc.Release()`), on *every* control-flow
-//     path — a release hidden in one branch of an if, or skipped by an early
-//     return, is a pool leak;
-//   - no method may be called on an Acc after Release: the accumulator is
-//     back in the pool and may already belong to someone else. This includes
-//     uses that only happen on the *next* loop iteration after a release in
-//     the loop body;
-//   - Release must run at most once per acquisition — a double Release
-//     corrupts the pool, including the release a still-armed `defer
-//     acc.Release()` will run at exit after an explicit Release already ran.
+//	acc := bigint.NewAcc()
+//	defer acc.Release()
 //
-// Since PR 3 the checks are flow-sensitive: each Acc's lifecycle runs
-// through the framework's CFG + dataflow protocol checker (see
-// framework/protocol.go), so branch-only releases and loop-carried
-// released states are real fixpoint facts, not lexical approximations.
+// It reports four departures:
 //
-// Since PR 4 the checks are also interprocedural: an Acc passed to another
-// declared function is classified through that callee's summary
-// (framework/summary.go) — a helper that releases it on every path counts
-// as the release, a helper that only uses it leaves the obligation with the
-// caller, and only helpers that store it (or code without a summary)
-// transfer ownership and end local tracking. Deferred releases are modeled
-// as armed protocol states rather than exempting the object, so a deferred
-// release in one branch covers only the paths that execute it, and an Acc
-// captured by a non-deferred closure escapes.
+//   - a NewAcc call that is not the right-hand side of a `:=` defining a
+//     plain name;
+//   - an acquired name that no `defer name.Release()` releases among the
+//     defers right after the acquisition, in the same statement list (a
+//     block or a case clause);
+//   - a Release of an Acc called anywhere else;
+//   - an acquired name used other than as a method receiver or a call
+//     argument: assigned, returned, address-taken or captured by a closure.
 //
-// Take() hands off the accumulated *value* (the Acc stays usable and still
-// owes a Release); an Acc that is returned or stored transfers ownership
-// and is exempted from the local checks. Matching is by name (NewAcc,
-// methods on a type named "Acc"), so the analyzer covers both the real tree
-// and import-free fixtures.
+// No dataflow is needed for the pool's protocol to hold in the function.
+// The deferred Release runs once, when the function returns, after every
+// use the function makes. No other Release can run, so none runs twice or
+// early. And the function cannot keep an Acc it never assigns, returns or
+// captures. (A callee that stores its argument is not checked; no callee
+// in the tree does.) Take hands off the accumulated value, not the Acc, so
+// it is a use like any other method. Correct code in another shape (an
+// explicit Release after the last use, a helper that releases its
+// parameter, a release in a deferred closure) is a finding too: write it
+// in the idiom, or audit it with an `ftlint:allow accown` comment.
+//
+// Matching is by name (NewAcc, and methods on a type named "Acc"), so the
+// analyzer covers both the real tree and import-free fixtures.
 package accown
 
 import (
@@ -45,129 +40,145 @@ import (
 
 var Analyzer = &framework.Analyzer{
 	Name: "accown",
-	Doc:  "check that every NewAcc reaches Release on all paths (flow-sensitive, through helper calls) and that no Acc is used after Release",
+	Doc:  "check that every NewAcc is bound by :=, released by a defer right after it, and never escapes",
 	Run:  run,
 }
 
 func run(pass *framework.Pass) error {
-	framework.FuncDecls(pass.Files, func(fd *ast.FuncDecl) {
-		checkFunc(pass, fd)
-	})
+	for _, f := range pass.Files {
+		checkFile(pass, f)
+	}
 	return nil
 }
 
-func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
-	defers := framework.CollectDeferRanges(fd.Body)
-	closures := framework.CollectBareClosures(fd.Body)
+// checkFile applies the four rules to one file in a single walk. A node is
+// visited before its children, so a statement list's deferred releases are
+// known before their calls are reached, a `:=` before its NewAcc calls, and
+// an acquisition before any use of its name.
+func checkFile(pass *framework.Pass, f *ast.File) {
+	bound := map[*ast.CallExpr]types.Object{} // NewAcc call -> the name its := defines
+	acquired := map[types.Object]bool{}       // the names in bound
+	deferred := map[types.Object]bool{}       // names the defers right after release
+	idiom := map[*ast.CallExpr]bool{}         // the Release calls of those defers
+	stray := map[types.Object]bool{}          // names some other Release releases
+	var stack []ast.Node
 
-	accs := make(map[types.Object]*framework.Lifecycle)
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			if n.Tok == token.DEFINE && len(n.Lhs) == len(n.Rhs) {
-				for i := range n.Lhs {
-					id, ok := n.Lhs[i].(*ast.Ident)
-					if !ok || id.Name == "_" {
-						continue
-					}
-					call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr)
-					if !ok {
-						continue
-					}
-					if callee := framework.CalleeIdent(call); callee != nil && callee.Name == "NewAcc" {
-						if obj := pass.Info.Defs[id]; obj != nil {
-							accs[obj] = framework.NewLifecycle(call.Pos(), "NewAcc")
-						}
-					}
-				}
+			for obj, call := range acquisitions(pass.Info, n) {
+				bound[call] = obj
+				acquired[obj] = true
 			}
-		case *ast.ReturnStmt:
-			// An Acc returned escapes local ownership.
-			for _, expr := range n.Results {
-				if id, ok := ast.Unparen(expr).(*ast.Ident); ok {
-					if lc := accs[pass.Info.Uses[id]]; lc != nil {
-						lc.Escaped = true
-					}
-				}
-			}
+		case *ast.BlockStmt:
+			deferredReleases(pass.Info, n.List, deferred, idiom)
+		case *ast.CaseClause:
+			deferredReleases(pass.Info, n.Body, deferred, idiom)
+		case *ast.CommClause:
+			deferredReleases(pass.Info, n.Body, deferred, idiom)
 		case *ast.CallExpr:
-			// Method call on a tracked Acc variable.
-			if framework.RecvTypeName(pass.Info, n) == "Acc" {
-				if lc := accs[framework.ReceiverObject(pass.Info, n)]; lc != nil {
-					if callee := framework.CalleeIdent(n); callee != nil {
-						kind := framework.ProtoUse
-						if callee.Name == "Release" {
-							kind = framework.ProtoRelease
-						}
-						lc.Place(defers, closures, n.Pos(), kind, callee.Name)
-					}
-				}
+			if isNewAcc(n) && bound[n] == nil {
+				pass.Reportf(n.Pos(), "NewAcc is not the right-hand side of a `:=` defining a plain name: write `acc := NewAcc()` with `defer acc.Release()` right after it")
 			}
-			// An Acc passed as a plain argument: consult the callee's summary
-			// instead of assuming an ownership transfer.
-			for i, arg := range n.Args {
-				id, ok := ast.Unparen(arg).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				lc := accs[pass.Info.Uses[id]]
-				if lc == nil {
-					continue
-				}
-				name := "call"
-				if callee := framework.CalleeIdent(n); callee != nil {
-					name = callee.Name
-				}
-				switch pass.Summaries.ArgEffect(pass.Info, n, i) {
-				case framework.ArgRelease:
-					lc.Place(defers, closures, n.Pos(), framework.ProtoRelease, name)
-				case framework.ArgUse:
-					lc.Place(defers, closures, n.Pos(), framework.ProtoUse, name)
-				default:
-					lc.Escaped = true
-				}
+			if isRelease(pass.Info, n) && !idiom[n] {
+				stray[framework.ReceiverObject(pass.Info, n)] = true
+				pass.Reportf(n.Pos(), "Release of an Acc outside the `defer x.Release()` right after its `x := NewAcc()`: anywhere else it can run twice, early, or not at all")
 			}
-		case *ast.FuncLit:
-			// A bare closure capturing the Acc may run at any time (or
-			// never): any reference inside ends local tracking. Deferred
-			// closures are handled by the defer rules in Place.
-			if !closures.Contains(n.Pos()) {
-				return true
+		case *ast.Ident:
+			if obj := pass.Info.Uses[n]; acquired[obj] && !plainUse(stack, obj) {
+				pass.Reportf(n.Pos(), "Acc %q from NewAcc is used other than as a method receiver or a call argument: assigned, returned, address-taken or captured, it can outlive its deferred Release", n.Name)
 			}
-			ast.Inspect(n.Body, func(m ast.Node) bool {
-				if id, ok := m.(*ast.Ident); ok {
-					if lc := accs[pass.Info.Uses[id]]; lc != nil {
-						lc.Escaped = true
-					}
-				}
-				return true
-			})
 		}
 		return true
 	})
 
-	if len(accs) == 0 {
-		return
-	}
-	cfg := framework.NewCFG(fd.Body)
-	for obj, lc := range accs {
-		framework.CheckLifecycle(pass, cfg, fd.Body, obj, lc, accMessages)
+	for call, obj := range bound { // Run sorts the findings
+		switch {
+		case deferred[obj]: // the idiom
+		case stray[obj]:
+			pass.Reportf(call.Pos(), "Acc %[1]q from NewAcc is not released by a `defer %[1]s.Release()` right after the acquisition", obj.Name())
+		default:
+			pass.Reportf(call.Pos(), "Acc %[1]q from NewAcc is never released back to the pool (add `defer %[1]s.Release()`)", obj.Name())
+		}
 	}
 }
 
-var accMessages = framework.LifecycleMessages{
-	NeverReleased: "Acc %[1]q from NewAcc is never released back to the pool (add `defer %[1]s.Release()`)",
-	Kinds: map[framework.ProtoFindingKind]string{
-		framework.LeakReturn:                "return leaks Acc %q: Release is not deferred and has not run yet on this path",
-		framework.LeakReturnPartial:         "return leaks Acc %q on some path: Release does not run on every path reaching this return",
-		framework.LeakExit:                  "function exit leaks Acc %q: Release never runs before falling off the end",
-		framework.LeakExitPartial:           "Acc %q is not released on every path to the function exit (Release runs in a branch or loop that may be skipped)",
-		framework.UseAfterRelease:           "use of Acc %q after Release: the accumulator is back in the pool",
-		framework.UseAfterReleasePartial:    "use of Acc %q after Release on some path (a branch or previous loop iteration already released it)",
-		framework.DoubleRelease:             "Acc %q released twice: the second Release corrupts the pool",
-		framework.DoubleReleasePartial:      "Acc %q may be released twice (a path reaches this Release with the Acc already released)",
-		framework.DeferDoubleRelease:        "Acc %q exits already released with `defer Release` still armed: the defer releases it a second time",
-		framework.DeferDoubleReleasePartial: "Acc %q may exit already released with `defer Release` still armed (some path releases it explicitly before the defer fires)",
-	},
+// acquisitions maps each new plain name a `:=` defines with NewAcc to that
+// NewAcc call.
+func acquisitions(info *types.Info, as *ast.AssignStmt) map[types.Object]*ast.CallExpr {
+	if as.Tok != token.DEFINE || len(as.Lhs) != len(as.Rhs) {
+		return nil
+	}
+	out := map[types.Object]*ast.CallExpr{}
+	for i, rhs := range as.Rhs {
+		call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+		id, isIdent := as.Lhs[i].(*ast.Ident)
+		if ok && isIdent && isNewAcc(call) && info.Defs[id] != nil {
+			out[info.Defs[id]] = call
+		}
+	}
+	return out
+}
+
+// deferredReleases records, for each acquisition in a statement list, the
+// names released by the run of `defer name.Release()` right after it.
+func deferredReleases(info *types.Info, list []ast.Stmt, deferred map[types.Object]bool, idiom map[*ast.CallExpr]bool) {
+	for i, s := range list {
+		as, ok := s.(*ast.AssignStmt)
+		if !ok {
+			continue
+		}
+		names := acquisitions(info, as)
+		for _, next := range list[i+1:] {
+			d, ok := next.(*ast.DeferStmt)
+			if !ok || !isRelease(info, d.Call) {
+				break
+			}
+			obj := framework.ReceiverObject(info, d.Call)
+			if names[obj] == nil {
+				break
+			}
+			deferred[obj] = true
+			idiom[d.Call] = true
+		}
+	}
+}
+
+// plainUse reports whether the identifier on top of stack, which names
+// obj, is a method call's receiver or a call argument, and not inside a
+// closure that obj is declared outside of.
+func plainUse(stack []ast.Node, obj types.Object) bool {
+	for _, n := range stack {
+		if fl, ok := n.(*ast.FuncLit); ok && fl.Pos() > obj.Pos() {
+			return false
+		}
+	}
+	id := stack[len(stack)-1].(*ast.Ident)
+	switch p := stack[len(stack)-2].(type) {
+	case *ast.SelectorExpr:
+		call, ok := stack[len(stack)-3].(*ast.CallExpr)
+		return p.X == id && ok && call.Fun == p
+	case *ast.CallExpr:
+		for _, arg := range p.Args {
+			if arg == id {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func isNewAcc(call *ast.CallExpr) bool {
+	id := framework.CalleeIdent(call)
+	return id != nil && id.Name == "NewAcc"
+}
+
+func isRelease(info *types.Info, call *ast.CallExpr) bool {
+	id := framework.CalleeIdent(call)
+	return id != nil && id.Name == "Release" && framework.RecvTypeName(info, call) == "Acc"
 }

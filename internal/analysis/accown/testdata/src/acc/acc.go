@@ -14,7 +14,8 @@ func (a *Acc) AddMul(x Int, c int64) {}
 func (a *Acc) Take() Int             { return Int{} }
 func (a *Acc) AddShl(x *Acc, s uint) { a.v += x.v << s }
 
-// ok is the canonical pattern: deferred Release, Take mid-stream is fine.
+// ok is the idiom: a deferred Release right after NewAcc. Take hands off
+// the value; the Acc itself stays usable.
 func ok(xs []Int) Int {
 	acc := NewAcc()
 	defer acc.Release()
@@ -22,17 +23,34 @@ func ok(xs []Int) Int {
 		acc.Add(x)
 	}
 	v := acc.Take()
-	acc.Add(v) // Take hands off the value; the Acc itself stays usable
+	acc.Add(v)
 	return acc.Take()
 }
 
-// okEager releases without defer, after the last use, with no return before.
-func okEager(x Int) Int {
-	acc := NewAcc()
-	acc.Add(x)
-	v := acc.Take()
-	acc.Release()
-	return v
+// okSeveral acquires three at once and defers each Release right after,
+// as toom.Recompose does; an Acc passed to another's method is a call
+// argument.
+func okSeveral(x Int) Int {
+	pos, neg, c := NewAcc(), NewAcc(), NewAcc()
+	defer pos.Release()
+	defer neg.Release()
+	defer c.Release()
+	c.Add(x)
+	neg.Add(x)
+	pos.AddShl(c, 3)
+	return pos.Take()
+}
+
+// okCase holds the idiom in a case clause's statement list.
+func okCase(x Int, k int) Int {
+	switch k {
+	case 0:
+		acc := NewAcc()
+		defer acc.Release()
+		accumulate(acc, x)
+		return acc.Take()
+	}
+	return x
 }
 
 func leak(xs []Int) Int {
@@ -43,49 +61,71 @@ func leak(xs []Int) Int {
 	return acc.Take()
 }
 
+// notDefined hands NewAcc's result straight to a helper: no name is left
+// to defer a Release on.
+func notDefined(x Int) {
+	accumulate(NewAcc(), x) // want "not the right-hand side of a .:=."
+}
+
+// eagerRelease releases after the last use, with no return before: correct
+// today, but an edit that adds an early return leaks.
+func eagerRelease(x Int) Int {
+	acc := NewAcc() // want "not released by a .defer acc.Release\(\). right after"
+	acc.Add(x)
+	v := acc.Take()
+	acc.Release() // want "Release of an Acc outside"
+	return v
+}
+
+// deferAfterUse defers the Release, but not right after NewAcc.
+func deferAfterUse(x Int) Int {
+	acc := NewAcc() // want "not released by a .defer acc.Release\(\). right after"
+	acc.Add(x)
+	defer acc.Release() // want "Release of an Acc outside"
+	return acc.Take()
+}
+
 func earlyReturn(x Int, cond bool) Int {
-	acc := NewAcc()
+	acc := NewAcc() // want "not released by a .defer acc.Release\(\). right after"
 	acc.Add(x)
 	if cond {
-		return Int{} // want "Release is not deferred"
+		return Int{}
 	}
 	v := acc.Take()
-	acc.Release()
+	acc.Release() // want "Release of an Acc outside"
 	return v
 }
 
 func useAfterRelease(x Int) Int {
-	acc := NewAcc()
+	acc := NewAcc() // want "not released by a .defer acc.Release\(\). right after"
 	acc.Add(x)
-	acc.Release()
-	acc.Add(x)        // want "after Release"
-	return acc.Take() // want "after Release"
+	acc.Release() // want "Release of an Acc outside"
+	acc.Add(x)
+	return acc.Take()
 }
 
 func doubleRelease(x Int) {
-	acc := NewAcc()
+	acc := NewAcc() // want "not released by a .defer acc.Release\(\). right after"
 	acc.Add(x)
-	acc.Release()
-	acc.Release() // want "released twice"
+	acc.Release() // want "Release of an Acc outside"
+	acc.Release() // want "Release of an Acc outside"
 }
 
-// handoff passes the Acc to a helper whose summary proves it releases on
-// every path — the release-via-helper counts as the release, verified
-// rather than assumed (pre-PR-4 the analyzer stood down on any handoff).
+// handoff passes the Acc to a helper that releases its parameter: correct,
+// but the caller's acquisition has no Release, and the helper's Release
+// follows no NewAcc.
 func handoff(x Int) {
-	acc := NewAcc()
+	acc := NewAcc() // want "never released back to the pool"
 	acc.Add(x)
 	finish(acc)
 }
 
 func finish(a *Acc) {
-	defer a.Release()
+	defer a.Release() // want "Release of an Acc outside"
 	_ = a.Take()
 }
 
-// helperUseLeak is the shape the intraprocedural analyzer provably could
-// not catch: the helper's summary shows it only *uses* the Acc, so the
-// caller still owes the release — and never pays it.
+// helperUseLeak: the helper only uses the Acc, and nobody releases it.
 func helperUseLeak(x Int) {
 	acc := NewAcc() // want "never released back to the pool"
 	accumulate(acc, x)
@@ -96,123 +136,84 @@ func accumulate(a *Acc, x Int) {
 	a.AddMul(x, 2)
 }
 
-// helperUseThenRelease: a use-only helper followed by the caller's own
-// release is the correct split of responsibilities.
-func helperUseThenRelease(x Int) Int {
-	acc := NewAcc()
-	accumulate(acc, x)
-	v := acc.Take()
-	acc.Release()
-	return v
-}
-
-// helperMaybeRelease hands the Acc to a helper that releases it only on
-// some paths: nothing can be proven either way, so tracking stands down.
-func helperMaybeRelease(x Int, cond bool) {
-	acc := NewAcc()
-	acc.Add(x)
-	maybeFinish(acc, cond)
-}
-
-func maybeFinish(a *Acc, cond bool) {
-	if cond {
-		a.Release()
-	}
-}
-
-// helperEscape hands the Acc to a helper that stores it; ownership
-// genuinely transfers and the local checks stand down.
-func helperEscape(x Int) {
-	acc := NewAcc()
-	acc.Add(x)
-	stash(acc)
-}
-
-var stashed *Acc
-
-func stash(a *Acc) { stashed = a }
-
 // deferThenExplicit releases explicitly while `defer Release` is still
-// armed: the defer fires a second time at exit (pre-PR-4 any deferred
-// Release made the analyzer stand down entirely).
+// armed: the defer releases it a second time.
 func deferThenExplicit(x Int) {
 	acc := NewAcc()
 	defer acc.Release()
 	acc.Add(x)
-	acc.Release()
-} // want "defer releases it a second time"
+	acc.Release() // want "Release of an Acc outside"
+}
 
-// shlThenExplicit hands c to AddShl, which only reads c's fields (a use,
-// not an escape), then releases c explicitly while its defer is armed.
+// shlThenExplicit hands c to AddShl, a call argument, then releases c
+// explicitly while its defer is armed.
 func shlThenExplicit(x Int) Int {
 	pos, c := NewAcc(), NewAcc()
 	defer pos.Release()
 	defer c.Release()
 	c.Add(x)
 	pos.AddShl(c, 3)
-	c.Release()
-	return pos.Take() // want "defer releases it a second time"
+	c.Release() // want "Release of an Acc outside"
+	return pos.Take()
 }
 
-// conditionalDefer arms the release in one branch only; the other path
-// falls off the end still live.
+// conditionalDefer arms the release in one branch only.
 func conditionalDefer(x Int, cond bool) {
-	acc := NewAcc()
+	acc := NewAcc() // want "not released by a .defer acc.Release\(\). right after"
 	if cond {
-		defer acc.Release()
+		defer acc.Release() // want "Release of an Acc outside"
 	}
 	acc.Add(x)
-} // want "not released on every path"
+}
 
-// deferredClosureRelease releases through a deferred closure; the armed
-// state is anchored at the defer and covers every exit.
+// deferredClosureRelease releases in a deferred closure: correct, but the
+// closure captures the Acc.
 func deferredClosureRelease(x Int) Int {
-	acc := NewAcc()
+	acc := NewAcc() // want "not released by a .defer acc.Release\(\). right after"
 	defer func() {
-		acc.Release()
+		acc.Release() // want "used other than as a method receiver" "Release of an Acc outside"
 	}()
 	acc.Add(x)
 	return acc.Take()
 }
 
-// closureCapture hands the Acc to a non-deferred closure: it may run at
-// any time (or never), so local tracking ends — no finding, even though
-// no release is visible on the straight-line path.
-func closureCapture(x Int) func() {
+// escapeReturn hands the Acc to its caller, who may use it after the
+// deferred Release has put it back in the pool.
+func escapeReturn(x Int) *Acc {
 	acc := NewAcc()
+	defer acc.Release()
 	acc.Add(x)
-	return func() { acc.Release() }
+	return acc // want "used other than as a method receiver"
 }
 
-// branchLeak releases only when cond holds; the fall-through path leaks.
-// The pre-PR-3 lexical checker saw "a Release exists" and stayed silent.
+// branchLeak releases only when cond holds.
 func branchLeak(x Int, cond bool) {
-	acc := NewAcc()
+	acc := NewAcc() // want "not released by a .defer acc.Release\(\). right after"
 	acc.Add(x)
 	if cond {
-		acc.Release()
+		acc.Release() // want "Release of an Acc outside"
 	}
-} // want "not released on every path"
-
-// branchUseAfterRelease merges a released and a live state before the Take.
-func branchUseAfterRelease(x Int, cond bool) Int {
-	acc := NewAcc()
-	acc.Add(x)
-	if cond {
-		acc.Release()
-	}
-	return acc.Take() // want "after Release on some path" "leaks Acc .acc. on some path"
 }
 
-// loopUseAfterRelease: the Release flows over the loop back edge into the
-// next iteration's Add, and the zero-iteration path leaks entirely.
-func loopUseAfterRelease(xs []Int) {
-	acc := NewAcc()
-	for _, x := range xs {
-		acc.Add(x)    // want "after Release on some path"
-		acc.Release() // want "may be released twice"
+// branchUseAfterRelease uses the Acc after a release in one branch.
+func branchUseAfterRelease(x Int, cond bool) Int {
+	acc := NewAcc() // want "not released by a .defer acc.Release\(\). right after"
+	acc.Add(x)
+	if cond {
+		acc.Release() // want "Release of an Acc outside"
 	}
-} // want "not released on every path"
+	return acc.Take()
+}
+
+// loopUseAfterRelease releases in the loop body, so the next iteration
+// uses a released Acc.
+func loopUseAfterRelease(xs []Int) {
+	acc := NewAcc() // want "not released by a .defer acc.Release\(\). right after"
+	for _, x := range xs {
+		acc.Add(x)
+		acc.Release() // want "Release of an Acc outside"
+	}
+}
 
 // leakAllowed shows the audited escape hatch.
 func leakAllowed(x Int) Int {

@@ -1,12 +1,10 @@
 package framework
 
 // cfg.go builds an intraprocedural control-flow graph over go/ast statement
-// lists. The lifecycle protocols (accown's NewAcc/Release, and the
-// ownership summaries of Acc and arena parameters) need to know what *must*
-// and what *may* have executed before a program point; a lexical position
-// comparison cannot see that a Release inside one branch of an if does not
-// cover the other branch, or that a loop back edge carries a released state
-// into the next iteration's uses. The CFG plus the
+// lists. The interval engine (interval.go, which modbound runs) needs to know
+// what *may* have executed before a program point: a conditional subtract
+// in one branch of an if bounds a value only on that branch, and a loop back
+// edge carries the values of one iteration into the next. The CFG plus the
 // iterative solver in dataflow.go turns those questions into fixpoint facts.
 //
 // Granularity: a Block holds whole statements (and the condition/tag
@@ -15,11 +13,8 @@ package framework
 // graph — they execute whenever the closure is called, not where it is
 // written — so analyzers walking block nodes should use InspectShallow.
 //
-// Defer is modeled structurally: the DeferStmt itself appears as a node (the
-// registration point) and is also collected in CFG.Defers, since the
-// deferred call runs at function exit on every path. Calls to the builtin
-// panic terminate their path (no edge to Exit): a panicking path is not a
-// "return" for leak-on-return purposes.
+// A DeferStmt appears as a node at its registration point. Calls to the
+// builtin panic terminate their path (no edge to Exit).
 
 import (
 	"fmt"
@@ -59,17 +54,6 @@ func (b *Block) String() string {
 	return fmt.Sprintf("b%d(%s)->[%s]", b.Index, b.Kind, strings.Join(succs, " "))
 }
 
-// ReturnStmt returns the block's trailing return statement, or nil. A block
-// ending in a return has Exit as its only successor; Exit predecessors that
-// do not end in a return are fall-off-the-end paths.
-func (b *Block) ReturnStmt() *ast.ReturnStmt {
-	if len(b.Nodes) == 0 {
-		return nil
-	}
-	r, _ := b.Nodes[len(b.Nodes)-1].(*ast.ReturnStmt)
-	return r
-}
-
 // CFG is the control-flow graph of one function body. Entry and Exit are
 // synthetic empty blocks; every return statement's block has an edge to
 // Exit, as does the block that falls off the end of the body (when
@@ -78,9 +62,6 @@ type CFG struct {
 	Entry  *Block
 	Exit   *Block
 	Blocks []*Block
-	// Defers lists every defer statement in the body, in source order; the
-	// deferred calls execute at every exit from the function.
-	Defers []*ast.DeferStmt
 }
 
 // NewCFG builds the control-flow graph of a function body.
@@ -326,10 +307,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 	case *ast.BranchStmt:
 		b.branch(s)
-
-	case *ast.DeferStmt:
-		b.add(s)
-		b.cfg.Defers = append(b.cfg.Defers, s)
 
 	case *ast.ExprStmt:
 		b.add(s)

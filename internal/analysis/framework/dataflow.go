@@ -1,11 +1,11 @@
 package framework
 
 // dataflow.go is the generic iterative fixpoint engine over the CFG of
-// cfg.go. A FlowSpec describes one monotone dataflow problem: a join
+// cfg.go. A FlowSpec describes one monotone forward dataflow problem: a join
 // semilattice of facts (Bottom, Join, Equal) and a block transfer function.
-// ForwardSolve propagates facts along edges from Entry, BackwardSolve
-// against edges from Exit; both iterate a worklist until nothing changes,
-// which terminates for any finite lattice with a monotone transfer.
+// ForwardSolve propagates facts along edges from Entry, iterating a worklist
+// until nothing changes, which terminates for any finite lattice with a
+// monotone transfer (the interval engine widens to get there).
 //
 // Unreachable blocks keep the Bottom fact, so analyzers can (and should)
 // skip reporting in blocks whose input fact is Bottom — dead code has no
@@ -15,8 +15,7 @@ package framework
 type FlowSpec[F any] struct {
 	// Bottom is the identity of Join: the fact of an unreached block.
 	Bottom func() F
-	// Boundary is the fact entering the graph: at Entry for a forward
-	// problem, at Exit for a backward one.
+	// Boundary is the fact entering the graph at Entry.
 	Boundary func() F
 	// Join combines facts along merging paths (must be commutative,
 	// associative, idempotent, with Bottom as identity).
@@ -24,22 +23,18 @@ type FlowSpec[F any] struct {
 	// Equal detects the fixpoint.
 	Equal func(a, b F) bool
 	// Transfer computes the fact after executing block b given the fact
-	// before it (for a backward problem: the fact before b given the fact
-	// after it). It must be pure — report findings in a separate pass.
+	// before it. It must be pure — report findings in a separate pass.
 	Transfer func(b *Block, in F) F
 	// EdgeTransfer, when non-nil, filters the fact flowing along the
-	// from→to edge before it joins into to's input. A forward analysis that
+	// from→to edge before it joins into to's input. An analysis that
 	// understands branch conditions uses from.Branch/TrueSucc/FalseSucc to
 	// refine the fact per edge (the interval engine's conditional-subtract
-	// refinement); for a backward problem "from" is the flow-source block,
-	// i.e. the CFG successor. Must be pure and monotone in f.
+	// refinement). Must be pure and monotone in f.
 	EdgeTransfer func(from, to *Block, f F) F
 }
 
-// FlowResult holds the per-block fixpoint facts. For a forward problem In is
-// the fact at block entry and Out at block exit; for a backward problem In
-// is the fact *after* the block and Out the fact *before* it (i.e. Out =
-// Transfer(b, In) in both directions).
+// FlowResult holds the per-block fixpoint facts: In is the fact at block
+// entry and Out = Transfer(b, In) the fact at block exit.
 type FlowResult[F any] struct {
 	In  map[*Block]F
 	Out map[*Block]F
@@ -47,15 +42,6 @@ type FlowResult[F any] struct {
 
 // ForwardSolve computes the forward fixpoint of spec over g.
 func ForwardSolve[F any](g *CFG, spec FlowSpec[F]) *FlowResult[F] {
-	return solve(g, spec, g.Entry, func(b *Block) []*Block { return b.Preds }, func(b *Block) []*Block { return b.Succs })
-}
-
-// BackwardSolve computes the backward fixpoint of spec over g.
-func BackwardSolve[F any](g *CFG, spec FlowSpec[F]) *FlowResult[F] {
-	return solve(g, spec, g.Exit, func(b *Block) []*Block { return b.Succs }, func(b *Block) []*Block { return b.Preds })
-}
-
-func solve[F any](g *CFG, spec FlowSpec[F], boundary *Block, sources, sinks func(*Block) []*Block) *FlowResult[F] {
 	res := &FlowResult[F]{In: make(map[*Block]F, len(g.Blocks)), Out: make(map[*Block]F, len(g.Blocks))}
 	for _, b := range g.Blocks {
 		res.In[b] = spec.Bottom()
@@ -80,10 +66,10 @@ func solve[F any](g *CFG, spec FlowSpec[F], boundary *Block, sources, sinks func
 		queued[b.Index] = false
 
 		in := spec.Bottom()
-		if b == boundary {
+		if b == g.Entry {
 			in = spec.Boundary()
 		}
-		for _, p := range sources(b) {
+		for _, p := range b.Preds {
 			f := res.Out[p]
 			if spec.EdgeTransfer != nil {
 				f = spec.EdgeTransfer(p, b, f)
@@ -96,7 +82,7 @@ func solve[F any](g *CFG, spec FlowSpec[F], boundary *Block, sources, sinks func
 		}
 		res.In[b] = in
 		res.Out[b] = out
-		for _, s := range sinks(b) {
+		for _, s := range b.Succs {
 			push(s)
 		}
 	}

@@ -2,7 +2,6 @@ package framework
 
 import (
 	"go/ast"
-	"go/token"
 	"testing"
 )
 
@@ -97,101 +96,5 @@ func mark(){}; func dead(){}`)
 	dead := blockAtLine(fset, g, 5)
 	if res.In[dead] || res.Out[dead] {
 		t.Error("unreachable block acquired a non-Bottom fact")
-	}
-}
-
-func TestBackwardSolveLiveness(t *testing.T) {
-	// Backward may-analysis: "a call to mark() still lies ahead".
-	spec := FlowSpec[bool]{
-		Bottom:   func() bool { return false },
-		Boundary: func() bool { return false },
-		Join:     func(a, b bool) bool { return a || b },
-		Equal:    func(a, b bool) bool { return a == b },
-		Transfer: func(b *Block, after bool) bool { return after || callsIn(b, "mark") },
-	}
-	fset, g := parseFunc(t, `package p
-func f(c bool) {
-	early()
-	if c {
-		return
-	}
-	mark()
-}
-func early(){}; func mark(){}`)
-
-	res := BackwardSolve(g, spec)
-	early := blockAtLine(fset, g, 3)
-	if !res.Out[early] {
-		t.Error("backward fact did not reach the entry-side block (mark lies ahead on the else path)")
-	}
-	ret := blockAtLine(fset, g, 5)
-	if res.In[ret] {
-		t.Error("the return path has no mark ahead, yet the after-fact is set")
-	}
-	if res.Out[ret] {
-		t.Error("the return block itself cannot reach mark")
-	}
-}
-
-func TestCheckProtocolBranchAndLoop(t *testing.T) {
-	// Direct engine-level check of the protocol lattice: release in one
-	// branch only → partial leak at exit; loop back edge → partial
-	// use-after-release and partial double release.
-	fset, g := parseFunc(t, `package p
-func f(c bool, xs []int) {
-	acquire()
-	for range xs {
-		use()
-		release()
-	}
-}
-func acquire(){}; func use(){}; func release(){}`)
-
-	byName := map[string]ProtoEvent{
-		"acquire": {Kind: ProtoAcquire, Name: "acquire"},
-		"use":     {Kind: ProtoUse, Name: "use"},
-		"release": {Kind: ProtoRelease, Name: "release"},
-	}
-	events := make(map[token.Pos]ProtoEvent)
-	var exitPos token.Pos
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			if n.End() > exitPos {
-				exitPos = n.End()
-			}
-			InspectShallow(n, func(m ast.Node) bool {
-				if call, ok := m.(*ast.CallExpr); ok {
-					if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-						if ev, ok := byName[id.Name]; ok {
-							events[call.Pos()] = ev
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-
-	findings := CheckProtocol(g, events, exitPos)
-	kinds := map[ProtoFindingKind]int{}
-	for _, f := range findings {
-		kinds[f.Kind]++
-		if f.Pos == token.NoPos {
-			t.Errorf("finding %v has no position", f.Kind)
-		} else {
-			_ = fset.Position(f.Pos) // must resolve
-		}
-	}
-	if kinds[UseAfterReleasePartial] != 1 {
-		t.Errorf("want one partial use-after-release (loop back edge), got %v", kinds)
-	}
-	if kinds[DoubleReleasePartial] != 1 {
-		t.Errorf("want one partial double release (loop back edge), got %v", kinds)
-	}
-	if kinds[LeakExitPartial] != 1 {
-		t.Errorf("want one partial leak at exit (zero-iteration path), got %v", kinds)
-	}
-	if len(findings) != 3 {
-		t.Errorf("unexpected extra findings: %v", kinds)
 	}
 }

@@ -2,7 +2,6 @@ package framework
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -84,50 +83,6 @@ func ReceiverObject(info *types.Info, call *ast.CallExpr) types.Object {
 		return nil
 	}
 	return info.Uses[id]
-}
-
-// DeferSpan is the position span of one defer statement plus the position
-// of its deferred CallExpr (the anchor for protocol events: for
-// `defer f(x)` that is f's call, for `defer func() { ... }()` the closure
-// invocation — the node a CFG walk actually visits).
-type DeferSpan struct {
-	Start, End token.Pos
-	CallPos    token.Pos
-}
-
-// DeferRanges records every defer statement in a function body, so analyzers
-// can ask whether a call runs deferred (either `defer f(x)` directly or
-// inside a deferred closure) and where the registration is anchored.
-type DeferRanges []DeferSpan
-
-// CollectDeferRanges gathers the spans of all DeferStmts under root.
-func CollectDeferRanges(root ast.Node) DeferRanges {
-	var spans DeferRanges
-	ast.Inspect(root, func(n ast.Node) bool {
-		if d, ok := n.(*ast.DeferStmt); ok {
-			spans = append(spans, DeferSpan{Start: d.Pos(), End: d.End(), CallPos: d.Call.Pos()})
-		}
-		return true
-	})
-	return spans
-}
-
-// CallAt returns the deferred CallExpr position of the innermost defer
-// statement containing pos (false when pos is not deferred).
-func (r DeferRanges) CallAt(pos token.Pos) (token.Pos, bool) {
-	best := -1
-	for i, s := range r {
-		if pos < s.Start || pos >= s.End {
-			continue
-		}
-		if best < 0 || s.Start >= r[best].Start {
-			best = i // innermost: latest start among containing spans
-		}
-	}
-	if best < 0 {
-		return token.NoPos, false
-	}
-	return r[best].CallPos, true
 }
 
 // PathHasSegment reports whether an import path contains seg as a complete

@@ -54,7 +54,7 @@ func solveInterval(t *testing.T, src, fn string, seed map[string]Interval, tune 
 func factAtReturn(t *testing.T, cfg *CFG, res *FlowResult[*IntervalEnv]) *IntervalEnv {
 	t.Helper()
 	for _, b := range cfg.Blocks {
-		if b.ReturnStmt() != nil {
+		if returnStmt(b) != nil {
 			return res.Out[b]
 		}
 	}

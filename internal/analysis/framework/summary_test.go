@@ -25,78 +25,6 @@ func typeCheckPkg(t *testing.T, path, src string) *Package {
 	return &Package{Path: path, Fset: fset, Files: []*ast.File{f}, Types: tpkg, Info: info}
 }
 
-const ownershipSrc = `package p
-
-type Int struct{ w []uint }
-
-type Acc struct {
-	dead bool
-	abs  []uint
-}
-
-func NewAcc() *Acc          { return &Acc{} }
-func (a *Acc) Release()     { a.dead = true }
-func (a *Acc) Add(x Int)    {}
-func (a *Acc) Value() Int   { return Int{} }
-
-var sink *Acc
-
-func releaseHelper(a *Acc) { a.Release() }
-func useHelper(a *Acc)     { a.Add(Int{}) }
-func maybeRelease(a *Acc, c bool) {
-	if c {
-		a.Release()
-	}
-}
-func escapeHelper(a *Acc)  { sink = a }
-func fieldHelper(x *Acc) int { return len(x.abs) }
-func deferHelper(a *Acc) {
-	defer a.Release()
-	a.Add(Int{})
-}
-func wrapRelease(a *Acc)   { releaseHelper(a) }
-func wrapUnknown(a *Acc, f func(*Acc)) { f(a) }
-func closureCapture(a *Acc) {
-	f := func() { a.Release() }
-	f()
-}
-`
-
-func TestSummaryOwnershipEffects(t *testing.T) {
-	pkg := typeCheckPkg(t, "p", ownershipSrc)
-	sums := ComputeSummaries([]*Package{pkg})
-
-	cases := []struct {
-		fn   string
-		want ParamEffect
-	}{
-		{"releaseHelper", EffTracked | EffReleasesAll},
-		{"useHelper", EffTracked | EffUses},
-		{"maybeRelease", EffTracked | EffReleasesMaybe},
-		{"escapeHelper", EffTracked | EffEscapes},
-		{"deferHelper", EffTracked | EffUses | EffReleasesAll},
-		{"wrapRelease", EffTracked | EffReleasesAll},
-		{"fieldHelper", EffTracked | EffUses},
-	}
-	for _, c := range cases {
-		sum := sums.Lookup("p." + c.fn)
-		if sum == nil {
-			t.Fatalf("no summary for %s", c.fn)
-		}
-		if got := sum.Params[0]; got != c.want {
-			t.Errorf("%s param effect = %b, want %b", c.fn, got, c.want)
-		}
-	}
-	// Handing the Acc to a func value ends tracking.
-	if eff := sums.Lookup("p.wrapUnknown").Params[0]; eff&EffEscapes == 0 {
-		t.Errorf("wrapUnknown param effect = %b, want escape", eff)
-	}
-	// A non-deferred closure capturing the Acc ends tracking too.
-	if eff := sums.Lookup("p.closureCapture").Params[0]; eff&EffEscapes == 0 {
-		t.Errorf("closureCapture param effect = %b, want escape", eff)
-	}
-}
-
 const recoverySrc = `package ftparallel
 
 type errImpl struct{}
@@ -168,32 +96,5 @@ func TestCallGraphSCCOrder(t *testing.T) {
 	}
 	if !g.Nodes["p.top"].Calls["p.mid"] {
 		t.Errorf("missing edge top -> mid")
-	}
-}
-
-// Mutual recursion over a tracked parameter must converge (conservatively:
-// the intra-SCC handoff is an escape, never a wrong release claim).
-func TestSummaryRecursiveOwnershipConservative(t *testing.T) {
-	pkg := typeCheckPkg(t, "p", `package p
-
-type Acc struct{}
-
-func (a *Acc) Release() {}
-
-func spinA(a *Acc, n int) {
-	if n == 0 {
-		a.Release()
-		return
-	}
-	spinB(a, n-1)
-}
-func spinB(a *Acc, n int) { spinA(a, n) }
-`)
-	sums := ComputeSummaries([]*Package{pkg})
-	for _, fn := range []string{"spinA", "spinB"} {
-		eff := sums.Lookup("p." + fn).Params[0]
-		if eff&EffReleasesAll != 0 {
-			t.Errorf("%s claims releases-on-all-paths through recursion: %b", fn, eff)
-		}
 	}
 }

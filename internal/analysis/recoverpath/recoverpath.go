@@ -67,31 +67,24 @@ func checkDiscards(pass *framework.Pass, fd *ast.FuncDecl) {
 				pass.Reportf(n.Call.Pos(), "recovery call %s deferred: its error result is discarded and the erasure outcome is lost", sum.Name)
 			}
 		case *ast.AssignStmt:
-			// Single multi-value call on the right: the error is the last
-			// result, so the last LHS must not be blank.
-			if len(n.Rhs) == 1 {
-				if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok && len(n.Lhs) > 1 {
-					if sum := recoveryCallee(pass, call); sum != nil {
-						if id, ok := n.Lhs[len(n.Lhs)-1].(*ast.Ident); ok && id.Name == "_" {
-							pass.Reportf(call.Pos(), "error from %s is discarded with _: an undecodable erasure would pass silently — recovery must check it", sum.Name)
-						}
-					}
-				}
+			// A call's error is its last result: one multi-value call on
+			// the right leaves it in the last name, and otherwise each call
+			// assigns its single result to its own name. Neither may be
+			// blank.
+			lhs := n.Lhs
+			if len(lhs) > 1 && len(n.Rhs) == 1 {
+				lhs = lhs[len(lhs)-1:]
+			}
+			if len(lhs) != len(n.Rhs) {
 				return true
 			}
-			// 1:1 assignments: a single-result recovery call (the error IS
-			// the result) assigned to blank.
-			if len(n.Lhs) == len(n.Rhs) {
-				for i := range n.Rhs {
-					call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr)
-					if !ok {
-						continue
-					}
-					sum := recoveryCallee(pass, call)
-					if sum == nil {
-						continue
-					}
-					if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
+			for i, rhs := range n.Rhs {
+				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+				if !ok {
+					continue
+				}
+				if sum := recoveryCallee(pass, call); sum != nil {
+					if id, ok := lhs[i].(*ast.Ident); ok && id.Name == "_" {
 						pass.Reportf(call.Pos(), "error from %s is discarded with _: an undecodable erasure would pass silently — recovery must check it", sum.Name)
 					}
 				}

@@ -64,6 +64,18 @@ func repairDiscarded(c *Code, rows, dead []int, res [][]Int) [][]Int {
 	return shares
 }
 
+// restore has the shape of the runtime's Coder.RecoverData: its single
+// result is the error of a Code.Solve it reaches.
+func restore(c *Code, rows, dead []int, res [][]Int) error {
+	_, _, err := c.Solve(rows, dead, res)
+	return err
+}
+
+// restoreDiscarded assigns that lone error to blank.
+func restoreDiscarded(c *Code, rows, dead []int, res [][]Int) {
+	_ = restore(c, rows, dead, res) // want "discarded with _"
+}
+
 // discardedViaHelper: the same discard one call away — only the summary
 // knows decodeVia's error is a recovery error.
 func discardedViaHelper(c *Code, m map[int][]Int) map[int][]Int {

@@ -32,11 +32,19 @@ type Acc struct {
 
 var accPool = sync.Pool{New: func() any { return new(Acc) }}
 
-// NewAcc returns a zeroed accumulator from the pool.
+// NewAcc returns a zeroed accumulator from the pool. Every caller uses the
+// one idiom that ftlint's accown checks,
+//
+//	acc := bigint.NewAcc()
+//	defer acc.Release()
+//
+// and uses acc only as a method receiver or a call argument: it is never
+// assigned, returned or captured by a closure.
 func NewAcc() *Acc { return accPool.Get().(*Acc) }
 
 // Release resets a and returns it to the pool, keeping its buffers for the
-// next user. The caller must not use a afterwards.
+// next user. It is called only as the `defer acc.Release()` right after the
+// NewAcc that made a (see NewAcc), so it runs once, after every use.
 func (a *Acc) Release() {
 	a.Reset()
 	accPool.Put(a)

@@ -4,38 +4,38 @@
 # first line names its target and the defect ("# <target>: <defect>"); git
 # apply ignores text before the first "diff --git".
 #
-#   bash scripts/mutants.sh              who catches each defect (make mutants)
-#   bash scripts/mutants.sh check        does each patch still apply (make mutants-check)
-#   bash scripts/mutants.sh P.patch ...  the named entries only
+#   bash scripts/mutants.sh                    who catches each defect (make mutants)
+#   bash scripts/mutants.sh check              does each patch apply, and does each
+#                                              analyzer still report its own (make mutants-check)
+#   bash scripts/mutants.sh [check] P.patch …  the named entries only
 #
-# A run copies the tracked files of the working tree into a temp directory
-# and, for each patch: applies it, builds the tree, runs the tests of every
-# package outside internal/analysis and cmd/ftlint (a failing test, build or
-# 5-minute timeout counts as caught), runs ftlint over the tree and collects
-# the analyzers that report; when neither catches the defect, it runs the
-# tests of the packages the patch touches under the race detector, as CI's
-# `make race` does ("race:" row); then it reverses the patch. It prints one
-# row per patch and exits non-zero when a patch no longer applies or when
-# nothing catches it. "sole" names an analyzer that caught a defect no test
-# caught and no other analyzer reported. Expect about half a minute per
-# entry on two cores; the blocking-send entry waits out the machine suite's
-# timeout.
+# Both modes copy the tracked files of the working tree into a temp
+# directory and require ftlint to be clean there before any patch goes in.
+#
+# check: every patch must still apply. A patch whose target is an analyzer
+# (accown, poolspawn, recoverpath or modbound) is applied, ftlint runs over
+# the tree, and that analyzer must report; then the patch is reversed.
+# About a second per analyzer entry.
+#
+# The full run, for each patch: applies it, builds the tree, runs the tests
+# of every package outside internal/analysis and cmd/ftlint (a failing
+# test, build or 5-minute timeout counts as caught), runs ftlint over the
+# tree and collects the analyzers that report; when neither catches the
+# defect, it runs the tests of the packages the patch touches under the
+# race detector, as CI's `make race` does ("race:" row); then it reverses
+# the patch. It prints one row per patch and exits non-zero when a patch no
+# longer applies or when nothing catches it. "sole" names an analyzer that
+# caught a defect no test caught and no other analyzer reported. Expect
+# about half a minute per entry on two cores; the blocking-send entry waits
+# out the machine suite's timeout.
 set -euo pipefail
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 
+check=false
 if [ "${1:-}" = check ]; then
-	status=0
-	n=0
-	for p in scripts/mutants/*.patch; do
-		n=$((n + 1))
-		if ! git apply --check "$p" 2>/dev/null; then
-			echo "mutants: $p no longer applies"
-			status=1
-		fi
-	done
-	[ "$status" = 0 ] && echo "mutants: all $n patches apply"
-	exit "$status"
+	check=true
+	shift
 fi
 
 patches=("$@")
@@ -51,11 +51,47 @@ done | tar --null -T - -cf - | tar -xf - -C "$tree"
 go build -o "$tmp/ftlint" ./cmd/ftlint
 
 cd "$tree"
-pkgs=$(go list ./... | grep -v -e '^repro/internal/analysis/' -e '^repro/cmd/ftlint$')
 if ! "$tmp/ftlint" ./... >/dev/null 2>&1; then
 	echo "mutants: ftlint is not clean on the unmutated tree" >&2
 	exit 1
 fi
+
+if $check; then
+	status=0
+	caught=0
+	for p in "${patches[@]}"; do
+		target=$(sed -n '1s/^# \([^:]*\):.*/\1/p' "$root/$p")
+		case $target in
+		accown | poolspawn | recoverpath | modbound) ;;
+		*)
+			if ! git apply --check "$root/$p" 2>/dev/null; then
+				echo "mutants: $p no longer applies"
+				status=1
+			fi
+			continue
+			;;
+		esac
+		if ! git apply "$root/$p" 2>/dev/null; then
+			echo "mutants: $p no longer applies"
+			status=1
+			continue
+		fi
+		# Capture first: ftlint exits 1 on findings, which a pipe into
+		# grep -q would turn into a failure under pipefail.
+		out=$("$tmp/ftlint" ./... 2>&1 || true)
+		git apply -R "$root/$p"
+		if grep -q "($target)\$" <<<"$out"; then
+			caught=$((caught + 1))
+		else
+			echo "mutants: $target does not report $p"
+			status=1
+		fi
+	done
+	[ "$status" = 0 ] && echo "mutants: all ${#patches[@]} patches apply; each of the $caught aimed at an analyzer is reported by it"
+	exit "$status"
+fi
+
+pkgs=$(go list ./... | grep -v -e '^repro/internal/analysis/' -e '^repro/cmd/ftlint$')
 
 # failed lists the failing top-level tests of a go test log as pkg.Test, and
 # a package that failed without one (build failure, timeout) as pkg(...).
